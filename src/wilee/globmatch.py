@@ -18,10 +18,6 @@ def glob_to_regex(pattern: str) -> "re.Pattern[str]":
     return re.compile(".*".join(parts) + r"\Z", re.DOTALL)
 
 
-def is_glob(pattern: str) -> bool:
-    return "*" in pattern
-
-
 def glob_match(pattern: str, value: str) -> bool:
     if "\\" in pattern or "\\" in value:
         pattern = pattern.lower()

@@ -5,12 +5,26 @@ two matched events.  An edge exists when the log records an explicit
 link with the relation's verb, or as a fallback when both events share
 a host inside a configurable temporal window.  Edge timestamps are the
 later of the two endpoints: the moment the relation is fully witnessed.
+
+Each relation is a band join (DeWitt, Naughton & Schneider, "An
+Evaluation of Non-Equijoin Algorithms", VLDB 1991).  The peer results
+are indexed once: by event id for the link path, and per host by moment
+for the window path.  Each source then finds its link targets by id
+lookup and its window targets with two binary searches, so a relation
+with S sources, T targets and E edges costs O((S + T) log T + E) rather
+than O(S x T).
+
+Edges come out in source log order, then target log order, and are
+numbered ``e00000``, ``e00001``, ... in that order.  A pair that is both
+explicitly linked and inside the window yields one edge of kind
+``"link"``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 from .proxy import Event
 from .query import QueryDescriptor
@@ -60,6 +74,43 @@ class EvidenceGraph:
         return sorted(seen)
 
 
+_MICROSECOND = timedelta(microseconds=1)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def _micros(moment: datetime) -> int:
+    """Exact integer microseconds since the epoch, whatever the offset."""
+    return (moment - _EPOCH) // _MICROSECOND
+
+
+class _PeerIndex:
+    """One relation side's results indexed for the join: positions by
+    event id, and per host the moments in ascending order beside their
+    positions (ties in position order)."""
+
+    def __init__(self, events: list[Event]):
+        self.by_id: dict[str, list[int]] = {}
+        buckets: dict[str, list[tuple[int, int]]] = {}
+        for pos, event in enumerate(events):
+            self.by_id.setdefault(event.event_id, []).append(pos)
+            buckets.setdefault(event.host, []).append((_micros(event.moment), pos))
+        self.by_host: dict[str, tuple[list[int], list[int]]] = {}
+        for host, pairs in buckets.items():
+            pairs.sort()
+            self.by_host[host] = ([m for m, _ in pairs], [p for _, p in pairs])
+
+    def near(self, source: Event, window_us: int) -> list[int]:
+        """Positions on the source's host within ``window_us``
+        microseconds of it, bounds included; none when the window is
+        negative."""
+        bucket = self.by_host.get(source.host)
+        if bucket is None:
+            return []
+        moments, positions = bucket
+        t = _micros(source.moment)
+        return positions[bisect_left(moments, t - window_us) : bisect_right(moments, t + window_us)]
+
+
 def build_graph(
     results: dict[str, list[Event]],
     descriptors: list[QueryDescriptor],
@@ -80,20 +131,26 @@ def build_graph(
         for event in results.get(q.qid, [])
     ]
 
-    window = timedelta(seconds=window_seconds)
+    window_us = timedelta(seconds=window_seconds) // _MICROSECOND
     edges: list[GraphEdge] = []
     for q in descriptors:
+        sources = results.get(q.qid, [])
         for rel in q.relations:
-            for source in results.get(q.qid, []):
-                for target in results.get(rel.peer_qid, []):
-                    explicit = (rel.verb, target.event_id) in source.links
-                    if explicit:
+            targets = results.get(rel.peer_qid, [])
+            index = _PeerIndex(targets)
+            for source in sources:
+                linked = {
+                    pos
+                    for verb, event_id in source.links
+                    if verb == rel.verb
+                    for pos in index.by_id.get(event_id, ())
+                }
+                candidates = linked.union(index.near(source, window_us))
+                for pos in sorted(candidates):
+                    target = targets[pos]
+                    if pos in linked:
                         kind = "link"
-                    elif (
-                        source.event_id != target.event_id
-                        and source.host == target.host
-                        and abs(source.moment - target.moment) <= window
-                    ):
+                    elif target.event_id != source.event_id:
                         kind = "window"
                     else:
                         continue

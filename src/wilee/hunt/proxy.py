@@ -87,9 +87,6 @@ class NdjsonProxy:
     def scan(self, entity_class: str) -> list[Event]:
         return [e for e in self._events if e.entity_class == entity_class]
 
-    def all_events(self) -> list[Event]:
-        return list(self._events)
-
 
 def event_from_json(doc: dict) -> Event:
     fields = {

@@ -80,12 +80,6 @@ class ThreatImplementation:
     def techniques(self) -> tuple[str, ...]:
         return tuple(step.record.technique_id for step in self.steps)
 
-    def bind_value(self, site: BindSite) -> Optional[IocRecord]:
-        for key, record in self.resolved_binds:
-            if key == site:
-                return record
-        return None
-
     def unresolved_sites(self) -> tuple[BindSite, ...]:
         return tuple(site for site, record in self.resolved_binds if record is None)
 

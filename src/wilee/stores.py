@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -224,11 +225,12 @@ class TtpRecord:
     ast: AstNode  # FunctionDef
     created_at: str = DEFAULT_CREATED_AT
 
-    @property
+    # Computed on first access and kept: the tree never changes.
+    @cached_property
     def ast_hash(self) -> str:
         return content_hash(self.ast)
 
-    @property
+    @cached_property
     def record_id(self) -> str:
         return f"{self.technique_id}:{self.source}:{self.ast_hash}"
 
@@ -313,6 +315,7 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
         index_path = index_path / "index.jsonl"
     base = index_path.parent
     store = TtpStore()
+    seen: set[str] = set()
     invalid: list[str] = []
     details: list[str] = []
     for lineno, raw in enumerate(index_path.read_text("utf-8").splitlines(), start=1):
@@ -348,9 +351,10 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
             invalid.append(technique_id)
             details.append(f"{technique_id}: TTP bodies must be concrete, not abstract calls")
             continue
-        if any(r.record_id == record.record_id for r in store.records):
+        if record.record_id in seen:
             logger.warning("%s:%d: duplicate TTP record %s ignored", index_path, lineno, record.record_id)
             continue
+        seen.add(record.record_id)
         store.records.append(record)
     if invalid:
         raise ValidationError(invalid, "; ".join(details))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from datetime import timedelta
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +243,48 @@ def oracle_edge_pairs(source_events, target_events, verb, window_seconds) -> set
             if explicit or same_window:
                 pairs.add((source.event_id, target.event_id))
     return pairs
+
+
+def oracle_build_graph_edges(results, descriptors, window_seconds) -> list[tuple]:
+    """The evidence-graph edges as the original pairwise loop emits them:
+    every source x target pair of each relation, in source then target
+    order, as (edge_id, qid, peer_qid, verb, technique_id, step_index,
+    source_event, target_event, source_host, target_host, timestamp,
+    kind) tuples."""
+    window = timedelta(seconds=window_seconds)
+    edges = []
+    for q in descriptors:
+        for rel in q.relations:
+            for source in results.get(q.qid, []):
+                for target in results.get(rel.peer_qid, []):
+                    explicit = (rel.verb, target.event_id) in source.links
+                    if explicit:
+                        kind = "link"
+                    elif (
+                        source.event_id != target.event_id
+                        and source.host == target.host
+                        and abs(source.moment - target.moment) <= window
+                    ):
+                        kind = "window"
+                    else:
+                        continue
+                    edges.append(
+                        (
+                            f"e{len(edges):05d}",
+                            q.qid,
+                            rel.peer_qid,
+                            rel.verb,
+                            q.technique_id,
+                            q.step_index,
+                            source.event_id,
+                            target.event_id,
+                            source.host,
+                            target.host,
+                            max(source.moment, target.moment),
+                            kind,
+                        )
+                    )
+    return edges
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from datetime import datetime, timedelta, timezone
 
 from conftest import PlantedAttack, build_store, iso, write_ndjson
 from conftest import T1059_SRC, T1552_PUTTY_SRC
-from oracles import oracle_best_witness_count, oracle_edge_pairs
+from oracles import oracle_best_witness_count, oracle_build_graph_edges, oracle_edge_pairs
 
 from wilee.dsl import ThreatDescription
 from wilee.hunt import (
@@ -15,6 +15,8 @@ from wilee.hunt import (
     schedule,
 )
 from wilee.hunt.matcher import _support_index
+from wilee.hunt.proxy import Event
+from wilee.hunt.query import QueryDescriptor, RelationRef
 from wilee.interpreter import concretize
 from wilee.stores import IocDb
 
@@ -157,6 +159,95 @@ def test_edge_count_matches_pairwise_oracle(model):
     expected_pairs = oracle_edge_pairs(sources, targets, "observed", 60.0)
     got_pairs = {(e.source_event, e.target_event) for e in graph.edges}
     assert got_pairs == expected_pairs
+
+
+def _edge_tuple(edge):
+    return (
+        edge.edge_id, edge.qid, edge.peer_qid, edge.verb, edge.technique_id,
+        edge.step_index, edge.source_event, edge.target_event, edge.source_host,
+        edge.target_host, edge.timestamp, edge.kind,
+    )
+
+
+def _random_join_case(rng):
+    """Random results and descriptors for one build_graph call.
+
+    Moments fall on a 10 s grid (sometimes off it by a microsecond) and
+    are written with assorted UTC offsets, so windows of 0, 10, 20 s hit
+    |dt| == window exactly.  Links mix verbs, repeat entries, cross hosts
+    and name ids that no result holds."""
+    base = datetime(2026, 3, 1, 6, 0, 0, tzinfo=timezone.utc)
+    offsets = [timezone.utc, timezone(timedelta(hours=2)), timezone(timedelta(hours=-5, minutes=-30))]
+    ids = [f"ev{i}" for i in range(rng.randrange(0, 10))]
+    pool = ids + ["ghost1", "ghost2"]
+    log = []
+    for event_id in ids:
+        moment = base + timedelta(seconds=10 * rng.randrange(0, 8))
+        if rng.random() < 0.15:
+            moment += timedelta(microseconds=rng.choice((-1, 1)))
+        stamp = moment.astimezone(rng.choice(offsets)).isoformat()
+        if stamp.endswith("+00:00") and rng.random() < 0.5:
+            stamp = stamp[:-6] + "Z"
+        links = tuple(
+            (rng.choice(("observed", "has")), rng.choice(pool))
+            for _ in range(rng.choice((0, 0, 1, 2, 3)))
+        )
+        if links and rng.random() < 0.3:
+            links += (links[0],)
+        log.append(Event(event_id, stamp, rng.choice(("h1", "h2", "h3")), "Process", {}, links))
+    qids = ["qa", "qb", "qc"][: rng.randrange(1, 4)]
+    results = {
+        qid: [e for e in log if rng.random() < 0.6] for qid in qids if rng.random() < 0.9
+    }
+    descriptors = [
+        QueryDescriptor(
+            qid=qid,
+            entity_class="Process",
+            object_var=f"process{i}",
+            predicates=(),
+            relations=tuple(
+                RelationRef(rng.choice(("observed", "has")), "Process",
+                            rng.choice(qids + ["qmissing"]))
+                for _ in range(rng.randrange(0, 3))
+            ),
+            step_index=i,
+            impl_id="impl",
+            technique_id=f"T100{i}",
+        )
+        for i, qid in enumerate(qids)
+    ]
+    window = rng.choice((-10.0, -0.000001, 0.0, 0.000001, 10.0, 15.5, 20.0, 60.0))
+    return results, descriptors, window
+
+
+def test_build_graph_equals_pairwise_oracle():
+    """The band join emits exactly the pairwise loop's edges: same ids,
+    order, kinds and timestamps, offsets included."""
+    rng = random.Random(20260301)
+    seen = dict.fromkeys(
+        ("link", "window", "self_relation", "self_link", "boundary", "link_in_window",
+         "link_outside_window", "empty_side"), 0
+    )
+    for trial in range(300):
+        results, descriptors, window = _random_join_case(rng)
+        edges = build_graph(results, descriptors, window).edges
+        expected = oracle_build_graph_edges(results, descriptors, window)
+        assert [_edge_tuple(e) for e in edges] == expected, f"trial {trial}"
+        assert [e.timestamp.isoformat() for e in edges] == [e[10].isoformat() for e in expected]
+        seen["empty_side"] += any(
+            not results.get(rel.peer_qid) for q in descriptors for rel in q.relations
+        )
+        moments = {e.event_id: e.moment for events in results.values() for e in events}
+        for edge in edges:
+            delta = abs(moments[edge.source_event] - moments[edge.target_event])
+            in_window = edge.source_host == edge.target_host and delta <= timedelta(seconds=window)
+            seen[edge.kind] += 1
+            seen["self_relation"] += edge.qid == edge.peer_qid
+            seen["self_link"] += edge.source_event == edge.target_event
+            seen["boundary"] += edge.kind == "window" and delta == timedelta(seconds=window)
+            seen["link_in_window"] += edge.kind == "link" and in_window
+            seen["link_outside_window"] += edge.kind == "link" and not in_window
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------

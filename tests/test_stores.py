@@ -7,7 +7,7 @@ import pytest
 from conftest import T1059_SRC, T1552_PUTTY_SRC, T1552_RUNKEY_SRC, function_from
 from oracles import oracle_resolve_bind
 
-from wilee.dsl import AstGenerator, bind, pretty_print_node, random_technique_id
+from wilee.dsl import AstGenerator, bind, content_hash, pretty_print_node, random_technique_id
 from wilee.stores import (
     DataModel,
     FormatError,
@@ -103,6 +103,34 @@ def test_duplicate_iocs_keep_earliest_with_warning(tmp_path, caplog):
     assert len(ioc_db.records) == 1
     assert ioc_db.records[0].source == "first"
     assert any("duplicate IOC" in r.message for r in caplog.records)
+
+
+def test_duplicate_ttp_records_keep_one_with_warning(tmp_path, caplog, model, monkeypatch):
+    import wilee.stores
+
+    hashed = []
+    monkeypatch.setattr(
+        wilee.stores, "content_hash", lambda node: hashed.append(node) or content_hash(node)
+    )
+    entry = ("T1552.002", ("credential-access",), "SME", T1552_PUTTY_SRC)
+    other = ("T1059.001", ("execution",), "SME", T1059_SRC)
+    paths = write_stores(tmp_path, [], [entry, other, entry])
+    with caplog.at_level(logging.WARNING, logger="wilee.stores"):
+        store, _, _ = load_stores(paths)
+    assert [r.technique_id for r in store.records] == ["T1552.002", "T1059.001"]
+    (warning,) = [r.getMessage() for r in caplog.records]
+    assert warning.endswith(f":3: duplicate TTP record {store.records[0].record_id} ignored")
+    assert len(hashed) == 3  # each record's tree is hashed once
+
+    caplog.clear()
+    again = TtpRecord("T1552.002", ("credential-access",), "SME", function_from(T1552_PUTTY_SRC))
+    with caplog.at_level(logging.WARNING, logger="wilee.stores"):
+        assert store.insert(again, model) is False
+    assert len(store) == 2
+    assert [r.getMessage() for r in caplog.records] == [
+        f"duplicate TTP record {again.record_id} ignored"
+    ]
+    assert len(hashed) == 4
 
 
 def test_ttp_store_loads_and_validates(tmp_path):
