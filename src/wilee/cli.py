@@ -14,6 +14,7 @@ exceeded, 4 no classes selected, 5 bad perturbation config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -33,23 +34,8 @@ from .dsl import (
     validate,
 )
 from .gpe import ConfigError, GpeConfig, export_archive, run_gpe
-from .hunt import (
-    NdjsonProxy,
-    ProxyUnavailable,
-    build_graph,
-    execute_all,
-    match,
-    render_report,
-    schedule,
-)
-from .interpreter import (
-    BindMode,
-    EmptyStore,
-    concretize,
-    default_killchain,
-    expand_binds,
-    implementation_from_module,
-)
+from .hunt import NdjsonProxy, ProxyUnavailable, evaluate, render_report
+from .interpreter import EmptyStore, concretize, default_killchain, implementation_from_module
 from .malmo import (
     NoClassesSelected,
     generate_dsl,
@@ -119,7 +105,11 @@ def _store_paths(args) -> StorePaths:
 
 
 def cmd_validate(args) -> int:
-    model = DataModel.load(args.data_model) if args.data_model else DataModel.default()
+    try:
+        model = DataModel.load(args.data_model) if args.data_model else DataModel.default()
+    except (FormatError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     problems = 0
     for file in args.files:
         try:
@@ -193,11 +183,7 @@ def cmd_hunt(args) -> int:
     partial = False
     try:
         for impl in result.implementations:
-            (expanded,) = expand_binds(impl, ioc_db, BindMode.UNRESOLVED)
-            descriptors = schedule(expanded, model)
-            query_results = execute_all(descriptors, proxy, ioc_db)
-            graph = build_graph(query_results, descriptors)
-            results.append(match(graph, expanded))
+            results.append(evaluate(impl, proxy, ioc_db, model))
     except KeyboardInterrupt:
         partial = True
 
@@ -284,7 +270,7 @@ def cmd_perturb(args) -> int:
     try:
         config = GpeConfig.from_json(args.config) if args.config else GpeConfig()
         if args.seed is not None:
-            config = GpeConfig(**{**_config_dict(config), "seed": args.seed})
+            config = dataclasses.replace(config, seed=args.seed)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_IO
@@ -320,10 +306,7 @@ def cmd_perturb(args) -> int:
             return EXIT_IO
 
         def fitness_fn(candidate_tree):
-            impl = implementation_from_module(candidate_tree)
-            descriptors = schedule(impl, model)
-            graph = build_graph(execute_all(descriptors, proxy, ioc_db), descriptors)
-            return match(graph, impl).score
+            return evaluate(implementation_from_module(candidate_tree), proxy, ioc_db, model).score
 
     try:
         result = run_gpe(seed_impl, config, fitness_fn=fitness_fn, model=model, ioc_db=ioc_db)
@@ -354,10 +337,6 @@ def cmd_perturb(args) -> int:
     _write_manifest(out, "perturb", vars(args), [Path(p) for p in inputs if p], written + [summary_path])
     print(f"archived {len(result.archive)} candidate(s) under {archive_dir}")
     return EXIT_OK
-
-
-def _config_dict(config: GpeConfig) -> dict:
-    return {name: getattr(config, name) for name in GpeConfig.__dataclass_fields__}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Grammar-driven random tree generation.
+"""Random tree generation.
 
 Two consumers: round-trip testing samples arbitrary grammar-conformant
 trees (``model=None``), and the genetic perturbation engine regenerates
@@ -13,7 +13,6 @@ from typing import Optional
 
 from . import ast
 from .ast import AstNode, RELATION_VERBS
-from .grammar import DEFAULT_GRAMMAR, DslGrammar
 from .vocab import CANONICAL_TACTICS, IOC_TYPES
 
 # Characters literals are drawn from; weighted toward the path-like
@@ -63,13 +62,11 @@ class AstGenerator:
         self,
         rng: random.Random,
         model=None,
-        grammar: DslGrammar = DEFAULT_GRAMMAR,
         max_functions: int = 4,
         max_statements: int = 6,
         technique_pool: Optional[list[str]] = None,
     ):
         self.rng = rng
-        self.grammar = grammar
         self.max_functions = max_functions
         self.max_statements = max_statements
         self.technique_pool = technique_pool

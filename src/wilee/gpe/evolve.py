@@ -204,7 +204,6 @@ def run_gpe(
     initial_population = list(population)
 
     archive = NoveltyArchive(config.archive_capacity, config.add_threshold)
-    archived: list[Candidate] = []
     history: list[float] = []
     rho = config.rho
     rho_trace = [rho]
@@ -217,10 +216,7 @@ def run_gpe(
                 if candidate.fitness is None:
                     candidate.fitness = fitness_fn(candidate.ast)
         for candidate in population:
-            if archive.consider(candidate):
-                archived.append(candidate)
-        while len(archived) > config.archive_capacity:
-            archived.pop(0)
+            archive.consider(candidate)
 
         if fitness_fn is not None:
             history.append(max(c.fitness for c in population))
@@ -274,7 +270,7 @@ def run_gpe(
                 )
         population = [spawn(gen, i, c) for i, c in enumerate(offspring)]
 
-    return GpeResult(archived, population, initial_population, history, rho_trace)
+    return GpeResult(archive.members, population, initial_population, history, rho_trace)
 
 
 def replace_clone(parent: Candidate) -> Candidate:
@@ -288,7 +284,7 @@ def replace_clone(parent: Candidate) -> Candidate:
 
 
 def export_archive(result: GpeResult, outdir: Path) -> list[Path]:
-    """Write each archived candidate as a ``.wdsl`` file plus an
+    """Write each archive member as a ``.wdsl`` file plus an
     ``archive.jsonl`` metadata index.  Output bytes are a pure function
     of the result."""
     outdir = Path(outdir)

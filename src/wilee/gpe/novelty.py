@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .behavior import Behavior, behavior_distance
+from .behavior import behavior_distance
 from .operators import Candidate
 
 
@@ -20,7 +20,7 @@ def novelty(
     if k < 1:
         raise ValueError("k must be >= 1")
     behaviors = [c.behavior for c in population if c is not candidate]
-    behaviors.extend(archive.members)
+    behaviors.extend(c.behavior for c in archive.members)
     if not behaviors:
         return 0.0
     distances = sorted(behavior_distance(candidate.behavior, b) for b in behaviors)
@@ -30,18 +30,18 @@ def novelty(
 
 @dataclass
 class NoveltyArchive:
-    """Bounded FIFO of behavior descriptors seen to be novel."""
+    """Bounded FIFO of the candidates seen to be novel."""
 
     capacity: int = 500
     add_threshold: float = 0.15
-    members: list[Behavior] = field(default_factory=list)
+    members: list[Candidate] = field(default_factory=list)
 
     def consider(self, candidate: Candidate) -> bool:
-        """Admit the candidate's behavior when its novelty beats the
-        threshold; evict the oldest member beyond capacity."""
+        """Admit the candidate when its novelty beats the threshold;
+        evict the oldest member beyond capacity."""
         if candidate.novelty <= self.add_threshold:
             return False
-        self.members.append(candidate.behavior)
+        self.members.append(candidate)
         if len(self.members) > self.capacity:
             self.members.pop(0)
         return True

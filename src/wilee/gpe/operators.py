@@ -15,9 +15,6 @@ from typing import Optional
 from ..dsl import (
     AstNode,
     AstGenerator,
-    DslGrammar,
-    DEFAULT_GRAMMAR,
-    NODE_NONTERMINAL,
     NodeKind,
     content_hash,
     get_node,
@@ -33,6 +30,22 @@ from .behavior import Behavior, behavior_of
 
 DEFAULT_MAX_DEPTH = 12
 DEFAULT_RETRIES = 20
+
+#: Nonterminal each node kind derives from.  For genetic operators the
+#: interesting label is the *position* a subtree hangs off, so literals
+#: and binds both map to ``value`` and the three concrete statement
+#: kinds plus abstract calls all map to ``statement``.
+NODE_NONTERMINAL = {
+    NodeKind.MODULE: "module",
+    NodeKind.FUNCTION_DEF: "function",
+    NodeKind.OBJECT_INSTANTIATION: "statement",
+    NodeKind.ATTRIBUTE_ASSIGN: "statement",
+    NodeKind.RELATION_STMT: "statement",
+    NodeKind.ABSTRACT_CALL: "statement",
+    NodeKind.LITERAL: "value",
+    NodeKind.BIND_EXPR: "value",
+    NodeKind.IDENTIFIER: "identifier",
+}
 
 #: Nonterminal labels the operators may touch (module roots excluded;
 #: whole-function regeneration is reserved for mutation).
@@ -154,19 +167,18 @@ def _is_abstract(fn: AstNode) -> bool:
 
 def mutate(
     c: Candidate,
-    grammar: DslGrammar = DEFAULT_GRAMMAR,
     model: Optional[DataModel] = None,
     rng_seed: int = 0,
     max_depth: int = DEFAULT_MAX_DEPTH,
     retries: int = DEFAULT_RETRIES,
 ) -> Candidate:
-    """Replace one uniformly chosen mutable subtree with a grammar-
-    generated one rooted at the same nonterminal.  After ``retries``
+    """Replace one uniformly chosen mutable subtree with a freshly
+    generated one at the same nonterminal position.  After ``retries``
     failures to produce a valid, different tree the parent returns
     unchanged with a ``max-retries`` flag."""
     model = model or DataModel.default()
     rng = random.Random(rng_seed)
-    gen = AstGenerator(rng, model=model, grammar=grammar)
+    gen = AstGenerator(rng, model=model)
     sites = mutable_sites(c.ast, MUTATION_LABELS)
     if not sites:
         return replace_lineage(c, Lineage((c.uid,), "mutate", flag="no-sites"))
@@ -192,7 +204,6 @@ def replace_lineage(c: Candidate, lineage: Lineage) -> Candidate:
 def crossover(
     a: Candidate,
     b: Candidate,
-    grammar: DslGrammar = DEFAULT_GRAMMAR,
     model: Optional[DataModel] = None,
     rng_seed: int = 0,
     max_depth: int = DEFAULT_MAX_DEPTH,

@@ -1,6 +1,8 @@
 """Hunt engine: query scheduling, execution, evidence graphs, matching,
-and reporting."""
+and reporting.  :func:`evaluate` runs one implementation through all of
+them."""
 
+from .engine import evaluate
 from .graph import DEFAULT_WINDOW_SECONDS, EvidenceGraph, GraphEdge, GraphNode, build_graph
 from .matcher import MatchResult, Obligation, match, obligations_for
 from .proxy import (
@@ -26,6 +28,7 @@ from .query import (
 from .report import REPORT_FORMATS, render_report, result_to_json
 
 __all__ = [
+    "evaluate",
     "DEFAULT_WINDOW_SECONDS",
     "EvidenceGraph",
     "GraphEdge",

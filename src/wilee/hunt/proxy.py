@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Protocol, Union
 
-from ..stores import IocDb, resolve_bind
+from ..stores import FormatError, IocDb, read_jsonl, resolve_bind
 from ..globmatch import glob_match
 from .query import BindSpec, Predicate, QueryDescriptor
 
@@ -61,28 +61,21 @@ class NdjsonProxy:
         self._load()
 
     def _load(self) -> None:
+        seen: set[str] = set()
         try:
-            text = self.path.read_text("utf-8")
+            for lineno, doc in read_jsonl(self.path):
+                try:
+                    event = event_from_json(doc)
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise FormatError(str(self.path), lineno, str(exc)) from None
+                if event.event_id in seen:
+                    raise FormatError(str(self.path), lineno, f"duplicate event_id {event.event_id!r}")
+                seen.add(event.event_id)
+                self._events.append(event)
         except OSError as exc:
             raise ProxyUnavailable(f"cannot read event log {self.path}: {exc}") from None
-        seen: set[str] = set()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            if not raw.strip():
-                continue
-            try:
-                doc = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ProxyUnavailable(f"{self.path}:{lineno}: {exc.msg}") from None
-            try:
-                event = event_from_json(doc)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ProxyUnavailable(f"{self.path}:{lineno}: {exc}") from None
-            if event.event_id in seen:
-                raise ProxyUnavailable(
-                    f"{self.path}:{lineno}: duplicate event_id {event.event_id!r}"
-                )
-            seen.add(event.event_id)
-            self._events.append(event)
+        except FormatError as exc:
+            raise ProxyUnavailable(str(exc)) from None
 
     def scan(self, entity_class: str) -> list[Event]:
         return [e for e in self._events if e.entity_class == entity_class]

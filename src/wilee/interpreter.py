@@ -13,6 +13,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .dsl import (
@@ -65,7 +66,8 @@ class ThreatImplementation:
     steps: tuple[ImplementationStep, ...]
     resolved_binds: tuple[tuple[BindSite, Optional[IocRecord]], ...] = ()
 
-    @property
+    # Computed on first access and kept: the fields never change.
+    @cached_property
     def impl_id(self) -> str:
         h = hashlib.sha256()
         h.update(self.description_name.encode("utf-8"))
@@ -186,12 +188,9 @@ def expand_binds(
     Sites with no candidates stay unresolved (mapped to None) in every
     mode.
     """
-    sites: list[BindSite] = []
-    candidates: list[list[IocRecord]] = []
-    for step in impl.steps:
-        for path in bind_sites(step.record.ast):
-            sites.append((step.step_index, path))
-            candidates.append(resolve_bind(db, get_node(step.record.ast, path)))
+    sites: list[BindSite] = [
+        (step.step_index, path) for step in impl.steps for path in bind_sites(step.record.ast)
+    ]
     if not sites:
         return [impl]
 
@@ -199,6 +198,7 @@ def expand_binds(
         resolved = tuple((site, None) for site in sites)
         return [replace(impl, resolved_binds=resolved)]
 
+    candidates = [resolve_bind(db, get_node(impl.steps[i].record.ast, path)) for i, path in sites]
     if mode is BindMode.FIRST:
         resolved = tuple(
             (site, options[0] if options else None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .dsl import (
     AstNode,
@@ -63,6 +63,21 @@ class UnknownIocType(StoreError):
         super().__init__(f"unknown ioc_type {ioc_type!r} (expected one of {IOC_TYPES})")
 
 
+def read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line of a JSON-lines
+    file; a line that is not a JSON object raises :class:`FormatError`."""
+    for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+        if not raw.strip():
+            continue
+        try:
+            doc = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise FormatError(str(path), lineno, exc.msg) from None
+        if not isinstance(doc, dict):
+            raise FormatError(str(path), lineno, "expected a JSON object")
+        yield lineno, doc
+
+
 # ---------------------------------------------------------------------------
 # Data model
 # ---------------------------------------------------------------------------
@@ -80,15 +95,19 @@ class DataModel:
 
     @classmethod
     def from_json(cls, doc: dict, file: str = "<memory>") -> "DataModel":
-        classes = doc.get("classes")
+        classes = doc.get("classes") if isinstance(doc, dict) else None
         if not isinstance(classes, list):
             raise FormatError(file, 1, "data model needs a 'classes' list")
         out: dict[str, tuple[str, ...]] = {}
         for entry in classes:
+            if not isinstance(entry, dict):
+                raise FormatError(file, 1, "class entry must be a JSON object")
             name = entry.get("class_name")
             variables = entry.get("variables", [])
             if not isinstance(name, str) or not name:
                 raise FormatError(file, 1, "class entry missing class_name")
+            if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+                raise FormatError(file, 1, f"variables of class {name!r} must be a list of names")
             if name in out:
                 raise FormatError(file, 1, f"duplicate class {name!r}")
             if len(set(variables)) != len(variables):
@@ -148,15 +167,7 @@ class IocDb:
     def load(cls, path: Path) -> "IocDb":
         records: list[IocRecord] = []
         seen: set[tuple[str, str]] = set()
-        for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
-            if not raw.strip():
-                continue
-            try:
-                doc = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(str(path), lineno, exc.msg) from None
-            if not isinstance(doc, dict):
-                raise FormatError(str(path), lineno, "expected a JSON object")
+        for lineno, doc in read_jsonl(path):
             ioc_type = doc.get("ioc_type")
             value = doc.get("value")
             if ioc_type not in IOC_TYPES:
@@ -318,13 +329,7 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
     seen: set[str] = set()
     invalid: list[str] = []
     details: list[str] = []
-    for lineno, raw in enumerate(index_path.read_text("utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise FormatError(str(index_path), lineno, exc.msg) from None
+    for lineno, doc in read_jsonl(index_path):
         technique_id = doc.get("technique_id")
         rel = doc.get("path")
         if not isinstance(technique_id, str) or not is_technique_id(technique_id):

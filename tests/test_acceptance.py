@@ -45,7 +45,7 @@ from wilee.gpe import (
     perturb_iocs,
     run_gpe,
 )
-from wilee.hunt import NdjsonProxy, build_graph, execute, execute_all, match, schedule
+from wilee.hunt import NdjsonProxy, evaluate, execute
 from wilee.hunt.query import BindSpec, Predicate, QueryDescriptor
 from wilee.interpreter import concretize, implementation_from_module
 from wilee.malmo import (
@@ -221,12 +221,7 @@ def _hunt_confirmations(store, model, log_path):
     desc = ThreatDescription.from_steps("putty_hunt", ["T1552.002", "T1059.001"])
     implementations = concretize(desc, store).implementations
     proxy = NdjsonProxy(log_path)
-    results = []
-    for impl in implementations:
-        descriptors = schedule(impl, model)
-        graph = build_graph(execute_all(descriptors, proxy, IocDb()), descriptors)
-        results.append(match(graph, impl))
-    return results
+    return [evaluate(impl, proxy, IocDb(), model) for impl in implementations]
 
 
 def test_criterion_4_hunt_end_to_end(model, big_log_events, clean_log_events, tmp_path):

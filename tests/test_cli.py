@@ -219,6 +219,67 @@ def test_hunt_missing_log_exit_two(workspace, tmp_path):
     assert main(hunt_args(workspace, tmp_path / "absent.ndjson", out)) == 2
 
 
+def _ttp_index_line_not_an_object(workspace, tmp_path):
+    _, store_dir, _, _ = workspace
+    (store_dir / "index.jsonl").write_text("[1]\n", "utf-8")
+    log = write_ndjson(tmp_path / "events.ndjson", [])
+    return hunt_args(workspace, log, tmp_path / "out"), "index.jsonl:1:"
+
+
+def _event_line(text):
+    def build(workspace, tmp_path):
+        log = tmp_path / "events.ndjson"
+        log.write_text(text + "\n", "utf-8")
+        return hunt_args(workspace, log, tmp_path / "out"), "events.ndjson:1:"
+
+    return build
+
+
+def _validate_with_data_model(text):
+    def build(workspace, tmp_path):
+        impl = tmp_path / "ok.wdsl"
+        impl.write_text(T1059_SRC, "utf-8")
+        model = tmp_path / "model.json"
+        if text is None:
+            return ["validate", str(impl), "--data-model", str(model)], str(model)
+        model.write_text(text, "utf-8")
+        return ["validate", str(impl), "--data-model", str(model)], "model.json:1:"
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _ttp_index_line_not_an_object,
+        _event_line("[1, 2]"),
+        _event_line(
+            '{"event_id": "e1", "timestamp": "2024-01-01T00:00:00Z", "host": "h",'
+            ' "entity_class": "Process", "fields": []}'
+        ),
+        _validate_with_data_model(None),
+        _validate_with_data_model("[]"),
+        _validate_with_data_model('{"classes": [[]]}'),
+        _validate_with_data_model('{"classes": [{"class_name": "Process", "variables": 5}]}'),
+    ],
+    ids=[
+        "ttp-index-list",
+        "event-list",
+        "event-fields-list",
+        "data-model-missing",
+        "data-model-list",
+        "data-model-class-list",
+        "data-model-variables-number",
+    ],
+)
+def test_malformed_input_exit_two_with_location(workspace, tmp_path, capsys, case):
+    argv, location = case(workspace, tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert location in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # malmo
 # ---------------------------------------------------------------------------
@@ -369,3 +430,23 @@ def test_perturb_with_events_fitness(workspace, tmp_path):
     assert main(args) == 0
     run_doc = json.loads((out / "run.json").read_text("utf-8"))
     assert len(run_doc["best_fitness_history"]) == 4
+
+
+def test_perturb_seed_override_with_fitness(workspace, tmp_path):
+    rng = random.Random(561)
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(rng, 200, PlantedAttack.build().events))
+    impl = tmp_path / "impl.wdsl"
+    impl.write_text(T1552_PUTTY_SRC, "utf-8")
+    overridden, direct = tmp_path / "overridden", tmp_path / "direct"
+    assert main(perturb_args(workspace, impl, overridden, seed=11) + ["--events", str(log), "--seed", "7"]) == 0
+    assert main(perturb_args(workspace, impl, direct, seed=7) + ["--events", str(log)]) == 0
+
+    run_doc = json.loads((overridden / "run.json").read_text("utf-8"))
+    assert run_doc["seed"] == 7
+    history = run_doc["best_fitness_history"]
+    assert len(history) == run_doc["generations"] == 4
+    assert all(0.0 <= f <= 1.0 for f in history)
+    index = (overridden / "archive" / "archive.jsonl").read_text("utf-8")
+    entries = [json.loads(line) for line in index.splitlines()]
+    assert entries and all(e["fitness"] is not None for e in entries)
+    assert index == (direct / "archive" / "archive.jsonl").read_text("utf-8")

@@ -94,10 +94,10 @@ def test_novelty_matches_bruteforce_oracle():
     for _ in range(100):
         population = [stub(f"c{i}", random_behavior()) for i in range(rng.randrange(2, 9))]
         archive = NoveltyArchive()
-        archive.members = [random_behavior() for _ in range(rng.randrange(0, 6))]
+        archive.members = [stub(f"a{i}", random_behavior()) for i in range(rng.randrange(0, 6))]
         k = rng.randrange(1, 6)
         for c in population:
-            others = [o.behavior for o in population if o is not c] + list(archive.members)
+            others = [o.behavior for o in population if o is not c] + [a.behavior for a in archive.members]
             assert novelty(c, archive, population, k) == pytest.approx(
                 oracle_novelty(c.behavior, others, k)
             )

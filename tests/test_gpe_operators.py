@@ -15,6 +15,7 @@ from wilee.dsl import (
     validate,
 )
 from wilee.gpe import Candidate, Lineage, crossover, mutate, perturb_iocs
+from wilee.gpe.operators import MUTATION_LABELS, NODE_NONTERMINAL
 from wilee.stores import IocDb, IocRecord
 
 
@@ -26,6 +27,11 @@ def candidate_from(source, model):
 @pytest.fixture
 def putty_candidate(model):
     return candidate_from(T1552_PUTTY_SRC, model)
+
+
+def test_every_node_kind_maps_to_an_operator_label():
+    assert set(NODE_NONTERMINAL) == set(NodeKind)
+    assert set(NODE_NONTERMINAL.values()) <= MUTATION_LABELS | {"module"}
 
 
 SECOND_SRC = '''def t1059_001():

@@ -174,6 +174,7 @@ def test_no_binds_any_mode(putty_store, putty_ioc_db):
     (impl,) = concretize(desc, putty_store).implementations
     for mode in BindMode:
         assert expand_binds(impl, putty_ioc_db, mode) == [impl]
+    assert expand_binds(impl, IocDb(), BindMode.UNRESOLVED) == [impl]
 
 
 def test_all_mode_is_cartesian_product():
@@ -194,12 +195,16 @@ def test_first_mode_equals_lexicographic_head_of_all():
     assert first.resolved_binds == everything[0].resolved_binds
 
 
-def test_unresolved_mode_keeps_sites_symbolic():
+def test_unresolved_mode_keeps_sites_symbolic(monkeypatch):
     impl = impl_with_binds()
     (out,) = expand_binds(impl, two_by_two_db(), BindMode.UNRESOLVED)
     assert len(out.resolved_binds) == 2
     assert all(record is None for _, record in out.resolved_binds)
     assert len(out.unresolved_sites()) == 2
+    assert expand_binds(impl, IocDb(), BindMode.UNRESOLVED) == [out]
+    # Symbolic sites never consult the database.
+    monkeypatch.setattr("wilee.interpreter.resolve_bind", None)
+    assert expand_binds(impl, two_by_two_db(), BindMode.UNRESOLVED) == [out]
 
 
 def test_zero_match_sites_stay_unresolved_and_flagged():
