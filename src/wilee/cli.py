@@ -215,6 +215,10 @@ def _read_technique(path: Path) -> tuple[str, str, bool]:
     text = path.read_text("utf-8")
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise FormatError(str(path), 1, "technique file must hold a JSON object")
+        if not isinstance(doc.get("id"), str) or not isinstance(doc.get("description"), str):
+            raise FormatError(str(path), 1, "technique needs string 'id' and 'description'")
         return doc["id"], doc["description"], bool(doc.get("pretagged", False))
     technique = normalize_step(path.stem)
     return technique, text, _looks_pretagged(text)
@@ -229,7 +233,7 @@ def cmd_malmo(args) -> int:
     try:
         store, ioc_db, model = load_stores(_store_paths(args))
         technique_id, description, pretagged = _read_technique(Path(args.technique))
-    except (FormatError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (FormatError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValidationError as exc:

@@ -91,11 +91,6 @@ class AstGenerator:
             )
         return self.rng.choice(CANONICAL_TACTICS)
 
-    def _class_name(self) -> str:
-        if self.classes:
-            return self.rng.choice(sorted(self.classes))
-        return _random_class_name(self.rng)
-
     # -- expressions -------------------------------------------------------
 
     def random_value(self) -> AstNode:

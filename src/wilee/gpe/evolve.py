@@ -15,7 +15,7 @@ from ..dsl import content_hash, pretty_print, validate
 from ..interpreter import ThreatImplementation
 from ..stores import DataModel, IocDb
 from .novelty import NoveltyArchive, novelty
-from .operators import Candidate, Lineage, crossover, mutate, perturb_iocs
+from .operators import Candidate, Lineage, crossover, mutate, perturb_iocs, replace_lineage
 
 FitnessFn = Callable[..., float]
 
@@ -257,7 +257,7 @@ def run_gpe(
                 )
             else:
                 parent = parents[rng.randrange(len(parents))]
-                offspring.append(replace_clone(parent))
+                offspring.append(replace_lineage(parent, Lineage((parent.uid,), "clone")))
         offspring = offspring[: config.population_size]
         for i, candidate in enumerate(offspring):
             if rng.random() < config.ioc_perturb_rate:
@@ -271,16 +271,6 @@ def run_gpe(
         population = [spawn(gen, i, c) for i, c in enumerate(offspring)]
 
     return GpeResult(archive.members, population, initial_population, history, rho_trace)
-
-
-def replace_clone(parent: Candidate) -> Candidate:
-    return Candidate(
-        uid=parent.uid,
-        ast=parent.ast,
-        behavior=parent.behavior,
-        lineage=Lineage((parent.uid,), "clone"),
-        fitness=parent.fitness,
-    )
 
 
 def export_archive(result: GpeResult, outdir: Path) -> list[Path]:

@@ -270,7 +270,7 @@ def perturb_iocs(
         value_path = path + (1,)
         value = node.children[1]
         if value.kind is NodeKind.BIND_EXPR:
-            options = resolve_bind(db, value)
+            options = resolve_bind(db, **value.attrs)
             if len(options) < 2:
                 continue
             if rng.random() < probability:
@@ -281,7 +281,7 @@ def perturb_iocs(
             ioc_type = ioc_type_for_variable(node.attrs["attribute"])
             if ioc_type is None:
                 continue
-            options = sorted(db.by_type(ioc_type), key=lambda r: r.value)
+            options = resolve_bind(db, ioc_type)
             if len(options) < 2:
                 continue
             different = [r for r in options if r.value != value.attrs["value"]]

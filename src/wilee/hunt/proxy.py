@@ -3,8 +3,10 @@
 The scheduler is data-store agnostic; backends implement the
 :class:`DataProxy` protocol.  The baseline backend reads
 newline-delimited JSON event logs, which keeps hunts hermetic and
-testable.  ``execute`` applies a descriptor's predicates with any bind
-resolved against the IOC database at match time.
+testable; it indexes the log by entity class while loading, so a scan
+reads only the events of its class.  ``execute`` resolves each bind
+against the IOC database once per query, before the scan, and then
+applies every predicate as a plain value test.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Protocol, Union
+from typing import Callable, Iterable, Protocol, Union
 
 from ..stores import FormatError, IocDb, read_jsonl, resolve_bind
 from ..globmatch import glob_match
@@ -57,7 +59,7 @@ class NdjsonProxy:
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        self._events: list[Event] = []
+        self._by_class: dict[str, list[Event]] = {}
         self._load()
 
     def _load(self) -> None:
@@ -71,14 +73,14 @@ class NdjsonProxy:
                 if event.event_id in seen:
                     raise FormatError(str(self.path), lineno, f"duplicate event_id {event.event_id!r}")
                 seen.add(event.event_id)
-                self._events.append(event)
+                self._by_class.setdefault(event.entity_class, []).append(event)
         except OSError as exc:
             raise ProxyUnavailable(f"cannot read event log {self.path}: {exc}") from None
         except FormatError as exc:
             raise ProxyUnavailable(str(exc)) from None
 
     def scan(self, entity_class: str) -> list[Event]:
-        return [e for e in self._events if e.entity_class == entity_class]
+        return list(self._by_class.get(entity_class, ()))
 
 
 def event_from_json(doc: dict) -> Event:
@@ -99,31 +101,29 @@ def event_from_json(doc: dict) -> Event:
     )
 
 
-def _value_matches(candidate: str, actual: str) -> bool:
-    if "*" in candidate:
-        return glob_match(candidate, actual)
-    return candidate == actual
-
-
-def _predicate_holds(pred: Predicate, event: Event, db: IocDb) -> bool:
-    actual = event.fields.get(pred.variable)
-    if actual is None:
-        return False
+def _value_test(pred: Predicate, db: IocDb) -> Callable[[str], bool]:
+    """The predicate as a test on one field value.  A bind holds when any
+    of its candidates matches: exactly, or as a glob when the candidate
+    carries a ``*``."""
     if isinstance(pred.value, BindSpec):
-        # A bind holds when any type-matched candidate value matches.
-        return any(_value_matches(r.value, actual) for r in resolve_bind(db, pred.value))
+        spec = pred.value
+        candidates = [r.value for r in resolve_bind(db, spec.ioc_type, spec.technique, spec.pattern)]
+        exact = {v for v in candidates if "*" not in v}
+        globs = [v for v in candidates if "*" in v]
+        return lambda actual: actual in exact or any(glob_match(g, actual) for g in globs)
     if pred.op == "glob":
-        return glob_match(pred.value, actual)
-    return pred.value == actual
+        return lambda actual: glob_match(pred.value, actual)
+    return lambda actual: actual == pred.value
 
 
 def execute(q: QueryDescriptor, proxy: DataProxy, db: IocDb) -> list[Event]:
     """Events of the descriptor's entity class satisfying every
-    predicate, in log order."""
+    predicate, in log order.  A missing field never matches."""
+    tests = [(p.variable, _value_test(p, db)) for p in q.predicates]
     return [
         event
         for event in proxy.scan(q.entity_class)
-        if all(_predicate_holds(p, event, db) for p in q.predicates)
+        if all(var in event.fields and holds(event.fields[var]) for var, holds in tests)
     ]
 
 

@@ -28,7 +28,7 @@ class UnknownVariable(Exception):
 
 @dataclass(frozen=True)
 class BindSpec:
-    """Symbolic IOC lookup carried inside a predicate until match time."""
+    """Symbolic IOC lookup carried inside a predicate until its query runs."""
 
     ioc_type: str
     technique: Optional[str] = None
@@ -71,11 +71,7 @@ def _value_predicate(variable: str, node) -> Predicate:
         value = node.attrs["value"]
         op = "glob" if "*" in value else "eq"
         return Predicate(variable, op, value)
-    spec = BindSpec(
-        ioc_type=node.attrs["ioc_type"],
-        technique=node.attrs.get("technique"),
-        pattern=node.attrs.get("pattern"),
-    )
+    spec = BindSpec(**node.attrs)
     op = "glob" if (spec.pattern and "*" in spec.pattern) else "eq"
     return Predicate(variable, op, spec)
 

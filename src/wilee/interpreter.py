@@ -4,7 +4,7 @@ An implementation assigns one stored TTP variant to every workflow step;
 concretization enumerates the full Cartesian product of matching
 variants.  Bind expressions inside the chosen variants can then be
 expanded against the IOC database, or left symbolic for the query
-engine to resolve at match time.
+engine to resolve when it runs the query.
 """
 
 from __future__ import annotations
@@ -23,9 +23,11 @@ from .dsl import (
     Severity,
     ThreatDescription,
     get_node,
+    is_technique_id,
     iter_nodes,
     literal,
     module,
+    normalize_step,
     replace_node,
 )
 from .dsl.ast import NodePath
@@ -198,7 +200,7 @@ def expand_binds(
         resolved = tuple((site, None) for site in sites)
         return [replace(impl, resolved_binds=resolved)]
 
-    candidates = [resolve_bind(db, get_node(impl.steps[i].record.ast, path)) for i, path in sites]
+    candidates = [resolve_bind(db, **get_node(impl.steps[i].record.ast, path).attrs) for i, path in sites]
     if mode is BindMode.FIRST:
         resolved = tuple(
             (site, options[0] if options else None)
@@ -222,22 +224,14 @@ def expand_binds(
 def implementation_from_module(tree: AstNode, name: Optional[str] = None) -> ThreatImplementation:
     """Wrap a module of concrete functions as a one-record-per-step
     implementation (used to seed perturbation from a ``.wdsl`` file)."""
-    from .dsl import normalize_step
-
     steps = []
     for i, fn in enumerate(tree.children):
         technique = normalize_step(fn.attrs.get("name", ""))
         record = TtpRecord(
-            technique_id=technique if _looks_like_technique(technique) else "T0000",
+            technique_id=technique if is_technique_id(technique) else "T0000",
             tactic_tags=(),
             source="SME",
             ast=fn,
         )
         steps.append(ImplementationStep(i, technique, record))
     return ThreatImplementation(name or (steps[0].step_name if steps else "empty"), tuple(steps))
-
-
-def _looks_like_technique(step: str) -> bool:
-    from .dsl import is_technique_id
-
-    return is_technique_id(step)

@@ -23,7 +23,7 @@ from ..dsl import (
     step_identifier,
     validate,
 )
-from ..stores import DataModel, IocDb, TtpStore, ioc_type_for_variable
+from ..stores import DataModel, IocDb, TtpStore, ioc_type_for_variable, resolve_bind
 from .phrases import extract_noun_phrases
 from .scoring import ClassScore, score_classes, select_classes
 
@@ -100,10 +100,7 @@ def generate_dsl(
             ioc_type = ioc_type_for_variable(variable)
             if ioc_type is None:
                 continue
-            matching = sorted(
-                (r for r in ioc_db.by_type(ioc_type) if r.technique_id == technique_id),
-                key=lambda r: r.value,
-            )
+            matching = resolve_bind(ioc_db, ioc_type, technique=technique_id)
             if len(matching) == 1:
                 body.append(attribute_assign(var, variable, literal(matching[0].value)))
             elif len(matching) > 1:

@@ -18,6 +18,7 @@ from typing import Iterator, Optional
 
 from .dsl import (
     AstNode,
+    DslSyntaxError,
     NodeKind,
     content_hash,
     is_technique_id,
@@ -195,24 +196,12 @@ class IocDb:
         return tuple(r for r in self.records if r.ioc_type == ioc_type)
 
 
-def _bind_fields(bind) -> tuple[str, Optional[str], Optional[str]]:
-    # Accepts a BindExpr AST node or any object with the three fields.
-    if isinstance(bind, AstNode):
-        if bind.kind is not NodeKind.BIND_EXPR:
-            raise ValueError(f"expected a BindExpr node, got {bind.kind.value}")
-        return (
-            bind.attrs["ioc_type"],
-            bind.attrs.get("technique"),
-            bind.attrs.get("pattern"),
-        )
-    return bind.ioc_type, bind.technique, bind.pattern
-
-
-def resolve_bind(db: IocDb, bind) -> list[IocRecord]:
-    """All records matching the bind's ioc_type, optional technique
-    filter, and optional glob pattern over the value, ordered by value
-    ascending."""
-    ioc_type, technique, pattern = _bind_fields(bind)
+def resolve_bind(
+    db: IocDb, ioc_type: str, technique: Optional[str] = None, pattern: Optional[str] = None
+) -> list[IocRecord]:
+    """All records of ``ioc_type``, kept when their technique is
+    ``technique`` (if given) and their value matches the glob
+    ``pattern`` (if given), ordered by value ascending."""
     matches = [
         r
         for r in db.by_type(ioc_type)
@@ -339,10 +328,13 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
         source = doc.get("source", "SME")
         if source not in TTP_SOURCES:
             raise FormatError(str(index_path), lineno, f"unknown source {source!r}")
+        tags = doc.get("tactic_tags", [])
+        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+            raise FormatError(str(index_path), lineno, "tactic_tags must be a list of strings")
         fn = _read_ttp_function(base / rel, technique_id, index_path, lineno)
         record = TtpRecord(
             technique_id=technique_id,
-            tactic_tags=tuple(doc.get("tactic_tags", [])),
+            tactic_tags=tuple(tags),
             source=source,
             ast=fn,
             created_at=doc.get("created_at", DEFAULT_CREATED_AT),
@@ -367,7 +359,10 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
 
 
 def _read_ttp_function(path: Path, technique_id: str, index_path: Path, lineno: int) -> AstNode:
-    tree = parse(path.read_text("utf-8"))
+    try:
+        tree = parse(path.read_text("utf-8"))
+    except DslSyntaxError as exc:
+        raise FormatError(str(path), exc.line, f"syntax error at {exc}") from None
     wanted = [
         fn
         for fn in tree.children

@@ -226,6 +226,30 @@ def _ttp_index_line_not_an_object(workspace, tmp_path):
     return hunt_args(workspace, log, tmp_path / "out"), "index.jsonl:1:"
 
 
+def _ttp_index_entry(tactic_tags=None, wdsl=T1059_SRC):
+    def build(workspace, tmp_path):
+        _, store_dir, _, _ = workspace
+        entry = {"technique_id": "T1059.001", "source": "SME", "path": "bad.wdsl"}
+        if tactic_tags is not None:
+            entry["tactic_tags"] = tactic_tags
+        (store_dir / "bad.wdsl").write_text(wdsl, "utf-8")
+        (store_dir / "index.jsonl").write_text(json.dumps(entry) + "\n", "utf-8")
+        log = write_ndjson(tmp_path / "events.ndjson", [])
+        location = "index.jsonl:1:" if tactic_tags is not None else "bad.wdsl:1:"
+        return hunt_args(workspace, log, tmp_path / "out"), location
+
+    return build
+
+
+def _malmo_technique(text):
+    def build(workspace, tmp_path):
+        technique = tmp_path / "t.json"
+        technique.write_text(text, "utf-8")
+        return ["malmo", str(technique), "--out", str(tmp_path / "out")], "t.json:1:"
+
+    return build
+
+
 def _event_line(text):
     def build(workspace, tmp_path):
         log = tmp_path / "events.ndjson"
@@ -261,6 +285,12 @@ def _validate_with_data_model(text):
         _validate_with_data_model("[]"),
         _validate_with_data_model('{"classes": [[]]}'),
         _validate_with_data_model('{"classes": [{"class_name": "Process", "variables": 5}]}'),
+        _ttp_index_entry(tactic_tags=5),
+        _ttp_index_entry(tactic_tags="credential-access"),
+        _ttp_index_entry(tactic_tags=["execution", 5]),
+        _ttp_index_entry(wdsl="def t1059_001(:\n"),
+        _malmo_technique("[1]"),
+        _malmo_technique('{"id": 5, "description": "Adversaries may abuse PowerShell."}'),
     ],
     ids=[
         "ttp-index-list",
@@ -270,6 +300,12 @@ def _validate_with_data_model(text):
         "data-model-list",
         "data-model-class-list",
         "data-model-variables-number",
+        "ttp-tactic-tags-number",
+        "ttp-tactic-tags-string",
+        "ttp-tactic-tags-non-string-item",
+        "ttp-wdsl-syntax-error",
+        "malmo-technique-list",
+        "malmo-technique-id-number",
     ],
 )
 def test_malformed_input_exit_two_with_location(workspace, tmp_path, capsys, case):

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import oracle_execute, oracle_glob_match
 
+import wilee.hunt.proxy
 from wilee.globmatch import glob_match
 from wilee.hunt import NdjsonProxy, ProxyUnavailable, execute
 from wilee.hunt.query import BindSpec, Predicate, QueryDescriptor
@@ -109,6 +110,62 @@ def test_bind_with_no_candidates_matches_nothing():
         "Process", [Predicate("name", "eq", BindSpec("process_name"))]
     )
     assert execute(descriptor, proxy, IocDb()) == []
+
+
+def _process_log(tmp_path, names):
+    log = tmp_path / "events.ndjson"
+    log.write_text(
+        "".join(
+            json.dumps(
+                {
+                    "event_id": f"p{i}",
+                    "timestamp": "2026-01-01T00:00:00Z",
+                    "host": "h",
+                    "entity_class": "Process" if i % 3 else "File",
+                    "fields": {"name": name},
+                }
+            )
+            + "\n"
+            for i, name in enumerate(names)
+        ),
+        "utf-8",
+    )
+    return NdjsonProxy(log)
+
+
+def test_bind_resolved_once_per_execute(tmp_path, monkeypatch):
+    names = ["explorer.exe", "TrojanSpy.A", "svchost.exe", "cmd.exe"] * 50
+    proxy = _process_log(tmp_path, names)
+    db = IocDb(
+        (
+            IocRecord("process_name", "Trojan*"),
+            IocRecord("process_name", "cmd.exe"),
+        )
+    )
+    calls = []
+    original = wilee.hunt.proxy.resolve_bind
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wilee.hunt.proxy, "resolve_bind", counting)
+    descriptor = make_descriptor("Process", [Predicate("name", "eq", BindSpec("process_name"))])
+    got = [e.event_id for e in execute(descriptor, proxy, db)]
+    assert len(calls) == 1
+    assert got == [
+        f"p{i}" for i, name in enumerate(names) if i % 3 and name in ("TrojanSpy.A", "cmd.exe")
+    ]
+
+
+def test_scan_returns_a_fresh_list_of_the_class_in_log_order(tmp_path):
+    proxy = _process_log(tmp_path, ["a", "b", "c", "d", "e", "f", "g"])
+    first = proxy.scan("Process")
+    assert [e.event_id for e in first] == ["p1", "p2", "p4", "p5"]
+    first.clear()
+    assert [e.event_id for e in proxy.scan("Process")] == ["p1", "p2", "p4", "p5"]
+    assert [e.event_id for e in proxy.scan("File")] == ["p0", "p3", "p6"]
+    assert proxy.scan("Mutex") == []
 
 
 def test_missing_field_never_matches():

@@ -7,7 +7,7 @@ import pytest
 from conftest import T1059_SRC, T1552_PUTTY_SRC, T1552_RUNKEY_SRC, function_from
 from oracles import oracle_resolve_bind
 
-from wilee.dsl import AstGenerator, bind, content_hash, pretty_print_node, random_technique_id
+from wilee.dsl import AstGenerator, content_hash, pretty_print_node, random_technique_id
 from wilee.stores import (
     DataModel,
     FormatError,
@@ -200,7 +200,7 @@ def test_data_model_duplicate_class_rejected(tmp_path):
 
 
 def test_resolve_bind_registry_hive(putty_ioc_db):
-    records = resolve_bind(putty_ioc_db, bind("registry_hive"))
+    records = resolve_bind(putty_ioc_db, "registry_hive")
     assert [r.value for r in records] == [
         "Software\\SimonTatham\\Putty\\Sessions",
         "Software\\Wow6432Node\\Putty\\Sessions",
@@ -208,22 +208,22 @@ def test_resolve_bind_registry_hive(putty_ioc_db):
 
 
 def test_resolve_bind_empty_db():
-    assert resolve_bind(IocDb(), bind("registry_hive")) == []
+    assert resolve_bind(IocDb(), "registry_hive") == []
 
 
 def test_resolve_bind_glob_pattern(putty_ioc_db):
-    records = resolve_bind(putty_ioc_db, bind("process_name", pattern="Trojan*"))
+    records = resolve_bind(putty_ioc_db, "process_name", pattern="Trojan*")
     assert [r.value for r in records] == ["TrojanSpy.Win32.TRICKBOT.AZ"]
 
 
 def test_resolve_bind_technique_filter(putty_ioc_db):
-    records = resolve_bind(putty_ioc_db, bind("process_name", technique="T1003.001"))
+    records = resolve_bind(putty_ioc_db, "process_name", technique="T1003.001")
     assert [r.value for r in records] == ["mimikatz.exe"]
 
 
 def test_resolve_bind_unknown_type(putty_ioc_db):
     with pytest.raises(UnknownIocType):
-        resolve_bind(putty_ioc_db, bind("telepathy"))
+        resolve_bind(putty_ioc_db, "telepathy")
 
 
 def test_resolve_bind_matches_linear_scan_oracle():
@@ -245,7 +245,7 @@ def test_resolve_bind_matches_linear_scan_oracle():
         ioc_type = rng.choice(types)
         technique = rng.choice(("T1001", "T1002", None, None))
         pattern = rng.choice((None, "Trojan*", "*a*", "C:\\*", "*", "zzz*"))
-        got = resolve_bind(db, bind(ioc_type, technique=technique, pattern=pattern))
+        got = resolve_bind(db, ioc_type, technique=technique, pattern=pattern)
         expected = oracle_resolve_bind(unique, ioc_type, technique, pattern)
         assert got == expected
 
