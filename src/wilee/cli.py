@@ -214,7 +214,10 @@ def _read_technique(path: Path) -> tuple[str, str, bool]:
     """Returns (technique_id, description, pretagged)."""
     text = path.read_text("utf-8")
     if path.suffix == ".json" or text.lstrip().startswith("{"):
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(str(path), exc.lineno, exc.msg) from None
         if not isinstance(doc, dict):
             raise FormatError(str(path), 1, "technique file must hold a JSON object")
         if not isinstance(doc.get("id"), str) or not isinstance(doc.get("description"), str):
@@ -233,7 +236,7 @@ def cmd_malmo(args) -> int:
     try:
         store, ioc_db, model = load_stores(_store_paths(args))
         technique_id, description, pretagged = _read_technique(Path(args.technique))
-    except (FormatError, OSError, json.JSONDecodeError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValidationError as exc:

@@ -204,6 +204,7 @@ def run_gpe(
     initial_population = list(population)
 
     archive = NoveltyArchive(config.archive_capacity, config.add_threshold)
+    scores: dict[str, float] = {}  # fitness by tree content hash, for this run
     history: list[float] = []
     rho = config.rho
     rho_trace = [rho]
@@ -214,7 +215,10 @@ def run_gpe(
         if fitness_fn is not None:
             for candidate in population:
                 if candidate.fitness is None:
-                    candidate.fitness = fitness_fn(candidate.ast)
+                    digest = candidate.uid.rpartition("-")[2]  # spawn's content hash
+                    if digest not in scores:
+                        scores[digest] = fitness_fn(candidate.ast)
+                    candidate.fitness = scores[digest]
         for candidate in population:
             archive.consider(candidate)
 

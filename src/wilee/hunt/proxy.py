@@ -7,11 +7,25 @@ testable; it indexes the log by entity class while loading, so a scan
 reads only the events of its class.  ``execute`` resolves each bind
 against the IOC database once per query, before the scan, and then
 applies every predicate as a plain value test.
+
+``execute_all`` remembers hit lists for the lifetime of the proxy, keyed
+by ``(entity_class, filter)``: the filter is the query's predicates with
+each bind replaced by its resolved candidates, so every implementation
+that asks the same question of the same log shares one scan, and a
+second IOC database that resolves a bind differently gets its own key.
+Two facts follow:
+
+* A proxy's ``scan`` results must not change over its lifetime; a
+  changed log needs a new proxy.
+* Retained memory is at most one pointer per hit per distinct filter,
+  which is never more than the events those filters already scanned.
+  It is freed with the proxy.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -50,7 +64,9 @@ class Event:
 
 class DataProxy(Protocol):
     def scan(self, entity_class: str) -> Iterable[Event]:
-        """All events of the given class, in log order."""
+        """All events of the given class, in log order.  The result must
+        stay the same for the proxy's lifetime: ``execute_all`` keeps
+        hit lists per proxy."""
         ...
 
 
@@ -101,33 +117,63 @@ def event_from_json(doc: dict) -> Event:
     )
 
 
-def _value_test(pred: Predicate, db: IocDb) -> Callable[[str], bool]:
-    """The predicate as a test on one field value.  A bind holds when any
-    of its candidates matches: exactly, or as a glob when the candidate
-    carries a ``*``."""
+# A predicate as ``(variable, exact values, globs)``: the field holds when
+# its value is one of the exact values or matches one of the globs.
+Filter = tuple[tuple[str, frozenset, tuple], ...]
+
+#: Per proxy, hit lists by ``(entity_class, filter)``.
+_HITS: "weakref.WeakKeyDictionary[DataProxy, dict]" = weakref.WeakKeyDictionary()
+
+
+def _candidates(pred: Predicate, db: IocDb) -> tuple[frozenset, tuple]:
+    """Exact values and globs the predicate's field may take.  A bind's
+    candidates carrying a ``*`` are globs, the rest exact values."""
     if isinstance(pred.value, BindSpec):
         spec = pred.value
-        candidates = [r.value for r in resolve_bind(db, spec.ioc_type, spec.technique, spec.pattern)]
-        exact = {v for v in candidates if "*" not in v}
-        globs = [v for v in candidates if "*" in v]
-        return lambda actual: actual in exact or any(glob_match(g, actual) for g in globs)
+        values = [r.value for r in resolve_bind(db, spec.ioc_type, spec.technique, spec.pattern)]
+        return frozenset(v for v in values if "*" not in v), tuple(v for v in values if "*" in v)
     if pred.op == "glob":
-        return lambda actual: glob_match(pred.value, actual)
-    return lambda actual: actual == pred.value
+        return frozenset(), (pred.value,)
+    return frozenset((pred.value,)), ()
+
+
+def _filter(q: QueryDescriptor, db: IocDb) -> Filter:
+    return tuple((p.variable, *_candidates(p, db)) for p in q.predicates)
+
+
+def _value_test(exact: frozenset, globs: tuple) -> Callable[[str], bool]:
+    if not globs:
+        return exact.__contains__
+    return lambda actual: actual in exact or any(glob_match(g, actual) for g in globs)
+
+
+def _scan(proxy: DataProxy, entity_class: str, filt: Filter) -> list[Event]:
+    tests = [(var, _value_test(exact, globs)) for var, exact, globs in filt]
+    return [
+        event
+        for event in proxy.scan(entity_class)
+        if all(var in event.fields and holds(event.fields[var]) for var, holds in tests)
+    ]
 
 
 def execute(q: QueryDescriptor, proxy: DataProxy, db: IocDb) -> list[Event]:
     """Events of the descriptor's entity class satisfying every
     predicate, in log order.  A missing field never matches."""
-    tests = [(p.variable, _value_test(p, db)) for p in q.predicates]
-    return [
-        event
-        for event in proxy.scan(q.entity_class)
-        if all(var in event.fields and holds(event.fields[var]) for var, holds in tests)
-    ]
+    return _scan(proxy, q.entity_class, _filter(q, db))
 
 
 def execute_all(
     descriptors: list[QueryDescriptor], proxy: DataProxy, db: IocDb
 ) -> dict[str, list[Event]]:
-    return {q.qid: execute(q, proxy, db) for q in descriptors}
+    """``execute`` for each descriptor, by qid.  Descriptors with the
+    same entity class and filter share one hit list, kept for the
+    proxy's lifetime; callers must not modify it."""
+    memo = _HITS.setdefault(proxy, {})
+    results = {}
+    for q in descriptors:
+        key = (q.entity_class, _filter(q, db))
+        hits = memo.get(key)
+        if hits is None:
+            hits = memo[key] = _scan(proxy, *key)
+        results[q.qid] = hits
+    return results

@@ -66,17 +66,27 @@ class UnknownIocType(StoreError):
 
 def read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line of a JSON-lines
-    file; a line that is not a JSON object raises :class:`FormatError`."""
-    for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise FormatError(str(path), lineno, exc.msg) from None
-        if not isinstance(doc, dict):
-            raise FormatError(str(path), lineno, "expected a JSON object")
-        yield lineno, doc
+    file, read one line at a time; a line that is not UTF-8 or not a
+    JSON object raises :class:`FormatError`.
+
+    Lines end at ``\n`` only, so a JSON string may hold any other line
+    separator (U+2028, U+0085) raw; a ``\r`` before the ``\n`` is JSON
+    whitespace."""
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(str(path), lineno, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+            if not text.strip():
+                continue
+            try:
+                doc = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise FormatError(str(path), lineno, exc.msg) from None
+            if not isinstance(doc, dict):
+                raise FormatError(str(path), lineno, "expected a JSON object")
+            yield lineno, doc
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +185,9 @@ class IocDb:
                 raise FormatError(str(path), lineno, f"unknown ioc_type {ioc_type!r}")
             if not isinstance(value, str) or not value:
                 raise FormatError(str(path), lineno, "value must be a non-empty string")
+            technique_id = doc.get("technique_id")
+            if technique_id is not None and not isinstance(technique_id, str):
+                raise FormatError(str(path), lineno, "technique_id must be a string")
             key = (ioc_type, value)
             if key in seen:
                 logger.warning("%s:%d: duplicate IOC %r dropped (keeping earliest)", path, lineno, key)
@@ -184,7 +197,7 @@ class IocDb:
                 IocRecord(
                     ioc_type=ioc_type,
                     value=value,
-                    technique_id=doc.get("technique_id"),
+                    technique_id=technique_id,
                     source=doc.get("source", "manual"),
                 )
             )

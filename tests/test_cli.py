@@ -259,6 +259,25 @@ def _event_line(text):
     return build
 
 
+def _event_log_bytes(data):
+    def build(workspace, tmp_path):
+        log = tmp_path / "events.ndjson"
+        log.write_bytes(data)
+        return hunt_args(workspace, log, tmp_path / "out"), "events.ndjson:2:"
+
+    return build
+
+
+def _ioc_db_bytes(data):
+    def build(workspace, tmp_path):
+        _, _, ioc_db, _ = workspace
+        ioc_db.write_bytes(data)
+        log = write_ndjson(tmp_path / "events.ndjson", [])
+        return hunt_args(workspace, log, tmp_path / "out"), "ioc_db.jsonl:1:"
+
+    return build
+
+
 def _validate_with_data_model(text):
     def build(workspace, tmp_path):
         impl = tmp_path / "ok.wdsl"
@@ -291,6 +310,14 @@ def _validate_with_data_model(text):
         _ttp_index_entry(wdsl="def t1059_001(:\n"),
         _malmo_technique("[1]"),
         _malmo_technique('{"id": 5, "description": "Adversaries may abuse PowerShell."}'),
+        _malmo_technique("not json"),
+        _event_log_bytes(
+            b"\n"
+            b'{"event_id": "e1", "timestamp": "2024-01-01T00:00:00Z", "host": "h",'
+            b' "entity_class": "Process", "fields": {"name": "\xffcmd.exe"}}\n'
+        ),
+        _ioc_db_bytes(b'{"ioc_type": "process_name", "value": "\xe9vil.exe"}\n'),
+        _ioc_db_bytes(b'{"ioc_type": "process_name", "value": "evil.exe", "technique_id": 5}\n'),
     ],
     ids=[
         "ttp-index-list",
@@ -306,6 +333,10 @@ def _validate_with_data_model(text):
         "ttp-wdsl-syntax-error",
         "malmo-technique-list",
         "malmo-technique-id-number",
+        "malmo-technique-not-json",
+        "event-log-not-utf8",
+        "ioc-db-not-utf8",
+        "ioc-technique-id-number",
     ],
 )
 def test_malformed_input_exit_two_with_location(workspace, tmp_path, capsys, case):

@@ -1,15 +1,19 @@
+import dataclasses
 import json
 import random
 from pathlib import Path
 
 import pytest
 
+from conftest import PlantedAttack, build_store, synth_log, write_ndjson
 from oracles import oracle_execute, oracle_glob_match
 
 import wilee.hunt.proxy
+from wilee.dsl import ThreatDescription
 from wilee.globmatch import glob_match
-from wilee.hunt import NdjsonProxy, ProxyUnavailable, execute
+from wilee.hunt import Event, NdjsonProxy, ProxyUnavailable, execute, execute_all, schedule
 from wilee.hunt.query import BindSpec, Predicate, QueryDescriptor
+from wilee.interpreter import concretize
 from wilee.stores import IocDb, IocRecord
 
 LOGS = sorted((Path(__file__).parent / "fixtures" / "logs").glob("*.ndjson"))
@@ -278,3 +282,157 @@ def test_execute_equals_regex_scan_oracle_on_all_logs():
             got = [e.event_id for e in execute(descriptor, proxy, db)]
             expected = oracle_execute(descriptor, raw_events, ioc_records)
             assert got == expected, (log_path.name, descriptor)
+
+
+def test_log_line_may_hold_a_raw_line_separator(tmp_path):
+    value = "a\u2028b\u0085c\u2029d"
+    doc = {
+        "event_id": "e1",
+        "timestamp": "2026-01-01T00:00:00Z",
+        "host": "h",
+        "entity_class": "Process",
+        "fields": {"name": value},
+    }
+    log = tmp_path / "events.ndjson"
+    log.write_text(json.dumps(doc, ensure_ascii=False) + "\r\n", "utf-8")
+    assert "\u2028" in log.read_text("utf-8")
+    (event,) = NdjsonProxy(log).scan("Process")
+    assert event.fields["name"] == value
+
+
+# ---------------------------------------------------------------------------
+# execute_all: one scan per distinct query per proxy
+# ---------------------------------------------------------------------------
+
+# Object specs the random variants draw from, so that variants of
+# different steps share queries.  Each spec is a class and its
+# predicates as DSL assignments (none for a predicate-free object).
+_OBJECT_SPECS = (
+    ("Process", ()),
+    ("Process", (("name", '"svchost.exe"'),)),
+    ("Process", (("name", '"*.exe"'),)),
+    ("Process", (("name", "bind(ioc_type=process_name)"),)),
+    ("Process", (("name", "bind(ioc_type=process_name, pattern=\"*e*\")"), ("pid", '"4*"'))),
+    ("Process", (("command_line", "bind(ioc_type=command_line, technique=\"T1059.001\")"),)),
+    ("WinRegistryKey", ()),
+    ("WinRegistryKey", (("Hive", '"*Putty*"'),)),
+    ("WinRegistryKey", (("Hive", "bind(ioc_type=registry_hive, technique=\"T1552.002\")"),)),
+    ("File", (("path", '"C:*"'),)),
+    ("NetworkConnection", (("dst_port", '"443"'),)),
+    ("NetworkConnection", (("dst_port", "bind(ioc_type=domain)"),)),
+)
+
+
+def _random_variant(rng, technique):
+    lines = [f"def {technique.lower().replace('.', '_')}():"]
+    for i, (cls, predicates) in enumerate(rng.sample(_OBJECT_SPECS, rng.randrange(1, 4))):
+        var = f"{cls.lower()}{i + 1}"
+        lines.append(f"    {var} = {cls}()")
+        lines.extend(f"    {var}.{attribute} = {value}" for attribute, value in predicates)
+    return "\n".join(lines) + "\n"
+
+
+def _ioc_dbs():
+    """Two databases under which the same binds resolve differently."""
+    first = IocDb(
+        (
+            IocRecord("process_name", "svchost.exe"),
+            IocRecord("process_name", "Trojan*", "T1552.002"),
+            IocRecord("registry_hive", "*Putty*", "T1552.002"),
+            IocRecord("command_line", 'Get-Process -Name "powershell" | Stop-Process', "T1059.001"),
+            IocRecord("domain", "443"),
+        )
+    )
+    second = IocDb(
+        (
+            IocRecord("process_name", "explorer.exe"),
+            IocRecord("process_name", "chrome*"),
+            IocRecord("registry_hive", "Software\\Policies\\Microsoft\\Edge", "T1552.002"),
+            IocRecord("registry_hive", "*Run", "T1552.002"),
+            IocRecord("command_line", "*", "T1059.001"),
+            IocRecord("domain", "53"),
+        )
+    )
+    return first, second
+
+
+def test_execute_all_shared_hits_equal_oracle_per_qid(model, tmp_path):
+    rng = random.Random(20261018)
+    events = synth_log(rng, 600, PlantedAttack.build().events)
+    proxy = NdjsonProxy(write_ndjson(tmp_path / "events.ndjson", events))
+    techniques = ("T1552.002", "T1059.001", "T1003.001")
+    first, second = _ioc_dbs()
+    differs = False
+    for trial in range(4):
+        store = build_store(
+            model,
+            [(t, (), "SME", _random_variant(rng, t)) for t in techniques for _ in range(3)],
+        )
+        impls = concretize(ThreatDescription.from_steps(f"d{trial}", list(techniques)), store).implementations
+        per_impl = [schedule(impl, model) for impl in impls]
+        # The second database between two passes with the first: a memo
+        # keyed without the resolved candidates would serve stale hits.
+        passes = []
+        for db in (first, second, first):
+            hits = {}
+            for descriptors in per_impl:
+                results = execute_all(descriptors, proxy, db)
+                assert set(results) == {q.qid for q in descriptors}
+                for q in descriptors:
+                    hits[q.qid] = results[q.qid]
+                    assert [e.event_id for e in hits[q.qid]] == oracle_execute(q, events, db.records), (trial, q)
+            assert len({id(h) for h in hits.values()}) < len(hits)  # some qids share a list
+            passes.append({qid: [e.event_id for e in h] for qid, h in hits.items()})
+        assert passes[0] == passes[2]
+        differs |= passes[0] != passes[1]
+    assert differs
+
+
+class _CountingProxy:
+    def __init__(self, events):
+        self.events = events
+        self.scans = 0
+
+    def scan(self, entity_class):
+        self.scans += 1
+        return [e for e in self.events if e.entity_class == entity_class]
+
+
+def test_execute_all_scans_each_distinct_filter_once_per_proxy():
+    events = [
+        Event(f"p{i}", "2026-01-01T00:00:00Z", "h", "Process", {"name": name})
+        for i, name in enumerate(["cmd.exe", "svchost.exe", "Trojan.A", "cmd.exe"])
+    ]
+    proxy = _CountingProxy(events)
+    bind = make_descriptor("Process", [Predicate("name", "eq", BindSpec("process_name"))])
+    literal = make_descriptor("Process", [Predicate("name", "eq", "cmd.exe")])
+    first = IocDb((IocRecord("process_name", "cmd.exe"),))
+    second = IocDb((IocRecord("process_name", "Trojan*"),))
+
+    def run(descriptor, db, n):
+        # n implementations asking the same query, each in its own call
+        # as the hunt makes them
+        return [
+            execute_all([dataclasses.replace(descriptor, qid=f"q{i}", impl_id=f"impl{i}")], proxy, db)[f"q{i}"]
+            for i in range(n)
+        ]
+
+    hits = run(bind, first, 5)
+    assert proxy.scans == 1
+    assert all(h is hits[0] for h in hits)
+    assert [e.event_id for e in hits[0]] == ["p0", "p3"]
+    # A literal with the same value is the same filter.
+    assert run(literal, IocDb(), 3)[0] is hits[0]
+    assert proxy.scans == 1
+    # The same bind resolved against another database is another filter.
+    assert [e.event_id for e in run(bind, second, 4)[0]] == ["p2"]
+    assert proxy.scans == 2
+    run(bind, first, 2)
+    assert proxy.scans == 2
+    # execute stays the uncached primitive.
+    assert execute(bind, proxy, first) == hits[0]
+    assert proxy.scans == 3
+    # Another proxy over the same events has its own memo.
+    other = _CountingProxy(events)
+    assert execute_all([bind], other, first)[bind.qid] == hits[0]
+    assert other.scans == 1

@@ -6,7 +6,7 @@ import pytest
 from conftest import T1552_PUTTY_SRC
 from oracles import oracle_multiset_jaccard_distance, oracle_novelty
 
-from wilee.dsl import parse, pretty_print, validate
+from wilee.dsl import content_hash, parse, pretty_print, validate
 from wilee.gpe import (
     Candidate,
     ConfigError,
@@ -312,6 +312,21 @@ def test_fitness_fn_drives_history(model):
     result = run_gpe(seed_impl(), config, fitness_fn=fake_fitness, model=model, ioc_db=small_db())
     assert len(result.history) == 4
     assert all(0.0 <= v <= 1.0 for v in result.history)
+
+
+def test_fitness_fn_called_once_per_distinct_tree(model):
+    config = GpeConfig(population_size=10, generations=8, seed=4)
+    calls = []
+
+    def fake_fitness(tree):
+        calls.append(content_hash(tree))
+        return len(pretty_print(tree)) % 97 / 97
+
+    result = run_gpe(seed_impl(), config, fitness_fn=fake_fitness, model=model, ioc_db=small_db())
+    assert calls and len(calls) == len(set(calls))
+    scored = [c for c in result.archive if c.fitness is not None]
+    assert scored
+    assert all(c.fitness == fake_fitness(c.ast) for c in scored)
 
 
 def test_archive_growth_and_capacity(model):

@@ -89,6 +89,18 @@ def test_command_line_ioc_preserved_verbatim(tmp_path):
     assert ioc_db.by_type("command_line")[0].value == command
 
 
+def test_ioc_value_may_hold_a_raw_line_separator(tmp_path):
+    value = "evil\u0085.exe\u2028"
+    path = tmp_path / "ioc_db.jsonl"
+    lines = [
+        {"ioc_type": "process_name", "value": value, "technique_id": None},
+        {"ioc_type": "domain", "value": "evil.example"},
+    ]
+    path.write_text("\r\n".join(json.dumps(r, ensure_ascii=False) for r in lines) + "\r\n\r\n", "utf-8")
+    ioc_db = IocDb.load(path)
+    assert [(r.value, r.technique_id) for r in ioc_db.records] == [(value, None), ("evil.example", None)]
+
+
 def test_duplicate_iocs_keep_earliest_with_warning(tmp_path, caplog):
     paths = write_stores(
         tmp_path,
