@@ -7,13 +7,21 @@ implementation).  Every run is deterministic given identical inputs and
 seeds; output directories carry a ``manifest.json`` with content hashes
 for audit.
 
-Exit codes: 0 success, 1 diagnostics, 2 I/O failure, 3 combination cap
-exceeded, 4 no classes selected, 5 bad perturbation config.
+Exit codes: 0 success, 3 combination cap exceeded, 130 interrupted hunt
+(partial report).  Commands raise; :func:`main` maps each error to its
+code and prints ``error: <message>``:
+
+* 1 diagnostics: invalid TTP store entry, ``.wdsl`` syntax error, not a
+  threat description, kill-chain hunt over an empty store;
+* 2 I/O: malformed or non-UTF-8 input (``file:line``), unreadable event
+  log, missing input, output path unusable (``--out`` naming a file);
+* 4 no classes selected by malmo; 5 bad perturbation config.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -31,8 +39,10 @@ from .dsl import (
     normalize_step,
     parse,
     pretty_print_node,
+    step_identifier,
     validate,
 )
+from .dsl.vocab import IDENTIFIER_RE
 from .gpe import ConfigError, GpeConfig, export_archive, run_gpe
 from .hunt import NdjsonProxy, ProxyUnavailable, evaluate, render_report
 from .interpreter import EmptyStore, concretize, default_killchain, implementation_from_module
@@ -42,13 +52,7 @@ from .malmo import (
     mine_relation_priors,
     scores_to_json,
 )
-from .stores import (
-    DataModel,
-    FormatError,
-    StorePaths,
-    ValidationError,
-    load_stores,
-)
+from .stores import FormatError, StorePaths, ValidationError, load_stores, parse_json, read_text
 
 logger = logging.getLogger("wilee")
 
@@ -74,7 +78,8 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, args: dict, inputs: list[Path], outputs: list[Path], partial: bool = False) -> None:
+def _write_manifest(out: Path, command: str, args: dict, inputs: list, outputs: list[Path], partial: bool = False) -> None:
+    """Inputs that are unset (``None``) or not files are left out."""
     manifest = {
         "command": command,
         "args": {
@@ -99,26 +104,29 @@ def _store_paths(args) -> StorePaths:
     )
 
 
+@contextlib.contextmanager
+def _in_file(path: Path):
+    """Prefix a syntax or description error raised inside with the
+    ``path`` it came from: ``path:line:col: ...`` or ``path: ...``."""
+    try:
+        yield
+    except (DslSyntaxError, DescriptionError) as exc:
+        located = isinstance(exc, DslSyntaxError)  # its text starts with line:col
+        exc.args = (f"{path}:{exc}" if located else f"{path}: {exc}",)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
 
 
 def cmd_validate(args) -> int:
-    try:
-        model = DataModel.load(args.data_model) if args.data_model else DataModel.default()
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _, _, model = load_stores(_store_paths(args))
     problems = 0
     for file in args.files:
         try:
-            source = Path(file).read_text("utf-8")
-        except OSError as exc:
-            print(f"{file}: {exc}", file=sys.stderr)
-            return EXIT_IO
-        try:
-            tree = parse(source)
+            tree = parse(read_text(file))
         except DslSyntaxError as exc:
             print(f"{file}:{exc}", file=sys.stderr)
             problems += 1
@@ -135,35 +143,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_hunt(args) -> int:
-    try:
-        store, ioc_db, model = load_stores(_store_paths(args))
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    store, ioc_db, model = load_stores(_store_paths(args))
     desc = None
     if args.desc:
-        try:
-            desc = ThreatDescription.from_module(parse(Path(args.desc).read_text("utf-8")))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except (DslSyntaxError, DescriptionError) as exc:
-            print(f"error: {args.desc}: {exc}", file=sys.stderr)
-            return EXIT_DIAGNOSTICS
+        with _in_file(args.desc):
+            desc = ThreatDescription.from_module(parse(read_text(args.desc)))
     if desc is None or not desc.steps:
         # No description (or an empty one): hunt the full kill-chain.
-        try:
-            desc = default_killchain(store)
-        except EmptyStore as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DIAGNOSTICS
+        desc = default_killchain(store)
 
     result = concretize(desc, store)
     for diag in result.diagnostics:
@@ -171,12 +158,7 @@ def cmd_hunt(args) -> int:
     if any(d.code == "cap-exceeded" for d in result.diagnostics):
         return EXIT_CAP
 
-    try:
-        proxy = NdjsonProxy(args.events)
-    except ProxyUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    proxy = NdjsonProxy(args.events)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = []
@@ -192,14 +174,7 @@ def cmd_hunt(args) -> int:
     report_path = out / ("report.md" if fmt == "markdown" else "report.json")
     report_path.write_text(report, "utf-8")
     inputs = [args.ttp_store, args.ioc_db, args.data_model, args.events, args.desc]
-    _write_manifest(
-        out,
-        "hunt",
-        vars(args),
-        [Path(p) for p in inputs if p],
-        [report_path],
-        partial=partial,
-    )
+    _write_manifest(out, "hunt", vars(args), inputs, [report_path], partial=partial)
     confirmed = sum(1 for r in results if r.confirmed)
     print(f"{len(results)} implementation(s) evaluated, {confirmed} confirmed; report at {report_path}")
     return 130 if partial else EXIT_OK
@@ -212,19 +187,19 @@ def cmd_hunt(args) -> int:
 
 def _read_technique(path: Path) -> tuple[str, str, bool]:
     """Returns (technique_id, description, pretagged)."""
-    text = path.read_text("utf-8")
+    text = read_text(path)
     if path.suffix == ".json" or text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(str(path), exc.lineno, exc.msg) from None
+        doc = parse_json(text, path)
         if not isinstance(doc, dict):
             raise FormatError(str(path), 1, "technique file must hold a JSON object")
         if not isinstance(doc.get("id"), str) or not isinstance(doc.get("description"), str):
             raise FormatError(str(path), 1, "technique needs string 'id' and 'description'")
-        return doc["id"], doc["description"], bool(doc.get("pretagged", False))
-    technique = normalize_step(path.stem)
-    return technique, text, _looks_pretagged(text)
+        technique, text, pretagged = doc["id"], doc["description"], bool(doc.get("pretagged", False))
+    else:
+        technique, pretagged = normalize_step(path.stem), _looks_pretagged(text)
+    if not IDENTIFIER_RE.fullmatch(step_identifier(technique)):
+        raise FormatError(str(path), 1, f"technique id {technique!r} cannot name a DSL function")
+    return technique, text, pretagged
 
 
 def _looks_pretagged(text: str) -> bool:
@@ -233,28 +208,12 @@ def _looks_pretagged(text: str) -> bool:
 
 
 def cmd_malmo(args) -> int:
-    try:
-        store, ioc_db, model = load_stores(_store_paths(args))
-        technique_id, description, pretagged = _read_technique(Path(args.technique))
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-
+    store, ioc_db, model = load_stores(_store_paths(args))
+    technique_id, description, pretagged = _read_technique(Path(args.technique))
     priors = mine_relation_priors(store)
-    try:
-        fn, scores = generate_dsl(
-            technique_id, description, model, ioc_db, priors, n=args.top_n, pretagged=pretagged
-        )
-    except NoClassesSelected as exc:
-        print(
-            f"error: {exc}\nNothing in the description matched any data-model class; "
-            "check the description text or extend the data model.",
-            file=sys.stderr,
-        )
-        return EXIT_NO_CLASSES
+    fn, scores = generate_dsl(
+        technique_id, description, model, ioc_db, priors, n=args.top_n, pretagged=pretagged
+    )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -263,7 +222,7 @@ def cmd_malmo(args) -> int:
     scores_path = out / "scores.json"
     scores_path.write_text(json.dumps(scores_to_json(scores), indent=2) + "\n", "utf-8")
     inputs = [args.ttp_store, args.ioc_db, args.data_model, args.technique]
-    _write_manifest(out, "malmo", vars(args), [Path(p) for p in inputs if p], [dsl_path, scores_path])
+    _write_manifest(out, "malmo", vars(args), inputs, [dsl_path, scores_path])
     print(f"wrote {dsl_path} and {scores_path}")
     return EXIT_OK
 
@@ -274,29 +233,12 @@ def cmd_malmo(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    try:
-        config = GpeConfig.from_json(args.config) if args.config else GpeConfig()
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_IO
-
-    try:
-        store, ioc_db, model = load_stores(_store_paths(args))
-        source = Path(args.impl).read_text("utf-8")
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-
-    try:
-        tree = parse(source)
-    except DslSyntaxError as exc:
-        print(f"error: {args.impl}:{exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
+    config = GpeConfig.from_json(args.config) if args.config else GpeConfig()
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    store, ioc_db, model = load_stores(_store_paths(args))
+    with _in_file(args.impl):
+        tree = parse(read_text(args.impl))
     diagnostics = validate(tree, model)
     if diagnostics:
         for diag in diagnostics:
@@ -306,21 +248,12 @@ def cmd_perturb(args) -> int:
 
     fitness_fn = None
     if args.events:
-        try:
-            proxy = NdjsonProxy(args.events)
-        except ProxyUnavailable as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        proxy = NdjsonProxy(args.events)
 
         def fitness_fn(candidate_tree):
             return evaluate(implementation_from_module(candidate_tree), proxy, ioc_db, model).score
 
-    try:
-        result = run_gpe(seed_impl, config, fitness_fn=fitness_fn, model=model, ioc_db=ioc_db)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    result = run_gpe(seed_impl, config, fitness_fn=fitness_fn, model=model, ioc_db=ioc_db)
     out = Path(args.out)
     archive_dir = out / "archive"
     written = export_archive(result, archive_dir)
@@ -341,7 +274,7 @@ def cmd_perturb(args) -> int:
         "utf-8",
     )
     inputs = [args.ttp_store, args.ioc_db, args.data_model, args.impl, args.config, args.events]
-    _write_manifest(out, "perturb", vars(args), [Path(p) for p in inputs if p], written + [summary_path])
+    _write_manifest(out, "perturb", vars(args), inputs, written + [summary_path])
     print(f"archived {len(result.archive)} candidate(s) under {archive_dir}")
     return EXIT_OK
 
@@ -393,10 +326,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NO_CLASSES_HINT = (
+    "Nothing in the description matched any data-model class; "
+    "check the description text or extend the data model."
+)
+
+
+def _fail(message: object, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command.  This is the one place an error becomes an exit
+    code; any other exception is a bug and keeps its traceback."""
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValidationError, DslSyntaxError, DescriptionError, EmptyStore) as exc:
+        return _fail(exc, EXIT_DIAGNOSTICS)
+    except (FormatError, ProxyUnavailable, OSError) as exc:
+        return _fail(exc, EXIT_IO)
+    except NoClassesSelected as exc:
+        return _fail(f"{exc}\n{_NO_CLASSES_HINT}", EXIT_NO_CLASSES)
+    except ConfigError as exc:
+        return _fail(exc, EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -7,13 +7,13 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
 
 from ..dsl import content_hash, pretty_print, validate
 from ..interpreter import ThreatImplementation
-from ..stores import DataModel, IocDb
+from ..stores import DataModel, IocDb, read_text
 from .novelty import NoveltyArchive, novelty
 from .operators import Candidate, Lineage, crossover, mutate, perturb_iocs, replace_lineage
 
@@ -43,6 +43,11 @@ class GpeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = f.type == "float"  # a string: annotations are postponed
+            if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
+                raise ConfigError(f"{f.name} must be {'a number' if number else 'an integer'}, got {value!r}")
         rates = {
             "mutation_rate": self.mutation_rate,
             "crossover_rate": self.crossover_rate,
@@ -68,16 +73,15 @@ class GpeConfig:
     @classmethod
     def from_json(cls, path: Path) -> "GpeConfig":
         try:
-            doc = json.loads(Path(path).read_text("utf-8"))
+            doc = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: {exc.msg}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(**doc)
 
 
 def select(population: list[Candidate], knob_rho: float, elite_count: int) -> list[Candidate]:

@@ -25,7 +25,7 @@ from ..dsl import (
     validate,
 )
 from ..dsl.ast import NodePath
-from ..stores import DataModel, IocDb, ioc_type_for_variable, resolve_bind
+from ..stores import DataModel, IocDb, ioc_type_for_variable, is_abstract, resolve_bind
 from .behavior import Behavior, behavior_of
 
 DEFAULT_MAX_DEPTH = 12
@@ -125,12 +125,12 @@ def _regenerate(
     """Fresh subtree for the same grammar position, respecting the
     variables in scope at the site."""
     if node.kind is NodeKind.FUNCTION_DEF:
-        return gen.random_function(name=node.attrs["name"], abstract=_is_abstract(node))
+        return gen.random_function(name=node.attrs["name"], abstract=is_abstract(node))
 
     fn = get_node(tree, path[:1])
     stmt_index = path[1]
     scope = _scope_before(fn, stmt_index)
-    abstract = _is_abstract(fn)
+    abstract = is_abstract(fn)
 
     if len(path) == 2:  # statement position
         if node.kind is NodeKind.OBJECT_INSTANTIATION and _var_used_later(
@@ -159,10 +159,6 @@ def _regenerate(
             return gen.random_identifier(eligible)
         return gen.random_identifier(scope)
     return None
-
-
-def _is_abstract(fn: AstNode) -> bool:
-    return any(stmt.kind is NodeKind.ABSTRACT_CALL for stmt in fn.children)
 
 
 def mutate(

@@ -15,10 +15,15 @@ at its earliest such item, dominates any partial choice: it maximizes
 the count and minimizes the step's earliest-witness timestamp, which is
 all the non-decreasing constraint sees.  The only real branch is
 engaging a step versus skipping it entirely, which the frontier tracks.
+
+Supports are indexed once per graph, by host and then obligation, so
+indexing costs O((N + E) log(N + E)) for N nodes and E edges whatever
+the host count, and each earliest-item pick is one binary search.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
@@ -92,21 +97,20 @@ def obligations_for(impl: ThreatImplementation) -> list[list[Obligation]]:
     return per_step
 
 
-def _support_index(
-    graph: EvidenceGraph, host: str
-) -> dict[tuple, list[tuple[datetime, str]]]:
-    """Obligation key -> (timestamp, item id) support on one host,
-    sorted by time then id."""
-    index: dict[tuple, list[tuple[datetime, str]]] = {}
+def _support_index(graph: EvidenceGraph) -> dict[str, dict[tuple, list[tuple[datetime, str]]]]:
+    """Host -> obligation key -> (timestamp, item id) support, sorted by
+    time then id, built in one pass.  An edge between two hosts supports
+    both."""
+    index: dict[str, dict[tuple, list[tuple[datetime, str]]]] = {}
     for edge in graph.edges:
-        if host in edge.hosts:
-            key = ("relation", edge.qid, edge.peer_qid, edge.verb)
-            index.setdefault(key, []).append((edge.timestamp, edge.edge_id))
+        key = ("relation", edge.qid, edge.peer_qid, edge.verb)
+        for host in set(edge.hosts):
+            index.setdefault(host, {}).setdefault(key, []).append((edge.timestamp, edge.edge_id))
     for node in graph.nodes:
-        if node.host == host:
-            index.setdefault(("node", node.qid), []).append((node.timestamp, node.node_id))
-    for items in index.values():
-        items.sort()
+        index.setdefault(node.host, {}).setdefault(("node", node.qid), []).append((node.timestamp, node.node_id))
+    for by_key in index.values():
+        for items in by_key.values():
+            items.sort()
     return index
 
 
@@ -125,10 +129,11 @@ def _advance(
     chosen: list[str] = []
     step_min: Optional[datetime] = None
     for obligation in obligations:
-        items = index.get(obligation.key, [])
-        pick = next((item for item in items if item[0] >= state.floor), None)
-        if pick is None:
+        items = index.get(obligation.key, ())
+        at = bisect_left(items, (state.floor,))  # first item at or after the floor
+        if at == len(items):
             continue
+        pick = items[at]
         chosen.append(pick[1])
         step_min = pick[0] if step_min is None else min(step_min, pick[0])
     new_floor = step_min if step_min is not None else state.floor
@@ -147,9 +152,8 @@ def _prune(states: list[_State]) -> list[_State]:
 
 
 def _best_for_host(
-    per_step: list[list[Obligation]], graph: EvidenceGraph, host: str
+    per_step: list[list[Obligation]], index: dict[tuple, list[tuple[datetime, str]]]
 ) -> _State:
-    index = _support_index(graph, host)
     states = [_State(_FLOOR_START, 0, ())]
     for obligations in per_step:
         nxt = []
@@ -171,8 +175,9 @@ def match(graph: EvidenceGraph, impl: ThreatImplementation) -> MatchResult:
 
     best_state: Optional[_State] = None
     best_host: Optional[str] = None
-    for host in graph.hosts():
-        state = _best_for_host(per_step, graph, host)
+    by_host = _support_index(graph)
+    for host in sorted(by_host):
+        state = _best_for_host(per_step, by_host[host])
         if best_state is None or state.count > best_state.count:
             best_state = state
             best_host = host

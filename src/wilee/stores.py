@@ -64,6 +64,35 @@ class UnknownIocType(StoreError):
         super().__init__(f"unknown ioc_type {ioc_type!r} (expected one of {IOC_TYPES})")
 
 
+def _decode(data: bytes, path, first_line: int) -> str:
+    """``data`` decoded as UTF-8; a byte that is not UTF-8 raises
+    :class:`FormatError` at its line, counting lines from ``first_line``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = first_line + data.count(b"\n", 0, exc.start)
+        column = exc.start - (data.rfind(b"\n", 0, exc.start) + 1)
+        raise FormatError(str(path), line, f"not UTF-8: {exc.reason} at byte {column}") from None
+
+
+def read_text(path: Path) -> str:
+    """A whole text file (a ``.wdsl`` source, a JSON document, a
+    technique description) decoded as UTF-8 with universal newlines, as
+    ``Path.read_text`` reads it; a byte that is not UTF-8 raises
+    :class:`FormatError` at ``file:line``."""
+    text = _decode(Path(path).read_bytes(), path, 1)
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def parse_json(text: str, path) -> object:
+    """One JSON document read from ``path``; a syntax error raises
+    :class:`FormatError` at ``file:line``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(str(path), exc.lineno, exc.msg) from None
+
+
 def read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line of a JSON-lines
     file, read one line at a time; a line that is not UTF-8 or not a
@@ -74,10 +103,7 @@ def read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
     whitespace."""
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(str(path), lineno, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+            text = _decode(raw, path, lineno)
             if not text.strip():
                 continue
             try:
@@ -128,11 +154,7 @@ class DataModel:
 
     @classmethod
     def load(cls, path: Path) -> "DataModel":
-        try:
-            doc = json.loads(Path(path).read_text("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(str(path), exc.lineno, exc.msg) from None
-        return cls.from_json(doc, str(path))
+        return cls.from_json(parse_json(read_text(path), path), str(path))
 
     @classmethod
     def default(cls) -> "DataModel":
@@ -271,7 +293,7 @@ class TtpStore:
         diagnostics = validate(record.ast, model)
         if diagnostics:
             raise ValidationError([record.technique_id], "; ".join(map(str, diagnostics)))
-        if _is_abstract(record.ast):
+        if is_abstract(record.ast):
             raise ValidationError(
                 [record.technique_id], "TTP bodies must be concrete, not abstract calls"
             )
@@ -287,7 +309,8 @@ class TtpStore:
         return sorted(present, key=lambda t: TACTIC_ORDER[t])
 
 
-def _is_abstract(fn: AstNode) -> bool:
+def is_abstract(fn: AstNode) -> bool:
+    """Whether a function body holds an abstract step call."""
     return any(stmt.kind is NodeKind.ABSTRACT_CALL for stmt in fn.children)
 
 
@@ -357,7 +380,7 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
             invalid.append(technique_id)
             details.extend(f"{technique_id}: {d}" for d in diagnostics)
             continue
-        if _is_abstract(fn):
+        if is_abstract(fn):
             invalid.append(technique_id)
             details.append(f"{technique_id}: TTP bodies must be concrete, not abstract calls")
             continue
@@ -373,7 +396,7 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
 
 def _read_ttp_function(path: Path, technique_id: str, index_path: Path, lineno: int) -> AstNode:
     try:
-        tree = parse(path.read_text("utf-8"))
+        tree = parse(read_text(path))
     except DslSyntaxError as exc:
         raise FormatError(str(path), exc.line, f"syntax error at {exc}") from None
     wanted = [

@@ -229,6 +229,23 @@ def oracle_best_witness_count(per_step_items: list[list[list]]) -> int:
     return best
 
 
+def oracle_support_index(graph, host: str) -> dict[tuple, list]:
+    """Obligation key -> sorted (timestamp, item id) support on one host,
+    by a full walk of the graph: an edge counts when either end is on
+    ``host``."""
+    index: dict[tuple, list] = {}
+    for edge in graph.edges:
+        if host in edge.hosts:
+            key = ("relation", edge.qid, edge.peer_qid, edge.verb)
+            index.setdefault(key, []).append((edge.timestamp, edge.edge_id))
+    for node in graph.nodes:
+        if node.host == host:
+            index.setdefault(("node", node.qid), []).append((node.timestamp, node.node_id))
+    for items in index.values():
+        items.sort()
+    return index
+
+
 def oracle_edge_pairs(source_events, target_events, verb, window_seconds) -> set[tuple[str, str]]:
     """All (source, target) event-id pairs the graph builder should link."""
     pairs = set()

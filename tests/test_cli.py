@@ -232,7 +232,7 @@ def _ttp_index_entry(tactic_tags=None, wdsl=T1059_SRC):
         entry = {"technique_id": "T1059.001", "source": "SME", "path": "bad.wdsl"}
         if tactic_tags is not None:
             entry["tactic_tags"] = tactic_tags
-        (store_dir / "bad.wdsl").write_text(wdsl, "utf-8")
+        (store_dir / "bad.wdsl").write_bytes(wdsl if isinstance(wdsl, bytes) else wdsl.encode())
         (store_dir / "index.jsonl").write_text(json.dumps(entry) + "\n", "utf-8")
         log = write_ndjson(tmp_path / "events.ndjson", [])
         location = "index.jsonl:1:" if tactic_tags is not None else "bad.wdsl:1:"
@@ -291,6 +291,25 @@ def _validate_with_data_model(text):
     return build
 
 
+def _written(name, data, location, argv):
+    """Writes ``data`` to ``name`` and runs ``argv(workspace, path)``."""
+
+    def build(workspace, tmp_path):
+        path = tmp_path / name
+        path.write_bytes(data)
+        return argv(workspace, path), location
+
+    return build
+
+
+def _hunt_over_empty_log(workspace, out):
+    return hunt_args(workspace, write_ndjson(out.parent / "events.ndjson", []), out)
+
+
+NOT_UTF8_WDSL = b"def t1059_001():\n    process1 = Process()\xff\n"
+A_CLEAN_WDSL = FIXTURES / "corpus" / "04_putty_registry.wdsl"
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -318,6 +337,39 @@ def _validate_with_data_model(text):
         ),
         _ioc_db_bytes(b'{"ioc_type": "process_name", "value": "\xe9vil.exe"}\n'),
         _ioc_db_bytes(b'{"ioc_type": "process_name", "value": "evil.exe", "technique_id": 5}\n'),
+        _written("bad.wdsl", NOT_UTF8_WDSL, "bad.wdsl:2:", lambda ws, p: ["validate", str(p)]),
+        _written(
+            "model.json", b'{"classes": []}\n\xff', "model.json:2:",
+            lambda ws, p: ["validate", str(A_CLEAN_WDSL), "--data-model", str(p)],
+        ),
+        _ttp_index_entry(wdsl=b"def t1059_001():\xff\n    process1 = Process()\n"),
+        _written(
+            "desc.wdsl", b"def putty_hunt():\n    t1552_002()\xff\n", "desc.wdsl:2:",
+            lambda ws, p: _hunt_over_empty_log(ws, p.parent / "out"),
+        ),
+        _written(
+            "t1552_002.txt", b"Adversaries search\nregistry \xff keys.", "t1552_002.txt:2:",
+            lambda ws, p: ["malmo", str(p), "--out", str(p.parent / "out")],
+        ),
+        _written(
+            "impl.wdsl", NOT_UTF8_WDSL, "impl.wdsl:2:",
+            lambda ws, p: ["perturb", str(p), "--out", str(p.parent / "out")],
+        ),
+        _written(
+            "gpe.json", b'{"seed": 1}\xff', "gpe.json:1:",
+            lambda ws, p: ["perturb", str(A_CLEAN_WDSL), "--config", str(p), "--out", str(p.parent / "out")],
+        ),
+        _written("out-file", b"", "out-file", _hunt_over_empty_log),
+        _written(
+            "out-file", b"", "out-file",
+            lambda ws, p: ["malmo", str(FIXTURES / "technique_t1552_002.json"), "--out", str(p)],
+        ),
+        _written("out-file", b"", "out-file", lambda ws, p: perturb_args(ws, A_CLEAN_WDSL, p, generations=0)),
+        _malmo_technique('{"id": "T1552.00\u20282", "description": "Adversaries search registry keys."}'),
+        _written(
+            "registry notes.txt", b"Adversaries search registry keys.", "registry notes.txt:1:",
+            lambda ws, p: ["malmo", str(p), "--out", str(p.parent / "out")],
+        ),
     ],
     ids=[
         "ttp-index-list",
@@ -337,6 +389,18 @@ def _validate_with_data_model(text):
         "event-log-not-utf8",
         "ioc-db-not-utf8",
         "ioc-technique-id-number",
+        "validate-file-not-utf8",
+        "data-model-not-utf8",
+        "ttp-wdsl-not-utf8",
+        "hunt-desc-not-utf8",
+        "malmo-technique-text-not-utf8",
+        "perturb-impl-not-utf8",
+        "perturb-config-not-utf8",
+        "hunt-out-is-a-file",
+        "malmo-out-is-a-file",
+        "perturb-out-is-a-file",
+        "malmo-technique-id-not-an-identifier",
+        "malmo-technique-stem-not-an-identifier",
     ],
 )
 def test_malformed_input_exit_two_with_location(workspace, tmp_path, capsys, case):
@@ -439,14 +503,21 @@ def test_perturb_archive_files_validate(workspace, tmp_path):
     assert main(["validate", *[str(p) for p in files]]) == 0
 
 
-def test_perturb_bad_config_exit_five(workspace, tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    ['{"population_size": 0}', "[[1]]", '{"population_size": 1.5}', '{"seed": "x"}'],
+    ids=["population-size-zero", "not-an-object", "population-size-float", "seed-string"],
+)
+def test_perturb_bad_config_exit_five(workspace, tmp_path, capsys, text):
     impl = tmp_path / "impl.wdsl"
     impl.write_text(T1552_PUTTY_SRC, "utf-8")
     config = tmp_path / "bad.json"
-    config.write_text('{"population_size": 0}', "utf-8")
+    config.write_text(text, "utf-8")
     out = tmp_path / "out"
     code = main(["perturb", str(impl), "--config", str(config), "--out", str(out)])
     assert code == 5
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_perturb_invalid_impl_exit_one(workspace, tmp_path):

@@ -3,10 +3,18 @@ from datetime import datetime, timedelta, timezone
 
 from conftest import PlantedAttack, build_store, iso, write_ndjson
 from conftest import T1059_SRC, T1552_PUTTY_SRC
-from oracles import oracle_best_witness_count, oracle_build_graph_edges, oracle_edge_pairs
+from oracles import (
+    oracle_best_witness_count,
+    oracle_build_graph_edges,
+    oracle_edge_pairs,
+    oracle_support_index,
+)
 
 from wilee.dsl import ThreatDescription
 from wilee.hunt import (
+    EvidenceGraph,
+    GraphEdge,
+    GraphNode,
     NdjsonProxy,
     build_graph,
     execute_all,
@@ -14,7 +22,6 @@ from wilee.hunt import (
     obligations_for,
     schedule,
 )
-from wilee.hunt.matcher import _support_index
 from wilee.hunt.proxy import Event
 from wilee.hunt.query import QueryDescriptor, RelationRef
 from wilee.interpreter import concretize
@@ -374,7 +381,7 @@ def test_dp_matches_exhaustive_witness_enumeration(model):
         graph, result = hunt(impl, events, model)
         best = 0
         for host in graph.hosts():
-            index = _support_index(graph, host)
+            index = oracle_support_index(graph, host)
             per_step_items = [
                 [[ts for ts, _ in index.get(ob.key, [])] for ob in obligations]
                 for obligations in per_step
@@ -382,6 +389,84 @@ def test_dp_matches_exhaustive_witness_enumeration(model):
             best = max(best, oracle_best_witness_count(per_step_items))
         expected = best / total if total else 0.0
         assert abs(result.score - expected) < 1e-12, f"trial {trial}"
+
+
+T1003_SRC = '''def t1003_001():
+    system1 = System()
+    process1 = Process()
+    winregistrykey1 = WinRegistryKey()
+    system1.has(process1)
+    process1.observed(winregistrykey1)
+'''
+
+
+def _random_support_graph(rng, per_step):
+    """A graph over the obligations' keys, built directly: up to 80 hosts,
+    edges across hosts, items on keys no obligation asks for, and
+    timestamps from six minutes so steps tie at the floor.  Ids are
+    dealt in random order, so id order is not time order."""
+    hosts = [f"h{i:03d}" for i in range(rng.randrange(1, 81))]
+    keys = [ob.key for obligations in per_step for ob in obligations]
+    keys += [("node", "q-none"), ("relation", "q-none", "q-peer", "has")]
+    base = datetime(2026, 3, 1, 6, 0, 0, tzinfo=timezone.utc)
+    count = rng.randrange(0, 400)
+    ids = rng.sample(range(count), count)
+    nodes, edges = [], []
+    for n in ids:
+        key = rng.choice(keys)
+        host = rng.choice(hosts)
+        moment = base + timedelta(minutes=rng.randrange(6))
+        if key[0] == "node":
+            nodes.append(GraphNode(f"n{n:05d}", key[1], f"ev{n}", "Process", host, moment))
+        else:
+            peer_host = rng.choice(hosts) if rng.random() < 0.4 else host
+            edges.append(
+                GraphEdge(
+                    f"e{n:05d}", key[1], key[2], key[3], "T0000", 0, f"ev{n}", f"ev{n}x",
+                    host, peer_host, moment, rng.choice(("link", "window")),
+                )
+            )
+    return EvidenceGraph(tuple(nodes), tuple(edges))
+
+
+def test_match_equals_per_host_oracle_index(model, monkeypatch):
+    """The one-pass host index and its binary-search pick give the same
+    result, byte for byte, as a full walk of the graph per host and a
+    linear scan for the first item at or after the floor."""
+    from wilee.hunt import matcher
+
+    store = build_store(
+        model,
+        [
+            ("T1552.002", ("credential-access",), "SME", T1552_PUTTY_SRC),
+            ("T1059.001", ("execution",), "SME", T1059_SRC),
+            ("T1003.001", ("credential-access",), "SME", T1003_SRC),
+        ],
+    )
+    steps = ["T1552.002", "T1003.001", "T1059.001", "T1003.001"]
+    impl = concretize(ThreatDescription.from_steps("wide", steps), store).implementations[0]
+    per_step = obligations_for(impl)
+
+    def oracle_index(graph):
+        return {host: oracle_support_index(graph, host) for host in graph.hosts()}
+
+    def linear_pick(items, probe):
+        return next((i for i, item in enumerate(items) if item >= probe), len(items))
+
+    rng = random.Random(4_000)
+    seen = {"confirmed": 0, "partial": 0, "cross_host": 0}
+    for trial in range(300):
+        graph = _random_support_graph(rng, per_step)
+        result = match(graph, impl)
+        with monkeypatch.context() as patch:
+            patch.setattr(matcher, "_support_index", oracle_index)
+            patch.setattr(matcher, "bisect_left", linear_pick)
+            expected = match(graph, impl)
+        assert result == expected, f"trial {trial}"
+        seen["confirmed"] += result.confirmed
+        seen["partial"] += 0 < result.score < 1
+        seen["cross_host"] += any(e.source_host != e.target_host for e in graph.edges)
+    assert all(seen.values()), seen
 
 
 def test_hunt_over_big_planted_log(model, big_log_events, tmp_path):
