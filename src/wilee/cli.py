@@ -42,7 +42,7 @@ from .dsl import (
     step_identifier,
     validate,
 )
-from .dsl.vocab import IDENTIFIER_RE
+from .dsl.vocab import is_identifier
 from .gpe import ConfigError, GpeConfig, export_archive, run_gpe
 from .hunt import NdjsonProxy, ProxyUnavailable, evaluate, render_report
 from .interpreter import EmptyStore, concretize, default_killchain, implementation_from_module
@@ -197,7 +197,7 @@ def _read_technique(path: Path) -> tuple[str, str, bool]:
         technique, text, pretagged = doc["id"], doc["description"], bool(doc.get("pretagged", False))
     else:
         technique, pretagged = normalize_step(path.stem), _looks_pretagged(text)
-    if not IDENTIFIER_RE.fullmatch(step_identifier(technique)):
+    if not is_identifier(step_identifier(technique)):
         raise FormatError(str(path), 1, f"technique id {technique!r} cannot name a DSL function")
     return technique, text, pretagged
 

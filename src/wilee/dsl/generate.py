@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import ast
 from .ast import AstNode, RELATION_VERBS
-from .vocab import CANONICAL_TACTICS, IOC_TYPES
+from .vocab import CANONICAL_TACTICS, IOC_TYPES, KEYWORDS
 
 # Characters literals are drawn from; weighted toward the path-like
 # values the domain uses, with escapes and non-ASCII mixed in.
@@ -22,8 +22,6 @@ _LITERAL_CHARS = (
     "\\\\\\***\"  ._-:/|()$%&'é漢µ"
 )
 
-_RESERVED = {"def", "pass"}
-
 
 def _random_name(rng: random.Random, prefix: str = "") -> str:
     first = rng.choice("abcdefghijklmnopqrstuvwxyz_")
@@ -31,7 +29,7 @@ def _random_name(rng: random.Random, prefix: str = "") -> str:
         rng.choice("abcdefghijklmnopqrstuvwxyz0123456789_") for _ in range(rng.randrange(0, 8))
     )
     name = prefix + first + rest
-    return name + "_" if name in _RESERVED else name
+    return name + "_" if name in KEYWORDS else name
 
 
 def _random_class_name(rng: random.Random) -> str:

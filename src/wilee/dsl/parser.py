@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 from . import ast
 from .ast import AstNode, RELATION_VERBS
-from .vocab import normalize_step
+from .vocab import KEYWORDS, normalize_step
 
 BIND_KEYS = ("ioc_type", "technique", "pattern")
 
@@ -55,7 +55,7 @@ class Token:
     span: tuple[int, int]
 
 
-_KEYWORDS = {"def": TokenType.DEF, "pass": TokenType.PASS}
+_KEYWORDS = {word: TokenType(word) for word in KEYWORDS}
 _PUNCT = {
     "(": TokenType.LPAREN,
     ")": TokenType.RPAREN,

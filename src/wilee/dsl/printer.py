@@ -14,7 +14,7 @@ from .ast import (
     RELATION_VERBS,
     VALUE_KINDS,
 )
-from .vocab import IDENTIFIER_RE, step_identifier
+from .vocab import is_identifier, step_identifier
 
 INDENT = "    "
 
@@ -29,7 +29,7 @@ def _require(cond: bool, node: AstNode, what: str) -> None:
 
 
 def _check_name(node: AstNode, name: str, what: str) -> str:
-    _require(bool(IDENTIFIER_RE.match(name or "")), node, f"{what} {name!r} is not an identifier")
+    _require(is_identifier(name), node, f"{what} {name!r} is not an identifier")
     return name
 
 

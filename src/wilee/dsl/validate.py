@@ -18,7 +18,7 @@ from .ast import (
     RELATION_VERBS,
     VALUE_KINDS,
 )
-from .vocab import IDENTIFIER_RE, IOC_TYPES, TECHNIQUE_ID_RE, is_known_step
+from .vocab import IOC_TYPES, is_identifier, is_known_step, is_technique_id
 
 
 class Severity(Enum):
@@ -54,7 +54,7 @@ class _Checker:
         self.out.append(Diagnostic(Severity.ERROR, message, code, node.span))
 
     def check_name(self, node: AstNode, name: str, what: str) -> bool:
-        if not IDENTIFIER_RE.match(name or ""):
+        if not is_identifier(name):
             self.error(node, f"{what} {name!r} is not a valid identifier", "bad-structure")
             return False
         return True
@@ -150,7 +150,7 @@ class _Checker:
             if unknown:
                 self.error(value, f"unknown bind attrs {sorted(unknown)}", "bad-structure")
             technique = value.attrs.get("technique")
-            if technique is not None and not TECHNIQUE_ID_RE.match(technique):
+            if technique is not None and not is_technique_id(technique):
                 self.error(value, f"malformed technique id {technique!r}", "bad-technique")
 
     def _check_relation(self, stmt: AstNode, scope: dict[str, str]) -> None:

@@ -42,12 +42,20 @@ CANONICAL_TACTICS = (
 TACTIC_ORDER = {name: i for i, name in enumerate(CANONICAL_TACTICS)}
 
 #: Normalized technique ids look like T1552 or T1552.002.
-TECHNIQUE_ID_RE = re.compile(r"^T\d{4}(\.\d{3})?$")
+TECHNIQUE_ID_RE = re.compile(r"T\d{4}(\.\d{3})?")
 
 # Identifier-space counterpart: t1552 or t1552_002.
-_TECHNIQUE_IDENT_RE = re.compile(r"^t\d{4}(_\d{3})?$")
+_TECHNIQUE_IDENT_RE = re.compile(r"t\d{4}(_\d{3})?")
 
-IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: Reserved words of the DSL; they lex as keywords, never as names.
+KEYWORDS = frozenset({"def", "pass"})
+
+
+def is_identifier(name: str) -> bool:
+    """Whether ``name`` is a whole DSL identifier that is not a keyword."""
+    return isinstance(name, str) and bool(IDENTIFIER_RE.fullmatch(name)) and name not in KEYWORDS
 
 
 def normalize_step(ident: str) -> str:
@@ -56,20 +64,20 @@ def normalize_step(ident: str) -> str:
     ``t1552_002`` -> ``T1552.002``; anything else is treated as a
     tactic-style name with underscores turned into hyphens.
     """
-    if _TECHNIQUE_IDENT_RE.match(ident):
+    if _TECHNIQUE_IDENT_RE.fullmatch(ident):
         return "T" + ident[1:].replace("_", ".")
     return ident.replace("_", "-")
 
 
 def step_identifier(step: str) -> str:
     """Inverse of :func:`normalize_step`."""
-    if TECHNIQUE_ID_RE.match(step):
+    if TECHNIQUE_ID_RE.fullmatch(step):
         return "t" + step[1:].replace(".", "_")
     return step.replace("-", "_")
 
 
 def is_technique_id(step: str) -> bool:
-    return bool(TECHNIQUE_ID_RE.match(step))
+    return bool(TECHNIQUE_ID_RE.fullmatch(step))
 
 
 def is_known_step(step: str) -> bool:

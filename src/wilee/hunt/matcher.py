@@ -62,12 +62,11 @@ def obligations_for(impl: ThreatImplementation) -> list[list[Obligation]]:
     obligation per object that no relation touches."""
     per_step: list[list[Obligation]] = []
     for step in impl.steps:
-        fn = impl.step_ast(step.step_index)
         i = step.step_index
         obligations: list[Obligation] = []
         instantiated: list[str] = []
         related: set[str] = set()
-        for stmt in fn.children:
+        for stmt in step.record.ast.children:
             if stmt.kind is NodeKind.OBJECT_INSTANTIATION:
                 instantiated.append(stmt.attrs["var"])
             elif stmt.kind is NodeKind.RELATION_STMT:

@@ -86,12 +86,11 @@ def schedule(impl: ThreatImplementation, model: DataModel) -> list[QueryDescript
     """
     descriptors: list[QueryDescriptor] = []
     for step in impl.steps:
-        fn = impl.step_ast(step.step_index)
         classes: dict[str, str] = {}
         order: list[str] = []
         predicates: dict[str, list[Predicate]] = {}
         relations: dict[str, list[RelationRef]] = {}
-        for stmt in fn.children:
+        for stmt in step.record.ast.children:
             if stmt.kind is NodeKind.OBJECT_INSTANTIATION:
                 var, cls = stmt.attrs["var"], stmt.attrs["class_name"]
                 if cls not in model.variables_by_class:

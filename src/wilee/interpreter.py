@@ -2,17 +2,16 @@
 
 An implementation assigns one stored TTP variant to every workflow step;
 concretization enumerates the full Cartesian product of matching
-variants.  Bind expressions inside the chosen variants can then be
-expanded against the IOC database, or left symbolic for the query
-engine to resolve when it runs the query.
+variants.  Bind expressions inside the chosen variants stay symbolic:
+the query engine resolves each one against the IOC database when it
+runs the query (:mod:`wilee.hunt.proxy`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -20,18 +19,15 @@ from .dsl import (
     AstNode,
     Diagnostic,
     NodeKind,
+    NodePath,
     Severity,
     ThreatDescription,
-    get_node,
     is_technique_id,
     iter_nodes,
-    literal,
     module,
     normalize_step,
-    replace_node,
 )
-from .dsl.ast import NodePath
-from .stores import IocDb, IocRecord, TtpRecord, TtpStore, resolve_bind, ttps_for_step
+from .stores import TtpRecord, TtpStore, ttps_for_step
 
 #: Hard ceiling on Cartesian expansion; exceeded products abort with a
 #: cap-exceeded diagnostic rather than truncating silently.
@@ -42,17 +38,6 @@ KILLCHAIN_NAME = "full kill-chain"
 
 class EmptyStore(Exception):
     """A kill-chain description cannot be derived from an empty store."""
-
-
-class BindMode(Enum):
-    FIRST = "first"
-    ALL = "all"
-    UNRESOLVED = "unresolved"
-
-
-# A bind site is addressed by (step index, node path within the step's
-# function AST).  Unresolved sites map to None.
-BindSite = tuple[int, NodePath]
 
 
 @dataclass(frozen=True)
@@ -66,39 +51,28 @@ class ImplementationStep:
 class ThreatImplementation:
     description_name: str
     steps: tuple[ImplementationStep, ...]
-    resolved_binds: tuple[tuple[BindSite, Optional[IocRecord]], ...] = ()
 
     # Computed on first access and kept: the fields never change.
     @cached_property
     def impl_id(self) -> str:
+        """The description name, each step's record id, then each bind
+        site as ``(step index, node path)``, hashed."""
         h = hashlib.sha256()
         h.update(self.description_name.encode("utf-8"))
         for step in self.steps:
             h.update(b"\x00" + step.record.record_id.encode("utf-8"))
-        for site, record in self.resolved_binds:
-            h.update(repr(site).encode("utf-8"))
-            h.update(b"\x00" if record is None else record.value.encode("utf-8"))
+        for step in self.steps:
+            for path in bind_sites(step.record.ast):
+                h.update(repr((step.step_index, path)).encode("utf-8") + b"\x00")
         return h.hexdigest()[:12]
 
     @property
     def techniques(self) -> tuple[str, ...]:
         return tuple(step.record.technique_id for step in self.steps)
 
-    def unresolved_sites(self) -> tuple[BindSite, ...]:
-        return tuple(site for site, record in self.resolved_binds if record is None)
-
-    def step_ast(self, index: int) -> AstNode:
-        """The step's function body with any resolved binds substituted
-        by their literal IOC values."""
-        fn = self.steps[index].record.ast
-        for (step_index, path), record in self.resolved_binds:
-            if step_index == index and record is not None:
-                fn = replace_node(fn, path, literal(record.value))
-        return fn
-
     def as_module(self) -> AstNode:
-        """One function per step, binds substituted where resolved."""
-        return module(tuple(self.step_ast(i) for i in range(len(self.steps))))
+        """One function per step, each as stored, binds left symbolic."""
+        return module(tuple(step.record.ast for step in self.steps))
 
 
 @dataclass(frozen=True)
@@ -175,50 +149,6 @@ def default_killchain(store: TtpStore) -> ThreatDescription:
     if not tactics:
         raise EmptyStore("no records carry a known tactic tag")
     return ThreatDescription.from_steps(KILLCHAIN_NAME, tactics)
-
-
-def expand_binds(
-    impl: ThreatImplementation,
-    db: IocDb,
-    mode: BindMode = BindMode.UNRESOLVED,
-    cap: int = DEFAULT_COMBINATION_CAP,
-) -> list[ThreatImplementation]:
-    """Resolve the implementation's bind sites against the IOC database.
-
-    ``FIRST`` takes each site's first candidate; ``ALL`` expands the
-    Cartesian product over sites; ``UNRESOLVED`` keeps sites symbolic.
-    Sites with no candidates stay unresolved (mapped to None) in every
-    mode.
-    """
-    sites: list[BindSite] = [
-        (step.step_index, path) for step in impl.steps for path in bind_sites(step.record.ast)
-    ]
-    if not sites:
-        return [impl]
-
-    if mode is BindMode.UNRESOLVED:
-        resolved = tuple((site, None) for site in sites)
-        return [replace(impl, resolved_binds=resolved)]
-
-    candidates = [resolve_bind(db, **get_node(impl.steps[i].record.ast, path).attrs) for i, path in sites]
-    if mode is BindMode.FIRST:
-        resolved = tuple(
-            (site, options[0] if options else None)
-            for site, options in zip(sites, candidates)
-        )
-        return [replace(impl, resolved_binds=resolved)]
-
-    option_lists = [options if options else [None] for options in candidates]
-    total = 1
-    for options in option_lists:
-        total *= len(options)
-    if total > cap:
-        raise ValueError(f"{total} bind combinations exceed the cap of {cap}")
-    out = []
-    for combo in itertools.product(*option_lists):
-        resolved = tuple(zip(sites, combo))
-        out.append(replace(impl, resolved_binds=resolved))
-    return out
 
 
 def implementation_from_module(tree: AstNode, name: Optional[str] = None) -> ThreatImplementation:

@@ -290,13 +290,9 @@ class TtpStore:
         existing (technique_id, source, content-hash) triple."""
         if record.source not in TTP_SOURCES:
             raise ValueError(f"unknown TTP source {record.source!r}")
-        diagnostics = validate(record.ast, model)
-        if diagnostics:
-            raise ValidationError([record.technique_id], "; ".join(map(str, diagnostics)))
-        if is_abstract(record.ast):
-            raise ValidationError(
-                [record.technique_id], "TTP bodies must be concrete, not abstract calls"
-            )
+        problems = _admission_problems(record.ast, model)
+        if problems:
+            raise ValidationError([record.technique_id], "; ".join(problems))
         if any(r.record_id == record.record_id for r in self.records):
             logger.warning("duplicate TTP record %s ignored", record.record_id)
             return False
@@ -312,6 +308,17 @@ class TtpStore:
 def is_abstract(fn: AstNode) -> bool:
     """Whether a function body holds an abstract step call."""
     return any(stmt.kind is NodeKind.ABSTRACT_CALL for stmt in fn.children)
+
+
+def _admission_problems(fn: AstNode, model: Optional[DataModel]) -> list[str]:
+    """Why a TTP body may not enter a store: its validation diagnostics,
+    or else that it is abstract.  Empty when it may."""
+    diagnostics = validate(fn, model)
+    if diagnostics:
+        return [str(d) for d in diagnostics]
+    if is_abstract(fn):
+        return ["TTP bodies must be concrete, not abstract calls"]
+    return []
 
 
 def ttps_for_step(store: TtpStore, step) -> list[TtpRecord]:
@@ -375,14 +382,10 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
             ast=fn,
             created_at=doc.get("created_at", DEFAULT_CREATED_AT),
         )
-        diagnostics = validate(fn, model)
-        if diagnostics:
+        problems = _admission_problems(fn, model)
+        if problems:
             invalid.append(technique_id)
-            details.extend(f"{technique_id}: {d}" for d in diagnostics)
-            continue
-        if is_abstract(fn):
-            invalid.append(technique_id)
-            details.append(f"{technique_id}: TTP bodies must be concrete, not abstract calls")
+            details.extend(f"{technique_id}: {problem}" for problem in problems)
             continue
         if record.record_id in seen:
             logger.warning("%s:%d: duplicate TTP record %s ignored", index_path, lineno, record.record_id)
@@ -396,7 +399,12 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
 
 def _read_ttp_function(path: Path, technique_id: str, index_path: Path, lineno: int) -> AstNode:
     try:
-        tree = parse(read_text(path))
+        text = read_text(path)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise FormatError(str(index_path), lineno, f"cannot read {path}: {reason}") from None
+    try:
+        tree = parse(text)
     except DslSyntaxError as exc:
         raise FormatError(str(path), exc.line, f"syntax error at {exc}") from None
     wanted = [

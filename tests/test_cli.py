@@ -241,6 +241,17 @@ def _ttp_index_entry(tactic_tags=None, wdsl=T1059_SRC):
     return build
 
 
+def _ttp_index_path(path):
+    def build(workspace, tmp_path):
+        _, store_dir, _, _ = workspace
+        entry = {"technique_id": "T1059.001", "source": "SME", "path": path}
+        (store_dir / "index.jsonl").write_text(json.dumps(entry) + "\n", "utf-8")
+        log = write_ndjson(tmp_path / "events.ndjson", [])
+        return hunt_args(workspace, log, tmp_path / "out"), "index.jsonl:1: cannot read"
+
+    return build
+
+
 def _malmo_technique(text):
     def build(workspace, tmp_path):
         technique = tmp_path / "t.json"
@@ -370,6 +381,10 @@ A_CLEAN_WDSL = FIXTURES / "corpus" / "04_putty_registry.wdsl"
             "registry notes.txt", b"Adversaries search registry keys.", "registry notes.txt:1:",
             lambda ws, p: ["malmo", str(p), "--out", str(p.parent / "out")],
         ),
+        _ttp_index_path("nope.wdsl"),
+        _ttp_index_path("."),
+        _ttp_index_path("bad\u0000.wdsl"),
+        _malmo_technique('{"id": "def", "description": "Adversaries may abuse PowerShell."}'),
     ],
     ids=[
         "ttp-index-list",
@@ -401,6 +416,10 @@ A_CLEAN_WDSL = FIXTURES / "corpus" / "04_putty_registry.wdsl"
         "perturb-out-is-a-file",
         "malmo-technique-id-not-an-identifier",
         "malmo-technique-stem-not-an-identifier",
+        "ttp-path-missing",
+        "ttp-path-is-a-directory",
+        "ttp-path-nul",
+        "malmo-technique-id-keyword",
     ],
 )
 def test_malformed_input_exit_two_with_location(workspace, tmp_path, capsys, case):

@@ -1,13 +1,19 @@
-"""Seeded byte-level fuzzing of every CLI input.
+"""Seeded fuzzing of every CLI input and of the DSL front end.
 
-Each case mutates one input file of a small workspace (bit flips, a
-truncation, an inserted ``\\xff`` byte, or an inserted CR, LF or U+2028)
-and runs the command that reads it.  Whatever the bytes, ``main`` must
-return an exit code in 0-5, raise nothing and print no traceback.
+Byte level: each case mutates one input file of a small workspace (bit
+flips, a truncation, an inserted ``\\xff`` byte, or an inserted CR, LF
+or U+2028) and runs the command that reads it.  Whatever the bytes,
+``main`` must return an exit code in 0-5, raise nothing, print no
+traceback, and on exit 2 name the mutated file.
+
+Grammar level: generated modules are printed and token-spliced.
+``parse`` raises nothing but :class:`DslSyntaxError`, ``validate``
+never raises, and a tree it passes prints as source that parses back.
 """
 
 import json
 import random
+import re
 import shutil
 from importlib import resources
 
@@ -16,6 +22,8 @@ import pytest
 from conftest import FIXTURES, PlantedAttack, T1059_SRC, T1552_PUTTY_SRC, synth_log, write_ndjson
 
 from wilee.cli import main
+from wilee.dsl import AstGenerator, DslSyntaxError, parse, pretty_print, validate
+from wilee.stores import DataModel
 
 SEEDS = range(8)
 
@@ -120,3 +128,59 @@ def test_mutated_input_exits_with_a_code(tmp_path, capsys, kind):
             err = capsys.readouterr().err
             assert code in range(6), f"{label} seed {seed}: exit {code}\n{err}"
             assert "Traceback" not in err, f"{label} seed {seed}"
+            if code == 2:
+                assert target.name in err, f"{label} seed {seed}: exit 2 without naming {name}\n{err}"
+
+
+# A string, a name, a run of blanks, or any other single character.
+_TOKEN = re.compile(r'"(?:[^"\\\n]|\\.)*"?|\w+|[ \t]+|.|\n')
+
+
+def _tokens(text):
+    return _TOKEN.findall(text)
+
+
+def _splice(rng, a, b):
+    """A random edit of ``a``'s tokens drawing on ``b``'s (never empty):
+    a crossover, a deleted, duplicated or replaced token, or two tokens
+    swapped."""
+    i, j = rng.randrange(len(a) + 1), rng.randrange(len(b) + 1)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return a[:i] + b[j:]
+    if not a:
+        return b
+    i = min(i, len(a) - 1)
+    if kind == 1:
+        return a[:i] + a[i + 1 :]
+    if kind == 2:
+        return a[: i + 1] + a[i:]
+    if kind == 3:
+        return a[:i] + [b[min(j, len(b) - 1)]] + a[i + 1 :]
+    k = rng.randrange(len(a))
+    out = list(a)
+    out[i], out[k] = out[k], out[i]
+    return out
+
+
+def test_spliced_sources_parse_or_raise_syntax_error():
+    model = DataModel.default()
+    rng = random.Random(2104)
+    gen = AstGenerator(rng, model=model, max_functions=3, max_statements=5)
+    terminals = ["def", "pass", "bind", "(", ")", ":", "=", ".", ",", "\n", "    "]
+    parsed = clean = 0
+    for _ in range(400):
+        a = _tokens(pretty_print(gen.random_module()))
+        b = _tokens(pretty_print(gen.random_module())) + terminals
+        source = "".join(_splice(rng, a, b))
+        try:
+            tree = parse(source)
+        except DslSyntaxError:
+            continue
+        parsed += 1
+        if not validate(tree, model):
+            clean += 1
+            printed = pretty_print(tree)
+            assert pretty_print(parse(printed)) == printed, source
+    # The splices must reach both outcomes for the oracle to mean much.
+    assert 0 < clean <= parsed < 400

@@ -2,27 +2,34 @@ import random
 
 import pytest
 
-from conftest import build_store, function_from
+from conftest import (
+    PlantedAttack,
+    T1059_SRC,
+    T1552_PUTTY_SRC,
+    build_store,
+    function_from,
+    synth_log,
+    write_ndjson,
+)
 from oracles import oracle_concretize_count, oracle_enumerate_combinations
 
 from wilee.dsl import (
     AstGenerator,
     CANONICAL_TACTICS,
-    NodeKind,
     ThreatDescription,
+    get_node,
     parse,
     random_technique_id,
 )
+from wilee.hunt import NdjsonProxy, evaluate
 from wilee.interpreter import (
-    BindMode,
     EmptyStore,
     bind_sites,
     concretize,
     default_killchain,
-    expand_binds,
     implementation_from_module,
 )
-from wilee.stores import IocDb, IocRecord, TtpRecord, TtpStore
+from wilee.stores import TtpRecord, TtpStore
 
 
 def make_store_with_variants(model, spec):
@@ -143,7 +150,7 @@ def test_killchain_invariant_under_insertion_order(model):
 
 
 # ---------------------------------------------------------------------------
-# expand_binds
+# bind sites and implementation ids
 # ---------------------------------------------------------------------------
 
 BIND_SRC = '''def t1003_001():
@@ -153,81 +160,50 @@ BIND_SRC = '''def t1003_001():
     file1.path = bind(ioc_type=file_path)
 '''
 
+T1552_BIND_SRC = '''def t1552_002():
+    winregistrykey1 = WinRegistryKey()
+    winregistrykey1.Hive = bind(ioc_type=registry_hive, technique="T1552.002")
+    process1 = Process()
+    process1.name = bind(ioc_type=process_name)
+    process1.observed(winregistrykey1)
+'''
 
-def impl_with_binds():
-    return implementation_from_module(parse(BIND_SRC))
+T1059_BIND_SRC = '''def t1059_001():
+    process1 = Process()
+    process1.command_line = bind(ioc_type=command_line, technique="T1059.001")
+'''
 
 
-def two_by_two_db():
-    return IocDb(
-        (
-            IocRecord("process_name", "procA", "T1003.001"),
-            IocRecord("process_name", "procB", "T1003.001"),
-            IocRecord("file_path", "C:\\a", "T1003.001"),
-            IocRecord("file_path", "C:\\b", "T1003.001"),
-        )
+def test_bind_sites_in_source_order():
+    fn = function_from(BIND_SRC)
+    assert [get_node(fn, path).attrs["ioc_type"] for path in bind_sites(fn)] == ["process_name", "file_path"]
+    assert bind_sites(function_from("def t1003():\n    pass\n")) == []
+
+
+def test_impl_id_of_bind_source_is_pinned():
+    # The id hashes every bind site, so the report names this
+    # implementation by the same id that concretization gives it.
+    assert implementation_from_module(parse(BIND_SRC)).impl_id == "37e6f30c7bdf"
+
+
+def test_evaluate_keeps_the_concretized_impl_id(model, putty_ioc_db, tmp_path):
+    store = build_store(
+        model,
+        [
+            ("T1552.002", ("credential-access",), "SME", T1552_PUTTY_SRC),
+            ("T1552.002", ("credential-access",), "SME", T1552_BIND_SRC),
+            ("T1059.001", ("execution",), "SME", T1059_SRC),
+            ("T1059.001", ("execution",), "SME", T1059_BIND_SRC),
+        ],
     )
-
-
-def test_no_binds_any_mode(putty_store, putty_ioc_db):
-    desc = ThreatDescription.from_steps("d", ["T1059.001"])
-    (impl,) = concretize(desc, putty_store).implementations
-    for mode in BindMode:
-        assert expand_binds(impl, putty_ioc_db, mode) == [impl]
-    assert expand_binds(impl, IocDb(), BindMode.UNRESOLVED) == [impl]
-
-
-def test_all_mode_is_cartesian_product():
-    impl = impl_with_binds()
-    out = expand_binds(impl, two_by_two_db(), BindMode.ALL)
-    assert len(out) == 4
-    combos = {
-        tuple(record.value for _, record in expanded.resolved_binds) for expanded in out
-    }
-    assert combos == {("procA", "C:\\a"), ("procA", "C:\\b"), ("procB", "C:\\a"), ("procB", "C:\\b")}
-
-
-def test_first_mode_equals_lexicographic_head_of_all():
-    impl = impl_with_binds()
-    db = two_by_two_db()
-    (first,) = expand_binds(impl, db, BindMode.FIRST)
-    everything = expand_binds(impl, db, BindMode.ALL)
-    assert first.resolved_binds == everything[0].resolved_binds
-
-
-def test_unresolved_mode_keeps_sites_symbolic(monkeypatch):
-    impl = impl_with_binds()
-    (out,) = expand_binds(impl, two_by_two_db(), BindMode.UNRESOLVED)
-    assert len(out.resolved_binds) == 2
-    assert all(record is None for _, record in out.resolved_binds)
-    assert len(out.unresolved_sites()) == 2
-    assert expand_binds(impl, IocDb(), BindMode.UNRESOLVED) == [out]
-    # Symbolic sites never consult the database.
-    monkeypatch.setattr("wilee.interpreter.resolve_bind", None)
-    assert expand_binds(impl, two_by_two_db(), BindMode.UNRESOLVED) == [out]
-
-
-def test_zero_match_sites_stay_unresolved_and_flagged():
-    impl = impl_with_binds()
-    db = IocDb((IocRecord("process_name", "procA", "T1003.001"),))
-    (out,) = expand_binds(impl, db, BindMode.FIRST)
-    resolved = dict(out.resolved_binds)
-    values = sorted(r.value for r in resolved.values() if r is not None)
-    assert values == ["procA"]
-    assert len(out.unresolved_sites()) == 1
-
-
-def test_step_ast_substitutes_resolved_binds():
-    impl = impl_with_binds()
-    (out,) = expand_binds(impl, two_by_two_db(), BindMode.FIRST)
-    fn = out.step_ast(0)
-    values = [
-        stmt.children[1]
-        for stmt in fn.children
-        if stmt.kind is NodeKind.ATTRIBUTE_ASSIGN
-    ]
-    assert all(v.kind is NodeKind.LITERAL for v in values)
-    assert bind_sites(fn) == []
+    desc = ThreatDescription.from_steps("d", ["T1552.002", "T1059.001"])
+    impls = concretize(desc, store).implementations
+    assert len(impls) == 4
+    assert any(bind_sites(step.record.ast) for impl in impls for step in impl.steps)
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(5), 60, PlantedAttack.build().events))
+    proxy = NdjsonProxy(log)
+    for impl in impls:
+        assert evaluate(impl, proxy, putty_ioc_db, model).impl_id == impl.impl_id
 
 
 def test_every_step_record_satisfies_membership(model):

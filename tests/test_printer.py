@@ -73,6 +73,10 @@ def test_idempotent_over_corpus():
     [
         module((literal("x"),)),  # literal is not a function
         module((function_def("not an identifier"),)),
+        module((function_def("def"),)),  # keywords are not names
+        module((function_def("f", (instantiation("pass", "Process"),)),)),
+        module((function_def("f\n"),)),  # a whole identifier, no trailing newline
+        module((function_def("f", (instantiation("x", "Process\n"),)),)),
         module((function_def("f", (instantiation("x", "also bad"),)),)),
         module((function_def("f", (relation("a", "grabs", "b"),)),)),
         module((function_def("f", (attribute_assign("p", "name", instantiation("q", "X")),)),)),

@@ -1,6 +1,18 @@
+import pytest
+
 from conftest import T1552_PUTTY_SRC
 
-from wilee.dsl import Severity, parse, validate
+from wilee.dsl import (
+    Severity,
+    attribute_assign,
+    bind,
+    function_def,
+    instantiation,
+    is_technique_id,
+    parse,
+    validate,
+)
+from wilee.dsl.vocab import is_identifier
 
 # A small synthetic model exercising the resolution rules in isolation.
 FIVE_CLASS_MODEL = {
@@ -85,3 +97,23 @@ def test_spans_attached_to_diagnostics():
     diags = validate(parse(src), FIVE_CLASS_MODEL)
     start, end = diags[0].span
     assert src.encode()[start:end].decode() == "ghost"
+
+
+@pytest.mark.parametrize("name", ["def", "pass", "f\n", "process1\n"])
+def test_keyword_or_partial_identifier_is_not_a_name(name):
+    # Each would print as source that does not parse back.
+    assert codes(function_def(name)) == ["bad-structure"]
+    assert codes(function_def("f", (instantiation(name, "Process"),))) == ["bad-structure"]
+    assert "bad-structure" in codes(function_def("f", (instantiation("p", name),)))
+
+
+def test_bind_technique_with_trailing_newline_is_malformed():
+    value = bind("process_name", technique="T1552.002\n")
+    tree = function_def("f", (instantiation("p", "Process"), attribute_assign("p", "name", value)))
+    assert codes(tree) == ["bad-technique"]
+
+
+def test_technique_ids_and_identifiers_match_whole_strings():
+    assert is_technique_id("T1059") and is_technique_id("T1552.002")
+    assert not is_technique_id("T1059\n") and not is_technique_id("T1552.002 ")
+    assert is_identifier("t1552_002") and not is_identifier("def") and not is_identifier("x\n")
