@@ -44,7 +44,7 @@ from .dsl import (
 )
 from .dsl.vocab import is_identifier
 from .gpe import ConfigError, GpeConfig, export_archive, run_gpe
-from .hunt import NdjsonProxy, ProxyUnavailable, evaluate, render_report
+from .hunt import NdjsonProxy, ProxyUnavailable, evaluate, memo_key, render_report, schedule
 from .interpreter import EmptyStore, concretize, default_killchain, implementation_from_module
 from .malmo import (
     NoClassesSelected,
@@ -158,7 +158,10 @@ def cmd_hunt(args) -> int:
     if any(d.code == "cap-exceeded" for d in result.diagnostics):
         return EXIT_CAP
 
-    proxy = NdjsonProxy(args.events)
+    # Every query is known before the log is opened, so the one read
+    # keeps only the events some query asks for.
+    keys = {memo_key(q, ioc_db) for impl in result.implementations for q in schedule(impl, model)}
+    proxy = NdjsonProxy(args.events, keys)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = []

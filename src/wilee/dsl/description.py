@@ -27,10 +27,6 @@ class ThreatDescription:
             if not is_known_step(step.attrs.get("step", "")):
                 raise DescriptionError(f"unknown step {step.attrs.get('step')!r}")
 
-    @property
-    def step_names(self) -> tuple[str, ...]:
-        return tuple(step.attrs["step"] for step in self.steps)
-
     @classmethod
     def from_steps(cls, name: str, steps: list[str]) -> "ThreatDescription":
         return cls(name, tuple(abstract_call(s) for s in steps))

@@ -13,6 +13,7 @@ from .proxy import (
     event_from_json,
     execute,
     execute_all,
+    memo_key,
     parse_rfc3339,
 )
 from .query import (
@@ -45,6 +46,7 @@ __all__ = [
     "event_from_json",
     "execute",
     "execute_all",
+    "memo_key",
     "parse_rfc3339",
     "BindSpec",
     "Predicate",

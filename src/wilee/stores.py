@@ -126,10 +126,6 @@ class DataModel:
 
     variables_by_class: dict[str, tuple[str, ...]]
 
-    @property
-    def class_names(self) -> tuple[str, ...]:
-        return tuple(self.variables_by_class)
-
     @classmethod
     def from_json(cls, doc: dict, file: str = "<memory>") -> "DataModel":
         classes = doc.get("classes") if isinstance(doc, dict) else None

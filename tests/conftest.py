@@ -42,6 +42,11 @@ def function_from(source: str):
     return parse(source).children[0]
 
 
+def step_names(desc) -> tuple[str, ...]:
+    """The step each abstract call of a threat description names."""
+    return tuple(step.attrs["step"] for step in desc.steps)
+
+
 @pytest.fixture(scope="session")
 def model() -> DataModel:
     return DataModel.default()
@@ -210,3 +215,37 @@ def big_log_events() -> list[dict]:
 def clean_log_events() -> list[dict]:
     rng = random.Random(20260301)
     return synth_log(rng, 10_000)
+
+
+def _line(**doc) -> bytes:
+    base = {"event_id": "bad1", "timestamp": "2026-03-01T07:00:00Z", "host": "ws-002", "entity_class": "File"}
+    return json.dumps({**base, **doc}).encode()
+
+
+#: Malformed event-log lines, by name, that no hunt filter of the
+#: putty workspace asks for.  Written after ``PlantedAttack`` events,
+#: each must fail any read of the log at its own line.
+MALFORMED_EVENT_LINES = {
+    "invalid-json": b'{"event_id": "bad1", "timestamp"',
+    "not-an-object": b"[1, 2]",
+    "not-utf8": _line(fields={"path": "C:\\x"}).replace(b"C:", b"\xffC:"),
+    "bad-timestamp": _line(timestamp="yesterday", fields={}),
+    "numeric-timestamp": _line(timestamp=5, fields={}),
+    "duplicate-id": _line(event_id="atk-reg", fields={"path": "C:\\x"}),
+    "fields-list": _line(fields=["path"]),
+    "fields-null": _line(fields=None),
+    "link-without-verb": _line(fields={}, links=[{"target": "atk-reg"}]),
+    "link-without-target": _line(fields={}, links=[{"verb": "observed"}]),
+    "link-a-string": _line(fields={}, links=["observed"]),
+    "links-a-number": _line(fields={}, links=5),
+    "links-null": _line(fields={}, links=None),
+    "missing-host": json.dumps({"event_id": "bad1", "timestamp": "2026-03-01T07:00:00Z", "entity_class": "File"}).encode(),
+}
+
+
+def log_ending_with(path: Path, line: bytes) -> Path:
+    """The planted attack's events, then ``line`` (line 4)."""
+    write_ndjson(path, list(PlantedAttack.build().events))
+    with path.open("ab") as handle:
+        handle.write(line + b"\n")
+    return path

@@ -6,15 +6,18 @@ import pytest
 
 from conftest import (
     FIXTURES,
+    MALFORMED_EVENT_LINES,
     PlantedAttack,
     T1059_SRC,
     T1552_PUTTY_SRC,
     T1552_RUNKEY_SRC,
+    log_ending_with,
     synth_log,
     write_ndjson,
 )
 
 from wilee.cli import main
+from wilee.hunt import Event
 
 SME_PRIORS_SRC = '''def t1003_001():
     system1 = System()
@@ -219,6 +222,23 @@ def test_hunt_missing_log_exit_two(workspace, tmp_path):
     assert main(hunt_args(workspace, tmp_path / "absent.ndjson", out)) == 2
 
 
+def test_hunt_builds_events_only_for_hits(workspace, tmp_path, monkeypatch):
+    # Thousands of lines no filter of the hunt keeps, and two that some do.
+    attack = PlantedAttack.build()
+    events = synth_log(random.Random(561), 3000) + list(attack.events[:2])
+    log = write_ndjson(tmp_path / "events.ndjson", events)
+    built = []
+    post_init = Event.__post_init__
+
+    def counting(self):
+        built.append(self.event_id)
+        post_init(self)
+
+    monkeypatch.setattr(Event, "__post_init__", counting)
+    assert main(hunt_args(workspace, log, tmp_path / "out", fmt="json")) == 0
+    assert sorted(built) == ["atk-proc", "atk-reg"]
+
+
 def _ttp_index_line_not_an_object(workspace, tmp_path):
     _, store_dir, _, _ = workspace
     (store_dir / "index.jsonl").write_text("[1]\n", "utf-8")
@@ -275,6 +295,17 @@ def _event_log_bytes(data):
         log = tmp_path / "events.ndjson"
         log.write_bytes(data)
         return hunt_args(workspace, log, tmp_path / "out"), "events.ndjson:2:"
+
+    return build
+
+
+def _event_after_hits(name):
+    """The planted attack, whose events the hunt's filters keep, then a
+    malformed line they would not keep."""
+
+    def build(workspace, tmp_path):
+        log = log_ending_with(tmp_path / "events.ndjson", MALFORMED_EVENT_LINES[name])
+        return hunt_args(workspace, log, tmp_path / "out"), "events.ndjson:4:"
 
     return build
 
@@ -385,6 +416,7 @@ A_CLEAN_WDSL = FIXTURES / "corpus" / "04_putty_registry.wdsl"
         _ttp_index_path("."),
         _ttp_index_path("bad\u0000.wdsl"),
         _malmo_technique('{"id": "def", "description": "Adversaries may abuse PowerShell."}'),
+        *(_event_after_hits(name) for name in MALFORMED_EVENT_LINES),
     ],
     ids=[
         "ttp-index-list",
@@ -420,6 +452,7 @@ A_CLEAN_WDSL = FIXTURES / "corpus" / "04_putty_registry.wdsl"
         "ttp-path-is-a-directory",
         "ttp-path-nul",
         "malmo-technique-id-keyword",
+        *(f"event-{name}-after-hits" for name in MALFORMED_EVENT_LINES),
     ],
 )
 def test_malformed_input_exit_two_with_location(workspace, tmp_path, capsys, case):

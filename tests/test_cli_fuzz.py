@@ -6,6 +6,15 @@ or U+2028) and runs the command that reads it.  Whatever the bytes,
 ``main`` must return an exit code in 0-5, raise nothing, print no
 traceback, and on exit 2 name the mutated file.
 
+JSON level: each case rewrites one value of a JSON input (one line of
+a JSON-lines file): a value swapped for one of another type, a key
+dropped, or a value nested in a list or an object.  The oracle is the
+byte level's, and an exit 2 over a JSON-lines file names the mutated
+line as ``file:line``.
+
+For every mutated event log, the whole read and the filtered read the
+hunt makes agree on whether the log is accepted and on the message.
+
 Grammar level: generated modules are printed and token-spliced.
 ``parse`` raises nothing but :class:`DslSyntaxError`, ``validate``
 never raises, and a tree it passes prints as source that parses back.
@@ -22,8 +31,10 @@ import pytest
 from conftest import FIXTURES, PlantedAttack, T1059_SRC, T1552_PUTTY_SRC, synth_log, write_ndjson
 
 from wilee.cli import main
-from wilee.dsl import AstGenerator, DslSyntaxError, parse, pretty_print, validate
-from wilee.stores import DataModel
+from wilee.dsl import AstGenerator, DslSyntaxError, ThreatDescription, parse, pretty_print, validate
+from wilee.hunt import NdjsonProxy, ProxyUnavailable, memo_key, schedule
+from wilee.interpreter import concretize
+from wilee.stores import DataModel, StorePaths, load_stores, read_text
 
 SEEDS = range(8)
 
@@ -113,23 +124,126 @@ INPUTS = {
 }
 
 
-@pytest.mark.parametrize("kind", list(INPUTS))
-def test_mutated_input_exits_with_a_code(tmp_path, capsys, kind):
-    _workspace(tmp_path)
+def _hunt_keys(root):
+    """The filter keys ``wilee hunt`` reads the workspace's log with."""
+    store, ioc_db, model = load_stores(StorePaths(root / "ttp_store", root / "ioc_db.jsonl", root / "model.json"))
+    desc = ThreatDescription.from_module(parse(read_text(root / "desc.wdsl")))
+    impls = concretize(desc, store).implementations
+    return [memo_key(q, ioc_db) for impl in impls for q in schedule(impl, model)]
+
+
+def _read_outcome(path, keys=None):
+    try:
+        NdjsonProxy(path, keys)
+    except ProxyUnavailable as exc:
+        return str(exc)
+    return "accepted"
+
+
+def _fuzz(root, capsys, kind, mutators, with_line=False):
+    """Runs the command reading input ``kind`` once per seed and mutator
+    over a mutated copy, and checks the oracle.  ``mutate(rng, data)``
+    returns the new bytes or, ``with_line``, the new bytes and the line
+    it changed (``None`` for a whole-document edit)."""
     name, command = INPUTS[kind]
-    target = tmp_path / name
+    target = root / name
     original = target.read_bytes()
-    assert main(_argv(tmp_path, command, tmp_path / "clean")) == 0
+    keys = _hunt_keys(root) if kind == "event-log" else None
+    assert main(_argv(root, command, root / "clean")) == 0
     for seed in SEEDS:
-        for label, mutate in MUTATORS.items():
+        for label, mutate in mutators.items():
             rng = random.Random(f"{kind}/{label}/{seed}")
-            target.write_bytes(mutate(rng, original))
-            code = main(_argv(tmp_path, command, tmp_path / f"out-{label}-{seed}"))
+            mutated = mutate(rng, original)
+            line = None
+            if with_line:
+                mutated, line = mutated
+            target.write_bytes(mutated)
+            code = main(_argv(root, command, root / f"out-{label}-{seed}"))
             err = capsys.readouterr().err
             assert code in range(6), f"{label} seed {seed}: exit {code}\n{err}"
             assert "Traceback" not in err, f"{label} seed {seed}"
             if code == 2:
-                assert target.name in err, f"{label} seed {seed}: exit 2 without naming {name}\n{err}"
+                where = target.name if line is None else f"{target.name}:{line}:"
+                assert where in err, f"{label} seed {seed}: exit 2 without naming {where}\n{err}"
+            if keys is not None:
+                assert _read_outcome(target) == _read_outcome(target, keys), f"{label} seed {seed}"
+    target.write_bytes(original)
+
+
+@pytest.mark.parametrize("kind", list(INPUTS))
+def test_mutated_input_exits_with_a_code(tmp_path, capsys, kind):
+    _workspace(tmp_path)
+    _fuzz(tmp_path, capsys, kind, MUTATORS)
+
+
+def _nodes(value, path=()):
+    """``(path, value)`` of every value in a JSON document, the root
+    first."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _nodes(child, (*path, key))
+
+
+def _put(doc, path, value):
+    """``doc`` with ``value`` at ``path``: set in place, or the new root."""
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+# Each edit returns the edited document.
+_OF_ANOTHER_TYPE = (0, 1.5, True, None, "", "x", [], [1], {}, {"k": "v"})
+
+
+def _retype(rng, doc):
+    path, value = rng.choice(list(_nodes(doc)))
+    return _put(doc, path, rng.choice([v for v in _OF_ANOTHER_TYPE if type(v) is not type(value)]))
+
+
+def _drop(rng, doc):
+    objects = [value for _, value in _nodes(doc) if isinstance(value, dict) and value]
+    if not objects:
+        return _nest(rng, doc)
+    target = rng.choice(objects)
+    del target[rng.choice(list(target))]
+    return doc
+
+
+def _nest(rng, doc):
+    path, value = rng.choice(list(_nodes(doc)))
+    return _put(doc, path, rng.choice(([value], {"v": value})))
+
+
+def _json_mutator(edit, lines):
+    """A mutator applying ``edit`` to the document, or to one line's
+    object when ``lines``; it returns the bytes and the edited line."""
+
+    def mutate(rng, data):
+        if not lines:
+            return json.dumps(edit(rng, json.loads(data))).encode(), None
+        texts = data.decode("utf-8").split("\n")
+        index = rng.choice([i for i, text in enumerate(texts) if text.strip()])
+        texts[index] = json.dumps(edit(rng, json.loads(texts[index])))
+        return "\n".join(texts).encode(), index + 1
+
+    return mutate
+
+
+JSON_MUTATORS = {"retype": _retype, "drop": _drop, "nest": _nest}
+JSON_INPUTS = ("ttp-index", "ioc-db", "event-log", "data-model", "technique-json", "config")
+
+
+@pytest.mark.parametrize("kind", JSON_INPUTS)
+def test_json_mutated_input_exits_with_a_code(tmp_path, capsys, kind):
+    _workspace(tmp_path)
+    lines = INPUTS[kind][0].endswith((".jsonl", ".ndjson"))
+    mutators = {label: _json_mutator(edit, lines) for label, edit in JSON_MUTATORS.items()}
+    _fuzz(tmp_path, capsys, kind, mutators, with_line=True)
 
 
 # A string, a name, a run of blanks, or any other single character.

@@ -1,11 +1,13 @@
 import pytest
 
+from conftest import step_names
+
 from wilee.dsl import DescriptionError, ThreatDescription, abstract_call, literal, parse
 
 
 def test_from_steps_and_names():
     desc = ThreatDescription.from_steps("hunt", ["T1552.002", "credential-access"])
-    assert desc.step_names == ("T1552.002", "credential-access")
+    assert step_names(desc) == ("T1552.002", "credential-access")
 
 
 def test_unknown_step_rejected():
@@ -22,7 +24,7 @@ def test_from_module_reads_first_function():
     tree = parse("def putty():\n    t1552_002()\n    t1059_001()\n")
     desc = ThreatDescription.from_module(tree)
     assert desc.name == "putty"
-    assert desc.step_names == ("T1552.002", "T1059.001")
+    assert step_names(desc) == ("T1552.002", "T1059.001")
 
 
 def test_from_module_rejects_concrete_functions():
@@ -38,4 +40,4 @@ def test_from_module_rejects_empty_module():
 
 def test_steps_may_be_synthesized():
     desc = ThreatDescription("hunt", (abstract_call("execution"),))
-    assert desc.step_names == ("execution",)
+    assert step_names(desc) == ("execution",)

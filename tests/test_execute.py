@@ -5,13 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PlantedAttack, build_store, synth_log, write_ndjson
+from conftest import MALFORMED_EVENT_LINES, PlantedAttack, build_store, log_ending_with, synth_log, write_ndjson
 from oracles import oracle_execute, oracle_glob_match
 
 import wilee.hunt.proxy
 from wilee.dsl import ThreatDescription
 from wilee.globmatch import glob_match
-from wilee.hunt import Event, NdjsonProxy, ProxyUnavailable, execute, execute_all, schedule
+from wilee.hunt import Event, NdjsonProxy, ProxyUnavailable, execute, execute_all, memo_key, schedule
 from wilee.hunt.query import BindSpec, Predicate, QueryDescriptor
 from wilee.interpreter import concretize
 from wilee.stores import IocDb, IocRecord
@@ -436,3 +436,165 @@ def test_execute_all_scans_each_distinct_filter_once_per_proxy():
     other = _CountingProxy(events)
     assert execute_all([bind], other, first)[bind.qid] == hits[0]
     assert other.scans == 1
+
+
+# ---------------------------------------------------------------------------
+# The filtered read: one pass over the log that keeps only hits
+# ---------------------------------------------------------------------------
+
+
+def _seeded(proxy):
+    """The hit lists a filtered read seeded, by key."""
+    return wilee.hunt.proxy._HITS[proxy]
+
+
+def _assert_filtered_read_equals_execute(path, descriptors, db, classes):
+    full = NdjsonProxy(path)
+    keys = [memo_key(q, db) for q in descriptors]
+    filtered = NdjsonProxy(path, keys)
+    seeded = _seeded(filtered)
+    assert list(seeded) == list(dict.fromkeys(keys))
+    results = execute_all(descriptors, filtered, db)
+    for q, key in zip(descriptors, keys):
+        assert seeded[key] == execute(q, full, db), q
+        assert results[q.qid] is seeded[key]  # served from the seeded memo
+    for cls in classes:
+        assert filtered.scan(cls) == full.scan(cls), cls
+    return seeded
+
+
+def test_filtered_read_hand_cases(tmp_path):
+    def event(event_id, cls, **doc):
+        return {"event_id": event_id, "timestamp": "2026-01-01T00:00:00Z", "host": "h", "entity_class": cls, **doc}
+
+    events = [
+        event("e1", "Process", fields={"name": "cmd.exe", "pid": 4242}),
+        event("e2", "Process", fields={"name": "svc*host", "pid": "4242"}),
+        event("e3", "Process", fields={}),
+        event("e4", "Process"),
+        event("e5", "Process", fields={"name": None, "pid": [1, 2]}, links=[{"verb": "has", "target": "e6"}]),
+        event("e6", "File", fields={"path": "C:\\x", "size": 1.5}),
+        event("e7", "WinRegistryKey", fields={"Hive": "Software\\A\\Putty\\Sessions"}),
+        event("e8", "Process", fields={"name": True, "pid": {"n": 1}}),
+    ]
+    path = write_ndjson(tmp_path / "events.ndjson", events)
+    db = IocDb((IocRecord("process_name", "svc*"), IocRecord("process_name", "cmd.exe")))
+    cases = [
+        ([Predicate("pid", "eq", "4242")], ["e1", "e2"]),  # a number as its JSON text
+        ([], ["e1", "e2", "e3", "e4", "e5", "e8"]),  # the empty filter
+        ([Predicate("name", "glob", "*")], ["e1", "e2", "e5", "e8"]),  # a missing field never passes
+        ([Predicate("name", "eq", BindSpec("process_name"))], ["e1", "e2"]),  # a bind candidate with a *
+        ([Predicate("pid", "eq", "[1, 2]")], ["e5"]),
+        ([Predicate("name", "eq", "null"), Predicate("pid", "glob", "[*")], ["e5"]),
+        ([Predicate("name", "eq", "true"), Predicate("pid", "eq", '{"n": 1}')], ["e8"]),
+        ([Predicate("name", "eq", "svc*host")], ["e2"]),
+    ]
+    descriptors = [
+        dataclasses.replace(make_descriptor("Process", predicates), qid=f"q{i}")
+        for i, (predicates, _) in enumerate(cases)
+    ]
+    registry = make_descriptor("WinRegistryKey", [Predicate("Hive", "glob", "Software\\*\\Putty\\Sessions")])
+    descriptors.append(dataclasses.replace(registry, qid="qr"))
+    seeded = _assert_filtered_read_equals_execute(path, descriptors, db, ["Process", "File", "WinRegistryKey", "Mutex"])
+    for q, (_, expected) in zip(descriptors, cases):
+        assert [e.event_id for e in seeded[memo_key(q, db)]] == expected, q.predicates
+    assert [e.event_id for e in seeded[memo_key(descriptors[-1], db)]] == ["e7"]
+    assert seeded[memo_key(descriptors[4], db)][0].links == (("has", "e6"),)
+
+
+_NON_STRINGS = (4242, 1.5, ["a", 1], None, True, {"k": "v"})
+_FIELDS = {
+    "Process": ("name", "pid", "command_line", "user"),
+    "WinRegistryKey": ("Hive",),
+    "File": ("path", "size"),
+    "NetworkConnection": ("dst_ip", "dst_port", "protocol"),
+}
+_VALUES = (
+    "explorer.exe", "svchost.exe", "*.exe", "*host*", "4242", "443", "tcp", "null", "true", "1.5",
+    '["a", 1]', '{"k": "v"}', "*", "Software\\*", "*Run", "C:\\Users\\*", "",
+)
+_DIFF_DB = IocDb(
+    (
+        IocRecord("process_name", "svc*"),
+        IocRecord("process_name", "explorer.exe"),
+        IocRecord("process_name", "4242"),
+        IocRecord("registry_hive", "Software\\*\\Edge"),
+        IocRecord("file_path", "C:\\Users\\u1*"),
+        IocRecord("domain", "443"),
+    )
+)
+
+
+def _irregular(rng, doc, ids):
+    """``doc`` with, now and then, a value that is not a string, a field
+    dropped, empty or missing ``fields``, a link, or a class no query
+    asks for."""
+    fields = dict(doc["fields"])
+    roll = rng.random()
+    if roll < 0.15:
+        fields[rng.choice(list(fields))] = rng.choice(_NON_STRINGS)
+    elif roll < 0.2:
+        del fields[rng.choice(list(fields))]
+    elif roll < 0.25:
+        fields = {}
+    doc = {**doc, "fields": fields}
+    roll = rng.random()
+    if roll < 0.05:
+        del doc["fields"]
+    elif roll < 0.1:
+        doc["entity_class"] = "Mutex"
+    elif roll < 0.15 and ids:
+        doc["links"] = [{"verb": "observed", "target": rng.choice(ids)}]
+    return doc
+
+
+def _differential_descriptor(rng, i):
+    cls = rng.choice(list(_FIELDS))
+    predicates = []
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        var = rng.choice(_FIELDS[cls])
+        roll = rng.random()
+        if roll < 0.2:
+            spec = BindSpec(rng.choice(("process_name", "registry_hive", "file_path", "domain")),
+                            pattern=rng.choice((None, None, "*e*")))
+            predicates.append(Predicate(var, "eq", spec))
+        else:
+            value = rng.choice(_VALUES)
+            predicates.append(Predicate(var, "glob" if "*" in value else "eq", value))
+    return dataclasses.replace(make_descriptor(cls, predicates), qid=f"q{i}")
+
+
+def test_filtered_read_equals_execute_on_random_logs(tmp_path):
+    rng = random.Random(20261019)
+    path = tmp_path / "events.ndjson"
+    classes = [*_FIELDS, "Mutex", "DnsQuery"]
+    several_on_one_class = hits = 0
+    for trial in range(200):
+        events = []
+        for doc in synth_log(rng, rng.randrange(0, 40)):
+            events.append(_irregular(rng, doc, [e["event_id"] for e in events]))
+        write_ndjson(path, events)
+        # A repeated descriptor gives a repeated key.
+        descriptors = [_differential_descriptor(rng, i) for i in range(rng.randrange(1, 7))]
+        descriptors += descriptors[: rng.randrange(2)]
+        seeded = _assert_filtered_read_equals_execute(path, descriptors, _DIFF_DB, classes)
+        hits += sum(map(len, seeded.values()))
+        per_class = [q.entity_class for q in descriptors]
+        several_on_one_class += len(per_class) > len(set(per_class))
+    assert several_on_one_class > 50 and hits > 500  # the filters do select
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_EVENT_LINES))
+def test_whole_and_filtered_reads_fail_alike(tmp_path, name):
+    log = log_ending_with(tmp_path / "events.ndjson", MALFORMED_EVENT_LINES[name])
+    keys = [
+        memo_key(make_descriptor("WinRegistryKey", [Predicate("Hive", "glob", "Software\\*\\Putty\\Sessions")]), IocDb()),
+        memo_key(make_descriptor("Process", []), IocDb()),
+    ]
+    messages = []
+    for read in (lambda: NdjsonProxy(log), lambda: NdjsonProxy(log, keys)):
+        with pytest.raises(ProxyUnavailable) as info:
+            read()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"{log}:4: ")

@@ -8,6 +8,7 @@ from conftest import (
     T1552_PUTTY_SRC,
     build_store,
     function_from,
+    step_names,
     synth_log,
     write_ndjson,
 )
@@ -117,14 +118,14 @@ def test_killchain_orders_tactics_canonically(model):
     )
     desc = default_killchain(store)
     assert desc.name == "full kill-chain"
-    assert desc.step_names == ("execution", "persistence")
+    assert step_names(desc) == ("execution", "persistence")
 
 
 def test_killchain_single_tag(model):
     store = TtpStore(
         [TtpRecord("T1003", ("impact",), "SME", function_from("def t1003():\n    pass\n"))]
     )
-    assert default_killchain(store).step_names == ("impact",)
+    assert step_names(default_killchain(store)) == ("impact",)
 
 
 def test_killchain_empty_store_raises():
@@ -143,10 +144,10 @@ def test_killchain_invariant_under_insertion_order(model):
         )
         for i in range(12)
     ]
-    reference = default_killchain(TtpStore(list(records))).step_names
+    reference = step_names(default_killchain(TtpStore(list(records))))
     for _ in range(100):
         rng.shuffle(records)
-        assert default_killchain(TtpStore(list(records))).step_names == reference
+        assert step_names(default_killchain(TtpStore(list(records)))) == reference
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_loading_is_idempotent(tmp_path):
 def test_missing_model_defaults_to_shipped_snapshot():
     _, _, model = load_stores(StorePaths())
     assert "WinRegistryKey" in model.variables_by_class
-    assert len(model.class_names) >= 30
+    assert len(model.variables_by_class) >= 30
 
 
 def test_data_model_duplicate_class_rejected(tmp_path):
