@@ -60,12 +60,10 @@ class AstGenerator:
         self,
         rng: random.Random,
         model=None,
-        max_functions: int = 4,
         max_statements: int = 6,
         technique_pool: Optional[list[str]] = None,
     ):
         self.rng = rng
-        self.max_functions = max_functions
         self.max_statements = max_statements
         self.technique_pool = technique_pool
         if model is None:
@@ -175,7 +173,7 @@ class AstGenerator:
             stmt = self.random_relation(scope)
         return stmt if stmt is not None else self.random_instantiation(scope)
 
-    # -- functions / modules ------------------------------------------------
+    # -- functions ----------------------------------------------------------
 
     def random_function(
         self, name: Optional[str] = None, abstract: Optional[bool] = None
@@ -193,14 +191,3 @@ class AstGenerator:
                 scope[stmt.attrs["var"]] = stmt.attrs["class_name"]
             body.append(stmt)
         return ast.function_def(name, tuple(body))
-
-    def random_ttp_function(self, technique_ident: str) -> AstNode:
-        """Concrete function with at least one object, for store fixtures."""
-        fn = self.random_function(name=technique_ident, abstract=False)
-        if not fn.children:
-            fn = ast.function_def(technique_ident, (self.random_instantiation({}),))
-        return fn
-
-    def random_module(self) -> AstNode:
-        count = self.rng.randrange(0, self.max_functions + 1)
-        return ast.module(tuple(self.random_function() for _ in range(count)))

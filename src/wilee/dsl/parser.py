@@ -1,19 +1,29 @@
 """Lexer and recursive-descent parser for the DSL.
 
-``parse`` is total over byte strings: it returns a Module AST or raises
-:class:`DslSyntaxError`; no input may crash it.  Spans attached to nodes
+``parse`` is total over text and bytes: it returns a Module AST or
+raises :class:`DslSyntaxError`; no input may crash it.  Bytes that are
+not UTF-8, and text holding a lone surrogate, fail at the line where
+they occur.
+
+``tokenize`` reads one line at a time.  Lines end at ``\\n``; one ``\\r``
+before it is dropped, and any other ``\\r`` outside a string or comment
+is an error.  Each token is one match of a single pattern (a name, a
+string literal, a punctuation mark or a run of spaces); the identifier
+and string-literal rules come from :mod:`.vocab`, which the printer
+shares.  Token columns count characters from 1; token and node spans
 are byte ranges into the UTF-8 encoding of the source.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
 from . import ast
 from .ast import AstNode, RELATION_VERBS
-from .vocab import KEYWORDS, normalize_step
+from .vocab import IDENTIFIER_RE, KEYWORDS, STRING_LITERAL, normalize_step, unquote_string
 
 BIND_KEYS = ("ioc_type", "technique", "pattern")
 
@@ -55,157 +65,75 @@ class Token:
     span: tuple[int, int]
 
 
-_KEYWORDS = {word: TokenType(word) for word in KEYWORDS}
-_PUNCT = {
-    "(": TokenType.LPAREN,
-    ")": TokenType.RPAREN,
-    ":": TokenType.COLON,
-    "=": TokenType.ASSIGN,
-    ".": TokenType.DOT,
-    ",": TokenType.COMMA,
-}
+_MARKS = "():=.,"
+
+# The fixed tokens: keywords and punctuation marks.
+_FIXED = {text: TokenType(text) for text in (*KEYWORDS, *_MARKS)}
+
+# One token: a name, a string literal, a punctuation mark or a run of spaces.
+_TOKEN = re.compile(
+    f"(?P<name>{IDENTIFIER_RE.pattern})|(?P<string>{STRING_LITERAL})"
+    f"|(?P<punct>[{re.escape(_MARKS)}])|(?P<space> +)"
+)
 
 
-class _Lexer:
-    """Line-oriented lexer with Python-style INDENT/DEDENT tokens."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0  # char index
-        self.byte = 0  # byte offset of self.pos
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            ch = self.source[self.pos]
-            self.byte += len(ch.encode("utf-8"))
-            self.pos += 1
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def error(self, message: str, expected: tuple[str, ...] = ()) -> DslSyntaxError:
-        return DslSyntaxError(message, self.line, self.col, expected)
-
-    def tokens(self) -> list[Token]:
-        out: list[Token] = []
-        indents = [0]
-        while self.pos < len(self.source):
-            # Start of a line: measure indentation, skip blank/comment lines.
-            indent = 0
-            while self._peek() == " ":
-                indent += 1
-                self._advance()
-            if self._peek() == "\t":
-                raise self.error("tabs are not allowed in indentation")
-            if self._peek() in ("\n", "") or self._peek() == "#" or (
-                self._peek() == "\r" and self._peek(1) == "\n"
-            ):
-                self._skip_to_eol()
-                continue
-            if indent > indents[-1]:
-                indents.append(indent)
-                out.append(self._mark(TokenType.INDENT, ""))
-                if len(indents) > 2:
-                    raise self.error("unexpected indent")
-            while indent < indents[-1]:
-                indents.pop()
-                out.append(self._mark(TokenType.DEDENT, ""))
-            if indent != indents[-1]:
-                raise self.error("unindent does not match any outer level")
-            out.extend(self._lex_line())
-        while len(indents) > 1:
+def tokenize(source: str) -> list[Token]:
+    """Tokens of ``source``, with Python-style INDENT/DEDENT, one line at
+    a time.  Lines end at ``\\n``, and one ``\\r`` before it is dropped.
+    Columns count characters; spans are byte offsets into the UTF-8
+    encoding of ``source``, which must encode."""
+    out: list[Token] = []
+    indents = [0]
+    lines = source.split("\n")
+    next_start = 0  # byte offset of the line after the current one
+    for lineno, line in enumerate(lines, 1):
+        ascii_line = line.isascii()
+        line_start = next_start
+        next_start += 1 + (len(line) if ascii_line else len(line.encode("utf-8")))
+        if lineno < len(lines) and line.endswith("\r"):
+            line = line[:-1]
+        rest = line.lstrip(" ")
+        pos = len(line) - len(rest)
+        if rest[:1] == "\t":
+            raise DslSyntaxError("tabs are not allowed in indentation", lineno, pos + 1)
+        if rest[:1] in ("", "#"):
+            continue  # a blank or comment-only line
+        offset = line_start + pos
+        if pos > indents[-1]:
+            indents.append(pos)
+            out.append(Token(TokenType.INDENT, "", lineno, pos + 1, (offset, offset)))
+            if len(indents) > 2:
+                raise DslSyntaxError("unexpected indent", lineno, pos + 1)
+        while pos < indents[-1]:
             indents.pop()
-            out.append(self._mark(TokenType.DEDENT, ""))
-        out.append(self._mark(TokenType.EOF, ""))
-        return out
-
-    def _mark(self, type_: TokenType, value: str) -> Token:
-        return Token(type_, value, self.line, self.col, (self.byte, self.byte))
-
-    def _skip_to_eol(self) -> None:
-        while self.pos < len(self.source) and self._peek() != "\n":
-            if self._peek() == "\r" and self._peek(1) == "\n":
-                self._advance()
-                break
-            self._advance()
-        if self.pos < len(self.source):
-            self._advance()  # the newline itself
-
-    def _lex_line(self) -> list[Token]:
-        out: list[Token] = []
-        while True:
-            ch = self._peek()
-            if ch == "" or ch == "\n" or (ch == "\r" and self._peek(1) == "\n"):
-                out.append(self._mark(TokenType.NEWLINE, ""))
-                self._skip_to_eol()
-                return out
-            if ch == "#":
-                out.append(self._mark(TokenType.NEWLINE, ""))
-                self._skip_to_eol()
-                return out
-            if ch == " ":
-                self._advance()
-                continue
-            if ch == "\t":
-                raise self.error("tabs are not allowed here")
-            if ch in _PUNCT:
-                start = (self.byte, self.line, self.col)
-                self._advance()
-                out.append(
-                    Token(_PUNCT[ch], ch, start[1], start[2], (start[0], self.byte))
-                )
-                continue
-            if ch == '"':
-                out.append(self._lex_string())
-                continue
-            if ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ch == "_":
-                out.append(self._lex_name())
-                continue
-            raise self.error(f"unexpected character {ch!r}")
-
-    def _lex_name(self) -> Token:
-        start_byte, line, col = self.byte, self.line, self.col
-        chars = []
-        while True:
-            ch = self._peek()
-            if ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ("0" <= ch <= "9") or ch == "_":
-                chars.append(ch)
-                self._advance()
-            else:
-                break
-        text = "".join(chars)
-        type_ = _KEYWORDS.get(text, TokenType.NAME)
-        return Token(type_, text, line, col, (start_byte, self.byte))
-
-    def _lex_string(self) -> Token:
-        """Double-quoted string.  Backslash is literal except before a
-        backslash or a double quote, so registry paths read naturally."""
-        start_byte, line, col = self.byte, self.line, self.col
-        self._advance()  # opening quote
-        chars = []
-        while True:
-            ch = self._peek()
-            if ch == "" or ch == "\n":
-                raise DslSyntaxError("unterminated string", line, col, ('"',))
-            if ch == '"':
-                self._advance()
-                return Token(
-                    TokenType.STRING, "".join(chars), line, col, (start_byte, self.byte)
-                )
-            if ch == "\\" and self._peek(1) in ("\\", '"'):
-                chars.append(self._peek(1))
-                self._advance(2)
-            else:
-                chars.append(ch)
-                self._advance()
+            out.append(Token(TokenType.DEDENT, "", lineno, pos + 1, (offset, offset)))
+        if pos != indents[-1]:
+            raise DslSyntaxError("unindent does not match any outer level", lineno, pos + 1)
+        while pos < len(line):
+            m = _TOKEN.match(line, pos)
+            if m is None:
+                ch = line[pos]
+                if ch == "#":
+                    break  # a comment runs to the end of the line
+                if ch == '"':
+                    raise DslSyntaxError("unterminated string", lineno, pos + 1, ('"',))
+                if ch == "\t":
+                    raise DslSyntaxError("tabs are not allowed here", lineno, pos + 1)
+                raise DslSyntaxError(f"unexpected character {ch!r}", lineno, pos + 1)
+            end = m.end()
+            end_offset = line_start + (end if ascii_line else len(line[:end].encode("utf-8")))
+            kind, text = m.lastgroup, m.group()
+            if kind == "string":
+                out.append(Token(TokenType.STRING, unquote_string(text), lineno, pos + 1, (offset, end_offset)))
+            elif kind != "space":
+                out.append(Token(_FIXED.get(text, TokenType.NAME), text, lineno, pos + 1, (offset, end_offset)))
+            pos, offset = end, end_offset
+        out.append(Token(TokenType.NEWLINE, "", lineno, pos + 1, (offset, offset)))
+    end = next_start - 1
+    col = len(lines[-1]) + 1
+    out.extend(Token(TokenType.DEDENT, "", len(lines), col, (end, end)) for _ in indents[1:])
+    out.append(Token(TokenType.EOF, "", len(lines), col, (end, end)))
+    return out
 
 
 class _Parser:
@@ -386,9 +314,12 @@ def parse(source: Union[str, bytes]) -> AstNode:
         except UnicodeDecodeError as exc:
             line = source[: exc.start].count(b"\n") + 1
             raise DslSyntaxError("source is not valid UTF-8", line, 1) from None
+        data = source
     else:
         text = source
-    tokens = _Lexer(text).tokens()
-    total = len(text.encode("utf-8"))
-    parser = _Parser(tokens, total)
-    return parser.parse_module()
+        try:
+            data = text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            line = text.count("\n", 0, exc.start) + 1
+            raise DslSyntaxError("source is not valid UTF-8", line, 1) from None
+    return _Parser(tokenize(text), len(data)).parse_module()

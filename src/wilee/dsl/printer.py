@@ -14,7 +14,7 @@ from .ast import (
     RELATION_VERBS,
     VALUE_KINDS,
 )
-from .vocab import is_identifier, step_identifier
+from .vocab import is_identifier, quote_string, step_identifier
 
 INDENT = "    "
 
@@ -33,26 +33,6 @@ def _check_name(node: AstNode, name: str, what: str) -> str:
     return name
 
 
-def escape_string(value: str) -> str:
-    """Encode a literal for source form.  Backslashes are literal unless
-    they would be read as an escape, i.e. before ``\\``, ``"`` or at the
-    end of the string."""
-    out = []
-    n = len(value)
-    i = 0
-    while i < n:
-        ch = value[i]
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            nxt = value[i + 1] if i + 1 < n else None
-            out.append("\\\\" if nxt in ("\\", '"', None) else "\\")
-        else:
-            out.append(ch)
-        i += 1
-    return '"' + "".join(out) + '"'
-
-
 def _print_value(node: AstNode) -> str:
     if node.kind is NodeKind.LITERAL:
         _require("value" in node.attrs, node, "missing value attr")
@@ -60,7 +40,7 @@ def _print_value(node: AstNode) -> str:
         value = node.attrs["value"]
         _require(isinstance(value, str), node, "literal value must be a string")
         _require("\n" not in value, node, "literal value may not contain newlines")
-        return escape_string(value)
+        return quote_string(value)
     if node.kind is NodeKind.BIND_EXPR:
         _require(not node.children, node, "bind takes no children")
         _require("ioc_type" in node.attrs, node, "missing ioc_type attr")
@@ -70,7 +50,7 @@ def _print_value(node: AstNode) -> str:
         for key in ("technique", "pattern"):
             if key in node.attrs:
                 _require("\n" not in node.attrs[key], node, f"{key} may not contain newlines")
-                parts.append(f"{key}={escape_string(node.attrs[key])}")
+                parts.append(f"{key}={quote_string(node.attrs[key])}")
         return "bind(" + ", ".join(parts) + ")"
     raise InvalidAstError(f"{node.kind.value}: not a value node")
 

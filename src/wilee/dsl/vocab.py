@@ -1,4 +1,5 @@
-"""Shared vocabularies: IOC types, tactic names, step-name mapping.
+"""Shared vocabularies: IOC types, tactic names, step-name mapping, and
+the identifier and string-literal rules the lexer and printer share.
 
 Step identifiers in DSL source are plain identifiers (``t1552_002``,
 ``credential_access``); the rest of the pipeline works with their
@@ -51,6 +52,27 @@ IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 #: Reserved words of the DSL; they lex as keywords, never as names.
 KEYWORDS = frozenset({"def", "pass"})
+
+#: A double-quoted string literal on one line.  A backslash escapes only a
+#: backslash or a double quote and is a literal character anywhere else,
+#: so registry paths read naturally.  The three branches never overlap,
+#: so a failed match never re-reads an escape as a literal backslash.
+STRING_LITERAL = r'"(?:\\[\\"]|\\(?![\\"])|[^"\\])*"'
+
+_ESCAPED = re.compile(r'\\([\\"])')
+_TO_ESCAPE = re.compile(r'\\(?=[\\"]|\Z)|"')
+
+
+def unquote_string(literal: str) -> str:
+    """The value of a :data:`STRING_LITERAL` match."""
+    return _ESCAPED.sub(r"\1", literal[1:-1])
+
+
+def quote_string(value: str) -> str:
+    """The literal that :func:`unquote_string` reads back as ``value``:
+    a backslash is doubled only before a backslash, a double quote or the
+    closing quote."""
+    return '"' + _TO_ESCAPE.sub(r"\\\g<0>", value) + '"'
 
 
 def is_identifier(name: str) -> bool:

@@ -121,7 +121,7 @@ class NdjsonProxy:
             for lineno, doc in read_jsonl(self.path):
                 try:
                     event_id = keep(doc)
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                except ValueError as exc:
                     raise FormatError(str(self.path), lineno, str(exc)) from None
                 if event_id in seen:
                     raise FormatError(str(self.path), lineno, f"duplicate event_id {event_id!r}")
@@ -141,24 +141,42 @@ class NdjsonProxy:
 def _checked(doc: dict) -> tuple[str, str, str, str, dict, tuple[tuple[str, str], ...]]:
     """``(event_id, timestamp, host, entity_class, fields, links)`` of an
     event line, with ``fields`` as read.  Checks, in this order, that
-    ``fields`` is a mapping, that each link has ``verb`` and ``target``,
-    and that the four keys are present; the error's text is the line's
-    message.  The timestamp is left for the caller to parse."""
+    ``fields`` is a JSON object, that each link has ``verb`` and
+    ``target``, and that the four keys are present; a failed check raises
+    a :class:`ValueError` saying what is wrong.  The timestamp is left for
+    the caller to parse."""
     fields = doc.get("fields", {})
     if not isinstance(fields, dict):
-        # The text Python gives for ``.items()`` on a value that is not a mapping.
-        raise AttributeError(f"{type(fields).__name__!r} object has no attribute 'items'")
+        raise ValueError("'fields' must be a JSON object")
     links = ()
     if "links" in doc:
-        links = tuple((str(link["verb"]), str(link["target"])) for link in doc["links"])
-    return (
-        str(doc["event_id"]),
-        str(doc["timestamp"]),
-        str(doc["host"]),
-        str(doc["entity_class"]),
-        fields,
-        links,
-    )
+        try:
+            links = tuple((str(link["verb"]), str(link["target"])) for link in doc["links"])
+        except (KeyError, TypeError):
+            raise ValueError(_link_fault(doc["links"])) from None
+    try:
+        return (
+            str(doc["event_id"]),
+            str(doc["timestamp"]),
+            str(doc["host"]),
+            str(doc["entity_class"]),
+            fields,
+            links,
+        )
+    except KeyError as exc:
+        raise ValueError(f"missing {exc.args[0]!r}") from None
+
+
+def _link_fault(links) -> str:
+    """What is wrong with a ``links`` value that could not be read."""
+    if isinstance(links, list):
+        for i, link in enumerate(links, 1):
+            if not isinstance(link, dict):
+                return f"link {i} must be a JSON object"
+            for key in ("verb", "target"):
+                if key not in link:
+                    return f"link {i} has no {key!r}"
+    return "'links' must be a list"
 
 
 def _text_fields(fields: dict) -> dict[str, str]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from wilee.dsl import parse
+from wilee.dsl import function_def, module, parse
 from wilee.stores import DataModel, IocDb, IocRecord, TtpRecord, TtpStore
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -40,6 +40,21 @@ T1059_SRC = '''def t1059_001():
 
 def function_from(source: str):
     return parse(source).children[0]
+
+
+def random_module(gen, max_functions: int = 4):
+    """A module of up to ``max_functions`` functions from ``gen``, an
+    :class:`AstGenerator`."""
+    count = gen.rng.randrange(0, max_functions + 1)
+    return module(tuple(gen.random_function() for _ in range(count)))
+
+
+def random_ttp_function(gen, technique_ident: str):
+    """A concrete function with at least one object, for store fixtures."""
+    fn = gen.random_function(name=technique_ident, abstract=False)
+    if not fn.children:
+        fn = function_def(technique_ident, (gen.random_instantiation({}),))
+    return fn
 
 
 def step_names(desc) -> tuple[str, ...]:
@@ -222,24 +237,35 @@ def _line(**doc) -> bytes:
     return json.dumps({**base, **doc}).encode()
 
 
-#: Malformed event-log lines, by name, that no hunt filter of the
-#: putty workspace asks for.  Written after ``PlantedAttack`` events,
-#: each must fail any read of the log at its own line.
+#: Malformed event-log lines, by name, with the message a read gives for
+#: each; no hunt filter of the putty workspace asks for them.  Written
+#: after ``PlantedAttack`` events, each must fail any read of the log at
+#: its own line.
 MALFORMED_EVENT_LINES = {
-    "invalid-json": b'{"event_id": "bad1", "timestamp"',
-    "not-an-object": b"[1, 2]",
-    "not-utf8": _line(fields={"path": "C:\\x"}).replace(b"C:", b"\xffC:"),
-    "bad-timestamp": _line(timestamp="yesterday", fields={}),
-    "numeric-timestamp": _line(timestamp=5, fields={}),
-    "duplicate-id": _line(event_id="atk-reg", fields={"path": "C:\\x"}),
-    "fields-list": _line(fields=["path"]),
-    "fields-null": _line(fields=None),
-    "link-without-verb": _line(fields={}, links=[{"target": "atk-reg"}]),
-    "link-without-target": _line(fields={}, links=[{"verb": "observed"}]),
-    "link-a-string": _line(fields={}, links=["observed"]),
-    "links-a-number": _line(fields={}, links=5),
-    "links-null": _line(fields={}, links=None),
-    "missing-host": json.dumps({"event_id": "bad1", "timestamp": "2026-03-01T07:00:00Z", "entity_class": "File"}).encode(),
+    "invalid-json": (b'{"event_id": "bad1", "timestamp"', "Expecting ':' delimiter"),
+    "not-an-object": (b"[1, 2]", "expected a JSON object"),
+    "not-utf8": (
+        _line(fields={"path": "C:\\x"}).replace(b"C:", b"\xffC:"),
+        "not UTF-8: invalid start byte at byte 120",
+    ),
+    "bad-timestamp": (_line(timestamp="yesterday", fields={}), "Invalid isoformat string: 'yesterday'"),
+    "numeric-timestamp": (_line(timestamp=5, fields={}), "Invalid isoformat string: '5'"),
+    "duplicate-id": (_line(event_id="atk-reg", fields={"path": "C:\\x"}), "duplicate event_id 'atk-reg'"),
+    "fields-list": (_line(fields=["path"]), "'fields' must be a JSON object"),
+    "fields-null": (_line(fields=None), "'fields' must be a JSON object"),
+    "link-without-verb": (_line(fields={}, links=[{"target": "atk-reg"}]), "link 1 has no 'verb'"),
+    "link-without-target": (_line(fields={}, links=[{"verb": "observed"}]), "link 1 has no 'target'"),
+    "second-link-without-target": (
+        _line(fields={}, links=[{"verb": "observed", "target": "atk-reg"}, {"verb": "has"}]),
+        "link 2 has no 'target'",
+    ),
+    "link-a-string": (_line(fields={}, links=["observed"]), "link 1 must be a JSON object"),
+    "links-a-number": (_line(fields={}, links=5), "'links' must be a list"),
+    "links-null": (_line(fields={}, links=None), "'links' must be a list"),
+    "missing-host": (
+        json.dumps({"event_id": "bad1", "timestamp": "2026-03-01T07:00:00Z", "entity_class": "File"}).encode(),
+        "missing 'host'",
+    ),
 }
 
 

@@ -11,6 +11,8 @@ import itertools
 import re
 from datetime import timedelta
 
+from wilee.dsl.parser import DslSyntaxError, Token, TokenType
+
 
 # ---------------------------------------------------------------------------
 # Glob / query execution
@@ -327,3 +329,167 @@ def oracle_novelty(candidate_behavior, other_behaviors, k) -> float:
     )
     nearest = distances[:k]
     return sum(nearest) / len(nearest)
+
+
+# ---------------------------------------------------------------------------
+# DSL lexer
+# ---------------------------------------------------------------------------
+
+# A lexer that reads one character at a time: ``dsl.parser.tokenize`` must
+# agree with it token for token and error for error.
+
+_KEYWORDS = {"def": TokenType.DEF, "pass": TokenType.PASS}
+_PUNCT = {
+    "(": TokenType.LPAREN,
+    ")": TokenType.RPAREN,
+    ":": TokenType.COLON,
+    "=": TokenType.ASSIGN,
+    ".": TokenType.DOT,
+    ",": TokenType.COMMA,
+}
+
+
+class _Lexer:
+    """Line-oriented lexer with Python-style INDENT/DEDENT tokens."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.pos = 0  # char index
+        self.byte = 0  # byte offset of self.pos
+        self.line = 1
+        self.col = 1
+
+    def _advance(self, n: int = 1) -> None:
+        for _ in range(n):
+            ch = self.source[self.pos]
+            self.byte += len(ch.encode("utf-8"))
+            self.pos += 1
+            if ch == "\n":
+                self.line += 1
+                self.col = 1
+            else:
+                self.col += 1
+
+    def _peek(self, offset: int = 0) -> str:
+        i = self.pos + offset
+        return self.source[i] if i < len(self.source) else ""
+
+    def error(self, message: str, expected: tuple[str, ...] = ()) -> DslSyntaxError:
+        return DslSyntaxError(message, self.line, self.col, expected)
+
+    def tokens(self) -> list[Token]:
+        out: list[Token] = []
+        indents = [0]
+        while self.pos < len(self.source):
+            # Start of a line: measure indentation, skip blank/comment lines.
+            indent = 0
+            while self._peek() == " ":
+                indent += 1
+                self._advance()
+            if self._peek() == "\t":
+                raise self.error("tabs are not allowed in indentation")
+            if self._peek() in ("\n", "") or self._peek() == "#" or (
+                self._peek() == "\r" and self._peek(1) == "\n"
+            ):
+                self._skip_to_eol()
+                continue
+            if indent > indents[-1]:
+                indents.append(indent)
+                out.append(self._mark(TokenType.INDENT, ""))
+                if len(indents) > 2:
+                    raise self.error("unexpected indent")
+            while indent < indents[-1]:
+                indents.pop()
+                out.append(self._mark(TokenType.DEDENT, ""))
+            if indent != indents[-1]:
+                raise self.error("unindent does not match any outer level")
+            out.extend(self._lex_line())
+        while len(indents) > 1:
+            indents.pop()
+            out.append(self._mark(TokenType.DEDENT, ""))
+        out.append(self._mark(TokenType.EOF, ""))
+        return out
+
+    def _mark(self, type_: TokenType, value: str) -> Token:
+        return Token(type_, value, self.line, self.col, (self.byte, self.byte))
+
+    def _skip_to_eol(self) -> None:
+        while self.pos < len(self.source) and self._peek() != "\n":
+            if self._peek() == "\r" and self._peek(1) == "\n":
+                self._advance()
+                break
+            self._advance()
+        if self.pos < len(self.source):
+            self._advance()  # the newline itself
+
+    def _lex_line(self) -> list[Token]:
+        out: list[Token] = []
+        while True:
+            ch = self._peek()
+            if ch == "" or ch == "\n" or (ch == "\r" and self._peek(1) == "\n"):
+                out.append(self._mark(TokenType.NEWLINE, ""))
+                self._skip_to_eol()
+                return out
+            if ch == "#":
+                out.append(self._mark(TokenType.NEWLINE, ""))
+                self._skip_to_eol()
+                return out
+            if ch == " ":
+                self._advance()
+                continue
+            if ch == "\t":
+                raise self.error("tabs are not allowed here")
+            if ch in _PUNCT:
+                start = (self.byte, self.line, self.col)
+                self._advance()
+                out.append(
+                    Token(_PUNCT[ch], ch, start[1], start[2], (start[0], self.byte))
+                )
+                continue
+            if ch == '"':
+                out.append(self._lex_string())
+                continue
+            if ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ch == "_":
+                out.append(self._lex_name())
+                continue
+            raise self.error(f"unexpected character {ch!r}")
+
+    def _lex_name(self) -> Token:
+        start_byte, line, col = self.byte, self.line, self.col
+        chars = []
+        while True:
+            ch = self._peek()
+            if ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ("0" <= ch <= "9") or ch == "_":
+                chars.append(ch)
+                self._advance()
+            else:
+                break
+        text = "".join(chars)
+        type_ = _KEYWORDS.get(text, TokenType.NAME)
+        return Token(type_, text, line, col, (start_byte, self.byte))
+
+    def _lex_string(self) -> Token:
+        """Double-quoted string.  Backslash is literal except before a
+        backslash or a double quote, so registry paths read naturally."""
+        start_byte, line, col = self.byte, self.line, self.col
+        self._advance()  # opening quote
+        chars = []
+        while True:
+            ch = self._peek()
+            if ch == "" or ch == "\n":
+                raise DslSyntaxError("unterminated string", line, col, ('"',))
+            if ch == '"':
+                self._advance()
+                return Token(
+                    TokenType.STRING, "".join(chars), line, col, (start_byte, self.byte)
+                )
+            if ch == "\\" and self._peek(1) in ("\\", '"'):
+                chars.append(self._peek(1))
+                self._advance(2)
+            else:
+                chars.append(ch)
+                self._advance()
+
+
+def oracle_tokens(source: str) -> list[Token]:
+    return _Lexer(source).tokens()

@@ -13,6 +13,8 @@ from conftest import (
     T1552_PUTTY_SRC,
     T1552_RUNKEY_SRC,
     build_store,
+    random_module,
+    random_ttp_function,
     write_ndjson,
 )
 from oracles import (
@@ -79,7 +81,7 @@ def test_criterion_1_dsl_roundtrip():
     started = time.perf_counter()
     failures = 0
     for _ in range(1000):
-        tree = gen.random_module()
+        tree = random_module(gen)
         if parse(pretty_print(tree)) != tree:
             failures += 1
     elapsed = time.perf_counter() - started
@@ -109,7 +111,7 @@ def test_criterion_2_concretization_counting(model):
                 tags = tuple(rng.sample(tactics, rng.randrange(0, 3)))
                 ident = "t" + t[1:].replace(".", "_")
                 store.records.append(
-                    TtpRecord(t, tags, "SME", gen.random_ttp_function(ident))
+                    TtpRecord(t, tags, "SME", random_ttp_function(gen, ident))
                 )
         steps = [
             rng.choice(techniques + tactics) for _ in range(rng.randrange(1, 4))

@@ -304,8 +304,9 @@ def _event_after_hits(name):
     malformed line they would not keep."""
 
     def build(workspace, tmp_path):
-        log = log_ending_with(tmp_path / "events.ndjson", MALFORMED_EVENT_LINES[name])
-        return hunt_args(workspace, log, tmp_path / "out"), "events.ndjson:4:"
+        line, message = MALFORMED_EVENT_LINES[name]
+        log = log_ending_with(tmp_path / "events.ndjson", line)
+        return hunt_args(workspace, log, tmp_path / "out"), f"events.ndjson:4: {message}\n"
 
     return build
 

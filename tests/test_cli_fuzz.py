@@ -28,7 +28,7 @@ from importlib import resources
 
 import pytest
 
-from conftest import FIXTURES, PlantedAttack, T1059_SRC, T1552_PUTTY_SRC, synth_log, write_ndjson
+from conftest import FIXTURES, PlantedAttack, T1059_SRC, T1552_PUTTY_SRC, random_module, synth_log, write_ndjson
 
 from wilee.cli import main
 from wilee.dsl import AstGenerator, DslSyntaxError, ThreatDescription, parse, pretty_print, validate
@@ -280,12 +280,12 @@ def _splice(rng, a, b):
 def test_spliced_sources_parse_or_raise_syntax_error():
     model = DataModel.default()
     rng = random.Random(2104)
-    gen = AstGenerator(rng, model=model, max_functions=3, max_statements=5)
+    gen = AstGenerator(rng, model=model, max_statements=5)
     terminals = ["def", "pass", "bind", "(", ")", ":", "=", ".", ",", "\n", "    "]
     parsed = clean = 0
     for _ in range(400):
-        a = _tokens(pretty_print(gen.random_module()))
-        b = _tokens(pretty_print(gen.random_module())) + terminals
+        a = _tokens(pretty_print(random_module(gen, max_functions=3)))
+        b = _tokens(pretty_print(random_module(gen, max_functions=3))) + terminals
         source = "".join(_splice(rng, a, b))
         try:
             tree = parse(source)

@@ -586,7 +586,8 @@ def test_filtered_read_equals_execute_on_random_logs(tmp_path):
 
 @pytest.mark.parametrize("name", list(MALFORMED_EVENT_LINES))
 def test_whole_and_filtered_reads_fail_alike(tmp_path, name):
-    log = log_ending_with(tmp_path / "events.ndjson", MALFORMED_EVENT_LINES[name])
+    line, message = MALFORMED_EVENT_LINES[name]
+    log = log_ending_with(tmp_path / "events.ndjson", line)
     keys = [
         memo_key(make_descriptor("WinRegistryKey", [Predicate("Hive", "glob", "Software\\*\\Putty\\Sessions")]), IocDb()),
         memo_key(make_descriptor("Process", []), IocDb()),
@@ -597,4 +598,4 @@ def test_whole_and_filtered_reads_fail_alike(tmp_path, name):
             read()
         messages.append(str(info.value))
     assert messages[0] == messages[1]
-    assert messages[0].startswith(f"{log}:4: ")
+    assert messages[0] == f"{log}:4: {message}"

@@ -8,6 +8,7 @@ from conftest import (
     T1552_PUTTY_SRC,
     build_store,
     function_from,
+    random_ttp_function,
     step_names,
     synth_log,
     write_ndjson,
@@ -42,7 +43,7 @@ def make_store_with_variants(model, spec):
         ident = "t" + technique[1:].replace(".", "_").lower()
         for _ in range(count):
             store.records.append(
-                TtpRecord(technique, ("execution",), "SME", gen.random_ttp_function(ident))
+                TtpRecord(technique, ("execution",), "SME", random_ttp_function(gen, ident))
             )
     return store
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_store
+from conftest import build_store, random_ttp_function
 
 from wilee.dsl import AstGenerator, NodeKind, parse, pretty_print_node, validate
 from wilee.malmo import (
@@ -68,7 +68,7 @@ def test_priors_equal_full_ast_recount(model):
 
     for i in range(20):
         store.records.append(
-            TtpRecord("T1000", (), "SME", gen.random_ttp_function(f"fn{i}"))
+            TtpRecord("T1000", (), "SME", random_ttp_function(gen, f"fn{i}"))
         )
     priors = mine_relation_priors(store)
     recount: dict = {}

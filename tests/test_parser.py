@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from wilee.dsl import DslSyntaxError, NodeKind, parse
+from conftest import FIXTURES, random_module
+from oracles import oracle_tokens
+
+from wilee.dsl import AstGenerator, DslSyntaxError, NodeKind, parse, pretty_print
+from wilee.dsl.parser import tokenize
+from wilee.stores import DataModel
 
 
 def test_putty_example_shape():
@@ -117,6 +122,109 @@ def test_syntax_errors_carry_position(source, line, fragment):
     assert fragment.lower() in str(err.value).lower()
 
 
+@pytest.mark.parametrize(
+    "source, line, col, message, expected",
+    [
+        ("def f():\n  \tpass\n", 2, 3, "tabs are not allowed in indentation", ()),
+        ("def f():\n    p = Process()\t\n", 2, 18, "tabs are not allowed here", ()),
+        ("def f():\r    pass\n", 1, 9, "unexpected character '\\r'", ()),
+        ('def f():\n    p.name = "abc\n', 2, 14, "unterminated string", ('"',)),
+        ('def f():\n    p.name = "abc\\"\n', 2, 14, "unterminated string", ('"',)),
+        ("def f():\n    a = B()\n        c = D()\n", 3, 9, "unexpected indent", ()),
+        ("def f():\n    a = B()\n  c = D()\n", 3, 3, "unindent does not match any outer level", ()),
+        ("def f():\n    a = B() $\n", 2, 13, "unexpected character '$'", ()),
+    ],
+    ids=["tab-indent", "tab-in-line", "lone-cr", "unterminated", "escaped-quote-at-eol",
+         "unexpected-indent", "unindent-mismatch", "unexpected-character"],
+)
+def test_lexer_errors_at_exact_positions(source, line, col, message, expected):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(source)
+    assert (err.value.line, err.value.col, err.value.expected) == (line, col, expected)
+    suffix = f' (expected {", ".join(expected)})' if expected else ""
+    assert str(err.value) == f"{line}:{col}: {message}{suffix}"
+
+
+_HEAD = [
+    ("DEF", "def", 1, 1, (0, 3)),
+    ("NAME", "f", 1, 5, (4, 5)),
+    ("LPAREN", "(", 1, 6, (5, 6)),
+    ("RPAREN", ")", 1, 7, (6, 7)),
+    ("COLON", ":", 1, 8, (7, 8)),
+]
+
+
+@pytest.mark.parametrize(
+    "source, tokens",
+    [
+        (
+            "def f():\r\n    pass\r\n",
+            [("NEWLINE", "", 1, 9, (8, 8)),
+             ("INDENT", "", 2, 5, (14, 14)),
+             ("PASS", "pass", 2, 5, (14, 18)),
+             ("NEWLINE", "", 2, 9, (18, 18)),
+             ("DEDENT", "", 3, 1, (20, 20)),
+             ("EOF", "", 3, 1, (20, 20))],
+        ),
+        (
+            'def f():\n    p.n = "é漢" # µ\n    a = B()\n',
+            [("NEWLINE", "", 1, 9, (8, 8)),
+             ("INDENT", "", 2, 5, (13, 13)),
+             ("NAME", "p", 2, 5, (13, 14)),
+             ("DOT", ".", 2, 6, (14, 15)),
+             ("NAME", "n", 2, 7, (15, 16)),
+             ("ASSIGN", "=", 2, 9, (17, 18)),
+             ("STRING", "é漢", 2, 11, (19, 26)),
+             ("NEWLINE", "", 2, 16, (27, 27)),
+             ("NAME", "a", 3, 5, (36, 37)),
+             ("ASSIGN", "=", 3, 7, (38, 39)),
+             ("NAME", "B", 3, 9, (40, 41)),
+             ("LPAREN", "(", 3, 10, (41, 42)),
+             ("RPAREN", ")", 3, 11, (42, 43)),
+             ("NEWLINE", "", 3, 12, (43, 43)),
+             ("DEDENT", "", 4, 1, (44, 44)),
+             ("EOF", "", 4, 1, (44, 44))],
+        ),
+        (
+            'def f():\n    p.n = "a#b"  # c\n',
+            [("NEWLINE", "", 1, 9, (8, 8)),
+             ("INDENT", "", 2, 5, (13, 13)),
+             ("NAME", "p", 2, 5, (13, 14)),
+             ("DOT", ".", 2, 6, (14, 15)),
+             ("NAME", "n", 2, 7, (15, 16)),
+             ("ASSIGN", "=", 2, 9, (17, 18)),
+             ("STRING", "a#b", 2, 11, (19, 24)),
+             ("NEWLINE", "", 2, 18, (26, 26)),
+             ("DEDENT", "", 3, 1, (30, 30)),
+             ("EOF", "", 3, 1, (30, 30))],
+        ),
+        (
+            "def f():\n    pass",
+            [("NEWLINE", "", 1, 9, (8, 8)),
+             ("INDENT", "", 2, 5, (13, 13)),
+             ("PASS", "pass", 2, 5, (13, 17)),
+             ("NEWLINE", "", 2, 9, (17, 17)),
+             ("DEDENT", "", 2, 9, (17, 17)),
+             ("EOF", "", 2, 9, (17, 17))],
+        ),
+        (
+            "def f():\n    pass\n# end\r",
+            [("NEWLINE", "", 1, 9, (8, 8)),
+             ("INDENT", "", 2, 5, (13, 13)),
+             ("PASS", "pass", 2, 5, (13, 17)),
+             ("NEWLINE", "", 2, 9, (17, 17)),
+             ("DEDENT", "", 3, 7, (24, 24)),
+             ("EOF", "", 3, 7, (24, 24))],
+        ),
+    ],
+    ids=["crlf", "non-ascii-literal", "hash-in-string-and-after-code", "no-final-newline",
+         "final-comment-ending-in-cr"],
+)
+def test_token_positions_and_byte_spans(source, tokens):
+    got = [(t.type.name, t.value, t.line, t.col, t.span) for t in tokenize(source)]
+    assert got == _HEAD + tokens
+
+
 def test_expected_token_set_reported():
     with pytest.raises(DslSyntaxError) as err:
         parse("def f():\n    a.unknownverb(b)\n")
@@ -126,6 +234,18 @@ def test_expected_token_set_reported():
 def test_invalid_utf8_bytes_rejected():
     with pytest.raises(DslSyntaxError):
         parse(b"def f():\n    \xff\xfe pass\n")
+
+
+@pytest.mark.parametrize(
+    "source, line",
+    [("# \ud800\n", 1), ('def f():\n    p = Process()\n    p.name = "\ud800"\n', 3)],
+    ids=["in-comment", "in-literal"],
+)
+def test_lone_surrogate_is_a_syntax_error(source, line):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(source)
+    assert (err.value.line, err.value.col) == (line, 1)
+    assert str(err.value) == f"{line}:1: source is not valid UTF-8"
 
 
 def test_parse_total_over_random_bytes():
@@ -140,10 +260,56 @@ def test_parse_total_over_random_bytes():
 
 def test_parse_total_over_random_text():
     rng = random.Random(7)
-    alphabet = 'def pass():="\\\n\t #abcxyz*_'
+    alphabet = 'def pass():="\\\n\t #abcxyz*_\ré\ud800'
     for _ in range(800):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 80)))
         try:
             parse(text)
         except DslSyntaxError:
             pass
+
+
+# Pieces the differential test inserts: line ends, characters that end or
+# escape a string or start a comment, punctuation, multi-byte characters,
+# and line breaks that only ``str.splitlines`` would honour.
+_PIECES = ("\r", "\n", "\r\n", "\t", " ", '"', "\\", "#", "(", ")", ":", "=", ".", ",",
+           "é", "漢", "\x0c", "\x85")
+
+
+def _mutate(rng: random.Random, text: str, donor: str) -> str:
+    """One to three edits: insert a piece, delete a few characters, or
+    splice in a stretch of ``donor``."""
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            text = text[:i] + rng.choice(_PIECES) + text[i:]
+        elif kind == 1:
+            text = text[:i] + text[i + rng.randrange(1, 4):]
+        else:
+            j = rng.randrange(len(donor) + 1)
+            text = text[:i] + donor[j : j + rng.randrange(1, 40)] + text[i:]
+    return text
+
+
+def _lexed(lex, text):
+    try:
+        return lex(text)
+    except DslSyntaxError as exc:
+        return (str(exc), exc.line, exc.col, exc.expected)
+
+
+def test_tokenize_matches_reference_lexer():
+    rng = random.Random(1931)
+    sources = [path.read_bytes().decode("utf-8") for path in sorted((FIXTURES / "corpus").glob("*.wdsl"))]
+    for model in (None, DataModel.default()):
+        gen = AstGenerator(rng, model=model, max_statements=4)
+        sources += [pretty_print(random_module(gen, max_functions=2)) for _ in range(40)]
+    inputs = sources + [_mutate(rng, rng.choice(sources), rng.choice(sources)) for _ in range(5000)]
+    errors = 0
+    for text in inputs:
+        got = _lexed(tokenize, text)
+        assert got == _lexed(oracle_tokens, text), text
+        errors += isinstance(got, tuple)
+    # Both outcomes must be common for the comparison to mean much.
+    assert len(inputs) // 5 < errors < len(inputs) * 4 // 5

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import T1552_PUTTY_SRC, function_from
+from conftest import T1552_PUTTY_SRC, function_from, random_module
 
 from wilee.dsl import AstGenerator, NodeKind, ThreatDescription, parse
 from wilee.hunt import BindSpec, UnknownClass, UnknownVariable, schedule
@@ -59,7 +59,7 @@ def test_descriptor_count_equals_instantiation_count(model):
     rng = random.Random(9090)
     gen = AstGenerator(rng, model=model)
     for _ in range(50):
-        tree = gen.random_module()
+        tree = random_module(gen)
         if any(
             stmt.kind is NodeKind.ABSTRACT_CALL
             for fn in tree.children

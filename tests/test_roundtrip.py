@@ -3,6 +3,8 @@
 import random
 from pathlib import Path
 
+from conftest import random_module
+
 from wilee.dsl import AstGenerator, parse, pretty_print
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
@@ -18,7 +20,7 @@ def test_generated_roundtrip_unconstrained():
     rng = random.Random(4242)
     gen = AstGenerator(rng)
     for _ in range(300):
-        tree = gen.random_module()
+        tree = random_module(gen)
         assert parse(pretty_print(tree)) == tree
 
 
@@ -26,5 +28,5 @@ def test_generated_roundtrip_model_valid(model):
     rng = random.Random(777)
     gen = AstGenerator(rng, model=model)
     for _ in range(300):
-        tree = gen.random_module()
+        tree = random_module(gen)
         assert parse(pretty_print(tree)) == tree

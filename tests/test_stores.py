@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import T1059_SRC, T1552_PUTTY_SRC, T1552_RUNKEY_SRC, function_from
+from conftest import T1059_SRC, T1552_PUTTY_SRC, T1552_RUNKEY_SRC, function_from, random_ttp_function
 from oracles import oracle_resolve_bind
 
 from wilee.dsl import AstGenerator, content_hash, pretty_print_node, random_technique_id
@@ -292,7 +292,7 @@ def test_ttps_for_step_equals_linear_scan(model):
     for i in range(30):
         technique = rng.choice(techniques)
         tags = tuple(sorted(rng.sample(tactics, rng.randrange(0, 3))))
-        fn = gen.random_ttp_function(f"fn{i}")
+        fn = random_ttp_function(gen, f"fn{i}")
         store.records.append(TtpRecord(technique, tags, "SME", fn))
     for step in techniques + list(tactics) + ["T0000"]:
         got = {r.record_id for r in ttps_for_step(store, step)}
