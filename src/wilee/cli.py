@@ -78,8 +78,14 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, args: dict, inputs: list, outputs: list[Path], partial: bool = False) -> None:
-    """Inputs that are unset (``None``) or not files are left out."""
+def _write_manifest(
+    out: Path, command: str, args: dict, inputs: list, outputs: list[Path], partial: bool = False, digests=None
+) -> None:
+    """Inputs that are unset (``None``) or not files are left out.
+    ``digests`` maps an input already hashed while it was read (an event
+    log, see ``NdjsonProxy.sha256``) to its digest; the rest are read
+    here."""
+    digests = digests or {}
     manifest = {
         "command": command,
         "args": {
@@ -89,7 +95,7 @@ def _write_manifest(out: Path, command: str, args: dict, inputs: list, outputs: 
         },
         "partial": partial,
         "inputs": {
-            str(p): _sha256(Path(p).read_bytes()) for p in inputs if p and Path(p).is_file()
+            str(p): digests.get(p) or _sha256(Path(p).read_bytes()) for p in inputs if p and Path(p).is_file()
         },
         "outputs": {p.name: _sha256(p.read_bytes()) for p in outputs},
     }
@@ -177,7 +183,8 @@ def cmd_hunt(args) -> int:
     report_path = out / ("report.md" if fmt == "markdown" else "report.json")
     report_path.write_text(report, "utf-8")
     inputs = [args.ttp_store, args.ioc_db, args.data_model, args.events, args.desc]
-    _write_manifest(out, "hunt", vars(args), inputs, [report_path], partial=partial)
+    digests = {args.events: proxy.sha256}
+    _write_manifest(out, "hunt", vars(args), inputs, [report_path], partial=partial, digests=digests)
     confirmed = sum(1 for r in results if r.confirmed)
     print(f"{len(results)} implementation(s) evaluated, {confirmed} confirmed; report at {report_path}")
     return 130 if partial else EXIT_OK
@@ -250,8 +257,10 @@ def cmd_perturb(args) -> int:
     seed_impl = implementation_from_module(tree)
 
     fitness_fn = None
+    digests = {}
     if args.events:
         proxy = NdjsonProxy(args.events)
+        digests[args.events] = proxy.sha256
 
         def fitness_fn(candidate_tree):
             return evaluate(implementation_from_module(candidate_tree), proxy, ioc_db, model).score
@@ -277,7 +286,7 @@ def cmd_perturb(args) -> int:
         "utf-8",
     )
     inputs = [args.ttp_store, args.ioc_db, args.data_model, args.impl, args.config, args.events]
-    _write_manifest(out, "perturb", vars(args), inputs, written + [summary_path])
+    _write_manifest(out, "perturb", vars(args), inputs, written + [summary_path], digests=digests)
     print(f"archived {len(result.archive)} candidate(s) under {archive_dir}")
     return EXIT_OK
 

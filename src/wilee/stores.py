@@ -93,26 +93,57 @@ def parse_json(text: str, path) -> object:
         raise FormatError(str(path), exc.lineno, exc.msg) from None
 
 
-def read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+#: The C scanner ``json.loads`` runs, called directly: one JSON value
+#: from an index, without the whitespace and extra-data wrappers.
+_scan_value = json.JSONDecoder().scan_once
+_LINE_ENDS = ("\n", "", "\r\n")
+
+
+def read_jsonl(path: Path, digest=None) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line of a JSON-lines
     file, read one line at a time; a line that is not UTF-8 or not a
-    JSON object raises :class:`FormatError`.
+    JSON object raises :class:`FormatError`.  ``digest``, a ``hashlib``
+    object, if given, is fed every byte read.
 
     Lines end at ``\n`` only, so a JSON string may hold any other line
     separator (U+2028, U+0085) raw; a ``\r`` before the ``\n`` is JSON
-    whitespace."""
+    whitespace.
+
+    A line that is one JSON object and then its line end is taken from
+    one call of the C scanner.  Every other line (blank, with a BOM or
+    other whitespace around the object, extra data, not an object, not
+    JSON) goes to ``json.loads``, so each object read and each error
+    message is the one ``json.loads`` gives."""
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            text = _decode(raw, path, lineno)
-            if not text.strip():
-                continue
+            if digest is not None:
+                digest.update(raw)
             try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise FormatError(str(path), lineno, exc.msg) from None
-            if not isinstance(doc, dict):
-                raise FormatError(str(path), lineno, "expected a JSON object")
+                text = raw.decode()
+            except UnicodeDecodeError:
+                _decode(raw, path, lineno)  # raises at the byte
+            try:
+                doc, end = _scan_value(text, 0)
+            except (StopIteration, ValueError):
+                doc = None
+            if type(doc) is not dict or text[end:] not in _LINE_ENDS:
+                doc = _load_line(text, path, lineno)
+                if doc is None:
+                    continue
             yield lineno, doc
+
+
+def _load_line(text: str, path, lineno: int) -> Optional[dict]:
+    """The object of one line by ``json.loads``; ``None`` for a blank line."""
+    if not text.strip():
+        return None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(str(path), lineno, exc.msg) from None
+    if not isinstance(doc, dict):
+        raise FormatError(str(path), lineno, "expected a JSON object")
+    return doc
 
 
 # ---------------------------------------------------------------------------

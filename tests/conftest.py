@@ -250,6 +250,11 @@ MALFORMED_EVENT_LINES = {
     ),
     "bad-timestamp": (_line(timestamp="yesterday", fields={}), "Invalid isoformat string: 'yesterday'"),
     "numeric-timestamp": (_line(timestamp=5, fields={}), "Invalid isoformat string: '5'"),
+    # ISO 8601 forms that are not RFC 3339 date-times.
+    "date-only-timestamp": (_line(timestamp="2026-03-01", fields={}), "Invalid isoformat string: '2026-03-01'"),
+    "basic-date-timestamp": (_line(timestamp="20260301", fields={}), "Invalid isoformat string: '20260301'"),
+    "week-date-timestamp": (_line(timestamp="2026-W09-1", fields={}), "Invalid isoformat string: '2026-W09-1'"),
+    "numeric-date-timestamp": (_line(timestamp=20260301, fields={}), "Invalid isoformat string: '20260301'"),
     "duplicate-id": (_line(event_id="atk-reg", fields={"path": "C:\\x"}), "duplicate event_id 'atk-reg'"),
     "fields-list": (_line(fields=["path"]), "'fields' must be a JSON object"),
     "fields-null": (_line(fields=None), "'fields' must be a JSON object"),
@@ -262,6 +267,8 @@ MALFORMED_EVENT_LINES = {
     "link-a-string": (_line(fields={}, links=["observed"]), "link 1 must be a JSON object"),
     "links-a-number": (_line(fields={}, links=5), "'links' must be a list"),
     "links-null": (_line(fields={}, links=None), "'links' must be a list"),
+    "links-an-empty-object": (_line(fields={}, links={}), "'links' must be a list"),
+    "links-an-empty-string": (_line(fields={}, links=""), "'links' must be a list"),
     "missing-host": (
         json.dumps({"event_id": "bad1", "timestamp": "2026-03-01T07:00:00Z", "entity_class": "File"}).encode(),
         "missing 'host'",

@@ -8,8 +8,10 @@ implementation it checks.
 from __future__ import annotations
 
 import itertools
+import json
 import re
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
+from typing import Optional
 
 from wilee.dsl.parser import DslSyntaxError, Token, TokenType
 
@@ -76,6 +78,135 @@ def oracle_execute(descriptor, events, ioc_records) -> list[str]:
         if ok:
             matched.append(event["event_id"])
     return matched
+
+
+# ---------------------------------------------------------------------------
+# Event-log read
+# ---------------------------------------------------------------------------
+
+
+def oracle_read_jsonl(path) -> tuple[list[tuple[int, dict]], Optional[tuple[int, str]]]:
+    """The objects of a JSON-lines file, one ``json.loads`` per non-blank
+    line, as ``(line number, object)``, and the first fault as
+    ``(line number, message)`` or ``None``; the read stops at the fault."""
+    docs = []
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:  # the line holds no earlier "\n"
+                return docs, (lineno, f"not UTF-8: {exc.reason} at byte {exc.start}")
+            if not text.strip():
+                continue
+            try:
+                doc = json.loads(text)
+            except json.JSONDecodeError as exc:
+                return docs, (lineno, exc.msg)
+            if not isinstance(doc, dict):
+                return docs, (lineno, "expected a JSON object")
+            docs.append((lineno, doc))
+    return docs, None
+
+
+def _oracle_moment(value: str) -> datetime:
+    """An RFC 3339 date-time, read field by field: ``YYYY-MM-DD``, ``T``,
+    ``t`` or a space, ``hh:mm:ss``, an optional fraction, then ``Z``,
+    ``z``, ``+hh:mm``, ``-hh:mm`` or nothing (UTC)."""
+
+    def digits(text: str) -> bool:
+        return text.isascii() and text.isdigit()
+
+    date, sep, clock, rest = value[:10], value[10:11], value[11:19], value[19:]
+    if rest.startswith("."):
+        end = 1
+        while end < len(rest) and digits(rest[end]):
+            end += 1
+        fraction, rest = rest[:end], rest[end:]
+    else:
+        fraction = None
+    well_formed = (
+        len(date) == 10
+        and date[4] == date[7] == "-"
+        and digits(date[:4] + date[5:7] + date[8:])
+        and sep in ("T", "t", " ")
+        and len(clock) == 8
+        and clock[2] == clock[5] == ":"
+        and digits(clock[:2] + clock[3:5] + clock[6:])
+        and fraction != "."
+        and (
+            rest in ("", "Z", "z")
+            or (len(rest) == 6 and rest[0] in "+-" and rest[3] == ":" and digits(rest[1:3] + rest[4:]))
+        )
+    )
+    if not well_formed:
+        raise ValueError(f"Invalid isoformat string: {value!r}")
+    moment = datetime.fromisoformat(value[:-1] + "+00:00" if rest in ("Z", "z") else value)
+    return moment if moment.tzinfo else moment.replace(tzinfo=timezone.utc)
+
+
+def _oracle_event(doc: dict) -> dict:
+    """An event line's attributes, checked in the read's order."""
+    fields = doc.get("fields", {})
+    if not isinstance(fields, dict):
+        raise ValueError("'fields' must be a JSON object")
+    links = []
+    if "links" in doc:
+        if not isinstance(doc["links"], list):
+            raise ValueError("'links' must be a list")
+        for i, link in enumerate(doc["links"], 1):
+            if not isinstance(link, dict):
+                raise ValueError(f"link {i} must be a JSON object")
+            for key in ("verb", "target"):
+                if key not in link:
+                    raise ValueError(f"link {i} has no {key!r}")
+            links.append((str(link["verb"]), str(link["target"])))
+    for key in ("event_id", "timestamp", "host", "entity_class"):
+        if key not in doc:
+            raise ValueError(f"missing {key!r}")
+    return {
+        "event_id": str(doc["event_id"]),
+        "timestamp": str(doc["timestamp"]),
+        "host": str(doc["host"]),
+        "entity_class": str(doc["entity_class"]),
+        "fields": {k: v if isinstance(v, str) else json.dumps(v) for k, v in fields.items()},
+        "links": tuple(links),
+        "moment": _oracle_moment(str(doc["timestamp"])),
+    }
+
+
+def _oracle_passes(fields: dict, filt) -> bool:
+    for variable, exact, globs in filt:
+        if variable not in fields:
+            return False
+        value = fields[variable]
+        if value not in exact and not any(oracle_glob_match(g, value) for g in globs):
+            return False
+    return True
+
+
+def oracle_read_events(path, keys=()) -> tuple[dict[str, list[dict]], dict, Optional[str]]:
+    """The event log read line by line: each event's attributes by class
+    in log order, the events each ``(entity_class, filter)`` key passes,
+    and the first fault as ``file:line: message`` (or ``None``).  A fault
+    is a line :func:`oracle_read_jsonl` rejects, a failed event check or a
+    repeated ``event_id``."""
+    docs, fault = oracle_read_jsonl(path)
+    by_class: dict[str, list[dict]] = {}
+    hits = {key: [] for key in keys}
+    seen = set()
+    for lineno, doc in docs:
+        try:
+            event = _oracle_event(doc)
+        except ValueError as exc:
+            return by_class, hits, f"{path}:{lineno}: {exc}"
+        if event["event_id"] in seen:
+            return by_class, hits, f"{path}:{lineno}: duplicate event_id {event['event_id']!r}"
+        seen.add(event["event_id"])
+        by_class.setdefault(event["entity_class"], []).append(event)
+        for key in hits:
+            if key[0] == event["entity_class"] and _oracle_passes(event["fields"], key[1]):
+                hits[key].append(event)
+    return by_class, hits, fault and f"{path}:{fault[0]}: {fault[1]}"
 
 
 # ---------------------------------------------------------------------------

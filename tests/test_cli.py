@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -16,8 +17,8 @@ from conftest import (
     write_ndjson,
 )
 
+import wilee.hunt.proxy
 from wilee.cli import main
-from wilee.hunt import Event
 
 SME_PRIORS_SRC = '''def t1003_001():
     system1 = System()
@@ -228,13 +229,13 @@ def test_hunt_builds_events_only_for_hits(workspace, tmp_path, monkeypatch):
     events = synth_log(random.Random(561), 3000) + list(attack.events[:2])
     log = write_ndjson(tmp_path / "events.ndjson", events)
     built = []
-    post_init = Event.__post_init__
+    make = wilee.hunt.proxy._event  # the read builds every event through it
 
-    def counting(self):
-        built.append(self.event_id)
-        post_init(self)
+    def counting(row):
+        built.append(row[0])
+        return make(row)
 
-    monkeypatch.setattr(Event, "__post_init__", counting)
+    monkeypatch.setattr(wilee.hunt.proxy, "_event", counting)
     assert main(hunt_args(workspace, log, tmp_path / "out", fmt="json")) == 0
     assert sorted(built) == ["atk-proc", "atk-reg"]
 
@@ -621,6 +622,25 @@ def test_perturb_with_events_fitness(workspace, tmp_path):
     assert main(args) == 0
     run_doc = json.loads((out / "run.json").read_text("utf-8"))
     assert len(run_doc["best_fitness_history"]) == 4
+
+
+def test_event_log_hashed_during_its_one_read(workspace, tmp_path, monkeypatch):
+    rng = random.Random(562)
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(rng, 200, PlantedAttack.build().events))
+    expected = hashlib.sha256(log.read_bytes()).hexdigest()
+    impl = tmp_path / "impl.wdsl"
+    impl.write_text(T1552_PUTTY_SRC, "utf-8")
+    read_whole = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: read_whole.append(path) or read_bytes(path))
+    hunt_out, perturb_out = tmp_path / "hunt", tmp_path / "perturb"
+    assert main(hunt_args(workspace, log, hunt_out)) == 0
+    assert main(perturb_args(workspace, impl, perturb_out) + ["--events", str(log)]) == 0
+    for out in (hunt_out, perturb_out):
+        inputs = json.loads((out / "manifest.json").read_text("utf-8"))["inputs"]
+        assert inputs[str(log)] == expected
+        assert str(impl if out == perturb_out else workspace[3]) in inputs  # other inputs are still hashed
+    assert log not in read_whole
 
 
 def test_perturb_seed_override_with_fitness(workspace, tmp_path):

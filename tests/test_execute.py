@@ -1,20 +1,34 @@
+import copy
 import dataclasses
+import hashlib
 import json
 import random
+import re
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 
 from conftest import MALFORMED_EVENT_LINES, PlantedAttack, build_store, log_ending_with, synth_log, write_ndjson
-from oracles import oracle_execute, oracle_glob_match
+from oracles import oracle_execute, oracle_glob_match, oracle_read_events, oracle_read_jsonl
 
 import wilee.hunt.proxy
+import wilee.stores
 from wilee.dsl import ThreatDescription
 from wilee.globmatch import glob_match
-from wilee.hunt import Event, NdjsonProxy, ProxyUnavailable, execute, execute_all, memo_key, schedule
+from wilee.hunt import (
+    Event,
+    NdjsonProxy,
+    ProxyUnavailable,
+    execute,
+    execute_all,
+    memo_key,
+    parse_rfc3339,
+    schedule,
+)
 from wilee.hunt.query import BindSpec, Predicate, QueryDescriptor
 from wilee.interpreter import concretize
-from wilee.stores import IocDb, IocRecord
+from wilee.stores import FormatError, IocDb, IocRecord, read_jsonl
 
 LOGS = sorted((Path(__file__).parent / "fixtures" / "logs").glob("*.ndjson"))
 
@@ -599,3 +613,218 @@ def test_whole_and_filtered_reads_fail_alike(tmp_path, name):
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0] == f"{log}:4: {message}"
+
+
+# ---------------------------------------------------------------------------
+# The line loop: fast decode, checks and events against the reference read
+# ---------------------------------------------------------------------------
+
+_ATTRIBUTES = ("event_id", "timestamp", "host", "entity_class", "fields", "links", "moment")
+
+
+def _attributes(events) -> list[dict]:
+    return [{name: getattr(event, name) for name in _ATTRIBUTES} for event in events]
+
+
+def _read_jsonl_outcome(path):
+    """What :func:`read_jsonl` gives, in the reference's terms."""
+    docs = []
+    try:
+        for lineno, doc in read_jsonl(path):
+            docs.append((lineno, doc))
+    except FormatError as exc:
+        return docs, (exc.line, str(exc).split(": ", 1)[1])
+    return docs, None
+
+
+# Lines each decoding path must read as ``json.loads`` does, by name.
+_JSONL_HAND_CASES = {
+    "bom": b'\xef\xbb\xbf{"a": 1}\n',
+    "leading-space": b' {"a": 1}\n',
+    "leading-tab": b'\t{"a": 1}\n',
+    "trailing-spaces": b'{"a": 1}   \n',
+    "trailing-tab": b'{"a": 1}\t\n',
+    "crlf": b'{"a": 1}\r\n{"b": 2}\r\n',
+    "lone-cr-end": b'{"a": 1}\r',
+    "no-final-newline": b'{"a": 1}\n{"b": 2}',
+    "blank-lines": b'\n{"a": 1}\n   \n\t\r\n{"b": 2}\n\n',
+    "u2028-only-line": '{"a": 1}\n\u2028\n{"b": 2}\n'.encode(),
+    "u2028-after-object": '{"a": 1}\u2028\n'.encode(),
+    "u2028-in-string": '{"a": "x\u2028y"}\n'.encode(),
+    "two-objects": b'{} {}\n',
+    "two-objects-no-space": b'{}{}\n',
+    "list": b'[]\n',
+    "number": b'5\n',
+    "string": b'"{}"\n',
+    "nan-infinity": b'{"a": NaN, "b": Infinity, "c": -Infinity}\n',
+    "duplicate-keys": b'{"a": 1, "a": 2, "b": {"c": 1, "c": 3}}\n',
+    "lone-surrogate-escape": b'{"a": "\\ud800", "b": "\\udc00x"}\n',
+    "surrogate-pair-escape": b'{"a": "\\ud83d\\ude00"}\n',
+    "truncated": b'{"a": 1\n',
+    "trailing-comma": b'{"a": 1,}\n',
+    "not-utf8": b'{"a": "\xff"}\n',
+    "nested": b'{"a": [1, {"b": null}], "c": true}\n',
+}
+
+
+@pytest.mark.parametrize("name", list(_JSONL_HAND_CASES))
+def test_read_jsonl_reads_each_line_as_json_loads(tmp_path, name):
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(_JSONL_HAND_CASES[name])
+    got, expected = _read_jsonl_outcome(path), oracle_read_jsonl(path)
+    # NaN is not equal to itself, so compare the objects as JSON text.
+    assert json.dumps(got) == json.dumps(expected)
+
+
+def test_read_jsonl_hand_case_outcomes(tmp_path):
+    """A few outcomes pinned, so the reference read is known to mean them."""
+    outcomes = {}
+    for name, data in _JSONL_HAND_CASES.items():
+        path = tmp_path / f"{name}.jsonl"
+        path.write_bytes(data)
+        outcomes[name] = _read_jsonl_outcome(path)
+    assert outcomes["bom"] == ([], (1, "Unexpected UTF-8 BOM (decode using utf-8-sig)"))
+    assert outcomes["two-objects"] == ([], (1, "Extra data"))
+    assert outcomes["list"] == ([], (1, "expected a JSON object"))
+    assert outcomes["u2028-after-object"] == ([], (1, "Extra data"))
+    assert outcomes["blank-lines"] == ([(2, {"a": 1}), (5, {"b": 2})], None)
+    assert outcomes["u2028-only-line"] == ([(1, {"a": 1}), (3, {"b": 2})], None)
+    assert outcomes["crlf"] == ([(1, {"a": 1}), (2, {"b": 2})], None)
+    assert outcomes["duplicate-keys"] == ([(1, {"a": 2, "b": {"c": 3}})], None)
+    assert outcomes["lone-surrogate-escape"] == ([(1, {"a": "\ud800", "b": "\udc00x"})], None)
+    assert outcomes["not-utf8"] == ([], (1, "not UTF-8: invalid start byte at byte 7"))
+
+
+@pytest.mark.parametrize(
+    "stamp, moment",
+    [
+        ("2026-03-01T07:00:00Z", datetime(2026, 3, 1, 7, tzinfo=timezone.utc)),
+        ("2026-03-01t07:00:00z", datetime(2026, 3, 1, 7, tzinfo=timezone.utc)),
+        ("2026-03-01 07:00:00", datetime(2026, 3, 1, 7, tzinfo=timezone.utc)),  # no offset: UTC
+        ("2026-03-01T07:00:00.250+00:00", datetime(2026, 3, 1, 7, 0, 0, 250000, tzinfo=timezone.utc)),
+        ("2026-03-01T09:30:00.000001+02:30", datetime(2026, 3, 1, 7, 0, 0, 1, tzinfo=timezone.utc)),
+        ("2026-03-01T02:00:00-05:00", datetime(2026, 3, 1, 7, tzinfo=timezone.utc)),
+    ],
+)
+def test_parse_rfc3339_reads_each_form(stamp, moment):
+    assert parse_rfc3339(stamp) == moment
+
+
+@pytest.mark.parametrize(
+    "stamp",
+    [
+        "2026-03-01", "20260301", "2026-W09-1", "2026-060", "20260301T070000Z", "2026-03-01T07",
+        "2026-03-01T07:00", "2026-03-01T07:00:00.", "2026-03-01T07:00:00+0200", "2026-03-01T07:00:00+02",
+        "2026-03-01T07:00:00 Z", " 2026-03-01T07:00:00Z", "2026-03-01T07:00:00Z\n", "2026-03-01x07:00:00Z",
+        "\u0662\u0660\u0662\u0666-03-01T07:00:00Z", "yesterday", "5", "",
+    ],
+)
+def test_parse_rfc3339_rejects_other_forms(stamp):
+    with pytest.raises(ValueError, match=f"^Invalid isoformat string: {re.escape(repr(stamp))}$"):
+        parse_rfc3339(stamp)
+
+
+def test_event_is_immutable_compares_by_value_and_builds_by_keyword():
+    links = (("observed", "e0"),)
+    by_position = Event("e1", "2026-03-01T07:00:00Z", "ws-002", "Process", {"name": "cmd.exe"}, links)
+    by_keyword = Event(
+        links=links, fields={"name": "cmd.exe"}, entity_class="Process", host="ws-002",
+        timestamp="2026-03-01T07:00:00Z", event_id="e1",
+    )
+    assert by_position == by_keyword
+    assert by_keyword.moment == datetime(2026, 3, 1, 7, tzinfo=timezone.utc)
+    assert Event("e1", "2026-03-01T07:00:00Z", "h", "Process", {}).links == ()
+    assert by_position != Event("e1", "2026-03-01T07:00:01Z", "ws-002", "Process", {"name": "cmd.exe"}, links)
+    assert copy.copy(by_position) == by_position == copy.deepcopy(by_position)
+    for name in (*_ATTRIBUTES, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(by_position, name, "x")
+    with pytest.raises(ValueError, match="Invalid isoformat string"):
+        Event("e1", "2026-03-01", "h", "Process", {})
+
+
+def test_events_of_a_log_share_host_and_class_strings(tmp_path):
+    proxy = NdjsonProxy(write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(7), 200)))
+    events = [e for cls in ("Process", "File", "WinRegistryKey", "NetworkConnection") for e in proxy.scan(cls)]
+    assert len({id(e.host) for e in events}) == len({e.host for e in events})
+    assert len({id(e.entity_class) for e in events}) == len({e.entity_class for e in events})
+
+
+def test_clean_fields_are_kept_as_read(tmp_path, monkeypatch):
+    """A line whose field values are all strings keeps the dict the
+    decoder made; one with another value gets a copy holding its text."""
+    made = []
+    scan = wilee.stores._scan_value
+    monkeypatch.setattr(wilee.stores, "_scan_value", lambda text, i: made.append(scan(text, i)) or made[-1])
+    docs = [
+        {"event_id": "e1", "timestamp": "2026-03-01T07:00:00Z", "host": "h", "entity_class": "P", "fields": {"a": "x"}},
+        {"event_id": "e2", "timestamp": "2026-03-01T07:00:00Z", "host": "h", "entity_class": "P", "fields": {"a": 1}},
+    ]
+    e1, e2 = NdjsonProxy(write_ndjson(tmp_path / "events.ndjson", docs)).scan("P")
+    assert e1.fields is made[0][0]["fields"]
+    assert e2.fields == {"a": "1"} and e2.fields is not made[1][0]["fields"]
+
+
+def _restamped(rng, doc: dict) -> dict:
+    """``doc`` with its ``...T hh:mm:ssZ`` timestamp written in another
+    RFC 3339 form: another separator or UTC letter, a fraction, an offset."""
+    stamp = doc["timestamp"][:-1]
+    stamp = stamp[:10] + rng.choice("Tt ") + stamp[11:]
+    stamp += rng.choice(("", ".123", ".000250"))  # Python 3.10 reads 3 or 6 digits only
+    return {**doc, "timestamp": stamp + rng.choice(("", "Z", "z", "+00:00", "+05:30", "-08:00"))}
+
+
+def _mixed_log(rng, path) -> Path:
+    """A seeded log of valid events, some irregular, written with varied
+    line ends and spacing, a blank line or a BOM here and there, now and
+    then with one or two malformed lines."""
+    events = []
+    for doc in synth_log(rng, rng.randrange(0, 30)):
+        if rng.random() < 0.2:
+            doc = _restamped(rng, doc)
+        events.append(_irregular(rng, doc, [e["event_id"] for e in events]))
+    lines = [json.dumps(doc).encode() for doc in events]
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        bad, _ = MALFORMED_EVENT_LINES[rng.choice(sorted(MALFORMED_EVENT_LINES))]
+        lines.insert(rng.randrange(len(lines) + 1), bad)
+    out = []
+    for line in lines:
+        roll = rng.random()
+        if roll < 0.05:
+            out.append(rng.choice((b"", b"  ", b"\t", "\u2028".encode())) + b"\n")  # a blank line
+        line = rng.choice((b"", b"", b"", b" ", b"\t")) + line + rng.choice((b"", b"", b"", b" ", b"\t "))
+        if roll > 0.99:
+            line = "\ufeff".encode() + line
+        out.append(line + rng.choice((b"\n", b"\n", b"\n", b"\r\n")))
+    if out and rng.random() < 0.3:
+        out[-1] = out[-1].rstrip(b"\r\n")
+    path.write_bytes(b"".join(out))
+    return path
+
+
+def test_reads_equal_reference_read_on_mixed_logs(tmp_path):
+    rng = random.Random(20261101)
+    classes = [*_FIELDS, "Mutex", "DnsQuery"]
+    outcomes = {"ok": 0, "error": 0}
+    for trial in range(300):
+        path = _mixed_log(rng, tmp_path / f"events{trial % 3}.ndjson")
+        descriptors = [_differential_descriptor(rng, i) for i in range(rng.randrange(1, 6))]
+        keys = list(dict.fromkeys(memo_key(q, _DIFF_DB) for q in descriptors))
+        by_class, hits, fault = oracle_read_events(path, keys)
+        if fault is not None:
+            outcomes["error"] += 1
+            for read in (lambda: NdjsonProxy(path), lambda: NdjsonProxy(path, keys)):
+                with pytest.raises(ProxyUnavailable) as info:
+                    read()
+                assert str(info.value) == fault
+            continue
+        outcomes["ok"] += 1
+        whole, filtered = NdjsonProxy(path), NdjsonProxy(path, keys)
+        assert whole.sha256 == filtered.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        for cls in {*classes, *by_class}:
+            assert _attributes(whole.scan(cls)) == by_class.get(cls, []), cls
+            assert _attributes(filtered.scan(cls)) == by_class.get(cls, []), cls
+        seeded = _seeded(filtered)
+        for key in keys:
+            assert _attributes(seeded[key]) == hits[key], key
+    assert min(outcomes.values()) > 60, outcomes
