@@ -166,15 +166,15 @@ def cmd_hunt(args) -> int:
 
     # Every query is known before the log is opened, so the one read
     # keeps only the events some query asks for.
-    keys = {memo_key(q, ioc_db) for impl in result.implementations for q in schedule(impl, model)}
-    proxy = NdjsonProxy(args.events, keys)
+    scheduled = [(impl, schedule(impl, model)) for impl in result.implementations]
+    proxy = NdjsonProxy(args.events, {memo_key(q, ioc_db) for _, descriptors in scheduled for q in descriptors})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = []
     partial = False
     try:
-        for impl in result.implementations:
-            results.append(evaluate(impl, proxy, ioc_db, model))
+        for impl, descriptors in scheduled:
+            results.append(evaluate(impl, descriptors, proxy, ioc_db))
     except KeyboardInterrupt:
         partial = True
 
@@ -263,7 +263,8 @@ def cmd_perturb(args) -> int:
         digests[args.events] = proxy.sha256
 
         def fitness_fn(candidate_tree):
-            return evaluate(implementation_from_module(candidate_tree), proxy, ioc_db, model).score
+            impl = implementation_from_module(candidate_tree)
+            return evaluate(impl, schedule(impl, model), proxy, ioc_db).score
 
     result = run_gpe(seed_impl, config, fitness_fn=fitness_fn, model=model, ioc_db=ioc_db)
     out = Path(args.out)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
 
-from ..dsl import content_hash, pretty_print, validate
+from ..dsl import pretty_print, validate
 from ..interpreter import ThreatImplementation
 from ..stores import DataModel, IocDb, read_text
 from .novelty import NoveltyArchive, novelty
@@ -189,7 +189,7 @@ def run_gpe(
     seed_candidate = Candidate.from_ast(seed_tree, model, Lineage((), "seed"))
 
     def spawn(gen: int, index: int, candidate: Candidate) -> Candidate:
-        candidate.uid = f"g{gen:03d}-{index:03d}-{content_hash(candidate.ast)}"
+        candidate.uid = f"g{gen:03d}-{index:03d}-{candidate.digest}"
         return candidate
 
     population = [
@@ -219,10 +219,9 @@ def run_gpe(
         if fitness_fn is not None:
             for candidate in population:
                 if candidate.fitness is None:
-                    digest = candidate.uid.rpartition("-")[2]  # spawn's content hash
-                    if digest not in scores:
-                        scores[digest] = fitness_fn(candidate.ast)
-                    candidate.fitness = scores[digest]
+                    if candidate.digest not in scores:
+                        scores[candidate.digest] = fitness_fn(candidate.ast)
+                    candidate.fitness = scores[candidate.digest]
         for candidate in population:
             archive.consider(candidate)
 

@@ -64,6 +64,7 @@ class Lineage:
 @dataclass
 class Candidate:
     uid: str
+    digest: str  # content hash of ``ast``
     ast: AstNode  # Module of concrete functions
     behavior: Behavior
     lineage: Lineage
@@ -72,8 +73,10 @@ class Candidate:
 
     @classmethod
     def from_ast(cls, tree: AstNode, model: DataModel, lineage: Lineage) -> "Candidate":
+        digest = content_hash(tree)
         return cls(
-            uid=content_hash(tree),
+            uid=digest,
+            digest=digest,
             ast=tree,
             behavior=behavior_of(tree, model),
             lineage=lineage,
@@ -194,7 +197,7 @@ def mutate(
 
 
 def replace_lineage(c: Candidate, lineage: Lineage) -> Candidate:
-    return Candidate(uid=c.uid, ast=c.ast, behavior=c.behavior, lineage=lineage, fitness=c.fitness)
+    return Candidate(uid=c.uid, digest=c.digest, ast=c.ast, behavior=c.behavior, lineage=lineage, fitness=c.fitness)
 
 
 def crossover(

@@ -6,11 +6,9 @@ from .engine import evaluate
 from .graph import DEFAULT_WINDOW_SECONDS, EvidenceGraph, GraphEdge, GraphNode, build_graph
 from .matcher import MatchResult, Obligation, match, obligations_for
 from .proxy import (
-    DataProxy,
     Event,
     NdjsonProxy,
     ProxyUnavailable,
-    event_from_json,
     execute,
     execute_all,
     memo_key,
@@ -39,11 +37,9 @@ __all__ = [
     "Obligation",
     "match",
     "obligations_for",
-    "DataProxy",
     "Event",
     "NdjsonProxy",
     "ProxyUnavailable",
-    "event_from_json",
     "execute",
     "execute_all",
     "memo_key",

@@ -1,19 +1,23 @@
-"""One implementation through the whole hunt: queries scheduled and
-executed, hits joined into an evidence graph, and the graph matched
-against the implementation.  Bind sites stay symbolic until their query
-runs; :func:`execute_all` resolves each against the IOC database."""
+"""One implementation through the whole hunt: the queries its caller
+scheduled are executed, their hits joined into an evidence graph, and
+the graph matched against the implementation.  Bind sites stay symbolic
+until their query runs; :func:`execute_all` resolves each against the
+IOC database."""
 
 from __future__ import annotations
 
 from ..interpreter import ThreatImplementation
-from ..stores import DataModel, IocDb
+from ..stores import IocDb
 from .graph import build_graph
 from .matcher import MatchResult, match
-from .proxy import DataProxy, execute_all
-from .query import schedule
+from .proxy import NdjsonProxy, execute_all
+from .query import QueryDescriptor
 
 
-def evaluate(impl: ThreatImplementation, proxy: DataProxy, db: IocDb, model: DataModel) -> MatchResult:
-    descriptors = schedule(impl, model)
+def evaluate(
+    impl: ThreatImplementation, descriptors: list[QueryDescriptor], proxy: NdjsonProxy, db: IocDb
+) -> MatchResult:
+    """Match ``impl`` against the hits of ``descriptors``, its queries as
+    :func:`~wilee.hunt.schedule` gives them."""
     graph = build_graph(execute_all(descriptors, proxy, db), descriptors)
     return match(graph, impl)

@@ -1,58 +1,52 @@
-"""Event stores and query execution.
+"""The event log and the hits of its queries.
 
-The scheduler is data-store agnostic; backends implement the
-:class:`DataProxy` protocol.  The baseline backend reads
-newline-delimited JSON event logs, which keeps hunts hermetic and
-testable.  ``execute`` resolves each bind against the IOC database once
-per query, before the scan, and then applies every predicate as a plain
-value test.
+A query asks the log one question: the events of one entity class whose
+fields pass a filter.  :func:`memo_key` names that question as
+``(entity_class, filter)``, where the filter is the query's predicates
+with each bind resolved against the IOC database once, before any event
+is read, and each predicate then a plain value test.  So every
+implementation that asks the same question of the same log shares one
+answer, and a second IOC database that resolves a bind differently asks
+another question.
 
-``execute_all`` remembers hit lists for the lifetime of the proxy, keyed
-by ``(entity_class, filter)`` (:func:`memo_key`): the filter is the
-query's predicates with each bind replaced by its resolved candidates,
-so every implementation that asks the same question of the same log
-shares one scan, and a second IOC database that resolves a bind
-differently gets its own key.
+:class:`NdjsonProxy` reads a newline-delimited JSON log and keeps the
+answers in its hit memo; :meth:`NdjsonProxy.hits` is the one way to get
+one, and ``execute``, ``execute_all`` and ``scan`` are each one lookup.
+The read decodes and checks every line alike, so a malformed line fails
+with the same ``file:line`` message whichever way the proxy was made:
 
-:class:`NdjsonProxy` reads its log in one of two ways; both decode and
-check every line alike, so a malformed line fails either with the same
-``file:line`` message.
-
-* Whole (``NdjsonProxy(path)``): every event is kept, indexed by class,
-  so a scan reads only the events of its class.  Retained memory is
+* Whole (``NdjsonProxy(path)``): every event is kept, and the memo is
+  seeded with each class's events in log order under the empty filter.
+  A key not seen before filters its class once.  Retained memory is
   O(events).  ``perturb --events`` reads this way, since its fitness
-  asks queries nobody knows in advance.
-* Filtered (``NdjsonProxy(path, keys)``): when every query is known
+  asks questions nobody knows in advance.
+* Filtered (``NdjsonProxy(path, keys)``): when every question is known
   before the log is opened, as in ``wilee hunt``, one pass tests each
-  line's raw fields against the filters of its class and builds an
-  :class:`Event` only for a line that passes some filter.  The pass
-  seeds the hit memo with one list per key.  Retained memory is
-  O(hits), plus the set of event ids while the pass runs.  ``scan``
-  still returns every event of the class, by reading the file again
-  with the empty filter of that class.
+  line's raw fields against the filters of its class, builds an
+  :class:`Event` only for a line that passes some filter, and seeds the
+  memo with one list per key.  Retained memory is O(hits), plus the set
+  of event ids while the pass runs.  A key not seeded costs one more
+  read of the file with that key's filter alone.
 
-Both reads share one line loop.  :func:`~wilee.stores.read_jsonl` takes
-a line from one call of the C JSON scanner when the line is one object
-and then its line end; any other line (a BOM, whitespace around the
-object, extra data, a blank line, not an object) goes to ``json.loads``,
-so every object and every error message is ``json.loads``'s.
-:func:`_checked` then checks the object and parses its timestamp once,
-and an :class:`Event` is one tuple built from that row: its ``fields``
-is the decoded dict itself when every value is a string, and its host
-and class strings are interned, shared by every event that names them.
-On a 120k-event log an event retains about 0.77 KB: the tuple, the
+The line loop is shared.  :func:`~wilee.stores.read_jsonl` takes a line
+from one call of the C JSON scanner when the line is one object and then
+its line end; any other line (a BOM, whitespace around the object, extra
+data, a blank line, not an object) goes to ``json.loads``, so every
+object and every error message is ``json.loads``'s.  :func:`_checked`
+then checks the object and parses its timestamp once, and an
+:class:`Event` is one tuple built from that row: its ``fields`` is the
+decoded dict itself when every value is a string, and its host and class
+strings are interned, shared by every event that names them.  On a
+120k-event log an event retains about 0.77 KB: the tuple, the
 ``event_id``, ``timestamp`` and ``moment``, and the fields dict with its
 own key and value strings, which are about two thirds of it.  The same
 loop feeds every byte to SHA-256, so ``NdjsonProxy.sha256`` names the
 log without a second read.
 
-Two facts follow:
-
-* A proxy's ``scan`` results must not change over its lifetime; a
-  changed log needs a new proxy, and a filtered proxy's file must not
-  change while it is used.
-* The memo retains at most one pointer per hit per distinct filter. It
-  is freed with the proxy.
+A hit list is kept for the proxy's lifetime and shared by every caller
+that asks its key, so callers must not modify it, and a proxy's file
+must not change while the proxy is used.  The memo retains at most one
+pointer per hit per distinct key, and is freed with the proxy.
 """
 
 from __future__ import annotations
@@ -61,11 +55,10 @@ import hashlib
 import json
 import re
 import sys
-import weakref
 from collections import namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Protocol, Union
+from typing import Callable, Iterable, Optional, Union
 
 from ..stores import FormatError, IocDb, read_jsonl, resolve_bind
 from ..globmatch import glob_match
@@ -77,7 +70,7 @@ class ProxyUnavailable(Exception):
 
 
 _RFC3339 = re.compile(
-    r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt ][0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]+)?(?:[Zz]|[+-][0-9]{2}:[0-9]{2})?"
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}[Tt ][0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.([0-9]+))?(?:[Zz]|[+-][0-9]{2}:[0-9]{2})?"
 ).fullmatch
 # The final letters for UTC that ``datetime.fromisoformat`` cannot read:
 # Python 3.11 reads "Z" but not "z", Python 3.10 neither.
@@ -88,11 +81,16 @@ def parse_rfc3339(value: str) -> datetime:
     """The moment an RFC 3339 date-time names, such as
     ``2026-03-01T07:00:00Z``; one without an offset is taken as UTC.  Any
     other text, ISO 8601's date-only, basic and week forms among it,
-    raises ``ValueError("Invalid isoformat string: ...")``.  On Python
-    3.10 a fraction of a second must have 3 or 6 digits, as
-    ``datetime.fromisoformat`` reads no others there."""
-    if _RFC3339(value) is None:
+    raises ``ValueError("Invalid isoformat string: ...")``.  A fraction
+    of a second keeps its first six digits, as on Python 3.11."""
+    match = _RFC3339(value)
+    if match is None:
         raise ValueError(f"Invalid isoformat string: {value!r}")
+    fraction = match[1]
+    if fraction is not None and len(fraction) != 6:
+        # Python 3.10's ``fromisoformat`` reads 3 or 6 digits only.
+        start, end = match.span(1)
+        value = value[:start] + fraction[:6].ljust(6, "0") + value[end:]
     if value[-1] in _UTC_SUFFIX:
         value = value[:-1] + "+00:00"
     moment = datetime.fromisoformat(value)
@@ -115,38 +113,47 @@ class Event(namedtuple("Event", "event_id timestamp host entity_class fields lin
         return tuple(self[:6])
 
 
-class DataProxy(Protocol):
-    def scan(self, entity_class: str) -> Iterable[Event]:
-        """All events of the given class, in log order.  The result must
-        stay the same for the proxy's lifetime: ``execute_all`` keeps
-        hit lists per proxy."""
-        ...
-
-
 class NdjsonProxy:
     """Event log backend over an ``events.ndjson`` file.
 
-    Without ``keys`` the whole log is kept, indexed by entity class.
-    With ``keys``, the ``(entity_class, filter)`` keys of every query the
-    proxy will be asked (see :func:`memo_key`), the one read keeps only
-    the events some key's filter passes and seeds the proxy's hit memo
-    with one list per key; ``scan`` then reads the file again.
+    Without ``keys`` the whole log is kept, and the hit memo is seeded
+    with each class's events under the empty filter.  With ``keys``, the
+    ``(entity_class, filter)`` keys of every query the proxy will be
+    asked (see :func:`memo_key`), the one read keeps only the events some
+    key's filter passes and seeds the memo with one list per key.
 
     ``sha256`` is the hex SHA-256 of the file's bytes as that first read
     saw them."""
 
     def __init__(self, path: Union[str, Path], keys: Optional[Iterable[Key]] = None):
         self.path = Path(path)
-        self._by_class: Optional[dict[str, list[Event]]] = None
+        self._whole = keys is None
         digest = hashlib.sha256()
-        if keys is None:
-            self._by_class = {}
-            self._read(_keep_all(self._by_class), digest)
+        if self._whole:
+            by_class: dict[str, list[Event]] = {}
+            self._read(_keep_all(by_class), digest)
+            self._hits = {(entity_class, ()): events for entity_class, events in by_class.items()}
         else:
-            hits = {key: [] for key in keys}
-            self._read(_keep_hits(hits), digest)
-            _HITS[self] = hits
+            self._hits = {key: [] for key in keys}
+            self._read(_keep_hits(self._hits), digest)
         self.sha256 = digest.hexdigest()
+
+    def hits(self, key: Key) -> list[Event]:
+        """The events of ``key``'s class whose fields pass its filter, in
+        log order; a missing field never passes.  The list is kept for
+        the proxy's lifetime and shared by every caller of the same key,
+        so callers must not modify it."""
+        found = self._hits.get(key)
+        if found is None:
+            entity_class, filt = key
+            if self._whole:
+                tests = _tests(filt)
+                found = [e for e in self._hits.get((entity_class, ()), ()) if _passes(e.fields, tests)]
+            else:
+                found = []
+                self._read(_keep_hits({key: found}))
+            self._hits[key] = found
+        return found
 
     def _read(self, keep: Callable[[tuple], None], digest=None) -> None:
         """Check each line (:func:`_checked`) and run ``keep`` on its row;
@@ -170,12 +177,8 @@ class NdjsonProxy:
             raise ProxyUnavailable(str(exc)) from None
 
     def scan(self, entity_class: str) -> list[Event]:
-        if self._by_class is None:
-            found: list[Event] = []
-            # an empty filter passes every event of the class
-            self._read(_keep_hits({(entity_class, ()): found}))
-            return found
-        return list(self._by_class.get(entity_class, ()))
+        """A new list of every event of the class, in log order."""
+        return list(self.hits((entity_class, ())))
 
 
 def _checked(doc: dict) -> tuple:
@@ -232,10 +235,6 @@ def _text_fields(fields: dict) -> dict[str, str]:
     return fields
 
 
-def event_from_json(doc: dict) -> Event:
-    return _event(_checked(doc))
-
-
 def _keep_all(by_class: dict[str, list[Event]]) -> Callable[[tuple], None]:
     def keep(row: tuple) -> None:
         event = _event(row)
@@ -267,9 +266,6 @@ def _keep_hits(hits: dict[Key, list[Event]]) -> Callable[[tuple], None]:
 Filter = tuple[tuple[str, frozenset, tuple], ...]
 Key = tuple[str, Filter]  # (entity_class, filter)
 
-#: Per proxy, hit lists by key.
-_HITS: "weakref.WeakKeyDictionary[DataProxy, dict[Key, list[Event]]]" = weakref.WeakKeyDictionary()
-
 
 def _candidates(pred: Predicate, db: IocDb) -> tuple[frozenset, tuple]:
     """Exact values and globs the predicate's field may take.  A bind's
@@ -284,8 +280,8 @@ def _candidates(pred: Predicate, db: IocDb) -> tuple[frozenset, tuple]:
 
 
 def memo_key(q: QueryDescriptor, db: IocDb) -> Key:
-    """The key ``execute_all`` keeps the descriptor's hits under: its
-    class and its predicates with each bind resolved against ``db``."""
+    """The key a proxy keeps the descriptor's hits under: its class and
+    its predicates with each bind resolved against ``db``."""
     return q.entity_class, tuple((p.variable, *_candidates(p, db)) for p in q.predicates)
 
 
@@ -312,29 +308,13 @@ def _passes(fields: dict, tests) -> bool:
     return True
 
 
-def _scan(proxy: DataProxy, entity_class: str, filt: Filter) -> list[Event]:
-    tests = _tests(filt)
-    return [event for event in proxy.scan(entity_class) if _passes(event.fields, tests)]
-
-
-def execute(q: QueryDescriptor, proxy: DataProxy, db: IocDb) -> list[Event]:
+def execute(q: QueryDescriptor, proxy: NdjsonProxy, db: IocDb) -> list[Event]:
     """Events of the descriptor's entity class satisfying every
-    predicate, in log order.  A missing field never matches."""
-    return _scan(proxy, *memo_key(q, db))
+    predicate, in log order: the proxy's shared hit list for its key."""
+    return proxy.hits(memo_key(q, db))
 
 
-def execute_all(
-    descriptors: list[QueryDescriptor], proxy: DataProxy, db: IocDb
-) -> dict[str, list[Event]]:
+def execute_all(descriptors: list[QueryDescriptor], proxy: NdjsonProxy, db: IocDb) -> dict[str, list[Event]]:
     """``execute`` for each descriptor, by qid.  Descriptors with the
-    same :func:`memo_key` share one hit list, kept for the proxy's
-    lifetime; callers must not modify it."""
-    memo = _HITS.setdefault(proxy, {})
-    results = {}
-    for q in descriptors:
-        key = memo_key(q, db)
-        hits = memo.get(key)
-        if hits is None:
-            hits = memo[key] = _scan(proxy, *key)
-        results[q.qid] = hits
-    return results
+    same :func:`memo_key` share one hit list."""
+    return {q.qid: proxy.hits(memo_key(q, db)) for q in descriptors}

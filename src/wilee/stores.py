@@ -299,10 +299,8 @@ class TtpRecord:
 
 @dataclass
 class TtpStore:
-    """TTP implementations indexed by technique id and tactic tag.
-
-    Immutable once a pipeline phase starts; :meth:`insert` is for the
-    single-writer windows between phases."""
+    """TTP implementations indexed by technique id and tactic tag,
+    admitted and deduplicated by :func:`load_stores`."""
 
     records: list[TtpRecord] = field(default_factory=list)
 
@@ -311,20 +309,6 @@ class TtpStore:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def insert(self, record: TtpRecord, model: Optional[DataModel] = None) -> bool:
-        """Add a record; returns False for an exact duplicate of an
-        existing (technique_id, source, content-hash) triple."""
-        if record.source not in TTP_SOURCES:
-            raise ValueError(f"unknown TTP source {record.source!r}")
-        problems = _admission_problems(record.ast, model)
-        if problems:
-            raise ValidationError([record.technique_id], "; ".join(problems))
-        if any(r.record_id == record.record_id for r in self.records):
-            logger.warning("duplicate TTP record %s ignored", record.record_id)
-            return False
-        self.records.append(record)
-        return True
 
     def tactics_present(self) -> list[str]:
         """Distinct known tactics in canonical kill-chain order."""

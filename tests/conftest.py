@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from wilee.dsl import function_def, module, parse
+from wilee.dsl import function_def, module, parse, validate
 from wilee.stores import DataModel, IocDb, IocRecord, TtpRecord, TtpStore
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -68,13 +68,16 @@ def model() -> DataModel:
 
 
 def build_store(model: DataModel, entries) -> TtpStore:
-    """entries: iterable of (technique_id, tactic_tags, source, dsl_source)."""
-    store = TtpStore()
+    """entries: iterable of (technique_id, tactic_tags, source, dsl_source),
+    each a valid concrete body.  A record is kept once per record id, as
+    :func:`~wilee.stores.load_stores` keeps it."""
+    records = {}
     for technique_id, tags, source, text in entries:
-        store.insert(
-            TtpRecord(technique_id, tuple(tags), source, function_from(text)), model
-        )
-    return store
+        fn = function_from(text)
+        assert not validate(fn, model), text
+        record = TtpRecord(technique_id, tuple(tags), source, fn)
+        records.setdefault(record.record_id, record)
+    return TtpStore(list(records.values()))
 
 
 @pytest.fixture

@@ -140,8 +140,14 @@ def _oracle_moment(value: str) -> datetime:
     )
     if not well_formed:
         raise ValueError(f"Invalid isoformat string: {value!r}")
-    moment = datetime.fromisoformat(value[:-1] + "+00:00" if rest in ("Z", "z") else value)
-    return moment if moment.tzinfo else moment.replace(tzinfo=timezone.utc)
+    # Digits past microseconds are dropped, as Python 3.11 drops them.
+    micro = int(fraction[1:7].ljust(6, "0")) if fraction else 0
+    offset = timedelta(0)
+    if rest not in ("", "Z", "z"):
+        offset = (1 if rest[0] == "+" else -1) * timedelta(hours=int(rest[1:3]), minutes=int(rest[4:]))
+    year, month, day = int(date[:4]), int(date[5:7]), int(date[8:])
+    hour, minute, second = int(clock[:2]), int(clock[3:5]), int(clock[6:])
+    return datetime(year, month, day, hour, minute, second, micro, tzinfo=timezone(offset))
 
 
 def _oracle_event(doc: dict) -> dict:

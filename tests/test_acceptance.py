@@ -47,7 +47,7 @@ from wilee.gpe import (
     perturb_iocs,
     run_gpe,
 )
-from wilee.hunt import NdjsonProxy, evaluate, execute
+from wilee.hunt import NdjsonProxy, evaluate, execute, schedule
 from wilee.hunt.query import BindSpec, Predicate, QueryDescriptor
 from wilee.interpreter import concretize, implementation_from_module
 from wilee.malmo import (
@@ -223,7 +223,7 @@ def _hunt_confirmations(store, model, log_path):
     desc = ThreatDescription.from_steps("putty_hunt", ["T1552.002", "T1059.001"])
     implementations = concretize(desc, store).implementations
     proxy = NdjsonProxy(log_path)
-    return [evaluate(impl, proxy, IocDb(), model) for impl in implementations]
+    return [evaluate(impl, schedule(impl, model), proxy, IocDb()) for impl in implementations]
 
 
 def test_criterion_4_hunt_end_to_end(model, big_log_events, clean_log_events, tmp_path):

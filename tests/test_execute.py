@@ -402,22 +402,28 @@ def test_execute_all_shared_hits_equal_oracle_per_qid(model, tmp_path):
     assert differs
 
 
-class _CountingProxy:
-    def __init__(self, events):
-        self.events = events
-        self.scans = 0
+class _CountingProxy(NdjsonProxy):
+    """An :class:`NdjsonProxy` that counts its reads of the log."""
 
-    def scan(self, entity_class):
+    scans = 0
+
+    def _read(self, keep, digest=None):
         self.scans += 1
-        return [e for e in self.events if e.entity_class == entity_class]
+        super()._read(keep, digest)
 
 
-def test_execute_all_scans_each_distinct_filter_once_per_proxy():
+def test_execute_all_scans_each_distinct_filter_once_per_proxy(tmp_path):
+    rows = [("Process", "cmd.exe"), ("Process", "svchost.exe"), ("Process", "Trojan.A"), ("File", "cmd.exe"),
+            ("Process", "cmd.exe")]
     events = [
-        Event(f"p{i}", "2026-01-01T00:00:00Z", "h", "Process", {"name": name})
-        for i, name in enumerate(["cmd.exe", "svchost.exe", "Trojan.A", "cmd.exe"])
+        {"event_id": f"p{i}", "timestamp": "2026-01-01T00:00:00Z", "host": "h", "entity_class": cls,
+         "fields": {"name": name}}
+        for i, (cls, name) in enumerate(rows)
     ]
-    proxy = _CountingProxy(events)
+    path = write_ndjson(tmp_path / "events.ndjson", events)
+    # Seeded with no key, every distinct filter costs one more read.
+    proxy = _CountingProxy(path, ())
+    assert proxy.scans == 1
     bind = make_descriptor("Process", [Predicate("name", "eq", BindSpec("process_name"))])
     literal = make_descriptor("Process", [Predicate("name", "eq", "cmd.exe")])
     first = IocDb((IocRecord("process_name", "cmd.exe"),))
@@ -432,24 +438,31 @@ def test_execute_all_scans_each_distinct_filter_once_per_proxy():
         ]
 
     hits = run(bind, first, 5)
-    assert proxy.scans == 1
+    assert proxy.scans == 2
     assert all(h is hits[0] for h in hits)
-    assert [e.event_id for e in hits[0]] == ["p0", "p3"]
+    assert [e.event_id for e in hits[0]] == ["p0", "p4"]
     # A literal with the same value is the same filter.
     assert run(literal, IocDb(), 3)[0] is hits[0]
-    assert proxy.scans == 1
+    assert proxy.scans == 2
     # The same bind resolved against another database is another filter.
     assert [e.event_id for e in run(bind, second, 4)[0]] == ["p2"]
-    assert proxy.scans == 2
-    run(bind, first, 2)
-    assert proxy.scans == 2
-    # execute stays the uncached primitive.
-    assert execute(bind, proxy, first) == hits[0]
     assert proxy.scans == 3
-    # Another proxy over the same events has its own memo.
-    other = _CountingProxy(events)
+    run(bind, first, 2)
+    assert proxy.scans == 3
+    # execute shares the memoised list.
+    assert execute(bind, proxy, first) is hits[0]
+    assert proxy.scans == 3
+    # Another proxy over the same log has its own memo.
+    other = _CountingProxy(path, ())
     assert execute_all([bind], other, first)[bind.qid] == hits[0]
-    assert other.scans == 1
+    assert other.scans == 2
+    # A whole read answers every filter from its class lists, without
+    # reading the log again.
+    whole = _CountingProxy(path)
+    assert execute_all([bind], whole, first)[bind.qid] == hits[0]
+    assert execute(bind, whole, second) == run(bind, second, 1)[0]
+    assert execute(literal, whole, IocDb()) is execute(bind, whole, first)
+    assert whole.scans == 1
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +471,8 @@ def test_execute_all_scans_each_distinct_filter_once_per_proxy():
 
 
 def _seeded(proxy):
-    """The hit lists a filtered read seeded, by key."""
-    return wilee.hunt.proxy._HITS[proxy]
+    """The hit lists a proxy holds now, by key."""
+    return dict(proxy._hits)
 
 
 def _assert_filtered_read_equals_execute(path, descriptors, db, classes):
@@ -598,6 +611,54 @@ def test_filtered_read_equals_execute_on_random_logs(tmp_path):
     assert several_on_one_class > 50 and hits > 500  # the filters do select
 
 
+def _string_irregular(rng, doc):
+    """``doc`` with, now and then, a field dropped, empty or missing
+    ``fields``, or a class no query asks for; every value stays a string,
+    as the reference scan reads only strings."""
+    doc = {**doc, "fields": dict(doc["fields"])}
+    roll = rng.random()
+    if roll < 0.1:
+        del doc["fields"][rng.choice(list(doc["fields"]))]
+    elif roll < 0.15:
+        doc["fields"] = {}
+    elif roll < 0.2:
+        del doc["fields"]
+    elif roll < 0.25:
+        doc["entity_class"] = "Mutex"
+    return doc
+
+
+def test_hits_agree_whole_seeded_and_missed_on_random_logs(tmp_path):
+    """For every key, the whole read's hits, a filtered read's seeded
+    hits, and a filtered read's hits for a key it was not seeded with
+    (one more read of the log) equal the reference scan, in log order."""
+    rng = random.Random(20261102)
+    path = tmp_path / "events.ndjson"
+    seeded_hits = missed_hits = 0
+    for trial in range(300):
+        events = [_string_irregular(rng, doc) for doc in synth_log(rng, rng.randrange(0, 40))]
+        write_ndjson(path, events)
+        descriptors = [_differential_descriptor(rng, i) for i in range(rng.randrange(1, 9))]
+        keys = {q.qid: memo_key(q, _DIFF_DB) for q in descriptors}
+        seeds = list(dict.fromkeys(key for key in keys.values() if rng.random() < 0.5))
+        whole, filtered = NdjsonProxy(path), _CountingProxy(path, seeds)
+        assert list(filtered._hits) == seeds
+        for q in descriptors:
+            key = keys[q.qid]
+            expected = oracle_execute(q, events, _DIFF_DB.records)
+            reads = filtered.scans
+            missed = key not in filtered._hits
+            got = filtered.hits(key)
+            assert filtered.scans == reads + missed
+            assert [e.event_id for e in whole.hits(key)] == expected, (trial, q)
+            assert [e.event_id for e in got] == expected, (trial, q, missed)
+            assert got == whole.hits(key)
+            assert filtered.hits(key) is got  # a miss's hits are kept
+            seeded_hits += len(got) * (not missed)
+            missed_hits += len(got) * missed
+    assert seeded_hits > 500 and missed_hits > 500, (seeded_hits, missed_hits)
+
+
 @pytest.mark.parametrize("name", list(MALFORMED_EVENT_LINES))
 def test_whole_and_filtered_reads_fail_alike(tmp_path, name):
     line, message = MALFORMED_EVENT_LINES[name]
@@ -704,6 +765,11 @@ def test_read_jsonl_hand_case_outcomes(tmp_path):
         ("2026-03-01T07:00:00.250+00:00", datetime(2026, 3, 1, 7, 0, 0, 250000, tzinfo=timezone.utc)),
         ("2026-03-01T09:30:00.000001+02:30", datetime(2026, 3, 1, 7, 0, 0, 1, tzinfo=timezone.utc)),
         ("2026-03-01T02:00:00-05:00", datetime(2026, 3, 1, 7, tzinfo=timezone.utc)),
+        # Digits past microseconds are dropped, not rounded.
+        ("2026-03-01T07:00:00.5Z", datetime(2026, 3, 1, 7, 0, 0, 500000, tzinfo=timezone.utc)),
+        ("2026-03-01T07:00:00.25", datetime(2026, 3, 1, 7, 0, 0, 250000, tzinfo=timezone.utc)),
+        ("2026-03-01T08:00:00.1234567+01:00", datetime(2026, 3, 1, 7, 0, 0, 123456, tzinfo=timezone.utc)),
+        ("2026-03-01t07:00:00.999999999z", datetime(2026, 3, 1, 7, 0, 0, 999999, tzinfo=timezone.utc)),
     ],
 )
 def test_parse_rfc3339_reads_each_form(stamp, moment):
@@ -770,7 +836,7 @@ def _restamped(rng, doc: dict) -> dict:
     RFC 3339 form: another separator or UTC letter, a fraction, an offset."""
     stamp = doc["timestamp"][:-1]
     stamp = stamp[:10] + rng.choice("Tt ") + stamp[11:]
-    stamp += rng.choice(("", ".123", ".000250"))  # Python 3.10 reads 3 or 6 digits only
+    stamp += rng.choice(("", ".5", ".25", ".123", ".000250", ".1234567", ".123456789"))
     return {**doc, "timestamp": stamp + rng.choice(("", "Z", "z", "+00:00", "+05:30", "-08:00"))}
 
 

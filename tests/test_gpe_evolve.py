@@ -42,7 +42,7 @@ def small_db():
 
 
 def stub(uid, behavior, fitness=None, nov=0.0):
-    c = Candidate(uid=uid, ast=None, behavior=behavior, lineage=Lineage((), "seed"), fitness=fitness)
+    c = Candidate(uid=uid, digest=uid, ast=None, behavior=behavior, lineage=Lineage((), "seed"), fitness=fitness)
     c.novelty = nov
     return c
 

@@ -1,5 +1,7 @@
 import random
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 from conftest import PlantedAttack, build_store, iso, write_ndjson
 from conftest import T1059_SRC, T1552_PUTTY_SRC
@@ -28,21 +30,17 @@ from wilee.interpreter import concretize
 from wilee.stores import IocDb
 
 
+def whole_proxy(events):
+    """A whole-read proxy over ``events``, written to a log that is gone
+    once the read has kept every event."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return NdjsonProxy(write_ndjson(Path(tmp) / "events.ndjson", events))
+
+
 def hunt(impl, events, model, window_seconds=60.0, db=None):
-    """Run schedule -> execute -> graph -> match over in-memory events."""
-
-    class ListProxy:
-        def __init__(self, items):
-            from wilee.hunt.proxy import event_from_json
-
-            self.items = [event_from_json(doc) for doc in items]
-
-        def scan(self, entity_class):
-            return [e for e in self.items if e.entity_class == entity_class]
-
+    """Run schedule -> execute -> graph -> match over ``events``."""
     descriptors = schedule(impl, model)
-    proxy = ListProxy(events)
-    results = execute_all(descriptors, proxy, db or IocDb())
+    results = execute_all(descriptors, whole_proxy(events), db or IocDb())
     graph = build_graph(results, descriptors, window_seconds)
     return graph, match(graph, impl)
 
@@ -158,11 +156,8 @@ def test_edge_count_matches_pairwise_oracle(model):
                       {"name": "TrojanSpy.Win32.TRICKBOT.AZ"}, links=links)
             )
     graph, _ = hunt(impl, events, model)
-    from wilee.hunt.proxy import event_from_json
-
-    parsed = [event_from_json(doc) for doc in events]
-    sources = [e for e in parsed if e.entity_class == "Process"]
-    targets = [e for e in parsed if e.entity_class == "WinRegistryKey"]
+    proxy = whole_proxy(events)
+    sources, targets = proxy.scan("Process"), proxy.scan("WinRegistryKey")
     expected_pairs = oracle_edge_pairs(sources, targets, "observed", 60.0)
     got_pairs = {(e.source_event, e.target_event) for e in graph.edges}
     assert got_pairs == expected_pairs

@@ -23,7 +23,7 @@ from wilee.dsl import (
     parse,
     random_technique_id,
 )
-from wilee.hunt import NdjsonProxy, evaluate
+from wilee.hunt import NdjsonProxy, evaluate, schedule
 from wilee.interpreter import (
     EmptyStore,
     bind_sites,
@@ -205,7 +205,7 @@ def test_evaluate_keeps_the_concretized_impl_id(model, putty_ioc_db, tmp_path):
     log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(5), 60, PlantedAttack.build().events))
     proxy = NdjsonProxy(log)
     for impl in impls:
-        assert evaluate(impl, proxy, putty_ioc_db, model).impl_id == impl.impl_id
+        assert evaluate(impl, schedule(impl, model), proxy, putty_ioc_db).impl_id == impl.impl_id
 
 
 def test_every_step_record_satisfies_membership(model):

@@ -117,7 +117,7 @@ def test_duplicate_iocs_keep_earliest_with_warning(tmp_path, caplog):
     assert any("duplicate IOC" in r.message for r in caplog.records)
 
 
-def test_duplicate_ttp_records_keep_one_with_warning(tmp_path, caplog, model, monkeypatch):
+def test_duplicate_ttp_records_keep_one_with_warning(tmp_path, caplog, monkeypatch):
     import wilee.stores
 
     hashed = []
@@ -133,16 +133,6 @@ def test_duplicate_ttp_records_keep_one_with_warning(tmp_path, caplog, model, mo
     (warning,) = [r.getMessage() for r in caplog.records]
     assert warning.endswith(f":3: duplicate TTP record {store.records[0].record_id} ignored")
     assert len(hashed) == 3  # each record's tree is hashed once
-
-    caplog.clear()
-    again = TtpRecord("T1552.002", ("credential-access",), "SME", function_from(T1552_PUTTY_SRC))
-    with caplog.at_level(logging.WARNING, logger="wilee.stores"):
-        assert store.insert(again, model) is False
-    assert len(store) == 2
-    assert [r.getMessage() for r in caplog.records] == [
-        f"duplicate TTP record {again.record_id} ignored"
-    ]
-    assert len(hashed) == 4
 
 
 def test_ttp_store_loads_and_validates(tmp_path):
@@ -304,33 +294,24 @@ def test_ttps_for_step_equals_linear_scan(model):
 
 
 # ---------------------------------------------------------------------------
-# insert / dedup / misc
+# admission / misc
 # ---------------------------------------------------------------------------
 
 
-def test_insert_rejects_invalid_ast(model):
-    store = TtpStore()
-    bad = function_from("def t1552_002():\n    ghost.Hive = \"x\"\n")
-    with pytest.raises(ValidationError):
-        store.insert(TtpRecord("T1552.002", (), "SME", bad), model)
+def test_load_rejects_invalid_ast(tmp_path):
+    bad = 'def t1552_002():\n    process1 = Process()\n    process1.nonesuch = "x"\n'
+    paths = write_stores(tmp_path, [], [("T1059.001", ["execution"], "SME", T1059_SRC), ("T1552.002", [], "SME", bad)])
+    with pytest.raises(ValidationError, match=r"T1552\.002: error: unknown variable 'nonesuch'") as err:
+        load_stores(paths)
+    assert err.value.technique_ids == ["T1552.002"]
 
 
-def test_insert_rejects_abstract_bodies(model):
-    store = TtpStore()
-    abstract = function_from("def t1552_002():\n    credential_access()\n")
-    with pytest.raises(ValidationError, match="concrete"):
-        store.insert(TtpRecord("T1552.002", (), "SME", abstract), model)
-
-
-def test_insert_dedups_identical_content(model):
-    store = TtpStore()
-    record = TtpRecord("T1552.002", ("credential-access",), "SME", function_from(T1552_PUTTY_SRC))
-    assert store.insert(record, model) is True
-    again = TtpRecord("T1552.002", ("credential-access",), "SME", function_from(T1552_PUTTY_SRC))
-    assert store.insert(again, model) is False
-    assert len(store) == 1
-    variant = TtpRecord("T1552.002", ("credential-access",), "SME", function_from(T1552_RUNKEY_SRC))
-    assert store.insert(variant, model) is True
+def test_load_rejects_abstract_bodies(tmp_path):
+    abstract = "def t1552_002():\n    credential_access()\n"
+    paths = write_stores(tmp_path, [], [("T1552.002", [], "SME", abstract), ("T1059.001", [], "SME", T1059_SRC)])
+    with pytest.raises(ValidationError, match="T1552.002: TTP bodies must be concrete") as err:
+        load_stores(paths)
+    assert err.value.technique_ids == ["T1552.002"]
 
 
 def test_ioc_type_map_bridges_variables():
