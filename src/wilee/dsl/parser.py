@@ -17,9 +17,8 @@ are byte ranges into the UTF-8 encoding of the source.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import ast
 from .ast import AstNode, RELATION_VERBS
@@ -56,8 +55,7 @@ class TokenType(Enum):
     EOF = "end of input"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: str
     line: int

@@ -1,10 +1,14 @@
 """Evidence graphs assembled from query results.
 
-Nodes are (descriptor, event) matches; edges witness a relation between
-two matched events.  An edge exists when the log records an explicit
-link with the relation's verb, or as a fallback when both events share
-a host inside a configurable temporal window.  Edge timestamps are the
-later of the two endpoints: the moment the relation is fully witnessed.
+Edges witness a relation between two matched events.  An edge exists
+when the log records an explicit link with the relation's verb, or as a
+fallback when both events share a host inside a configurable temporal
+window.  Edge timestamps are the later of the two endpoints: the moment
+the relation is fully witnessed.  Nodes are (descriptor, event) matches,
+built only for an object no relation touches: a descriptor with no
+relations of its own that is no other descriptor's peer.  Those are
+exactly the objects :func:`~wilee.hunt.matcher.obligations_for` gives a
+node obligation, so the matcher reads every node and every edge.
 
 Each relation is a band join (DeWitt, Naughton & Schneider, "An
 Evaluation of Non-Equijoin Algorithms", VLDB 1991).  The peer results
@@ -12,7 +16,11 @@ are indexed once: by event id for the link path, and per host by moment
 for the window path.  Each source then finds its link targets by id
 lookup and its window targets with two binary searches, so a relation
 with S sources, T targets and E edges costs O((S + T) log T + E) rather
-than O(S x T).
+than O(S x T).  A source with no candidate costs those two bisects (none
+when no target shares its host) and builds no set, list or sort: only a
+source with links builds its link set, and only a source with more than
+one candidate sorts.  A relation with no sources or no targets builds
+no index.
 
 Edges come out in source log order, then target log order, and are
 numbered ``e00000``, ``e00001``, ... in that order.  A pair that is both
@@ -25,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from typing import NamedTuple
 
 from .proxy import Event
 from .query import QueryDescriptor
@@ -32,8 +41,7 @@ from .query import QueryDescriptor
 DEFAULT_WINDOW_SECONDS = 60.0
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(NamedTuple):
     node_id: str
     qid: str
     event_id: str
@@ -42,8 +50,7 @@ class GraphNode:
     timestamp: datetime
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     edge_id: str
     qid: str
     peer_qid: str
@@ -99,25 +106,16 @@ class _PeerIndex:
             pairs.sort()
             self.by_host[host] = ([m for m, _ in pairs], [p for _, p in pairs])
 
-    def near(self, source: Event, window_us: int) -> list[int]:
-        """Positions on the source's host within ``window_us``
-        microseconds of it, bounds included; none when the window is
-        negative."""
-        bucket = self.by_host.get(source.host)
-        if bucket is None:
-            return []
-        moments, positions = bucket
-        t = _micros(source.moment)
-        return positions[bisect_left(moments, t - window_us) : bisect_right(moments, t + window_us)]
-
 
 def build_graph(
     results: dict[str, list[Event]],
     descriptors: list[QueryDescriptor],
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
 ) -> EvidenceGraph:
-    """Assemble nodes and TTP-labelled relation edges from per-descriptor
-    query results."""
+    """Assemble the nodes of unrelated objects and the TTP-labelled
+    relation edges from per-descriptor query results."""
+    related = {q.qid for q in descriptors if q.relations}
+    related.update(rel.peer_qid for q in descriptors for rel in q.relations)
     nodes = [
         GraphNode(
             node_id=f"{q.qid}:{event.event_id}",
@@ -128,27 +126,52 @@ def build_graph(
             timestamp=event.moment,
         )
         for q in descriptors
+        if q.qid not in related
         for event in results.get(q.qid, [])
     ]
 
     window_us = timedelta(seconds=window_seconds) // _MICROSECOND
     edges: list[GraphEdge] = []
     for q in descriptors:
-        sources = results.get(q.qid, [])
+        sources = results.get(q.qid)
         for rel in q.relations:
-            targets = results.get(rel.peer_qid, [])
+            targets = results.get(rel.peer_qid)
+            if not sources or not targets:
+                continue
             index = _PeerIndex(targets)
+            by_id, by_host, verb = index.by_id, index.by_host, rel.verb
             for source in sources:
-                linked = {
-                    pos
-                    for verb, event_id in source.links
-                    if verb == rel.verb
-                    for pos in index.by_id.get(event_id, ())
-                }
-                candidates = linked.union(index.near(source, window_us))
-                for pos in sorted(candidates):
+                bucket = by_host.get(source.host)
+                if bucket is None:
+                    lo = hi = 0
+                else:
+                    moments, positions = bucket
+                    t = _micros(source.moment)
+                    lo = bisect_left(moments, t - window_us)
+                    hi = bisect_right(moments, t + window_us)
+                linked = (
+                    {
+                        pos
+                        for link_verb, event_id in source.links
+                        if link_verb == verb
+                        for pos in by_id.get(event_id, ())
+                    }
+                    if source.links
+                    else None
+                )
+                if lo < hi:
+                    candidates = positions[lo:hi]
+                    if linked:
+                        candidates = sorted(linked.union(candidates))
+                    elif hi - lo > 1:
+                        candidates.sort()
+                elif linked:
+                    candidates = sorted(linked)
+                else:
+                    continue
+                for pos in candidates:
                     target = targets[pos]
-                    if pos in linked:
+                    if linked and pos in linked:
                         kind = "link"
                     elif target.event_id != source.event_id:
                         kind = "window"
@@ -159,7 +182,7 @@ def build_graph(
                             edge_id=f"e{len(edges):05d}",
                             qid=q.qid,
                             peer_qid=rel.peer_qid,
-                            verb=rel.verb,
+                            verb=verb,
                             technique_id=q.technique_id,
                             step_index=q.step_index,
                             source_event=source.event_id,

@@ -14,6 +14,7 @@ from datetime import datetime, timedelta, timezone
 from typing import Optional
 
 from wilee.dsl.parser import DslSyntaxError, Token, TokenType
+from wilee.hunt.graph import EvidenceGraph, GraphEdge, GraphNode
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +442,19 @@ def oracle_build_graph_edges(results, descriptors, window_seconds) -> list[tuple
                         )
                     )
     return edges
+
+
+def oracle_build_graph(results, descriptors, window_seconds) -> EvidenceGraph:
+    """The full evidence graph: a node for every hit of every descriptor,
+    whether or not a relation touches it, and the pairwise loop's edges
+    of :func:`oracle_build_graph_edges`."""
+    nodes = tuple(
+        GraphNode(f"{q.qid}:{event.event_id}", q.qid, event.event_id, q.entity_class, event.host, event.moment)
+        for q in descriptors
+        for event in results.get(q.qid, [])
+    )
+    edges = tuple(GraphEdge(*edge) for edge in oracle_build_graph_edges(results, descriptors, window_seconds))
+    return EvidenceGraph(nodes, edges)
 
 
 # ---------------------------------------------------------------------------

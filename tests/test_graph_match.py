@@ -7,6 +7,7 @@ from conftest import PlantedAttack, build_store, iso, write_ndjson
 from conftest import T1059_SRC, T1552_PUTTY_SRC
 from oracles import (
     oracle_best_witness_count,
+    oracle_build_graph,
     oracle_build_graph_edges,
     oracle_edge_pairs,
     oracle_support_index,
@@ -90,10 +91,10 @@ def test_no_results_empty_graph(model):
     assert result.confirmed is False and result.score == 0.0
 
 
-def test_one_relation_two_nodes_one_edge(model):
+def test_one_relation_no_nodes_one_edge(model):
     impl = putty_impl(model)
     graph, _ = hunt(impl, ATTACK[:2], model)
-    assert len(graph.nodes) == 2
+    assert len(graph.nodes) == 0
     assert len(graph.edges) == 1
     (edge,) = graph.edges
     assert edge.verb == "observed"
@@ -101,6 +102,19 @@ def test_one_relation_two_nodes_one_edge(model):
     assert edge.technique_id == "T1552.002"
     assert edge.step_index == 0
     assert edge.timestamp.isoformat().startswith("2026-03-01T06:00:20")
+
+
+def test_unrelated_object_one_node_per_hit(model):
+    impl = putty_impl(model)
+    second = event("cmd2", "2026-03-01T06:06:00Z", "ws-003", "Process",
+                   {"command_line": 'Get-Process -Name "powershell" | Stop-Process'})
+    graph, _ = hunt(impl, ATTACK + [second], model)
+    (node_qid,) = [ob.key[1] for ob in obligations_for(impl)[1]]
+    assert [(n.node_id, n.qid, n.host) for n in graph.nodes] == [
+        (f"{node_qid}:cmd1", node_qid, "ws-002"),
+        (f"{node_qid}:cmd2", node_qid, "ws-003"),
+    ]
+    assert len(graph.edges) == 1
 
 
 def test_explicit_links_cross_hosts_and_windows(model):
@@ -249,6 +263,125 @@ def test_build_graph_equals_pairwise_oracle():
             seen["boundary"] += edge.kind == "window" and delta == timedelta(seconds=window)
             seen["link_in_window"] += edge.kind == "link" and in_window
             seen["link_outside_window"] += edge.kind == "link" and not in_window
+    assert all(seen.values()), seen
+
+
+# Step bodies for the differential test below: relations only, one
+# unrelated object, a chain whose middle object is subject of one
+# relation and peer of another, a self-relation, a relation beside an
+# unrelated object, and two unrelated objects.
+_SHAPES = {
+    "T1552.002": T1552_PUTTY_SRC,
+    "T1059.001": T1059_SRC,
+    "T1003.001": """def t1003_001():
+    system1 = System()
+    process1 = Process()
+    winregistrykey1 = WinRegistryKey()
+    system1.has(process1)
+    process1.observed(winregistrykey1)
+""",
+    "T1055.001": """def t1055_001():
+    process1 = Process()
+    process1.has(process1)
+""",
+    "T1105": """def t1105():
+    process1 = Process()
+    file1 = File()
+    mutex1 = Mutex()
+    process1.observed(file1)
+""",
+    "T1057": """def t1057():
+    process1 = Process()
+    pipe1 = Pipe()
+""",
+}
+
+
+def _shaped_impls(model, rng, count):
+    """``count`` implementations of one to four steps drawn from
+    ``_SHAPES``, each with its scheduled descriptors."""
+    store = build_store(model, [(t, ("execution",), "SME", src) for t, src in _SHAPES.items()])
+    out = []
+    for i in range(count):
+        steps = [rng.choice(list(_SHAPES)) for _ in range(rng.randrange(1, 5))]
+        impl = concretize(ThreatDescription.from_steps(f"shape{i}", steps), store).implementations[0]
+        out.append((impl, schedule(impl, model)))
+    return out
+
+
+def _random_hits(rng, descriptors):
+    """Per-descriptor hits drawn from one small log of up to 24 events on
+    up to 12 hosts, on a 30 s grid so steps tie at the floor, with links
+    of either verb that may cross hosts.  Some descriptors get no hits,
+    some no entry at all."""
+    base = datetime(2026, 3, 1, 6, 0, 0, tzinfo=timezone.utc)
+    hosts = [f"h{i:02d}" for i in range(rng.randrange(1, 13))]
+    ids = [f"ev{i}" for i in range(rng.randrange(0, 25))]
+    log = []
+    for event_id in ids:
+        moment = base + timedelta(seconds=30 * rng.randrange(0, 8))
+        links = tuple(
+            (rng.choice(("observed", "has")), rng.choice(ids))
+            for _ in range(rng.choice((0, 0, 1, 2)))
+        )
+        log.append(Event(event_id, moment.isoformat(), rng.choice(hosts), "Process", {}, links))
+    share = rng.choice((0.2, 0.5, 0.8))
+    return {
+        q.qid: [e for e in log if rng.random() < share]
+        for q in descriptors
+        if rng.random() < 0.9
+    }
+
+
+def _floor_tie(graph, result):
+    """Whether two engaged steps of the witness share their earliest
+    timestamp."""
+    moments = {e.edge_id: e.timestamp for e in graph.edges}
+    moments.update((n.node_id, n.timestamp) for n in graph.nodes)
+    mins = [min(moments[item] for item in items) for items in result.step_witness if items]
+    return any(a == b for a, b in zip(mins, mins[1:]))
+
+
+def test_build_graph_matches_like_the_full_graph(model):
+    """Nodes only for unrelated objects and the lean join change no match
+    result: score, host, step scores and witnesses equal those over the
+    full graph of every hit, and the nodes kept are exactly the full
+    graph's nodes of node-obligation qids."""
+    rng = random.Random(20261018)
+    impls = _shaped_impls(model, rng, 24)
+    seen = dict.fromkeys(
+        ("confirmed", "partial", "zero", "cross_host_link", "floor_tie", "node_only_step",
+         "empty_hits", "subject_and_peer", "dropped_nodes"), 0
+    )
+    for impl, descriptors in impls:
+        node_qids = {ob.key[1] for obs in obligations_for(impl) for ob in obs if ob.kind == "node"}
+        one_hit = [Event("ev0", "2026-03-01T06:00:00Z", "h00", "Process", {})]
+        kept = build_graph({q.qid: one_hit for q in descriptors}, descriptors).nodes
+        assert {n.qid for n in kept} == node_qids, impl.description_name
+    for trial in range(300):
+        impl, descriptors = rng.choice(impls)
+        results = _random_hits(rng, descriptors)
+        window = rng.choice((0.0, 30.0, 60.0))
+        graph = build_graph(results, descriptors, window)
+        full = oracle_build_graph(results, descriptors, window)
+        result = match(graph, impl)
+        assert result == match(full, impl), f"trial {trial}"
+        per_step = obligations_for(impl)
+        node_qids = {ob.key[1] for obs in per_step for ob in obs if ob.kind == "node"}
+        assert graph.nodes == tuple(n for n in full.nodes if n.qid in node_qids), f"trial {trial}"
+        assert graph.edges == full.edges, f"trial {trial}"
+        seen["confirmed"] += result.confirmed
+        seen["partial"] += 0 < result.score < 1
+        seen["zero"] += result.score == 0 and bool(full.nodes)
+        seen["cross_host_link"] += any(e.source_host != e.target_host for e in graph.edges)
+        seen["floor_tie"] += result.host is not None and _floor_tie(graph, result)
+        seen["node_only_step"] += any(obs and all(ob.kind == "node" for ob in obs) for obs in per_step)
+        seen["empty_hits"] += any(not results.get(q.qid) for q in descriptors)
+        seen["subject_and_peer"] += any(
+            q.relations and any(r.peer_qid == q.qid for p in descriptors for r in p.relations if p is not q)
+            for q in descriptors
+        )
+        seen["dropped_nodes"] += len(graph.nodes) < len(full.nodes)
     assert all(seen.values()), seen
 
 
