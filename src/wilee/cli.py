@@ -303,6 +303,16 @@ def _add_store_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--data-model", type=Path, help="data model JSON (default: shipped snapshot)")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wilee", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"wilee {__version__}")
@@ -324,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_malmo = subs.add_parser("malmo", help="generate DSL from a technique description")
     _add_store_flags(p_malmo)
     p_malmo.add_argument("technique", type=Path, help="technique JSON ({id, name, description}) or plain text")
-    p_malmo.add_argument("--top-n", type=int, default=5)
+    p_malmo.add_argument("--top-n", type=_positive_int, default=5)
     p_malmo.add_argument("--out", type=Path, required=True)
     p_malmo.set_defaults(func=cmd_malmo)
 

@@ -3,7 +3,7 @@ and reporting.  :func:`evaluate` runs one implementation through all of
 them."""
 
 from .engine import evaluate
-from .graph import DEFAULT_WINDOW_SECONDS, EvidenceGraph, GraphEdge, GraphNode, build_graph
+from .graph import DEFAULT_WINDOW_SECONDS, EvidenceGraph, GraphEdge, build_graph
 from .matcher import MatchResult, Obligation, match, obligations_for
 from .proxy import (
     Event,
@@ -31,7 +31,6 @@ __all__ = [
     "DEFAULT_WINDOW_SECONDS",
     "EvidenceGraph",
     "GraphEdge",
-    "GraphNode",
     "build_graph",
     "MatchResult",
     "Obligation",

@@ -1,14 +1,12 @@
 """Evidence graphs assembled from query results.
 
+A graph is the query hits it was joined from, kept as given, plus the
+relation edges.  Each hit of query ``qid`` is the node ``qid:event_id``.
 Edges witness a relation between two matched events.  An edge exists
 when the log records an explicit link with the relation's verb, or as a
 fallback when both events share a host inside a configurable temporal
 window.  Edge timestamps are the later of the two endpoints: the moment
-the relation is fully witnessed.  Nodes are (descriptor, event) matches,
-built only for an object no relation touches: a descriptor with no
-relations of its own that is no other descriptor's peer.  Those are
-exactly the objects :func:`~wilee.hunt.matcher.obligations_for` gives a
-node obligation, so the matcher reads every node and every edge.
+the relation is fully witnessed.
 
 Each relation is a band join (DeWitt, Naughton & Schneider, "An
 Evaluation of Non-Equijoin Algorithms", VLDB 1991).  The peer results
@@ -41,15 +39,6 @@ from .query import QueryDescriptor
 DEFAULT_WINDOW_SECONDS = 60.0
 
 
-class GraphNode(NamedTuple):
-    node_id: str
-    qid: str
-    event_id: str
-    entity_class: str
-    host: str
-    timestamp: datetime
-
-
 class GraphEdge(NamedTuple):
     edge_id: str
     qid: str
@@ -71,11 +60,11 @@ class GraphEdge(NamedTuple):
 
 @dataclass(frozen=True)
 class EvidenceGraph:
-    nodes: tuple[GraphNode, ...]
+    hits: dict[str, list[Event]]  # qid -> hits, as the join received them
     edges: tuple[GraphEdge, ...]
 
     def hosts(self) -> list[str]:
-        seen = {n.host for n in self.nodes}
+        seen = {event.host for events in self.hits.values() for event in events}
         for e in self.edges:
             seen.update(e.hosts)
         return sorted(seen)
@@ -112,24 +101,8 @@ def build_graph(
     descriptors: list[QueryDescriptor],
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
 ) -> EvidenceGraph:
-    """Assemble the nodes of unrelated objects and the TTP-labelled
-    relation edges from per-descriptor query results."""
-    related = {q.qid for q in descriptors if q.relations}
-    related.update(rel.peer_qid for q in descriptors for rel in q.relations)
-    nodes = [
-        GraphNode(
-            node_id=f"{q.qid}:{event.event_id}",
-            qid=q.qid,
-            event_id=event.event_id,
-            entity_class=q.entity_class,
-            host=event.host,
-            timestamp=event.moment,
-        )
-        for q in descriptors
-        if q.qid not in related
-        for event in results.get(q.qid, [])
-    ]
-
+    """Join the TTP-labelled relation edges of per-descriptor query
+    results; the graph keeps ``results`` itself as its hits."""
     window_us = timedelta(seconds=window_seconds) // _MICROSECOND
     edges: list[GraphEdge] = []
     for q in descriptors:
@@ -193,4 +166,4 @@ def build_graph(
                             kind=kind,
                         )
                     )
-    return EvidenceGraph(tuple(nodes), tuple(edges))
+    return EvidenceGraph(results, tuple(edges))

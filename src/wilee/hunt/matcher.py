@@ -18,7 +18,10 @@ engaging a step versus skipping it entirely, which the frontier tracks.
 
 Supports are indexed once per graph, by host and then obligation, so
 indexing costs O((N + E) log(N + E)) for N nodes and E edges whatever
-the host count, and each earliest-item pick is one binary search.
+the host count, and each earliest-item pick is one binary search.  A
+node support is read straight from the graph's hit lists, and only for
+the queries a node obligation names: hit ``event`` of query ``qid`` is
+the node ``qid:event_id`` at the event's moment.
 """
 
 from __future__ import annotations
@@ -96,17 +99,22 @@ def obligations_for(impl: ThreatImplementation) -> list[list[Obligation]]:
     return per_step
 
 
-def _support_index(graph: EvidenceGraph) -> dict[str, dict[tuple, list[tuple[datetime, str]]]]:
+def _support_index(
+    graph: EvidenceGraph, node_qids: set[str]
+) -> dict[str, dict[tuple, list[tuple[datetime, str]]]]:
     """Host -> obligation key -> (timestamp, item id) support, sorted by
-    time then id, built in one pass.  An edge between two hosts supports
-    both."""
+    time then id, built in one pass over the edges and the hits of
+    ``node_qids``.  An edge between two hosts supports both."""
     index: dict[str, dict[tuple, list[tuple[datetime, str]]]] = {}
     for edge in graph.edges:
         key = ("relation", edge.qid, edge.peer_qid, edge.verb)
         for host in set(edge.hosts):
             index.setdefault(host, {}).setdefault(key, []).append((edge.timestamp, edge.edge_id))
-    for node in graph.nodes:
-        index.setdefault(node.host, {}).setdefault(("node", node.qid), []).append((node.timestamp, node.node_id))
+    for qid in node_qids:
+        for event in graph.hits.get(qid, ()):
+            index.setdefault(event.host, {}).setdefault(("node", qid), []).append(
+                (event.moment, f"{qid}:{event.event_id}")
+            )
     for by_key in index.values():
         for items in by_key.values():
             items.sort()
@@ -174,7 +182,8 @@ def match(graph: EvidenceGraph, impl: ThreatImplementation) -> MatchResult:
 
     best_state: Optional[_State] = None
     best_host: Optional[str] = None
-    by_host = _support_index(graph)
+    node_qids = {o.key[1] for obligations in per_step for o in obligations if o.kind == "node"}
+    by_host = _support_index(graph, node_qids)
     for host in sorted(by_host):
         state = _best_for_host(per_step, by_host[host])
         if best_state is None or state.count > best_state.count:

@@ -14,7 +14,7 @@ from datetime import datetime, timedelta, timezone
 from typing import Optional
 
 from wilee.dsl.parser import DslSyntaxError, Token, TokenType
-from wilee.hunt.graph import EvidenceGraph, GraphEdge, GraphNode
+from wilee.hunt.graph import EvidenceGraph, GraphEdge
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +372,16 @@ def oracle_best_witness_count(per_step_items: list[list[list]]) -> int:
 def oracle_support_index(graph, host: str) -> dict[tuple, list]:
     """Obligation key -> sorted (timestamp, item id) support on one host,
     by a full walk of the graph: an edge counts when either end is on
-    ``host``."""
+    ``host``, and every hit of every query on ``host`` is a node."""
     index: dict[tuple, list] = {}
     for edge in graph.edges:
         if host in edge.hosts:
             key = ("relation", edge.qid, edge.peer_qid, edge.verb)
             index.setdefault(key, []).append((edge.timestamp, edge.edge_id))
-    for node in graph.nodes:
-        if node.host == host:
-            index.setdefault(("node", node.qid), []).append((node.timestamp, node.node_id))
+    for qid, events in graph.hits.items():
+        for event in events:
+            if event.host == host:
+                index.setdefault(("node", qid), []).append((event.moment, f"{qid}:{event.event_id}"))
     for items in index.values():
         items.sort()
     return index
@@ -445,16 +446,10 @@ def oracle_build_graph_edges(results, descriptors, window_seconds) -> list[tuple
 
 
 def oracle_build_graph(results, descriptors, window_seconds) -> EvidenceGraph:
-    """The full evidence graph: a node for every hit of every descriptor,
-    whether or not a relation touches it, and the pairwise loop's edges
-    of :func:`oracle_build_graph_edges`."""
-    nodes = tuple(
-        GraphNode(f"{q.qid}:{event.event_id}", q.qid, event.event_id, q.entity_class, event.host, event.moment)
-        for q in descriptors
-        for event in results.get(q.qid, [])
-    )
+    """The evidence graph over a copy of the hits, with the pairwise
+    loop's edges of :func:`oracle_build_graph_edges`."""
     edges = tuple(GraphEdge(*edge) for edge in oracle_build_graph_edges(results, descriptors, window_seconds))
-    return EvidenceGraph(nodes, edges)
+    return EvidenceGraph(dict(results), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -497,6 +497,17 @@ def test_malmo_empty_description_exit_four(tmp_path, capsys):
     assert "class" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("top_n", ["0", "-3"])
+def test_malmo_top_n_below_one_rejected_at_parse(tmp_path, capsys, top_n):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["malmo", str(FIXTURES / "technique_t1552_002.json"), "--top-n", top_n, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--top-n" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_malmo_plain_text_input(tmp_path):
     technique = tmp_path / "t1552_002.txt"
     technique.write_text("Adversaries search window registry keys for passwords.", "utf-8")

@@ -17,7 +17,6 @@ from wilee.dsl import ThreatDescription
 from wilee.hunt import (
     EvidenceGraph,
     GraphEdge,
-    GraphNode,
     NdjsonProxy,
     build_graph,
     execute_all,
@@ -87,14 +86,16 @@ ATTACK = [
 def test_no_results_empty_graph(model):
     impl = putty_impl(model)
     graph, result = hunt(impl, [], model)
-    assert graph.nodes == () and graph.edges == ()
+    assert not any(graph.hits.values()) and graph.edges == ()
+    assert graph.hosts() == []
     assert result.confirmed is False and result.score == 0.0
 
 
 def test_one_relation_no_nodes_one_edge(model):
     impl = putty_impl(model)
     graph, _ = hunt(impl, ATTACK[:2], model)
-    assert len(graph.nodes) == 0
+    (node_qid,) = [ob.key[1] for ob in obligations_for(impl)[1]]
+    assert graph.hits[node_qid] == []
     assert len(graph.edges) == 1
     (edge,) = graph.edges
     assert edge.verb == "observed"
@@ -110,11 +111,22 @@ def test_unrelated_object_one_node_per_hit(model):
                    {"command_line": 'Get-Process -Name "powershell" | Stop-Process'})
     graph, _ = hunt(impl, ATTACK + [second], model)
     (node_qid,) = [ob.key[1] for ob in obligations_for(impl)[1]]
-    assert [(n.node_id, n.qid, n.host) for n in graph.nodes] == [
-        (f"{node_qid}:cmd1", node_qid, "ws-002"),
-        (f"{node_qid}:cmd2", node_qid, "ws-003"),
-    ]
+    assert [(e.event_id, e.host) for e in graph.hits[node_qid]] == [("cmd1", "ws-002"), ("cmd2", "ws-003")]
     assert len(graph.edges) == 1
+    assert match(graph, impl).step_witness[1] == (f"{node_qid}:cmd1",)
+
+
+def test_graph_holds_the_hits_it_was_joined_from(model):
+    """The graph keeps the query results themselves, and a host with a
+    hit is a graph host even when no edge and no node obligation reads
+    that hit."""
+    impl = putty_impl(model)
+    descriptors = schedule(impl, model)
+    results = execute_all(descriptors, whole_proxy(ATTACK[:1]), IocDb())
+    graph = build_graph(results, descriptors)
+    assert graph.edges == ()
+    assert graph.hosts() == ["ws-002"]
+    assert all(graph.hits[qid] is results[qid] for qid in results)
 
 
 def test_explicit_links_cross_hosts_and_windows(model):
@@ -337,27 +349,21 @@ def _floor_tie(graph, result):
     """Whether two engaged steps of the witness share their earliest
     timestamp."""
     moments = {e.edge_id: e.timestamp for e in graph.edges}
-    moments.update((n.node_id, n.timestamp) for n in graph.nodes)
+    moments.update((f"{qid}:{e.event_id}", e.moment) for qid, hits in graph.hits.items() for e in hits)
     mins = [min(moments[item] for item in items) for items in result.step_witness if items]
     return any(a == b for a, b in zip(mins, mins[1:]))
 
 
 def test_build_graph_matches_like_the_full_graph(model):
-    """Nodes only for unrelated objects and the lean join change no match
-    result: score, host, step scores and witnesses equal those over the
-    full graph of every hit, and the nodes kept are exactly the full
-    graph's nodes of node-obligation qids."""
+    """The lean join changes no match result: score, host, step scores
+    and witnesses equal those over the pairwise loop's graph, and so do
+    the edges."""
     rng = random.Random(20261018)
     impls = _shaped_impls(model, rng, 24)
     seen = dict.fromkeys(
         ("confirmed", "partial", "zero", "cross_host_link", "floor_tie", "node_only_step",
-         "empty_hits", "subject_and_peer", "dropped_nodes"), 0
+         "empty_hits", "subject_and_peer"), 0
     )
-    for impl, descriptors in impls:
-        node_qids = {ob.key[1] for obs in obligations_for(impl) for ob in obs if ob.kind == "node"}
-        one_hit = [Event("ev0", "2026-03-01T06:00:00Z", "h00", "Process", {})]
-        kept = build_graph({q.qid: one_hit for q in descriptors}, descriptors).nodes
-        assert {n.qid for n in kept} == node_qids, impl.description_name
     for trial in range(300):
         impl, descriptors = rng.choice(impls)
         results = _random_hits(rng, descriptors)
@@ -367,12 +373,10 @@ def test_build_graph_matches_like_the_full_graph(model):
         result = match(graph, impl)
         assert result == match(full, impl), f"trial {trial}"
         per_step = obligations_for(impl)
-        node_qids = {ob.key[1] for obs in per_step for ob in obs if ob.kind == "node"}
-        assert graph.nodes == tuple(n for n in full.nodes if n.qid in node_qids), f"trial {trial}"
         assert graph.edges == full.edges, f"trial {trial}"
         seen["confirmed"] += result.confirmed
         seen["partial"] += 0 < result.score < 1
-        seen["zero"] += result.score == 0 and bool(full.nodes)
+        seen["zero"] += result.score == 0 and any(results.values())
         seen["cross_host_link"] += any(e.source_host != e.target_host for e in graph.edges)
         seen["floor_tie"] += result.host is not None and _floor_tie(graph, result)
         seen["node_only_step"] += any(obs and all(ob.kind == "node" for ob in obs) for obs in per_step)
@@ -381,7 +385,6 @@ def test_build_graph_matches_like_the_full_graph(model):
             q.relations and any(r.peer_qid == q.qid for p in descriptors for r in p.relations if p is not q)
             for q in descriptors
         )
-        seen["dropped_nodes"] += len(graph.nodes) < len(full.nodes)
     assert all(seen.values()), seen
 
 
@@ -531,21 +534,21 @@ T1003_SRC = '''def t1003_001():
 def _random_support_graph(rng, per_step):
     """A graph over the obligations' keys, built directly: up to 80 hosts,
     edges across hosts, items on keys no obligation asks for, and
-    timestamps from six minutes so steps tie at the floor.  Ids are
-    dealt in random order, so id order is not time order."""
+    timestamps on twelve half-minute marks so steps tie at the floor.
+    Ids are dealt in random order, so id order is not time order."""
     hosts = [f"h{i:03d}" for i in range(rng.randrange(1, 81))]
     keys = [ob.key for obligations in per_step for ob in obligations]
     keys += [("node", "q-none"), ("relation", "q-none", "q-peer", "has")]
     base = datetime(2026, 3, 1, 6, 0, 0, tzinfo=timezone.utc)
     count = rng.randrange(0, 400)
     ids = rng.sample(range(count), count)
-    nodes, edges = [], []
+    hits, edges = {}, []
     for n in ids:
         key = rng.choice(keys)
         host = rng.choice(hosts)
-        moment = base + timedelta(minutes=rng.randrange(6))
+        moment = base + timedelta(seconds=30 * rng.randrange(12))
         if key[0] == "node":
-            nodes.append(GraphNode(f"n{n:05d}", key[1], f"ev{n}", "Process", host, moment))
+            hits.setdefault(key[1], []).append(Event(f"ev{n:05d}", moment.isoformat(), host, "Process", {}))
         else:
             peer_host = rng.choice(hosts) if rng.random() < 0.4 else host
             edges.append(
@@ -554,7 +557,7 @@ def _random_support_graph(rng, per_step):
                     host, peer_host, moment, rng.choice(("link", "window")),
                 )
             )
-    return EvidenceGraph(tuple(nodes), tuple(edges))
+    return EvidenceGraph(hits, tuple(edges))
 
 
 def test_match_equals_per_host_oracle_index(model, monkeypatch):
@@ -575,7 +578,7 @@ def test_match_equals_per_host_oracle_index(model, monkeypatch):
     impl = concretize(ThreatDescription.from_steps("wide", steps), store).implementations[0]
     per_step = obligations_for(impl)
 
-    def oracle_index(graph):
+    def oracle_index(graph, node_qids):
         return {host: oracle_support_index(graph, host) for host in graph.hosts()}
 
     def linear_pick(items, probe):
@@ -608,7 +611,7 @@ def test_hunt_over_big_planted_log(model, big_log_events, tmp_path):
     assert result.confirmed is True
     # The witness items must trace back to exactly the planted events.
     events_by_edge = {e.edge_id: {e.source_event, e.target_event} for e in graph.edges}
-    events_by_node = {n.node_id: {n.event_id} for n in graph.nodes}
+    events_by_node = {f"{qid}:{e.event_id}": {e.event_id} for qid, hits in graph.hits.items() for e in hits}
     witnessed = set()
     for item in result.witness:
         witnessed |= events_by_edge.get(item) or events_by_node[item]
