@@ -254,7 +254,6 @@ def cmd_perturb(args) -> int:
         for diag in diagnostics:
             print(f"{args.impl}: {diag}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    seed_impl = implementation_from_module(tree)
 
     fitness_fn = None
     digests = {}
@@ -266,7 +265,7 @@ def cmd_perturb(args) -> int:
             impl = implementation_from_module(candidate_tree)
             return evaluate(impl, schedule(impl, model), proxy, ioc_db).score
 
-    result = run_gpe(seed_impl, config, fitness_fn=fitness_fn, model=model, ioc_db=ioc_db)
+    result = run_gpe(tree, config, fitness_fn=fitness_fn, model=model, ioc_db=ioc_db)
     out = Path(args.out)
     archive_dir = out / "archive"
     written = export_archive(result, archive_dir)

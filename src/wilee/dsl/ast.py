@@ -172,7 +172,7 @@ def tree_depth(root: AstNode) -> int:
     return 1 + max(tree_depth(c) for c in root.children)
 
 
-def content_hash(node: AstNode, length: int = 12) -> str:
+def content_hash(node: AstNode) -> str:
     """Stable hash of a node's structure (span-insensitive).
 
     Hashes the canonical pretty-printed text so two trees that print
@@ -180,5 +180,4 @@ def content_hash(node: AstNode, length: int = 12) -> str:
     """
     from .printer import pretty_print_node
 
-    digest = hashlib.sha256(pretty_print_node(node).encode("utf-8")).hexdigest()
-    return digest[:length]
+    return hashlib.sha256(pretty_print_node(node).encode("utf-8")).hexdigest()[:12]

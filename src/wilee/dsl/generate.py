@@ -56,16 +56,9 @@ class AstGenerator:
     object references from the scope supplied by the caller.
     """
 
-    def __init__(
-        self,
-        rng: random.Random,
-        model=None,
-        max_statements: int = 6,
-        technique_pool: Optional[list[str]] = None,
-    ):
+    def __init__(self, rng: random.Random, model=None, max_statements: int = 6):
         self.rng = rng
         self.max_statements = max_statements
-        self.technique_pool = technique_pool
         if model is None:
             self.classes = None
         else:
@@ -80,11 +73,7 @@ class AstGenerator:
 
     def random_step(self) -> str:
         if self.rng.random() < 0.6:
-            return (
-                self.rng.choice(self.technique_pool)
-                if self.technique_pool
-                else random_technique_id(self.rng)
-            )
+            return random_technique_id(self.rng)
         return self.rng.choice(CANONICAL_TACTICS)
 
     # -- expressions -------------------------------------------------------
@@ -94,11 +83,7 @@ class AstGenerator:
             return ast.literal(self.random_string())
         technique = None
         if self.rng.random() < 0.5:
-            technique = (
-                self.rng.choice(self.technique_pool)
-                if self.technique_pool
-                else random_technique_id(self.rng)
-            )
+            technique = random_technique_id(self.rng)
         pattern = None
         if self.rng.random() < 0.4:
             pattern = self.random_string() + "*"

@@ -1,10 +1,11 @@
 """Behavior descriptors and distances for novelty search.
 
 A candidate's behavior is the observable consequence of its tree: the
-multiset of (entity class, variable, predicate op) signatures its
-scheduled queries would carry, plus relation verb counts.  Distance is
-multiset Jaccard, which degrades to plain set Jaccard when every
-signature occurs once.
+multiset of (entity class, variable, predicate op) signatures that its
+function bodies give their objects, read by
+:func:`~wilee.hunt.query.read_body` as the scheduler reads them, plus
+relation verb counts.  Distance is multiset Jaccard, which degrades to
+plain set Jaccard when every signature occurs once.
 """
 
 from __future__ import annotations
@@ -12,23 +13,22 @@ from __future__ import annotations
 from collections import Counter
 
 from ..dsl import AstNode
-from ..hunt.query import schedule
-from ..interpreter import implementation_from_module
-from ..stores import DataModel
+from ..hunt.query import read_body
 
 # Sorted (signature, count) pairs; signatures are string tuples.
 Behavior = tuple[tuple[tuple[str, ...], int], ...]
 
 
-def behavior_of(tree: AstNode, model: DataModel) -> Behavior:
+def behavior_of(tree: AstNode) -> Behavior:
     """Deterministic descriptor of a candidate module."""
-    impl = implementation_from_module(tree)
     counter: Counter = Counter()
-    for descriptor in schedule(impl, model):
-        for predicate in descriptor.predicates:
-            counter[("pred", descriptor.entity_class, predicate.variable, predicate.op)] += 1
-        for rel in descriptor.relations:
-            counter[("rel", rel.verb)] += 1
+    for fn in tree.children:
+        objects, relations = read_body(fn)
+        for cls, predicates in objects.values():
+            for predicate in predicates:
+                counter[("pred", cls, predicate.variable, predicate.op)] += 1
+        for _, verb, _ in relations:
+            counter[("rel", verb)] += 1
     return tuple(sorted(counter.items()))
 
 

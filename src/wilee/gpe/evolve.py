@@ -11,8 +11,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
 
-from ..dsl import pretty_print, validate
-from ..interpreter import ThreatImplementation
+from ..dsl import AstNode, pretty_print, validate
 from ..stores import DataModel, IocDb, read_text
 from .novelty import NoveltyArchive, novelty
 from .operators import Candidate, Lineage, crossover, mutate, perturb_iocs, replace_lineage
@@ -165,13 +164,13 @@ class GpeResult:
 
 
 def run_gpe(
-    seed: ThreatImplementation,
+    seed_tree: AstNode,
     config: GpeConfig,
     fitness_fn: Optional[FitnessFn] = None,
     model: Optional[DataModel] = None,
     ioc_db: Optional[IocDb] = None,
 ) -> GpeResult:
-    """Evolve variants of a threat implementation.
+    """Evolve variants of a module of concrete functions.
 
     Without ``fitness_fn`` the loop runs on novelty alone; with one
     (e.g. hunt-engine match score against a fixed log snapshot) the
@@ -182,11 +181,10 @@ def run_gpe(
     db = ioc_db if ioc_db is not None else IocDb()
     rng = random.Random(config.seed)
 
-    seed_tree = seed.as_module()
     problems = validate(seed_tree, model)
     if problems:
         raise ConfigError(f"seed implementation is invalid: {problems[0]}")
-    seed_candidate = Candidate.from_ast(seed_tree, model, Lineage((), "seed"))
+    seed_candidate = Candidate.from_ast(seed_tree, Lineage((), "seed"))
 
     def spawn(gen: int, index: int, candidate: Candidate) -> Candidate:
         candidate.uid = f"g{gen:03d}-{index:03d}-{candidate.digest}"
@@ -273,7 +271,6 @@ def run_gpe(
                     db,
                     rng_seed=rng.randrange(2**63),
                     probability=config.ioc_site_probability,
-                    model=model,
                 )
         population = [spawn(gen, i, c) for i, c in enumerate(offspring)]
 

@@ -72,15 +72,9 @@ class Candidate:
     novelty: float = 0.0
 
     @classmethod
-    def from_ast(cls, tree: AstNode, model: DataModel, lineage: Lineage) -> "Candidate":
+    def from_ast(cls, tree: AstNode, lineage: Lineage) -> "Candidate":
         digest = content_hash(tree)
-        return cls(
-            uid=digest,
-            digest=digest,
-            ast=tree,
-            behavior=behavior_of(tree, model),
-            lineage=lineage,
-        )
+        return cls(uid=digest, digest=digest, ast=tree, behavior=behavior_of(tree), lineage=lineage)
 
 
 def is_valid(tree: AstNode, model: DataModel) -> bool:
@@ -122,9 +116,7 @@ def _var_used_later(fn: AstNode, stmt_index: int, var: str) -> bool:
     return False
 
 
-def _regenerate(
-    tree: AstNode, path: NodePath, node: AstNode, gen: AstGenerator, model: DataModel
-) -> Optional[AstNode]:
+def _regenerate(tree: AstNode, path: NodePath, node: AstNode, gen: AstGenerator) -> Optional[AstNode]:
     """Fresh subtree for the same grammar position, respecting the
     variables in scope at the site."""
     if node.kind is NodeKind.FUNCTION_DEF:
@@ -169,11 +161,10 @@ def mutate(
     model: Optional[DataModel] = None,
     rng_seed: int = 0,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    retries: int = DEFAULT_RETRIES,
 ) -> Candidate:
     """Replace one uniformly chosen mutable subtree with a freshly
-    generated one at the same nonterminal position.  After ``retries``
-    failures to produce a valid, different tree the parent returns
+    generated one at the same nonterminal position.  After
+    ``DEFAULT_RETRIES`` failures to produce a valid, different tree the parent returns
     unchanged with a ``max-retries`` flag."""
     model = model or DataModel.default()
     rng = random.Random(rng_seed)
@@ -181,18 +172,16 @@ def mutate(
     sites = mutable_sites(c.ast, MUTATION_LABELS)
     if not sites:
         return replace_lineage(c, Lineage((c.uid,), "mutate", flag="no-sites"))
-    for _ in range(retries):
+    for _ in range(DEFAULT_RETRIES):
         path, node = sites[rng.randrange(len(sites))]
-        replacement = _regenerate(c.ast, path, node, gen, model)
+        replacement = _regenerate(c.ast, path, node, gen)
         if replacement is None:
             continue
         offspring = replace_node(c.ast, path, replacement)
         if offspring == c.ast or tree_depth(offspring) > max_depth:
             continue
         if is_valid(offspring, model):
-            return Candidate.from_ast(
-                offspring, model, Lineage((c.uid,), "mutate", (path,))
-            )
+            return Candidate.from_ast(offspring, Lineage((c.uid,), "mutate", (path,)))
     return replace_lineage(c, Lineage((c.uid,), "mutate", flag="max-retries"))
 
 
@@ -206,7 +195,6 @@ def crossover(
     model: Optional[DataModel] = None,
     rng_seed: int = 0,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    retries: int = DEFAULT_RETRIES,
 ) -> tuple[Candidate, Candidate]:
     """Swap subtrees rooted at a same-nonterminal node pair.  Parents
     come back flagged ``no-common-nonterminal`` when no such pair exists
@@ -226,7 +214,7 @@ def crossover(
         flag = Lineage((a.uid, b.uid), "crossover", flag="no-common-nonterminal")
         return replace_lineage(a, flag), replace_lineage(b, flag)
 
-    for _ in range(retries):
+    for _ in range(DEFAULT_RETRIES):
         label = common[rng.randrange(len(common))]
         path_a, node_a = by_label_a[label][rng.randrange(len(by_label_a[label]))]
         path_b, node_b = by_label_b[label][rng.randrange(len(by_label_b[label]))]
@@ -236,10 +224,7 @@ def crossover(
             continue
         if is_valid(child_a, model) and is_valid(child_b, model):
             lineage = Lineage((a.uid, b.uid), "crossover", (path_a, path_b))
-            return (
-                Candidate.from_ast(child_a, model, lineage),
-                Candidate.from_ast(child_b, model, lineage),
-            )
+            return Candidate.from_ast(child_a, lineage), Candidate.from_ast(child_b, lineage)
     flag = Lineage((a.uid, b.uid), "crossover", flag="no-common-nonterminal")
     return replace_lineage(a, flag), replace_lineage(b, flag)
 
@@ -249,7 +234,6 @@ def perturb_iocs(
     db: IocDb,
     rng_seed: int = 0,
     probability: float = 0.5,
-    model: Optional[DataModel] = None,
 ) -> Candidate:
     """Swap indicator values for different type-matched ones from the
     database.
@@ -259,7 +243,6 @@ def perturb_iocs(
     other values of that type.  Sites with fewer than two candidates
     are left untouched, and substitution never crosses ioc_types.
     """
-    model = model or DataModel.default()
     rng = random.Random(rng_seed)
     tree = c.ast
     changed: list[NodePath] = []
@@ -292,6 +275,4 @@ def perturb_iocs(
                 changed.append(value_path)
     if not changed:
         return replace_lineage(c, Lineage((c.uid,), "perturb_iocs"))
-    return Candidate.from_ast(
-        tree, model, Lineage((c.uid,), "perturb_iocs", tuple(changed))
-    )
+    return Candidate.from_ast(tree, Lineage((c.uid,), "perturb_iocs", tuple(changed)))

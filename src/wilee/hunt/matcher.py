@@ -31,10 +31,9 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
-from ..dsl import NodeKind
 from ..interpreter import ThreatImplementation
 from .graph import EvidenceGraph
-from .query import make_qid
+from .query import make_qid, read_body
 
 _FLOOR_START = datetime.min.replace(tzinfo=timezone.utc)
 
@@ -66,35 +65,16 @@ def obligations_for(impl: ThreatImplementation) -> list[list[Obligation]]:
     per_step: list[list[Obligation]] = []
     for step in impl.steps:
         i = step.step_index
-        obligations: list[Obligation] = []
-        instantiated: list[str] = []
-        related: set[str] = set()
-        for stmt in step.record.ast.children:
-            if stmt.kind is NodeKind.OBJECT_INSTANTIATION:
-                instantiated.append(stmt.attrs["var"])
-            elif stmt.kind is NodeKind.RELATION_STMT:
-                subj = stmt.children[0].attrs["name"]
-                obj = stmt.children[1].attrs["name"]
-                verb = stmt.attrs["verb"]
-                related.update((subj, obj))
-                obligations.append(
-                    Obligation(
-                        i,
-                        "relation",
-                        f"{subj}.{verb}({obj})",
-                        (
-                            "relation",
-                            make_qid(impl.impl_id, i, subj),
-                            make_qid(impl.impl_id, i, obj),
-                            verb,
-                        ),
-                    )
-                )
-        for var in instantiated:
-            if var not in related:
-                obligations.append(
-                    Obligation(i, "node", var, ("node", make_qid(impl.impl_id, i, var)))
-                )
+        objects, relations = read_body(step.record.ast)
+        qids = {var: make_qid(impl.impl_id, i, var) for var in objects}
+        obligations = [
+            Obligation(i, "relation", f"{subj}.{verb}({obj})", ("relation", qids[subj], qids[obj], verb))
+            for subj, verb, obj in relations
+        ]
+        related = {var for subj, _, obj in relations for var in (subj, obj)}
+        obligations.extend(
+            Obligation(i, "node", var, ("node", qids[var])) for var in objects if var not in related
+        )
         per_step.append(obligations)
     return per_step
 

@@ -5,6 +5,10 @@ Predicates come from attribute assignments (glob when the value carries
 a ``*``), relation entries from relation statements.  Descriptors carry
 stable ids so evidence can be traced back to the implementation that
 asked for it.
+
+:func:`read_body` is the one walk over a TTP body's statements.  The
+scheduler, the matcher's obligations, malmo's relation priors and gpe's
+behavior descriptors all read a body through it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..dsl import NodeKind
+from ..dsl import AstNode, NodeKind
 from ..interpreter import ThreatImplementation
 from ..stores import DataModel
 
@@ -76,58 +80,61 @@ def _value_predicate(variable: str, node) -> Predicate:
     return Predicate(variable, op, spec)
 
 
+def read_body(fn: AstNode) -> tuple[dict[str, tuple[str, list[Predicate]]], list[tuple[str, str, str]]]:
+    """Read a function body once: each object's ``(class, predicates)`` in
+    declaration order, and each relation statement as ``(subject, verb,
+    object)`` in statement order.
+
+    Raises :class:`UnknownVariable` for an object used before it is
+    instantiated; class and variable names are not checked here.
+    """
+    objects: dict[str, tuple[str, list[Predicate]]] = {}
+    relations: list[tuple[str, str, str]] = []
+    for stmt in fn.children:
+        if stmt.kind is NodeKind.OBJECT_INSTANTIATION:
+            objects[stmt.attrs["var"]] = (stmt.attrs["class_name"], [])
+        elif stmt.kind is NodeKind.ATTRIBUTE_ASSIGN:
+            var = stmt.children[0].attrs["name"]
+            if var not in objects:
+                raise UnknownVariable(f"object {var!r} never instantiated")
+            objects[var][1].append(_value_predicate(stmt.attrs["attribute"], stmt.children[1]))
+        elif stmt.kind is NodeKind.RELATION_STMT:
+            subj, obj = (child.attrs["name"] for child in stmt.children)
+            if subj not in objects or obj not in objects:
+                raise UnknownVariable("relation references an unknown object")
+            relations.append((subj, stmt.attrs["verb"], obj))
+    return objects, relations
+
+
 def schedule(impl: ThreatImplementation, model: DataModel) -> list[QueryDescriptor]:
     """Compile an implementation into query descriptors, ordered by step
     then object declaration order.
 
     Raises :class:`UnknownClass` / :class:`UnknownVariable` on names the
     data model cannot resolve; validated implementations never trigger
-    either.
+    either.  :func:`read_body`'s faults come first, then each object's
+    class and then its variables, in declaration order.
     """
     descriptors: list[QueryDescriptor] = []
     for step in impl.steps:
-        classes: dict[str, str] = {}
-        order: list[str] = []
-        predicates: dict[str, list[Predicate]] = {}
-        relations: dict[str, list[RelationRef]] = {}
-        for stmt in step.record.ast.children:
-            if stmt.kind is NodeKind.OBJECT_INSTANTIATION:
-                var, cls = stmt.attrs["var"], stmt.attrs["class_name"]
-                if cls not in model.variables_by_class:
-                    raise UnknownClass(f"class {cls!r} not in data model")
-                classes[var] = cls
-                order.append(var)
-                predicates[var] = []
-                relations[var] = []
-            elif stmt.kind is NodeKind.ATTRIBUTE_ASSIGN:
-                var = stmt.children[0].attrs["name"]
-                attribute = stmt.attrs["attribute"]
-                if var not in classes:
-                    raise UnknownVariable(f"object {var!r} never instantiated")
-                if attribute not in model.variables_by_class[classes[var]]:
-                    raise UnknownVariable(
-                        f"variable {attribute!r} not on class {classes[var]!r}"
-                    )
-                predicates[var].append(_value_predicate(attribute, stmt.children[1]))
-            elif stmt.kind is NodeKind.RELATION_STMT:
-                subj = stmt.children[0].attrs["name"]
-                obj = stmt.children[1].attrs["name"]
-                if subj not in classes or obj not in classes:
-                    raise UnknownVariable("relation references an unknown object")
-                relations[subj].append(
-                    RelationRef(
-                        verb=stmt.attrs["verb"],
-                        peer_class=classes[obj],
-                        peer_qid=make_qid(impl.impl_id, step.step_index, obj),
-                    )
-                )
-        for var in order:
+        objects, statements = read_body(step.record.ast)
+        qids = {var: make_qid(impl.impl_id, step.step_index, var) for var in objects}
+        relations: dict[str, list[RelationRef]] = {var: [] for var in objects}
+        for subj, verb, obj in statements:
+            relations[subj].append(RelationRef(verb, objects[obj][0], qids[obj]))
+        for var, (cls, predicates) in objects.items():
+            variables = model.variables_by_class.get(cls)
+            if variables is None:
+                raise UnknownClass(f"class {cls!r} not in data model")
+            for predicate in predicates:
+                if predicate.variable not in variables:
+                    raise UnknownVariable(f"variable {predicate.variable!r} not on class {cls!r}")
             descriptors.append(
                 QueryDescriptor(
-                    qid=make_qid(impl.impl_id, step.step_index, var),
-                    entity_class=classes[var],
+                    qid=qids[var],
+                    entity_class=cls,
                     object_var=var,
-                    predicates=tuple(predicates[var]),
+                    predicates=tuple(predicates),
                     relations=tuple(relations[var]),
                     step_index=step.step_index,
                     impl_id=impl.impl_id,

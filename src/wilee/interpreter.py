@@ -24,7 +24,6 @@ from .dsl import (
     ThreatDescription,
     is_technique_id,
     iter_nodes,
-    module,
     normalize_step,
 )
 from .stores import TtpRecord, TtpStore, ttps_for_step
@@ -69,10 +68,6 @@ class ThreatImplementation:
     @property
     def techniques(self) -> tuple[str, ...]:
         return tuple(step.record.technique_id for step in self.steps)
-
-    def as_module(self) -> AstNode:
-        """One function per step, each as stored, binds left symbolic."""
-        return module(tuple(step.record.ast for step in self.steps))
 
 
 @dataclass(frozen=True)

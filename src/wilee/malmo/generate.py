@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from ..dsl import (
     AstNode,
-    NodeKind,
     attribute_assign,
     bind,
     function_def,
@@ -23,6 +22,7 @@ from ..dsl import (
     step_identifier,
     validate,
 )
+from ..hunt.query import read_body
 from ..stores import DataModel, IocDb, TtpStore, ioc_type_for_variable, resolve_bind
 from .phrases import extract_noun_phrases
 from .scoring import ClassScore, score_classes, select_classes
@@ -49,16 +49,10 @@ def mine_relation_priors(store: TtpStore) -> RelationPrior:
     for record in store.records:
         if record.source != "SME":
             continue
-        classes: dict[str, str] = {}
-        for stmt in record.ast.children:
-            if stmt.kind is NodeKind.OBJECT_INSTANTIATION:
-                classes[stmt.attrs["var"]] = stmt.attrs["class_name"]
-            elif stmt.kind is NodeKind.RELATION_STMT:
-                subj = classes.get(stmt.children[0].attrs["name"])
-                obj = classes.get(stmt.children[1].attrs["name"])
-                if subj and obj:
-                    triple = (subj, stmt.attrs["verb"], obj)
-                    counts[triple] = counts.get(triple, 0) + 1
+        objects, relations = read_body(record.ast)
+        for subj, verb, obj in relations:
+            triple = (objects[subj][0], verb, objects[obj][0])
+            counts[triple] = counts.get(triple, 0) + 1
     return RelationPrior(counts)
 
 

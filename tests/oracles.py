@@ -7,14 +7,26 @@ implementation it checks.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import re
 from datetime import datetime, timedelta, timezone
 from typing import Optional
 
+from wilee.dsl import NodeKind
 from wilee.dsl.parser import DslSyntaxError, Token, TokenType
 from wilee.hunt.graph import EvidenceGraph, GraphEdge
+from wilee.hunt.matcher import Obligation
+from wilee.hunt.query import (
+    BindSpec,
+    Predicate,
+    QueryDescriptor,
+    RelationRef,
+    UnknownClass,
+    UnknownVariable,
+)
+from wilee.interpreter import implementation_from_module
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +339,129 @@ def oracle_select(inclusions: dict[str, float], n: int) -> list[str]:
         key=lambda name: (-inclusions[name], name),
     )
     return ranked[:n]
+
+
+# ---------------------------------------------------------------------------
+# TTP body walks
+# ---------------------------------------------------------------------------
+
+# Each consumer's own walk over a function body, as it was written before
+# ``hunt.query.read_body`` read bodies for all of them.
+
+
+def _oracle_qid(impl_id: str, step_index: int, var: str) -> str:
+    return hashlib.sha256(f"{impl_id}/{step_index}/{var}".encode("utf-8")).hexdigest()[:12]
+
+
+def _oracle_predicate(variable: str, node) -> Predicate:
+    if node.kind is NodeKind.LITERAL:
+        value = node.attrs["value"]
+        return Predicate(variable, "glob" if "*" in value else "eq", value)
+    spec = BindSpec(**node.attrs)
+    return Predicate(variable, "glob" if (spec.pattern and "*" in spec.pattern) else "eq", spec)
+
+
+def oracle_schedule(impl, model) -> list[QueryDescriptor]:
+    """Descriptors by step then declaration order; each statement is
+    checked against the data model as it is read."""
+    descriptors = []
+    for step in impl.steps:
+        classes, order, predicates, relations = {}, [], {}, {}
+        for stmt in step.record.ast.children:
+            if stmt.kind is NodeKind.OBJECT_INSTANTIATION:
+                var, cls = stmt.attrs["var"], stmt.attrs["class_name"]
+                if cls not in model.variables_by_class:
+                    raise UnknownClass(f"class {cls!r} not in data model")
+                classes[var] = cls
+                order.append(var)
+                predicates[var] = []
+                relations[var] = []
+            elif stmt.kind is NodeKind.ATTRIBUTE_ASSIGN:
+                var = stmt.children[0].attrs["name"]
+                attribute = stmt.attrs["attribute"]
+                if var not in classes:
+                    raise UnknownVariable(f"object {var!r} never instantiated")
+                if attribute not in model.variables_by_class[classes[var]]:
+                    raise UnknownVariable(f"variable {attribute!r} not on class {classes[var]!r}")
+                predicates[var].append(_oracle_predicate(attribute, stmt.children[1]))
+            elif stmt.kind is NodeKind.RELATION_STMT:
+                subj = stmt.children[0].attrs["name"]
+                obj = stmt.children[1].attrs["name"]
+                if subj not in classes or obj not in classes:
+                    raise UnknownVariable("relation references an unknown object")
+                relations[subj].append(
+                    RelationRef(stmt.attrs["verb"], classes[obj], _oracle_qid(impl.impl_id, step.step_index, obj))
+                )
+        for var in order:
+            descriptors.append(
+                QueryDescriptor(
+                    qid=_oracle_qid(impl.impl_id, step.step_index, var),
+                    entity_class=classes[var],
+                    object_var=var,
+                    predicates=tuple(predicates[var]),
+                    relations=tuple(relations[var]),
+                    step_index=step.step_index,
+                    impl_id=impl.impl_id,
+                    technique_id=step.record.technique_id,
+                )
+            )
+    return descriptors
+
+
+def oracle_obligations_for(impl) -> list[list[Obligation]]:
+    """One obligation per relation statement in statement order, then one
+    node obligation per object no relation touches, in declaration order."""
+    per_step = []
+    for step in impl.steps:
+        i = step.step_index
+        obligations, instantiated, related = [], [], set()
+        for stmt in step.record.ast.children:
+            if stmt.kind is NodeKind.OBJECT_INSTANTIATION:
+                instantiated.append(stmt.attrs["var"])
+            elif stmt.kind is NodeKind.RELATION_STMT:
+                subj = stmt.children[0].attrs["name"]
+                obj = stmt.children[1].attrs["name"]
+                verb = stmt.attrs["verb"]
+                related.update((subj, obj))
+                key = ("relation", _oracle_qid(impl.impl_id, i, subj), _oracle_qid(impl.impl_id, i, obj), verb)
+                obligations.append(Obligation(i, "relation", f"{subj}.{verb}({obj})", key))
+        for var in instantiated:
+            if var not in related:
+                obligations.append(Obligation(i, "node", var, ("node", _oracle_qid(impl.impl_id, i, var))))
+        per_step.append(obligations)
+    return per_step
+
+
+def oracle_relation_priors(store) -> dict[tuple[str, str, str], int]:
+    """(subject class, verb, object class) counts over the SME records."""
+    counts = {}
+    for record in store.records:
+        if record.source != "SME":
+            continue
+        classes = {}
+        for stmt in record.ast.children:
+            if stmt.kind is NodeKind.OBJECT_INSTANTIATION:
+                classes[stmt.attrs["var"]] = stmt.attrs["class_name"]
+            elif stmt.kind is NodeKind.RELATION_STMT:
+                subj = classes.get(stmt.children[0].attrs["name"])
+                obj = classes.get(stmt.children[1].attrs["name"])
+                if subj and obj:
+                    triple = (subj, stmt.attrs["verb"], obj)
+                    counts[triple] = counts.get(triple, 0) + 1
+    return counts
+
+
+def oracle_behavior_of(tree, model) -> tuple:
+    """Signature counts over the descriptors :func:`oracle_schedule` gives
+    the module wrapped as an implementation."""
+    counts = {}
+    for descriptor in oracle_schedule(implementation_from_module(tree), model):
+        for predicate in descriptor.predicates:
+            sig = ("pred", descriptor.entity_class, predicate.variable, predicate.op)
+            counts[sig] = counts.get(sig, 0) + 1
+        for rel in descriptor.relations:
+            counts[("rel", rel.verb)] = counts.get(("rel", rel.verb), 0) + 1
+    return tuple(sorted(counts.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from wilee.gpe import (
 )
 from wilee.hunt import NdjsonProxy, evaluate, execute, schedule
 from wilee.hunt.query import BindSpec, Predicate, QueryDescriptor
-from wilee.interpreter import concretize, implementation_from_module
+from wilee.interpreter import concretize
 from wilee.malmo import (
     class_inclusion,
     generate_dsl,
@@ -366,8 +366,8 @@ def test_criterion_5_query_oracle(big_log_events, tmp_path):
 def test_criterion_6_gp_closure_and_determinism(model, putty_ioc_db, tmp_path):
     rng = random.Random(10_006)
     seeds = [
-        Candidate.from_ast(parse(T1552_PUTTY_SRC), model, Lineage((), "seed")),
-        Candidate.from_ast(parse(T1059_SRC), model, Lineage((), "seed")),
+        Candidate.from_ast(parse(T1552_PUTTY_SRC), Lineage((), "seed")),
+        Candidate.from_ast(parse(T1059_SRC), Lineage((), "seed")),
     ]
     pool = list(seeds)
     invalid = 0
@@ -387,7 +387,7 @@ def test_criterion_6_gp_closure_and_determinism(model, putty_ioc_db, tmp_path):
             applications += 1
         else:
             child = perturb_iocs(pool[rng.randrange(len(pool))], putty_ioc_db,
-                                 rng_seed=rng.randrange(2**63), model=model)
+                                 rng_seed=rng.randrange(2**63))
             offspring = [child]
             applications += 1
         for c in offspring:
@@ -398,10 +398,10 @@ def test_criterion_6_gp_closure_and_determinism(model, putty_ioc_db, tmp_path):
             pool = pool[-60:]
 
     config = GpeConfig(population_size=20, generations=10, seed=20_260)
-    impl = implementation_from_module(parse(T1552_PUTTY_SRC))
+    seed_tree = parse(T1552_PUTTY_SRC)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    export_archive(run_gpe(impl, config, model=model, ioc_db=putty_ioc_db), out_a)
-    export_archive(run_gpe(impl, config, model=model, ioc_db=putty_ioc_db), out_b)
+    export_archive(run_gpe(seed_tree, config, model=model, ioc_db=putty_ioc_db), out_a)
+    export_archive(run_gpe(seed_tree, config, model=model, ioc_db=putty_ioc_db), out_b)
     names_a = sorted(p.name for p in out_a.iterdir())
     names_b = sorted(p.name for p in out_b.iterdir())
     identical = names_a == names_b and all(
@@ -422,11 +422,11 @@ def test_criterion_6_gp_closure_and_determinism(model, putty_ioc_db, tmp_path):
 
 
 def test_criterion_7_diversity_direction(model, putty_ioc_db):
-    impl = implementation_from_module(parse(T1552_PUTTY_SRC))
+    seed_tree = parse(T1552_PUTTY_SRC)
     wins = 0
     for seed in range(20):
         config = GpeConfig(population_size=20, generations=15, seed=seed)
-        result = run_gpe(impl, config, model=model, ioc_db=putty_ioc_db)
+        result = run_gpe(seed_tree, config, model=model, ioc_db=putty_ioc_db)
         initial = mean_pairwise_distance([c.behavior for c in result.initial_population])
         final = mean_pairwise_distance([c.behavior for c in result.archive])
         wins += final > initial
@@ -473,8 +473,8 @@ def test_criterion_8_ioc_type_safety(model):
         '    file1.path = "C:\\Windows\\Temp\\stage2.ps1"\n'
     )
     parents = [
-        Candidate.from_ast(parse(simontatham_src), model, Lineage((), "seed")),
-        Candidate.from_ast(parse(shell_src), model, Lineage((), "seed")),
+        Candidate.from_ast(parse(simontatham_src), Lineage((), "seed")),
+        Candidate.from_ast(parse(shell_src), Lineage((), "seed")),
     ]
     rng = random.Random(10_008)
     cross_type = 0
@@ -484,7 +484,7 @@ def test_criterion_8_ioc_type_safety(model):
     for i in range(1000):
         parent = parents[i % 2]
         child = perturb_iocs(parent, db, rng_seed=rng.randrange(2**63),
-                             probability=0.8, model=model)
+                             probability=0.8)
         for path, node in iter_nodes(child.ast):
             if node.kind is not NodeKind.ATTRIBUTE_ASSIGN:
                 continue

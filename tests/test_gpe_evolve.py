@@ -21,12 +21,11 @@ from wilee.gpe import (
     run_gpe,
     select,
 )
-from wilee.interpreter import implementation_from_module
 from wilee.stores import IocDb, IocRecord
 
 
 def seed_impl():
-    return implementation_from_module(parse(T1552_PUTTY_SRC))
+    return parse(T1552_PUTTY_SRC)
 
 
 def small_db():

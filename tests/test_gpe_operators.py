@@ -21,7 +21,7 @@ from wilee.stores import IocDb, IocRecord
 
 def candidate_from(source, model):
     tree = parse(source)
-    return Candidate.from_ast(tree, model, Lineage((), "seed"))
+    return Candidate.from_ast(tree, Lineage((), "seed"))
 
 
 @pytest.fixture
@@ -205,7 +205,7 @@ def test_simontatham_site_swaps_only_to_other_hive(model):
     )
     swapped = 0
     for rng_seed in range(200):
-        child = perturb_iocs(seed, db, rng_seed=rng_seed, probability=1.0, model=model)
+        child = perturb_iocs(seed, db, rng_seed=rng_seed, probability=1.0)
         literal = child.ast.children[0].children[1].children[1]
         value = literal.attrs["value"]
         if value != "Software\\SimonTatham\\Putty\\Sessions":
@@ -215,7 +215,7 @@ def test_simontatham_site_swaps_only_to_other_hive(model):
 
 
 def test_empty_db_leaves_candidate_unchanged(model, putty_candidate):
-    child = perturb_iocs(putty_candidate, IocDb(), rng_seed=1, probability=1.0, model=model)
+    child = perturb_iocs(putty_candidate, IocDb(), rng_seed=1, probability=1.0)
     assert pretty_print(child.ast) == pretty_print(putty_candidate.ast)
 
 
@@ -227,7 +227,7 @@ def test_single_candidate_sites_untouched(model):
     )
     seed = candidate_from(source, model)
     db = IocDb((IocRecord("process_name", "TrojanSpy.Win32.TRICKBOT.AZ", "T1552.002"),))
-    child = perturb_iocs(seed, db, rng_seed=1, probability=1.0, model=model)
+    child = perturb_iocs(seed, db, rng_seed=1, probability=1.0)
     assert pretty_print(child.ast) == pretty_print(seed.ast)
 
 
@@ -246,7 +246,7 @@ def test_bind_sites_resolve_to_concrete_values(model):
     )
     values = set()
     for rng_seed in range(100):
-        child = perturb_iocs(seed, db, rng_seed=rng_seed, probability=1.0, model=model)
+        child = perturb_iocs(seed, db, rng_seed=rng_seed, probability=1.0)
         value_node = child.ast.children[0].children[1].children[1]
         assert value_node.kind is NodeKind.LITERAL
         values.add(value_node.attrs["value"])
@@ -265,7 +265,7 @@ def test_no_cross_type_substitutions_in_sweep(model, putty_candidate, shell_cand
         parent = putty_candidate if i % 2 == 0 else shell_candidate
         before = sites_with_values(parent.ast)
         child = perturb_iocs(
-            parent, putty_ioc_db, rng_seed=rng.randrange(2**63), probability=0.5, model=model
+            parent, putty_ioc_db, rng_seed=rng.randrange(2**63), probability=0.5
         )
         after = sites_with_values(child.ast)
         assert validate(child.ast, model) == []
