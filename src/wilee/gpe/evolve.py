@@ -68,6 +68,10 @@ class GpeConfig:
             raise ConfigError("mutation_rate + crossover_rate must not exceed 1")
         if self.k_nearest < 1:
             raise ConfigError("k_nearest must be >= 1")
+        if self.stagnation_generations < 1:
+            raise ConfigError("stagnation_generations must be >= 1")
+        if self.archive_capacity < 0:
+            raise ConfigError("archive_capacity must be >= 0")
 
     @classmethod
     def from_json(cls, path: Path) -> "GpeConfig":

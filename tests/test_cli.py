@@ -570,8 +570,22 @@ def test_perturb_archive_files_validate(workspace, tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"population_size": 0}', "[[1]]", '{"population_size": 1.5}', '{"seed": "x"}'],
-    ids=["population-size-zero", "not-an-object", "population-size-float", "seed-string"],
+    [
+        '{"population_size": 0}',
+        "[[1]]",
+        '{"population_size": 1.5}',
+        '{"seed": "x"}',
+        '{"stagnation_generations": 0}',
+        '{"archive_capacity": -1}',
+    ],
+    ids=[
+        "population-size-zero",
+        "not-an-object",
+        "population-size-float",
+        "seed-string",
+        "stagnation-generations-zero",
+        "archive-capacity-negative",
+    ],
 )
 def test_perturb_bad_config_exit_five(workspace, tmp_path, capsys, text):
     impl = tmp_path / "impl.wdsl"

@@ -245,6 +245,11 @@ def test_config_validation():
         GpeConfig(mutation_rate=0.8, crossover_rate=0.5)
     with pytest.raises(ConfigError):
         GpeConfig(generations=-1)
+    with pytest.raises(ConfigError, match="stagnation_generations"):
+        GpeConfig(stagnation_generations=0)
+    with pytest.raises(ConfigError, match="archive_capacity"):
+        GpeConfig(archive_capacity=-1)
+    GpeConfig(stagnation_generations=1, archive_capacity=0)
 
 
 def test_config_from_json(tmp_path):
