@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .behavior import behavior_distance
@@ -16,7 +17,8 @@ def novelty(
 ) -> float:
     """Mean distance to the k nearest behaviors among the archive and
     the population, excluding the candidate itself.  With no neighbors
-    at all the score is 0.0."""
+    at all the score is 0.0.  The distances are summed exactly
+    (``math.fsum``), so the score is the same on every Python version."""
     if k < 1:
         raise ValueError("k must be >= 1")
     behaviors = [c.behavior for c in population if c is not candidate]
@@ -25,7 +27,7 @@ def novelty(
         return 0.0
     distances = sorted(behavior_distance(candidate.behavior, b) for b in behaviors)
     nearest = distances[: min(k, len(distances))]
-    return sum(nearest) / len(nearest)
+    return math.fsum(nearest) / len(nearest)
 
 
 @dataclass

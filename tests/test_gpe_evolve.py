@@ -81,6 +81,16 @@ def test_disjoint_candidate_has_novelty_one():
     assert novelty(population[0], archive, population, k=2) == 1.0
 
 
+def test_novelty_sums_distances_exactly():
+    # Distances 0.6, 0.7 and 0.9: a plain left-to-right float sum gives
+    # 2.1999999999999997, the exact sum 2.2.  Python 3.12 changed sum()
+    # on floats, so only an exact sum scores alike on every version.
+    population = [stub("c", ((("a",), 10),))] + [stub(f"o{m}", ((("a",), m),)) for m in (1, 3, 4)]
+    distances = [behavior_distance(population[0].behavior, other.behavior) for other in population[1:]]
+    assert sorted(distances) == [0.6, 0.7, 0.9]
+    assert novelty(population[0], NoveltyArchive(), population, k=3) == 2.2 / 3 == 0.7333333333333334
+
+
 def test_novelty_matches_bruteforce_oracle():
     rng = random.Random(40)
     sigs = [("pred", "A", "x", "eq"), ("pred", "B", "y", "glob"), ("rel", "has"), ("rel", "observed")]
