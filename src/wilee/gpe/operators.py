@@ -164,8 +164,8 @@ def mutate(
 ) -> Candidate:
     """Replace one uniformly chosen mutable subtree with a freshly
     generated one at the same nonterminal position.  After
-    ``DEFAULT_RETRIES`` failures to produce a valid, different tree the parent returns
-    unchanged with a ``max-retries`` flag."""
+    ``DEFAULT_RETRIES`` failures to produce a valid, different tree the
+    parent returns unchanged with a ``max-retries`` flag."""
     model = model or DataModel.default()
     rng = random.Random(rng_seed)
     gen = AstGenerator(rng, model=model)

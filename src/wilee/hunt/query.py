@@ -80,7 +80,11 @@ def _value_predicate(variable: str, node) -> Predicate:
     return Predicate(variable, op, spec)
 
 
-def read_body(fn: AstNode) -> tuple[dict[str, tuple[str, list[Predicate]]], list[tuple[str, str, str]]]:
+# Object name -> (class name, predicates), in declaration order.
+Objects = dict[str, tuple[str, list[Predicate]]]
+
+
+def read_body(fn: AstNode) -> tuple[Objects, list[tuple[str, str, str]]]:
     """Read a function body once: each object's ``(class, predicates)`` in
     declaration order, and each relation statement as ``(subject, verb,
     object)`` in statement order.
@@ -88,7 +92,7 @@ def read_body(fn: AstNode) -> tuple[dict[str, tuple[str, list[Predicate]]], list
     Raises :class:`UnknownVariable` for an object used before it is
     instantiated; class and variable names are not checked here.
     """
-    objects: dict[str, tuple[str, list[Predicate]]] = {}
+    objects: Objects = {}
     relations: list[tuple[str, str, str]] = []
     for stmt in fn.children:
         if stmt.kind is NodeKind.OBJECT_INSTANTIATION:
