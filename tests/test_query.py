@@ -170,7 +170,9 @@ READER_HAND_CASES = {
         '    file1.path = "y*"\n'
     ),
     "empty-body": "def t1082():\n    pass\n",
-    "two-steps": T1552_PUTTY_SRC + "def t1059_001():\n    pass\n" + T1552_PUTTY_SRC.replace("t1552_002", "t1003"),
+    "two-steps": (
+        T1552_PUTTY_SRC + "def t1059_001():\n    pass\n" + T1552_PUTTY_SRC.replace("t1552_002", "t1003")
+    ),
     "no-functions": "",
 }
 
@@ -205,7 +207,8 @@ def test_read_body_consumers_equal_reference_walks_on_hand_cases(model, name):
 
 def test_read_body_hand_case_readings(model):
     objects, relations = read_body(parse(READER_HAND_CASES["relations-out-of-subject-order"]).children[0])
-    assert [(var, cls, [(p.variable, p.op) for p in predicates]) for var, (cls, predicates) in objects.items()] == [
+    readings = [(var, cls, [(p.variable, p.op) for p in predicates]) for var, (cls, predicates) in objects.items()]
+    assert readings == [
         ("process1", "Process", []),
         ("file1", "File", [("path", "glob")]),
         ("system1", "System", []),
@@ -218,7 +221,10 @@ def test_read_body_hand_case_readings(model):
     ]
     impl = implementation_from_module(parse(READER_HAND_CASES["self-relation"]))
     (obligations,) = obligations_for(impl)
-    assert [(o.kind, o.label) for o in obligations] == [("relation", "process1.has(process1)"), ("node", "file1")]
+    assert [(o.kind, o.label) for o in obligations] == [
+        ("relation", "process1.has(process1)"),
+        ("node", "file1"),
+    ]
 
 
 def test_read_body_consumers_equal_reference_walks_on_random_modules(model):
