@@ -659,6 +659,130 @@ def test_hits_agree_whole_seeded_and_missed_on_random_logs(tmp_path):
     assert seeded_hits > 500 and missed_hits > 500, (seeded_hits, missed_hits)
 
 
+# ---------------------------------------------------------------------------
+# The whole read's value index
+# ---------------------------------------------------------------------------
+
+_INDEXED_FIELDS = {"Process": ("name", "pid"), "File": ("path", "size"), "WinRegistryKey": ("Hive",)}
+# Field values of the logs: strings, backslash paths that differ only in
+# case, and values that are not strings.
+_LOG_VALUES = (
+    "cmd.exe", "CMD.EXE", "svchost.exe", "4242", "", "*",
+    "C:\\Users\\Alice\\a.exe", "c:\\users\\alice\\A.EXE", "Software\\Putty\\Sessions", "SOFTWARE\\PUTTY\\Sessions",
+    4242, 1.5, True, False, None, [1, "a"], {"k": [None]},
+)
+# Predicate values: exact texts, the JSON text of values that are not
+# strings, and globs.
+_ASKED_VALUES = (
+    "cmd.exe", "CMD.EXE", "4242", "", "C:\\Users\\Alice\\a.exe", "software\\putty\\sessions", "true", "null",
+    "1.5", '[1, "a"]', '{"k": [null]}', "*", "*.exe", "c:\\users\\*", "Software\\*", "4*", "[*", "{*", "tru*", "*e*",
+)
+# Bind candidates, some of them holding a ``*``.
+_INDEX_DB = IocDb(
+    (
+        IocRecord("process_name", "cmd.exe"),
+        IocRecord("process_name", "svc*"),
+        IocRecord("process_name", "4242"),
+        IocRecord("file_path", "C:\\USERS\\*"),
+        IocRecord("file_path", "1.5"),
+        IocRecord("registry_hive", "software\\putty\\sessions"),
+        IocRecord("registry_hive", "*\\Putty\\*"),
+    )
+)
+
+
+def _index_log(rng, n):
+    """``n`` events over the indexed classes and one no key asks for,
+    their values drawn from a few of ``_LOG_VALUES``, each field now and
+    then missing, and ``fields`` now and then absent."""
+    values = rng.sample(_LOG_VALUES, rng.randrange(2, 8))
+    events = []
+    for i in range(n):
+        cls = rng.choice([*_INDEXED_FIELDS, "Mutex"])
+        fields = {var: rng.choice(values) for var in _INDEXED_FIELDS.get(cls, ("name",)) if rng.random() < 0.85}
+        doc = {"event_id": f"e{i}", "timestamp": "2026-01-01T00:00:00Z", "host": rng.choice("ab"),
+               "entity_class": cls, "fields": fields}
+        if rng.random() < 0.05:
+            del doc["fields"]
+        events.append(doc)
+    return events, values
+
+
+def _index_descriptor(rng, i, logged):
+    """A descriptor of 0 to 3 predicates, two of them on one field now and
+    then, over a logged class or one the log never holds; half the exact
+    values are the text of a ``logged`` value."""
+    cls = rng.choice([*_INDEXED_FIELDS, *_INDEXED_FIELDS, "DnsQuery"])
+    names = _INDEXED_FIELDS.get(cls, ("query_name",))
+    binds = {"name": "process_name", "path": "file_path", "Hive": "registry_hive", "pid": "process_name"}
+    predicates = []
+    for _ in range(rng.choice((0, 1, 1, 2, 2, 3))):
+        var = predicates[-1].variable if predicates and rng.random() < 0.3 else rng.choice(names)
+        if var in binds and rng.random() < 0.25:
+            predicates.append(Predicate(var, "eq", BindSpec(binds[var])))
+        else:
+            value = rng.choice(_ASKED_VALUES)
+            if rng.random() < 0.5:
+                value = rng.choice(logged)
+                value = value if isinstance(value, str) else json.dumps(value)
+            predicates.append(Predicate(var, "glob" if "*" in value else "eq", value))
+    return dataclasses.replace(make_descriptor(cls, predicates), qid=f"q{i}")
+
+
+def _as_text(doc):
+    """``doc`` with each field value that is not a string replaced by its
+    JSON text, the way a predicate reads it."""
+    if "fields" not in doc:
+        return doc
+    return {**doc, "fields": {k: v if isinstance(v, str) else json.dumps(v) for k, v in doc["fields"].items()}}
+
+
+def test_whole_read_value_index_equals_passes_and_oracle_on_random_logs(tmp_path, monkeypatch):
+    """A whole proxy answers each key from its value indexes with the
+    same events, in the same order, as ``_passes`` over the class list and
+    as the reference scan; each (class, field) index is built once."""
+    rng = random.Random(20261019)
+    path = tmp_path / "events.ndjson"
+    built = []
+    value_index = wilee.hunt.proxy._value_index
+    monkeypatch.setattr(
+        wilee.hunt.proxy, "_value_index", lambda events, var: built.append(var) or value_index(events, var)
+    )
+    cases = hits = several = same_field = repeats = 0
+    for trial in range(80):
+        events, logged = _index_log(rng, rng.randrange(0, 100))
+        write_ndjson(path, events)
+        text_events = [_as_text(doc) for doc in events]
+        proxy = NdjsonProxy(path)
+        built.clear()
+        descriptors = [_index_descriptor(rng, i, logged) for i in range(rng.randrange(3, 9))]
+        asked = [*descriptors, *rng.choices(descriptors, k=rng.randrange(1, 4))]
+        rng.shuffle(asked)
+        answers = {}
+        for q in asked:
+            key = memo_key(q, _INDEX_DB)
+            got = proxy.hits(key)
+            tests = wilee.hunt.proxy._tests(key[1])
+            reference = [e for e in proxy.scan(q.entity_class) if wilee.hunt.proxy._passes(e.fields, tests)]
+            assert got == reference, (trial, q.entity_class, key[1])
+            assert [e.event_id for e in got] == oracle_execute(q, text_events, _INDEX_DB.records), (trial, q)
+            if key in answers:
+                assert got is answers[key]
+                repeats += 1
+            answers[key] = got
+            cases += 1
+            hits += len(got)
+            several += len(got) > 1
+            variables = [p.variable for p in q.predicates]
+            same_field += len(variables) > len(set(variables))
+        fields_asked = {(cls, var) for cls, filt in answers for var, _, _ in filt}
+        assert sorted(built) == sorted(var for _, var in fields_asked)
+        assert set(proxy._indexes) == fields_asked
+    assert cases >= 300 and hits > 1000 and several > 100 and same_field > 100 and repeats > 100, (
+        cases, hits, several, same_field, repeats
+    )
+
+
 @pytest.mark.parametrize("name", list(MALFORMED_EVENT_LINES))
 def test_whole_and_filtered_reads_fail_alike(tmp_path, name):
     line, message = MALFORMED_EVENT_LINES[name]
