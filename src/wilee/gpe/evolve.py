@@ -284,9 +284,13 @@ def run_gpe(
 def export_archive(result: GpeResult, outdir: Path) -> list[Path]:
     """Write each archive member as a ``.wdsl`` file plus an
     ``archive.jsonl`` metadata index.  Output bytes are a pure function
-    of the result."""
+    of the result.  A ``.wdsl`` file that the directory's previous index
+    lists and this result does not write is removed, so the directory
+    holds this archive alone; a file no index lists is left as it is."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    meta = outdir / "archive.jsonl"
+    listed = _listed_files(meta)
     written: list[Path] = []
     meta_lines = []
     for candidate in result.archive:
@@ -309,7 +313,27 @@ def export_archive(result: GpeResult, outdir: Path) -> list[Path]:
                 }
             )
         )
-    meta = outdir / "archive.jsonl"
     meta.write_text("".join(line + "\n" for line in meta_lines), "utf-8")
     written.append(meta)
+    for path in outdir.glob("*.wdsl"):
+        if path.name in listed and path not in written:
+            path.unlink()
     return written
+
+
+def _listed_files(meta: Path) -> set[str]:
+    """The ``file`` of each entry of an ``archive.jsonl``; a line that
+    is not such an entry lists nothing, and a missing index no file."""
+    try:
+        lines = meta.read_bytes().splitlines()
+    except FileNotFoundError:
+        return set()
+    listed = set()
+    for line in lines:
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(entry, dict) and isinstance(entry.get("file"), str):
+            listed.add(entry["file"])
+    return listed

@@ -568,6 +568,23 @@ def test_perturb_archive_files_validate(workspace, tmp_path):
     assert main(["validate", *[str(p) for p in files]]) == 0
 
 
+def test_perturb_rerun_into_one_out_holds_only_its_archive(workspace, tmp_path):
+    impl = tmp_path / "impl.wdsl"
+    impl.write_text(T1552_PUTTY_SRC, "utf-8")
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert main(perturb_args(workspace, impl, reused, seed=11)) == 0
+    first = {p.name for p in (reused / "archive").iterdir()}
+    unlisted = reused / "archive" / "notes.wdsl"  # a file no archive.jsonl lists
+    unlisted.write_text("kept\n", "utf-8")
+    assert main(perturb_args(workspace, impl, reused, seed=7)) == 0
+    assert main(perturb_args(workspace, impl, fresh, seed=7)) == 0
+    files = {p.name: p.read_bytes() for p in (fresh / "archive").iterdir()}
+    assert first - set(files)  # the first run archived other candidates
+    assert {p.name: p.read_bytes() for p in (reused / "archive").iterdir()} == {**files, "notes.wdsl": b"kept\n"}
+    outputs = json.loads((reused / "manifest.json").read_text("utf-8"))["outputs"]
+    assert sorted(outputs) == sorted([*files, "run.json"])
+
+
 @pytest.mark.parametrize(
     "text",
     [
