@@ -15,21 +15,29 @@ one, and ``execute``, ``execute_all`` and ``scan`` are each one lookup.
 The read decodes and checks every line alike, so a malformed line fails
 with the same ``file:line`` message whichever way the proxy was made:
 
-* Whole (``NdjsonProxy(path)``): every event is kept, and the memo is
-  seeded with each class's events in log order under the empty filter.
-  ``perturb --events`` reads this way, since its fitness asks questions
-  nobody knows in advance.  A key not seen before is answered from value
-  indexes: the first filter on a field of a class builds, once, a map
-  from each text the field holds to the positions of its events in the
-  class list (a value that is not a string as its JSON text; an event
-  without the field appears nowhere).  An exact value is then one
-  lookup, a glob is tested once per distinct value, and the predicates'
-  position sets are intersected and sorted, so a new key costs
-  O(distinct values + hits) instead of O(class size).  Retained memory
-  is O(events): under ``tracemalloc``, building every (class, field)
-  index of the benchmark's seed-3 logs took a whole proxy from 1.96 to
-  2.39 MB (2.5k events), 15.11 to 19.18 MB (20k) and 92.39 to
-  115.62 MB (120k), about a quarter more.
+* Whole (``NdjsonProxy(path)``): every event is kept, as columns per
+  class (:class:`_Class`): the event ids; the timestamps as codes into
+  one list of the log's distinct ``(timestamp, moment)`` pairs; the
+  hosts as two-byte codes (four past 65,536 hosts); the links of the
+  events that have some; and each field as a code column over that
+  field's distinct texts (a value that is not a string as its JSON
+  text), where code 0 means the event lacks the field.  No per-line
+  dict, key string or repeated text is kept.  ``perturb --events`` reads
+  this way, since its fitness asks questions nobody knows in advance.  A
+  key not seen before is answered from value indexes: the first filter
+  on a field of a class turns its codes, once, into the positions of
+  each text's events.  An exact value is then one lookup, a glob is
+  tested once per distinct text, and the predicates' position sets are
+  intersected and sorted, so a new key costs O(distinct values + hits)
+  instead of O(class size).  An :class:`Event` is built only for a hit,
+  on its first request, and kept for the proxy's lifetime, so every key
+  that holds it shares one object; the empty filter builds its class's
+  events when first asked.  Retained memory is O(events) for the columns
+  plus O(hits) for the events.  Under ``tracemalloc`` a whole proxy of
+  the benchmark's seed-3 logs retains 0.83 MB (2.5k events), 6.37 MB
+  (20k) and 29.67 MB (120k, 0.25 KB per event), against 1.95, 15.09 and
+  92.37 MB when it kept one :class:`Event` per line; every (class,
+  field) index built takes these to 1.16, 9.14 and 44.11 MB.
 * Filtered (``NdjsonProxy(path, keys)``): when every question is known
   before the log is opened, as in ``wilee hunt``, one pass tests each
   line's raw fields against the filters of its class, builds an
@@ -43,15 +51,13 @@ from one call of the C JSON scanner when the line is one object and then
 its line end; any other line (a BOM, whitespace around the object, extra
 data, a blank line, not an object) goes to ``json.loads``, so every
 object and every error message is ``json.loads``'s.  :func:`_checked`
-then checks the object and parses its timestamp once, and an
-:class:`Event` is one tuple built from that row: its ``fields`` is the
+then checks the object and parses its timestamp, unless the text is the
+previous line's, whose moment it takes.  The filtered read builds an
+:class:`Event` from that row with :func:`_event`: its ``fields`` is the
 decoded dict itself when every value is a string, and its host and class
-strings are interned, shared by every event that names them.  On a
-120k-event log an event retains about 0.77 KB: the tuple, the
-``event_id``, ``timestamp`` and ``moment``, and the fields dict with its
-own key and value strings, which are about two thirds of it.  The same
-loop feeds every byte to SHA-256, so ``NdjsonProxy.sha256`` names the
-log without a second read.
+strings are interned.  The whole read appends the row to its class's
+columns instead.  The same loop feeds every byte to SHA-256, so
+``NdjsonProxy.sha256`` names the log without a second read.
 
 A hit list is kept for the proxy's lifetime and shared by every caller
 that asks its key, so callers must not modify it, and a proxy's file
@@ -65,6 +71,7 @@ import hashlib
 import json
 import re
 import sys
+from array import array
 from collections import namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
@@ -126,8 +133,8 @@ class Event(namedtuple("Event", "event_id timestamp host entity_class fields lin
 class NdjsonProxy:
     """Event log backend over an ``events.ndjson`` file.
 
-    Without ``keys`` the whole log is kept, and the hit memo is seeded
-    with each class's events under the empty filter.  With ``keys``, the
+    Without ``keys`` the whole log is kept as columns, and each key's hits
+    are found in them on its first request.  With ``keys``, the
     ``(entity_class, filter)`` keys of every query the proxy will be
     asked (see :func:`memo_key`), the one read keeps only the events some
     key's filter passes and seeds the memo with one list per key.
@@ -140,11 +147,16 @@ class NdjsonProxy:
         self._whole = keys is None
         digest = hashlib.sha256()
         if self._whole:
-            by_class: dict[str, list[Event]] = {}
-            self._read(_keep_all(by_class), digest)
-            self._hits = {(entity_class, ()): events for entity_class, events in by_class.items()}
-            # (entity_class, field) -> {field text: positions in the class list}
-            self._indexes: dict[tuple[str, str], dict[str, list[int]]] = {}
+            self._classes: dict[str, _Class] = {}
+            self._stamps: list[tuple[str, datetime]] = []  # each distinct (timestamp, moment)
+            hosts: dict[str, int] = {}
+            self._read(_keep_columns(self._classes, self._stamps, hosts), digest)
+            self._hosts = list(hosts)
+            for held in self._classes.values():
+                held.fields = {var: ([None, *texts], codes) for var, (texts, codes) in held.fields.items()}
+            self._hits: dict[Key, list[Event]] = {}
+            # (entity_class, field) -> {field text: positions in the class}
+            self._indexes: dict[tuple[str, str], dict[str, array]] = {}
         else:
             self._hits = {key: [] for key in keys}
             self._read(_keep_hits(self._hits), digest)
@@ -169,21 +181,40 @@ class NdjsonProxy:
     def _indexed(self, entity_class: str, filt: Filter) -> list[Event]:
         """The events of the class whose fields pass ``filt``, in log
         order, from the value index of each field the filter names."""
-        events = self._hits.get((entity_class, ()), [])
+        held = self._classes.get(entity_class) or _Class(entity_class)
         common: Optional[set[int]] = None
         for var, exact, globs in filt:
             index = self._indexes.get((entity_class, var))
             if index is None:
-                index = self._indexes[entity_class, var] = _value_index(events, var)
+                index = self._indexes[entity_class, var] = _value_index(held.fields, var)
             matched = {i for value in exact for i in index.get(value, ())}
             if globs:
                 for value, at in index.items():
                     if any(glob_match(g, value) for g in globs):
                         matched.update(at)
             common = matched if common is None else common & matched
-        if common is None:
-            return list(events)
-        return [events[i] for i in sorted(common)]
+        return self._events(held, range(len(held.ids)) if common is None else sorted(common))
+
+    def _events(self, held: _Class, positions: Iterable[int]) -> list[Event]:
+        """The :class:`Event` at each of the class's ``positions``, each
+        built on its first request and kept for the proxy's lifetime."""
+        made = held.events
+        stamps, hosts, ids, links = self._stamps, self._hosts, held.ids, held.links
+        events = []
+        for i in positions:
+            event = made.get(i)
+            if event is None:
+                timestamp, moment = stamps[held.stamps[i]]
+                fields = {}
+                for var, (texts, codes) in held.fields.items():
+                    code = codes[i]
+                    if code:
+                        fields[var] = texts[code]
+                event = made[i] = tuple.__new__(
+                    Event, (ids[i], timestamp, hosts[held.hosts[i]], held.name, fields, links.get(i, ()), moment)
+                )
+            events.append(event)
+        return events
 
     def _read(self, keep: Callable[[tuple], None], digest=None) -> None:
         """Check each line (:func:`_checked`) and run ``keep`` on its row;
@@ -191,10 +222,11 @@ class NdjsonProxy:
         or duplicate ``event_id`` raises :class:`ProxyUnavailable` naming
         ``file:line``."""
         seen: set[str] = set()
+        row = _NO_ROW
         try:
             for lineno, doc in read_jsonl(self.path, digest):
                 try:
-                    row = _checked(doc)
+                    row = _checked(doc, row)
                 except ValueError as exc:
                     raise FormatError(str(self.path), lineno, str(exc)) from None
                 if row[0] in seen:
@@ -211,13 +243,14 @@ class NdjsonProxy:
         return list(self.hits((entity_class, ())))
 
 
-def _checked(doc: dict) -> tuple:
+def _checked(doc: dict, previous: tuple) -> tuple:
     """The row ``(event_id, timestamp, host, entity_class, fields, links,
     moment)`` of an event line, with ``fields`` as read.  Checks, in this
     order, that ``fields`` is a JSON object, that ``links`` is a list of
     objects with ``verb`` and ``target``, that the four keys are present
     and that the timestamp is RFC 3339; a failed check raises a
-    :class:`ValueError` saying what is wrong."""
+    :class:`ValueError` saying what is wrong.  A timestamp that is the
+    text of the ``previous`` line's takes that line's moment unparsed."""
     fields = doc.get("fields", {})
     if not isinstance(fields, dict):
         raise ValueError("'fields' must be a JSON object")
@@ -229,7 +262,11 @@ def _checked(doc: dict) -> tuple:
         entity_class = str(doc["entity_class"])
     except KeyError as exc:
         raise ValueError(f"missing {exc.args[0]!r}") from None
-    return event_id, timestamp, host, entity_class, fields, links, parse_rfc3339(timestamp)
+    moment = previous[6] if timestamp == previous[1] else parse_rfc3339(timestamp)
+    return event_id, timestamp, host, entity_class, fields, links, moment
+
+
+_NO_ROW = (None,) * 7  # the ``previous`` row of a log's first line
 
 
 def _event(row: tuple) -> Event:
@@ -265,22 +302,90 @@ def _text_fields(fields: dict) -> dict[str, str]:
     return fields
 
 
-def _value_index(events: list[Event], var: str) -> dict[str, list[int]]:
-    """Each text the field ``var`` holds among ``events``, with the
-    positions of the events holding it, ascending; an event without the
-    field appears nowhere."""
-    index: dict[str, list[int]] = {}
-    for i, event in enumerate(events):
-        fields = event.fields
-        if var in fields:
-            index.setdefault(fields[var], []).append(i)
-    return index
+def _value_index(columns: dict[str, tuple[list, array]], var: str) -> dict[str, array]:
+    """Each text the field ``var`` holds in a class's ``columns`` (see
+    :class:`_Class`), with the positions of the events holding it,
+    ascending; an event without the field appears nowhere."""
+    if var not in columns:
+        return {}
+    texts, codes = columns[var]
+    at = [array("I") for _ in texts]
+    for i, code in enumerate(codes):
+        at[code].append(i)
+    return dict(zip(texts[1:], at[1:]))
 
 
-def _keep_all(by_class: dict[str, list[Event]]) -> Callable[[tuple], None]:
+class _Class:
+    """The events of one entity class of a whole log, as columns in log
+    order: ``ids`` their event ids; ``stamps`` codes into the proxy's
+    list of distinct ``(timestamp, moment)`` pairs; ``hosts`` codes into
+    its list of hosts; ``links`` the links of each event that has some,
+    by position; and ``fields`` each field's ``(texts, codes)``, where
+    event ``i`` holds ``texts[codes[i]]`` (a value that is not a string
+    as its JSON text) and code 0 means it lacks the field.  ``events``
+    holds the :class:`Event` of each position built so far."""
+
+    __slots__ = ("name", "ids", "stamps", "hosts", "links", "fields", "events")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.ids: list[str] = []
+        self.stamps = array("I")
+        self.hosts = array("H")
+        self.links: dict[int, tuple] = {}
+        self.fields: dict[str, tuple] = {}
+        self.events: dict[int, Event] = {}
+
+
+def _keep_columns(classes: dict[str, _Class], stamps: list, hosts: dict[str, int]) -> Callable[[tuple], None]:
+    """Appends each row to the columns of its class in ``classes``, with
+    its timestamp coded into ``stamps``, the list of distinct
+    ``(timestamp, moment)`` pairs, and its host into ``hosts``, a map of
+    each host to its code.  While the read runs, a field's ``texts`` is a
+    map of each text to its code, counted from 1; the proxy turns it into
+    a list when the read ends."""
+    stamp_codes: dict[str, int] = {}
+    dumps = json.dumps
+
     def keep(row: tuple) -> None:
-        event = _event(row)
-        by_class.setdefault(event.entity_class, []).append(event)
+        event_id, timestamp, host, entity_class, fields, links, moment = row
+        held = classes.get(entity_class)
+        if held is None:
+            held = classes[entity_class] = _Class(sys.intern(entity_class))
+        ids = held.ids
+        at = len(ids)
+        ids.append(event_id)
+        code = stamp_codes.get(timestamp)
+        if code is None:
+            code = stamp_codes[timestamp] = len(stamps)
+            stamps.append((timestamp, moment))
+        held.stamps.append(code)
+        code = hosts.get(host)
+        if code is None:
+            code = hosts[host] = len(hosts)
+        try:
+            held.hosts.append(code)
+        except OverflowError:  # a 65,537th host
+            held.hosts = array("I", held.hosts)
+            held.hosts.append(code)
+        if links:
+            held.links[at] = links
+        columns = held.fields
+        for var, value in fields.items():
+            if not isinstance(value, str):
+                value = dumps(value)
+            column = columns.get(var)
+            if column is None:
+                column = columns[var] = ({}, array("I", [0]) * at)
+            texts, codes = column
+            code = texts.get(value)
+            if code is None:
+                code = texts[value] = len(texts) + 1
+            codes.append(code)
+        if len(fields) != len(columns):
+            for _, codes in columns.values():
+                if len(codes) == at:
+                    codes.append(0)  # the event lacks the field
 
     return keep
 
