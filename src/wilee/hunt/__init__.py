@@ -4,12 +4,11 @@ them."""
 
 from .engine import evaluate
 from .graph import DEFAULT_WINDOW_SECONDS, EvidenceGraph, GraphEdge, build_graph
-from .matcher import MatchResult, Obligation, match, obligations_for
+from .matcher import MatchResult, Obligation, match
 from .proxy import (
     Event,
     NdjsonProxy,
     ProxyUnavailable,
-    execute,
     execute_all,
     memo_key,
     parse_rfc3339,
@@ -35,11 +34,9 @@ __all__ = [
     "MatchResult",
     "Obligation",
     "match",
-    "obligations_for",
     "Event",
     "NdjsonProxy",
     "ProxyUnavailable",
-    "execute",
     "execute_all",
     "memo_key",
     "parse_rfc3339",

@@ -20,4 +20,4 @@ def evaluate(
     """Match ``impl`` against the hits of ``descriptors``, its queries as
     :func:`~wilee.hunt.schedule` gives them."""
     graph = build_graph(execute_all(descriptors, proxy, db), descriptors)
-    return match(graph, impl)
+    return match(graph, impl, descriptors)

@@ -44,8 +44,6 @@ class GraphEdge(NamedTuple):
     qid: str
     peer_qid: str
     verb: str
-    technique_id: str
-    step_index: int
     source_event: str
     target_event: str
     source_host: str
@@ -156,8 +154,6 @@ def build_graph(
                             qid=q.qid,
                             peer_qid=rel.peer_qid,
                             verb=verb,
-                            technique_id=q.technique_id,
-                            step_index=q.step_index,
                             source_event=source.event_id,
                             target_event=target.event_id,
                             source_host=source.host,

@@ -3,10 +3,13 @@ implementation.
 
 Per step, every relation statement is an obligation needing a
 supporting edge, and every object with no relations needs at least one
-node.  Across steps a witness must exist on a single host whose
-per-step earliest witnessing timestamps are non-decreasing (ties
-allowed).  The score is the satisfied fraction of obligations under the
-best such witness, so a score of 1.0 and confirmation coincide.
+node.  The obligations are read from the schedule's descriptors, not
+from the bodies again: each relation carries its rank among its step's
+relation statements.  Across steps a witness must exist on a single
+host whose per-step earliest witnessing timestamps are non-decreasing
+(ties allowed).  The score is the satisfied fraction of obligations
+under the best such witness, so a score of 1.0 and confirmation
+coincide.
 
 The search keeps, per host, the Pareto frontier of (time floor,
 obligations satisfied) states across steps.  Within a step, satisfying
@@ -33,7 +36,7 @@ from typing import Optional
 
 from ..interpreter import ThreatImplementation
 from .graph import EvidenceGraph
-from .query import make_qid, read_body
+from .query import QueryDescriptor
 
 _FLOOR_START = datetime.min.replace(tzinfo=timezone.utc)
 
@@ -59,23 +62,26 @@ class MatchResult:
     host: Optional[str] = None
 
 
-def obligations_for(impl: ThreatImplementation) -> list[list[Obligation]]:
-    """Per-step obligations: one per relation statement, plus one node
-    obligation per object that no relation touches."""
-    per_step: list[list[Obligation]] = []
-    for step in impl.steps:
-        i = step.step_index
-        objects, relations = read_body(step.record.ast)
-        qids = {var: make_qid(impl.impl_id, i, var) for var in objects}
-        obligations = [
-            Obligation(i, "relation", f"{subj}.{verb}({obj})", ("relation", qids[subj], qids[obj], verb))
-            for subj, verb, obj in relations
-        ]
-        related = {var for subj, _, obj in relations for var in (subj, obj)}
-        obligations.extend(
-            Obligation(i, "node", var, ("node", qids[var])) for var in objects if var not in related
+def _obligations(impl: ThreatImplementation, descriptors: list[QueryDescriptor]) -> list[list[Obligation]]:
+    """Per-step obligations: one per relation statement, in statement
+    order, then one node obligation per object that no relation touches,
+    in declaration order."""
+    var_of = {q.qid: q.object_var for q in descriptors}
+    per_step: list[list[Obligation]] = [[] for _ in impl.steps]
+    related: set[str] = set()
+    pairs = sorted(
+        ((q, rel) for q in descriptors for rel in q.relations),
+        key=lambda pair: (pair[0].step_index, pair[1].statement),
+    )
+    for q, rel in pairs:
+        label = f"{q.object_var}.{rel.verb}({var_of[rel.peer_qid]})"
+        per_step[q.step_index].append(
+            Obligation(q.step_index, "relation", label, ("relation", q.qid, rel.peer_qid, rel.verb))
         )
-        per_step.append(obligations)
+        related.update((q.qid, rel.peer_qid))
+    for q in descriptors:
+        if q.qid not in related:
+            per_step[q.step_index].append(Obligation(q.step_index, "node", q.object_var, ("node", q.qid)))
     return per_step
 
 
@@ -156,32 +162,30 @@ def _best_for_host(
     )
 
 
-def match(graph: EvidenceGraph, impl: ThreatImplementation) -> MatchResult:
-    per_step = obligations_for(impl)
+def match(graph: EvidenceGraph, impl: ThreatImplementation, descriptors: list[QueryDescriptor]) -> MatchResult:
+    """Match ``impl`` against ``graph``, with its obligations read from
+    ``descriptors``, its queries as :func:`~wilee.hunt.schedule` gives
+    them; ``impl`` gives only the result's header and the step count."""
+    per_step = _obligations(impl, descriptors)
     total = sum(len(obligations) for obligations in per_step)
 
-    best_state: Optional[_State] = None
+    # No host yet: a host replaces the best only with a strictly higher count.
+    best = _State(_FLOOR_START, 0, tuple(() for _ in per_step))
     best_host: Optional[str] = None
     node_qids = {o.key[1] for obligations in per_step for o in obligations if o.kind == "node"}
     by_host = _support_index(graph, node_qids)
     for host in sorted(by_host):
         state = _best_for_host(per_step, by_host[host])
-        if best_state is None or state.count > best_state.count:
-            best_state = state
-            best_host = host
+        if state.count > best.count:
+            best, best_host = state, host
 
-    if total == 0:
-        # An implementation asserting nothing is never confirmed.
-        return _empty_result(impl, tuple(0.0 for _ in per_step))
-    if best_state is None or best_state.count == 0:
-        scores = tuple(0.0 if obligations else 1.0 for obligations in per_step)
-        return _empty_result(impl, scores)
-
+    # A step with no obligations is met, unless the implementation
+    # asserts nothing at all: then it is never confirmed.
     step_scores = tuple(
-        len(chosen) / len(obligations) if obligations else 1.0
-        for chosen, obligations in zip(best_state.trace, per_step)
+        len(chosen) / len(obligations) if obligations else (1.0 if total else 0.0)
+        for chosen, obligations in zip(best.trace, per_step)
     )
-    score = best_state.count / total
+    score = best.count / total if total else 0.0
     return MatchResult(
         impl_id=impl.impl_id,
         description_name=impl.description_name,
@@ -189,21 +193,7 @@ def match(graph: EvidenceGraph, impl: ThreatImplementation) -> MatchResult:
         confirmed=score == 1.0,
         score=score,
         step_scores=step_scores,
-        witness=tuple(item for chosen in best_state.trace for item in chosen),
-        step_witness=best_state.trace,
+        witness=tuple(item for chosen in best.trace for item in chosen),
+        step_witness=best.trace,
         host=best_host,
-    )
-
-
-def _empty_result(impl: ThreatImplementation, step_scores: tuple[float, ...]) -> MatchResult:
-    return MatchResult(
-        impl_id=impl.impl_id,
-        description_name=impl.description_name,
-        techniques=impl.techniques,
-        confirmed=False,
-        score=0.0,
-        step_scores=step_scores,
-        witness=(),
-        step_witness=tuple(() for _ in step_scores),
-        host=None,
     )

@@ -11,7 +11,7 @@ another question.
 
 :class:`NdjsonProxy` reads a newline-delimited JSON log and keeps the
 answers in its hit memo; :meth:`NdjsonProxy.hits` is the one way to get
-one, and ``execute``, ``execute_all`` and ``scan`` are each one lookup.
+one, and :func:`execute_all` and ``scan`` are each one lookup.
 The read decodes and checks every line alike, so a malformed line fails
 with the same ``file:line`` message whichever way the proxy was made:
 
@@ -455,13 +455,8 @@ def _passes(fields: dict, tests) -> bool:
     return True
 
 
-def execute(q: QueryDescriptor, proxy: NdjsonProxy, db: IocDb) -> list[Event]:
-    """Events of the descriptor's entity class satisfying every
-    predicate, in log order: the proxy's shared hit list for its key."""
-    return proxy.hits(memo_key(q, db))
-
-
 def execute_all(descriptors: list[QueryDescriptor], proxy: NdjsonProxy, db: IocDb) -> dict[str, list[Event]]:
-    """``execute`` for each descriptor, by qid.  Descriptors with the
+    """Each descriptor's hits, by qid: events of its entity class
+    satisfying every predicate, in log order.  Descriptors with the
     same :func:`memo_key` share one hit list."""
     return {q.qid: proxy.hits(memo_key(q, db)) for q in descriptors}

@@ -2,13 +2,14 @@
 
 One descriptor is emitted per instantiated object per workflow step.
 Predicates come from attribute assignments (glob when the value carries
-a ``*``), relation entries from relation statements.  Descriptors carry
-stable ids so evidence can be traced back to the implementation that
-asked for it.
+a ``*``), relation entries from relation statements, each with its rank
+among its step's relation statements.  Descriptors carry stable ids so
+evidence can be traced back to the implementation that asked for it.
 
 :func:`read_body` is the one walk over a TTP body's statements.  The
-scheduler, the matcher's obligations, malmo's relation priors and gpe's
-behavior descriptors all read a body through it.
+scheduler, malmo's relation priors and gpe's behavior descriptors read
+a body through it; the matcher reads its obligations from the schedule's
+descriptors, so a hunt reads each step's body once.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class Predicate:
 @dataclass(frozen=True)
 class RelationRef:
     verb: str
-    peer_class: str
     peer_qid: str
+    statement: int  # rank among the step's relation statements
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,6 @@ class QueryDescriptor:
     relations: tuple[RelationRef, ...]
     step_index: int
     impl_id: str
-    technique_id: str
 
 
 def make_qid(impl_id: str, step_index: int, var: str) -> str:
@@ -124,8 +124,8 @@ def schedule(impl: ThreatImplementation, model: DataModel) -> list[QueryDescript
         objects, statements = read_body(step.record.ast)
         qids = {var: make_qid(impl.impl_id, step.step_index, var) for var in objects}
         relations: dict[str, list[RelationRef]] = {var: [] for var in objects}
-        for subj, verb, obj in statements:
-            relations[subj].append(RelationRef(verb, objects[obj][0], qids[obj]))
+        for statement, (subj, verb, obj) in enumerate(statements):
+            relations[subj].append(RelationRef(verb, qids[obj], statement))
         for var, (cls, predicates) in objects.items():
             variables = model.variables_by_class.get(cls)
             if variables is None:
@@ -142,7 +142,6 @@ def schedule(impl: ThreatImplementation, model: DataModel) -> list[QueryDescript
                     relations=tuple(relations[var]),
                     step_index=step.step_index,
                     impl_id=impl.impl_id,
-                    technique_id=step.record.technique_id,
                 )
             )
     return descriptors

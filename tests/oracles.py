@@ -367,6 +367,7 @@ def oracle_schedule(impl, model) -> list[QueryDescriptor]:
     descriptors = []
     for step in impl.steps:
         classes, order, predicates, relations = {}, [], {}, {}
+        statement = 0
         for stmt in step.record.ast.children:
             if stmt.kind is NodeKind.OBJECT_INSTANTIATION:
                 var, cls = stmt.attrs["var"], stmt.attrs["class_name"]
@@ -390,8 +391,9 @@ def oracle_schedule(impl, model) -> list[QueryDescriptor]:
                 if subj not in classes or obj not in classes:
                     raise UnknownVariable("relation references an unknown object")
                 relations[subj].append(
-                    RelationRef(stmt.attrs["verb"], classes[obj], _oracle_qid(impl.impl_id, step.step_index, obj))
+                    RelationRef(stmt.attrs["verb"], _oracle_qid(impl.impl_id, step.step_index, obj), statement)
                 )
+                statement += 1
         for var in order:
             descriptors.append(
                 QueryDescriptor(
@@ -402,7 +404,6 @@ def oracle_schedule(impl, model) -> list[QueryDescriptor]:
                     relations=tuple(relations[var]),
                     step_index=step.step_index,
                     impl_id=impl.impl_id,
-                    technique_id=step.record.technique_id,
                 )
             )
     return descriptors
@@ -541,9 +542,8 @@ def oracle_edge_pairs(source_events, target_events, verb, window_seconds) -> set
 def oracle_build_graph_edges(results, descriptors, window_seconds) -> list[tuple]:
     """The evidence-graph edges as the original pairwise loop emits them:
     every source x target pair of each relation, in source then target
-    order, as (edge_id, qid, peer_qid, verb, technique_id, step_index,
-    source_event, target_event, source_host, target_host, timestamp,
-    kind) tuples."""
+    order, as (edge_id, qid, peer_qid, verb, source_event, target_event,
+    source_host, target_host, timestamp, kind) tuples."""
     window = timedelta(seconds=window_seconds)
     edges = []
     for q in descriptors:
@@ -567,8 +567,6 @@ def oracle_build_graph_edges(results, descriptors, window_seconds) -> list[tuple
                             q.qid,
                             rel.peer_qid,
                             rel.verb,
-                            q.technique_id,
-                            q.step_index,
                             source.event_id,
                             target.event_id,
                             source.host,

@@ -47,7 +47,7 @@ from wilee.gpe import (
     perturb_iocs,
     run_gpe,
 )
-from wilee.hunt import NdjsonProxy, evaluate, execute, schedule
+from wilee.hunt import NdjsonProxy, evaluate, memo_key, schedule
 from wilee.hunt.query import BindSpec, Predicate, QueryDescriptor
 from wilee.interpreter import concretize
 from wilee.malmo import (
@@ -322,7 +322,7 @@ def _random_descriptor(rng):
     return QueryDescriptor(
         qid="q", entity_class=entity_class, object_var="x",
         predicates=tuple(predicates), relations=(), step_index=0,
-        impl_id="i", technique_id="T0001",
+        impl_id="i",
     )
 
 
@@ -347,7 +347,7 @@ def test_criterion_5_query_oracle(big_log_events, tmp_path):
         for _ in range(150):
             descriptor = _random_descriptor(rng)
             queries += 1
-            got = [e.event_id for e in execute(descriptor, proxy, db)]
+            got = [e.event_id for e in proxy.hits(memo_key(descriptor, db))]
             if got != oracle_execute(descriptor, raw, ioc_records):
                 mismatches += 1
     report(

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,8 +19,13 @@ from conftest import (
     write_ndjson,
 )
 
+import wilee.cli
 import wilee.hunt.proxy
+import wilee.hunt.query
 from wilee.cli import main
+from wilee.dsl import NodeKind, ThreatDescription, parse
+from wilee.interpreter import concretize
+from wilee.stores import StorePaths, load_stores
 
 SME_PRIORS_SRC = '''def t1003_001():
     system1 = System()
@@ -238,6 +245,67 @@ def test_hunt_builds_events_only_for_hits(workspace, tmp_path, monkeypatch):
     monkeypatch.setattr(wilee.hunt.proxy, "_event", counting)
     assert main(hunt_args(workspace, log, tmp_path / "out", fmt="json")) == 0
     assert sorted(built) == ["atk-proc", "atk-reg"]
+
+
+def _count_calls(monkeypatch, counts):
+    """Count ``read_body`` and ``make_qid`` calls in ``counts``, through
+    every ``wilee`` module that holds either function."""
+    for name in ("read_body", "make_qid"):
+        original = getattr(wilee.hunt.query, name)
+
+        def counted(*args, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("wilee") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+
+def _objects(fn):
+    return sum(1 for stmt in fn.children if stmt.kind is NodeKind.OBJECT_INSTANTIATION)
+
+
+def test_hunt_reads_each_step_body_once(workspace, tmp_path, monkeypatch):
+    """One body read per implementation step and one qid per object: the
+    matcher takes its obligations from the schedule."""
+    _, store_dir, _, desc_file = workspace
+    store, _, _ = load_stores(StorePaths(ttp_index=store_dir))
+    desc = ThreatDescription.from_module(parse(desc_file.read_text("utf-8")))
+    steps = [step for impl in concretize(desc, store).implementations for step in impl.steps]
+    assert len(steps) > 1
+    assert any(stmt.kind is NodeKind.RELATION_STMT for step in steps for stmt in step.record.ast.children)
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(563), 200, PlantedAttack.build().events))
+    counts = Counter()
+    _count_calls(monkeypatch, counts)
+    assert main(hunt_args(workspace, log, tmp_path / "out")) == 0
+    assert counts == {"read_body": len(steps), "make_qid": sum(_objects(s.record.ast) for s in steps)}
+
+
+def test_perturb_fitness_reads_each_step_body_once(workspace, tmp_path, monkeypatch):
+    """Each fitness call reads each of the candidate's step bodies once
+    and makes one qid per object."""
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(564), 200, PlantedAttack.build().events))
+    impl = tmp_path / "impl.wdsl"
+    impl.write_text(T1552_PUTTY_SRC, "utf-8")
+    counts, calls = Counter(), []
+    run_gpe = wilee.cli.run_gpe
+
+    def counting_run_gpe(tree, config, fitness_fn, **kwargs):
+        def counted(candidate):
+            before = Counter(counts)
+            score = fitness_fn(candidate)
+            calls.append((counts - before, candidate))
+            return score
+
+        return run_gpe(tree, config, fitness_fn=counted, **kwargs)
+
+    monkeypatch.setattr(wilee.cli, "run_gpe", counting_run_gpe)
+    _count_calls(monkeypatch, counts)
+    assert main(perturb_args(workspace, impl, tmp_path / "out") + ["--events", str(log)]) == 0
+    assert calls
+    for made, candidate in calls:
+        assert made == Counter(read_body=len(candidate.children), make_qid=sum(map(_objects, candidate.children)))
 
 
 def _ttp_index_line_not_an_object(workspace, tmp_path):

@@ -22,7 +22,6 @@ from wilee.hunt import (
     Event,
     NdjsonProxy,
     ProxyUnavailable,
-    execute,
     execute_all,
     memo_key,
     parse_rfc3339,
@@ -44,7 +43,6 @@ def make_descriptor(entity_class, predicates):
         relations=(),
         step_index=0,
         impl_id="impl0",
-        technique_id="T0001",
     )
 
 
@@ -94,7 +92,7 @@ def test_eq_predicate_on_empty_log(tmp_path):
     log.write_text("", "utf-8")
     proxy = NdjsonProxy(log)
     descriptor = make_descriptor("Process", [Predicate("name", "eq", "x")])
-    assert execute(descriptor, proxy, IocDb()) == []
+    assert proxy.hits(memo_key(descriptor, IocDb())) == []
 
 
 def test_glob_predicate_against_fixture_log():
@@ -105,7 +103,7 @@ def test_glob_predicate_against_fixture_log():
     )
     # w3 has no middle path component at all, so the two fixed
     # backslashes around the * cannot both be present.
-    got = [e.event_id for e in execute(descriptor, proxy, IocDb())]
+    got = [e.event_id for e in proxy.hits(memo_key(descriptor, IocDb()))]
     assert got == ["w1", "w2"]
 
 
@@ -120,7 +118,7 @@ def test_bind_predicate_matches_any_candidate():
     descriptor = make_descriptor(
         "Process", [Predicate("name", "eq", BindSpec("process_name"))]
     )
-    got = {e.event_id for e in execute(descriptor, proxy, db)}
+    got = {e.event_id for e in proxy.hits(memo_key(descriptor, db))}
     assert got == {"p3", "p5"}
 
 
@@ -129,7 +127,7 @@ def test_bind_with_no_candidates_matches_nothing():
     descriptor = make_descriptor(
         "Process", [Predicate("name", "eq", BindSpec("process_name"))]
     )
-    assert execute(descriptor, proxy, IocDb()) == []
+    assert proxy.hits(memo_key(descriptor, IocDb())) == []
 
 
 def _process_log(tmp_path, names):
@@ -171,7 +169,7 @@ def test_bind_resolved_once_per_execute(tmp_path, monkeypatch):
 
     monkeypatch.setattr(wilee.hunt.proxy, "resolve_bind", counting)
     descriptor = make_descriptor("Process", [Predicate("name", "eq", BindSpec("process_name"))])
-    got = [e.event_id for e in execute(descriptor, proxy, db)]
+    got = [e.event_id for e in proxy.hits(memo_key(descriptor, db))]
     assert len(calls) == 1
     assert got == [
         f"p{i}" for i, name in enumerate(names) if i % 3 and name in ("TrojanSpy.A", "cmd.exe")
@@ -191,7 +189,7 @@ def test_scan_returns_a_fresh_list_of_the_class_in_log_order(tmp_path):
 def test_missing_field_never_matches():
     proxy = NdjsonProxy(LOGS[0])  # edge cases: e3 has empty fields
     descriptor = make_descriptor("DnsQuery", [Predicate("query_name", "glob", "*")])
-    got = {e.event_id for e in execute(descriptor, proxy, IocDb())}
+    got = {e.event_id for e in proxy.hits(memo_key(descriptor, IocDb()))}
     assert got == {"e1", "e2"}
 
 
@@ -295,7 +293,7 @@ def test_execute_equals_regex_scan_oracle_on_all_logs():
         ]
         for _ in range(120):
             descriptor = _random_descriptor(rng, classes, ioc_records)
-            got = [e.event_id for e in execute(descriptor, proxy, db)]
+            got = [e.event_id for e in proxy.hits(memo_key(descriptor, db))]
             expected = oracle_execute(descriptor, raw_events, ioc_records)
             assert got == expected, (log_path.name, descriptor)
 
@@ -451,8 +449,8 @@ def test_execute_all_scans_each_distinct_filter_once_per_proxy(tmp_path):
     assert proxy.scans == 3
     run(bind, first, 2)
     assert proxy.scans == 3
-    # execute shares the memoised list.
-    assert execute(bind, proxy, first) is hits[0]
+    # A lookup by key shares the memoised list.
+    assert proxy.hits(memo_key(bind, first)) is hits[0]
     assert proxy.scans == 3
     # Another proxy over the same log has its own memo.
     other = _CountingProxy(path, ())
@@ -462,8 +460,8 @@ def test_execute_all_scans_each_distinct_filter_once_per_proxy(tmp_path):
     # reading the log again.
     whole = _CountingProxy(path)
     assert execute_all([bind], whole, first)[bind.qid] == hits[0]
-    assert execute(bind, whole, second) == run(bind, second, 1)[0]
-    assert execute(literal, whole, IocDb()) is execute(bind, whole, first)
+    assert whole.hits(memo_key(bind, second)) == run(bind, second, 1)[0]
+    assert whole.hits(memo_key(literal, IocDb())) is whole.hits(memo_key(bind, first))
     assert whole.scans == 1
 
 
@@ -485,7 +483,7 @@ def _assert_filtered_read_equals_execute(path, descriptors, db, classes):
     assert list(seeded) == list(dict.fromkeys(keys))
     results = execute_all(descriptors, filtered, db)
     for q, key in zip(descriptors, keys):
-        assert seeded[key] == execute(q, full, db), q
+        assert seeded[key] == full.hits(memo_key(q, db)), q
         assert results[q.qid] is seeded[key]  # served from the seeded memo
     for cls in classes:
         assert filtered.scan(cls) == full.scan(cls), cls

@@ -10,10 +10,11 @@ from oracles import (
     oracle_build_graph,
     oracle_build_graph_edges,
     oracle_edge_pairs,
+    oracle_obligations_for,
     oracle_support_index,
 )
 
-from wilee.dsl import ThreatDescription
+from wilee.dsl import ThreatDescription, parse
 from wilee.hunt import (
     EvidenceGraph,
     GraphEdge,
@@ -21,12 +22,11 @@ from wilee.hunt import (
     build_graph,
     execute_all,
     match,
-    obligations_for,
     schedule,
 )
 from wilee.hunt.proxy import Event
 from wilee.hunt.query import QueryDescriptor, RelationRef
-from wilee.interpreter import concretize
+from wilee.interpreter import concretize, implementation_from_module
 from wilee.stores import IocDb
 
 
@@ -42,7 +42,7 @@ def hunt(impl, events, model, window_seconds=60.0, db=None):
     descriptors = schedule(impl, model)
     results = execute_all(descriptors, whole_proxy(events), db or IocDb())
     graph = build_graph(results, descriptors, window_seconds)
-    return graph, match(graph, impl)
+    return graph, match(graph, impl, descriptors)
 
 
 def putty_impl(model):
@@ -94,14 +94,13 @@ def test_no_results_empty_graph(model):
 def test_one_relation_no_nodes_one_edge(model):
     impl = putty_impl(model)
     graph, _ = hunt(impl, ATTACK[:2], model)
-    (node_qid,) = [ob.key[1] for ob in obligations_for(impl)[1]]
+    (node_qid,) = [ob.key[1] for ob in oracle_obligations_for(impl)[1]]
     assert graph.hits[node_qid] == []
     assert len(graph.edges) == 1
     (edge,) = graph.edges
     assert edge.verb == "observed"
     assert edge.kind == "window"
-    assert edge.technique_id == "T1552.002"
-    assert edge.step_index == 0
+    assert edge.qid in {q.qid for q in schedule(impl, model) if q.step_index == 0}
     assert edge.timestamp.isoformat().startswith("2026-03-01T06:00:20")
 
 
@@ -109,11 +108,11 @@ def test_unrelated_object_one_node_per_hit(model):
     impl = putty_impl(model)
     second = event("cmd2", "2026-03-01T06:06:00Z", "ws-003", "Process",
                    {"command_line": 'Get-Process -Name "powershell" | Stop-Process'})
-    graph, _ = hunt(impl, ATTACK + [second], model)
-    (node_qid,) = [ob.key[1] for ob in obligations_for(impl)[1]]
+    graph, result = hunt(impl, ATTACK + [second], model)
+    (node_qid,) = [ob.key[1] for ob in oracle_obligations_for(impl)[1]]
     assert [(e.event_id, e.host) for e in graph.hits[node_qid]] == [("cmd1", "ws-002"), ("cmd2", "ws-003")]
     assert len(graph.edges) == 1
-    assert match(graph, impl).step_witness[1] == (f"{node_qid}:cmd1",)
+    assert result.step_witness[1] == (f"{node_qid}:cmd1",)
 
 
 def test_graph_holds_the_hits_it_was_joined_from(model):
@@ -191,9 +190,8 @@ def test_edge_count_matches_pairwise_oracle(model):
 
 def _edge_tuple(edge):
     return (
-        edge.edge_id, edge.qid, edge.peer_qid, edge.verb, edge.technique_id,
-        edge.step_index, edge.source_event, edge.target_event, edge.source_host,
-        edge.target_host, edge.timestamp, edge.kind,
+        edge.edge_id, edge.qid, edge.peer_qid, edge.verb, edge.source_event,
+        edge.target_event, edge.source_host, edge.target_host, edge.timestamp, edge.kind,
     )
 
 
@@ -234,13 +232,11 @@ def _random_join_case(rng):
             object_var=f"process{i}",
             predicates=(),
             relations=tuple(
-                RelationRef(rng.choice(("observed", "has")), "Process",
-                            rng.choice(qids + ["qmissing"]))
-                for _ in range(rng.randrange(0, 3))
+                RelationRef(rng.choice(("observed", "has")), rng.choice(qids + ["qmissing"]), r)
+                for r in range(rng.randrange(0, 3))
             ),
             step_index=i,
             impl_id="impl",
-            technique_id=f"T100{i}",
         )
         for i, qid in enumerate(qids)
     ]
@@ -261,7 +257,7 @@ def test_build_graph_equals_pairwise_oracle():
         edges = build_graph(results, descriptors, window).edges
         expected = oracle_build_graph_edges(results, descriptors, window)
         assert [_edge_tuple(e) for e in edges] == expected, f"trial {trial}"
-        assert [e.timestamp.isoformat() for e in edges] == [e[10].isoformat() for e in expected]
+        assert [e.timestamp.isoformat() for e in edges] == [e[8].isoformat() for e in expected]
         seen["empty_side"] += any(
             not results.get(rel.peer_qid) for q in descriptors for rel in q.relations
         )
@@ -370,9 +366,9 @@ def test_build_graph_matches_like_the_full_graph(model):
         window = rng.choice((0.0, 30.0, 60.0))
         graph = build_graph(results, descriptors, window)
         full = oracle_build_graph(results, descriptors, window)
-        result = match(graph, impl)
-        assert result == match(full, impl), f"trial {trial}"
-        per_step = obligations_for(impl)
+        result = match(graph, impl, descriptors)
+        assert result == match(full, impl, descriptors), f"trial {trial}"
+        per_step = oracle_obligations_for(impl)
         assert graph.edges == full.edges, f"trial {trial}"
         seen["confirmed"] += result.confirmed
         seen["partial"] += 0 < result.score < 1
@@ -408,6 +404,36 @@ def test_empty_graph_scores_zero(model):
     _, result = hunt(impl, [], model)
     assert result.confirmed is False
     assert result.score == 0.0
+
+
+def _unasked_graph():
+    """A graph with hosts whose hit and edge answer no obligation."""
+    moment = datetime(2026, 3, 1, 6, 0, 0, tzinfo=timezone.utc)
+    hit = Event("ev1", moment.isoformat(), "h1", "Process", {})
+    edge = GraphEdge("e00000", "q-none", "q-peer", "has", "ev1", "ev2", "h1", "h2", moment, "window")
+    return EvidenceGraph({"q-none": [hit]}, (edge,))
+
+
+def test_impl_asserting_nothing_scores_zero_everywhere(model):
+    impl = implementation_from_module(parse("def t1082():\n    pass\n\ndef t1059_001():\n    pass\n"))
+    descriptors = schedule(impl, model)
+    graph = _unasked_graph()
+    assert descriptors == [] and graph.hosts() == ["h1", "h2"]
+    result = match(graph, impl, descriptors)
+    assert result.step_scores == (0.0, 0.0)
+    assert result.score == 0.0 and result.confirmed is False
+    assert result.host is None and result.witness == () and result.step_witness == ((), ())
+
+
+def test_unsupported_obligations_score_only_empty_steps(model):
+    impl = implementation_from_module(parse(T1552_PUTTY_SRC + "\ndef t1082():\n    pass\n"))
+    descriptors = schedule(impl, model)
+    graph = _unasked_graph()
+    assert graph.hosts() == ["h1", "h2"]
+    result = match(graph, impl, descriptors)
+    assert result.step_scores == (0.0, 1.0)
+    assert result.score == 0.0 and result.confirmed is False
+    assert result.host is None and result.witness == () and result.step_witness == ((), ())
 
 
 def test_reverse_temporal_order_not_confirmed(model):
@@ -486,7 +512,7 @@ def test_dp_matches_exhaustive_witness_enumeration(model):
     """Randomized cross-check of the frontier search against brute force."""
     rng = random.Random(60486)
     impl = putty_impl(model)
-    per_step = obligations_for(impl)
+    per_step = oracle_obligations_for(impl)
     total = sum(len(o) for o in per_step)
     hive = "Software\\SimonTatham\\Putty\\Sessions"
     cmd = 'Get-Process -Name "powershell" | Stop-Process'
@@ -553,7 +579,7 @@ def _random_support_graph(rng, per_step):
             peer_host = rng.choice(hosts) if rng.random() < 0.4 else host
             edges.append(
                 GraphEdge(
-                    f"e{n:05d}", key[1], key[2], key[3], "T0000", 0, f"ev{n}", f"ev{n}x",
+                    f"e{n:05d}", key[1], key[2], key[3], f"ev{n}", f"ev{n}x",
                     host, peer_host, moment, rng.choice(("link", "window")),
                 )
             )
@@ -576,7 +602,8 @@ def test_match_equals_per_host_oracle_index(model, monkeypatch):
     )
     steps = ["T1552.002", "T1003.001", "T1059.001", "T1003.001"]
     impl = concretize(ThreatDescription.from_steps("wide", steps), store).implementations[0]
-    per_step = obligations_for(impl)
+    descriptors = schedule(impl, model)
+    per_step = oracle_obligations_for(impl)
 
     def oracle_index(graph, node_qids):
         return {host: oracle_support_index(graph, host) for host in graph.hosts()}
@@ -588,11 +615,11 @@ def test_match_equals_per_host_oracle_index(model, monkeypatch):
     seen = {"confirmed": 0, "partial": 0, "cross_host": 0}
     for trial in range(300):
         graph = _random_support_graph(rng, per_step)
-        result = match(graph, impl)
+        result = match(graph, impl, descriptors)
         with monkeypatch.context() as patch:
             patch.setattr(matcher, "_support_index", oracle_index)
             patch.setattr(matcher, "bisect_left", linear_pick)
-            expected = match(graph, impl)
+            expected = match(graph, impl, descriptors)
         assert result == expected, f"trial {trial}"
         seen["confirmed"] += result.confirmed
         seen["partial"] += 0 < result.score < 1
@@ -607,7 +634,7 @@ def test_hunt_over_big_planted_log(model, big_log_events, tmp_path):
     descriptors = schedule(impl, model)
     results = execute_all(descriptors, proxy, IocDb())
     graph = build_graph(results, descriptors)
-    result = match(graph, impl)
+    result = match(graph, impl, descriptors)
     assert result.confirmed is True
     # The witness items must trace back to exactly the planted events.
     events_by_edge = {e.edge_id: {e.source_event, e.target_event} for e in graph.edges}

@@ -19,7 +19,8 @@ from wilee.dsl import (
     validate,
 )
 from wilee.gpe import behavior_of
-from wilee.hunt import BindSpec, UnknownClass, UnknownVariable, obligations_for, schedule
+from wilee.hunt import BindSpec, UnknownClass, UnknownVariable, schedule
+from wilee.hunt.matcher import _obligations
 from wilee.hunt.query import read_body
 from wilee.interpreter import concretize, implementation_from_module
 from wilee.malmo import mine_relation_priors
@@ -47,8 +48,8 @@ def test_putty_body_schedules_two_descriptors(model):
     assert process.entity_class == "Process"
     (observed,) = process.relations
     assert observed.verb == "observed"
-    assert observed.peer_class == "WinRegistryKey"
     assert observed.peer_qid == registry.qid
+    assert observed.statement == 0
 
 
 def test_empty_body_schedules_nothing(model):
@@ -188,8 +189,9 @@ def _outcome(call, *args):
 
 def _assert_reader_consumers_agree(tree, model, where):
     impl = implementation_from_module(tree)
-    assert schedule(impl, model) == oracle_schedule(impl, model), where
-    assert obligations_for(impl) == oracle_obligations_for(impl), where
+    descriptors = schedule(impl, model)
+    assert descriptors == oracle_schedule(impl, model), where
+    assert _obligations(impl, descriptors) == oracle_obligations_for(impl), where
     assert behavior_of(tree) == oracle_behavior_of(tree, model), where
     records = [
         TtpRecord("T1000", (), "SME" if i % 3 else "GPE", fn) for i, fn in enumerate(tree.children)
@@ -220,7 +222,7 @@ def test_read_body_hand_case_readings(model):
         ("system1", "has", "process1"),
     ]
     impl = implementation_from_module(parse(READER_HAND_CASES["self-relation"]))
-    (obligations,) = obligations_for(impl)
+    (obligations,) = _obligations(impl, schedule(impl, model))
     assert [(o.kind, o.label) for o in obligations] == [
         ("relation", "process1.has(process1)"),
         ("node", "file1"),
