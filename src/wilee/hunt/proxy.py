@@ -25,26 +25,35 @@ with the same ``file:line`` message whichever way the proxy was made:
   dict, key string or repeated text is kept.  ``perturb --events`` reads
   this way, since its fitness asks questions nobody knows in advance.  A
   key not seen before is answered from value indexes: the first filter
-  on a field of a class turns its codes, once, into the positions of
-  each text's events.  An exact value is then one lookup, a glob is
-  tested once per distinct text, and the predicates' position sets are
-  intersected and sorted, so a new key costs O(distinct values + hits)
-  instead of O(class size).  An :class:`Event` is built only for a hit,
-  on its first request, and kept for the proxy's lifetime, so every key
-  that holds it shares one object; the empty filter builds its class's
-  events when first asked.  Retained memory is O(events) for the columns
-  plus O(hits) for the events.  Under ``tracemalloc`` a whole proxy of
-  the benchmark's seed-3 logs retains 0.83 MB (2.5k events), 6.37 MB
-  (20k) and 29.67 MB (120k, 0.25 KB per event), against 1.95, 15.09 and
-  92.37 MB when it kept one :class:`Event` per line; every (class,
-  field) index built takes these to 1.16, 9.14 and 44.11 MB.
+  on a field of a class sorts, once, the positions of the events holding
+  it by code into one array, with a start offset per code and the codes
+  in text order beside it (:func:`_value_index`).  An exact value is
+  then one bisection, a glob is tested once per distinct text, and the
+  predicates' position sets are intersected and sorted, so a new key
+  costs O(distinct values + hits) instead of O(class size).  An
+  :class:`Event` is built only for a hit, on its first request, and kept
+  for the proxy's lifetime, so every key that holds it shares one
+  object; the empty filter builds its class's events when first asked.
+  Retained memory is O(events) for the columns plus O(hits) for the
+  events.  Under ``tracemalloc`` a whole proxy of the benchmark's seed-3
+  logs retains 0.85 MB (2.5k events), 6.39 MB (20k) and 29.68 MB (120k,
+  0.25 KB per event), against 1.95, 15.09 and 92.37 MB when it kept one
+  :class:`Event` per line; every (class, field) index built takes these
+  to 0.91, 6.77 and 31.84 MB (1.17, 9.15 and 44.13 MB with an array per
+  distinct text).
 * Filtered (``NdjsonProxy(path, keys)``): when every question is known
   before the log is opened, as in ``wilee hunt``, one pass tests each
-  line's raw fields against the filters of its class, builds an
+  line's raw fields against the filters of its class and builds an
   :class:`Event` only for a line that passes some filter, and seeds the
-  memo with one list per key.  Retained memory is O(hits), plus the set
-  of event ids while the pass runs.  A key not seeded costs one more
-  read of the file with that key's filter alone.
+  memo with one list per key.  The keys of a class share their
+  predicates (see :func:`_keep_hits`): a line costs one dict lookup per
+  filtered field, from a memo of each field text's verdict over every
+  predicate on that field, so each glob is tested once per distinct
+  text, however many keys hold it.  The memo is bounded by
+  :data:`_MEMO_LIMIT` texts per field.  Retained memory is O(hits), plus
+  the set of event ids and the bounded memo while the pass runs.  A key
+  not seeded costs one more read of the file with that key's filter
+  alone.
 
 The line loop is shared.  :func:`~wilee.stores.read_jsonl` takes a line
 from one call of the C JSON scanner when the line is one object and then
@@ -72,8 +81,10 @@ import json
 import re
 import sys
 from array import array
-from collections import namedtuple
+from bisect import bisect_left
+from collections import Counter, namedtuple
 from datetime import datetime, timezone
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
@@ -155,8 +166,8 @@ class NdjsonProxy:
             for held in self._classes.values():
                 held.fields = {var: ([None, *texts], codes) for var, (texts, codes) in held.fields.items()}
             self._hits: dict[Key, list[Event]] = {}
-            # (entity_class, field) -> {field text: positions in the class}
-            self._indexes: dict[tuple[str, str], dict[str, array]] = {}
+            # (entity_class, field) -> its value index (see _value_index)
+            self._indexes: dict[tuple[str, str], tuple[array, array, array]] = {}
         else:
             self._hits = {key: [] for key in keys}
             self._read(_keep_hits(self._hits), digest)
@@ -187,11 +198,15 @@ class NdjsonProxy:
             index = self._indexes.get((entity_class, var))
             if index is None:
                 index = self._indexes[entity_class, var] = _value_index(held.fields, var)
-            matched = {i for value in exact for i in index.get(value, ())}
+            by_text, starts, positions = index
+            texts = held.fields[var][0] if var in held.fields else [None]
+            wanted = {_code_of(texts, by_text, value) for value in exact}
             if globs:
-                for value, at in index.items():
-                    if any(glob_match(g, value) for g in globs):
-                        matched.update(at)
+                wanted.update(code for code in by_text if any(glob_match(g, texts[code]) for g in globs))
+            wanted.discard(0)
+            matched = set()
+            for code in wanted:
+                matched.update(positions[starts[code - 1] : starts[code]])
             common = matched if common is None else common & matched
         return self._events(held, range(len(held.ids)) if common is None else sorted(common))
 
@@ -302,17 +317,28 @@ def _text_fields(fields: dict) -> dict[str, str]:
     return fields
 
 
-def _value_index(columns: dict[str, tuple[list, array]], var: str) -> dict[str, array]:
-    """Each text the field ``var`` holds in a class's ``columns`` (see
-    :class:`_Class`), with the positions of the events holding it,
-    ascending; an event without the field appears nowhere."""
+def _value_index(columns: dict[str, tuple[list, array]], var: str) -> tuple[array, array, array]:
+    """The value index of the field ``var`` in a class's ``columns`` (see
+    :class:`_Class`): ``(by_text, starts, positions)``.  ``positions``
+    holds the position of every event that has the field, sorted by code
+    and then ascending, so that the events holding code ``c`` are
+    ``positions[starts[c - 1]:starts[c]]``; ``by_text`` is every code in
+    the order of its text, for :func:`_code_of` to bisect.  That is four
+    bytes per event and eight per distinct text."""
     if var not in columns:
-        return {}
+        return array("I"), array("I", [0]), array("I")
     texts, codes = columns[var]
-    at = [array("I") for _ in texts]
-    for i, code in enumerate(codes):
-        at[code].append(i)
-    return dict(zip(texts[1:], at[1:]))
+    tally = Counter(codes)
+    order = sorted(range(len(codes)), key=codes.__getitem__)  # stable: ascending within a code
+    starts = array("I", accumulate((tally[code] for code in range(1, len(texts))), initial=0))
+    by_text = array("I", sorted(range(1, len(texts)), key=texts.__getitem__))
+    return by_text, starts, array("I", order[tally[0] :])
+
+
+def _code_of(texts: list, by_text: array, value: str) -> int:
+    """The code of ``value`` among a field's ``texts``, 0 if none holds it."""
+    at = bisect_left(by_text, value, key=texts.__getitem__)
+    return by_text[at] if at < len(by_text) and texts[by_text[at]] == value else 0
 
 
 class _Class:
@@ -392,20 +418,103 @@ def _keep_columns(classes: dict[str, _Class], stamps: list, hosts: dict[str, int
 
 def _keep_hits(hits: dict[Key, list[Event]]) -> Callable[[tuple], None]:
     """Appends a row's event to the list of each key whose filter its
-    fields pass; an :class:`Event` is built only for such a row."""
-    by_class: dict[str, list] = {}
+    fields pass; an :class:`Event` is built only for such a row.
+
+    The keys of a class share their predicates: each distinct predicate
+    is one bit, and a key is the mask of its predicates (the empty filter
+    0).  A row's verdict is the union of the bits its field texts pass,
+    one dict lookup per filtered field (see :func:`_field_verdicts`); it
+    goes to every key whose mask the verdict covers, and the keys of each
+    verdict are remembered, up to :data:`_MEMO_LIMIT` verdicts."""
+    predicates: dict[str, dict[tuple, int]] = {}  # class -> predicate -> bit
+    masks: dict[str, list[tuple[int, list[Event]]]] = {}
     for (entity_class, filt), found in hits.items():
-        by_class.setdefault(entity_class, []).append((_tests(filt), found))
+        bits = predicates.setdefault(entity_class, {})
+        mask = 0
+        for predicate in filt:
+            mask |= 1 << bits.setdefault(predicate, len(bits))
+        masks.setdefault(entity_class, []).append((mask, found))
+    plans = {cls: (_field_verdicts(bits), masks[cls], {}) for cls, bits in predicates.items()}
+    dumps = json.dumps
 
     def keep(row: tuple) -> None:
-        event = None
-        for tests, found in by_class.get(row[3], ()):
-            if _passes(row[4], tests):
-                if event is None:
-                    event = _event(row)
+        plan = plans.get(row[3])
+        if plan is None:
+            return
+        verdicts, keys, routes = plan
+        fields = row[4]
+        have = 0
+        for var, known, fill in verdicts:
+            if var in fields:
+                value = fields[var]
+                if type(value) is not str:
+                    value = dumps(value)
+                mask = known.get(value)
+                if mask is None:
+                    if fill is None:
+                        continue
+                    mask = fill(value)
+                have |= mask
+        targets = routes.get(have)
+        if targets is None:
+            if len(routes) >= _MEMO_LIMIT:
+                routes.clear()
+            targets = routes[have] = [found for mask, found in keys if mask & have == mask]
+        if targets:
+            event = _event(row)
+            for found in targets:
                 found.append(event)
 
     return keep
+
+
+# The most field texts a filtered read keeps the verdict of, per field a
+# glob tests, and the most verdicts it keeps the keys of, per class.  A
+# full memo is emptied and filled again, so a field of many distinct
+# texts costs a bounded memo and at worst one test per glob and line.
+_MEMO_LIMIT = 4096
+
+
+def _field_verdicts(bits: dict[tuple, int]) -> list[tuple[str, dict[str, int], Optional[Callable[[str], int]]]]:
+    """``(variable, verdicts, fill)`` for each field the predicates of
+    ``bits`` (predicate -> bit) test: ``verdicts`` maps a field text to
+    the mask of every predicate on that field that it passes.  A field
+    with exact values only has every verdict from the start and no
+    ``fill``.  A field a glob tests starts empty, and ``fill`` finds a
+    text's verdict on its first sight, testing each distinct glob of the
+    field once, and keeps it."""
+    by_field: dict[str, list[tuple[int, frozenset, tuple]]] = {}
+    for (var, exact, globs), bit in bits.items():
+        by_field.setdefault(var, []).append((1 << bit, exact, globs))
+    out = []
+    for var, tests in by_field.items():
+        exact_masks: dict[str, int] = {}
+        glob_masks: dict[str, int] = {}
+        for flag, exact, globs in tests:
+            for value in exact:
+                exact_masks[value] = exact_masks.get(value, 0) | flag
+            for glob in globs:
+                glob_masks[glob] = glob_masks.get(glob, 0) | flag
+        if glob_masks:
+            memo: dict[str, int] = {}
+            out.append((var, memo, _glob_fill(exact_masks, list(glob_masks.items()), memo)))
+        else:
+            out.append((var, exact_masks, None))
+    return out
+
+
+def _glob_fill(exact_masks: dict[str, int], glob_masks: list[tuple[str, int]], memo: dict[str, int]):
+    def fill(text: str) -> int:
+        mask = exact_masks.get(text, 0)
+        for glob, flags in glob_masks:
+            if flags & ~mask and glob_match(glob, text):
+                mask |= flags
+        if len(memo) >= _MEMO_LIMIT:
+            memo.clear()
+        memo[text] = mask
+        return mask
+
+    return fill
 
 
 # A predicate as ``(variable, exact values, globs)``: the field holds when
@@ -416,11 +525,18 @@ Key = tuple[str, Filter]  # (entity_class, filter)
 
 def _candidates(pred: Predicate, db: IocDb) -> tuple[frozenset, tuple]:
     """Exact values and globs the predicate's field may take.  A bind's
-    candidates carrying a ``*`` are globs, the rest exact values."""
+    candidates carrying a ``*`` are globs, the rest exact values; each
+    distinct bind is resolved once per database (``IocDb.resolved``)."""
     if isinstance(pred.value, BindSpec):
         spec = pred.value
-        values = [r.value for r in resolve_bind(db, spec.ioc_type, spec.technique, spec.pattern)]
-        return frozenset(v for v in values if "*" not in v), tuple(v for v in values if "*" in v)
+        found = db.resolved.get(spec)
+        if found is None:
+            values = [r.value for r in resolve_bind(db, spec.ioc_type, spec.technique, spec.pattern)]
+            found = db.resolved[spec] = (
+                frozenset(v for v in values if "*" not in v),
+                tuple(v for v in values if "*" in v),
+            )
+        return found
     if pred.op == "glob":
         return frozenset(), (pred.value,)
     return frozenset((pred.value,)), ()
@@ -430,29 +546,6 @@ def memo_key(q: QueryDescriptor, db: IocDb) -> Key:
     """The key a proxy keeps the descriptor's hits under: its class and
     its predicates with each bind resolved against ``db``."""
     return q.entity_class, tuple((p.variable, *_candidates(p, db)) for p in q.predicates)
-
-
-def _value_test(exact: frozenset, globs: tuple) -> Callable[[str], bool]:
-    if not globs:
-        return exact.__contains__
-    return lambda actual: actual in exact or any(glob_match(g, actual) for g in globs)
-
-
-def _tests(filt: Filter) -> tuple[tuple[str, Callable[[str], bool]], ...]:
-    return tuple((var, _value_test(exact, globs)) for var, exact, globs in filt)
-
-
-def _passes(fields: dict, tests) -> bool:
-    """Whether every test holds of ``fields``, read raw or as an
-    :class:`Event` holds them; a value that is not a string is tested as
-    its JSON text.  A missing field never passes."""
-    for var, holds in tests:
-        if var not in fields:
-            return False
-        value = fields[var]
-        if not holds(value if isinstance(value, str) else json.dumps(value)):
-            return False
-    return True
 
 
 def execute_all(descriptors: list[QueryDescriptor], proxy: NdjsonProxy, db: IocDb) -> dict[str, list[Event]]:

@@ -253,9 +253,25 @@ class IocDb:
         return cls(tuple(records))
 
     def by_type(self, ioc_type: str) -> tuple[IocRecord, ...]:
+        """The records of ``ioc_type``, in file order."""
         if ioc_type not in IOC_TYPES:
             raise UnknownIocType(ioc_type)
-        return tuple(r for r in self.records if r.ioc_type == ioc_type)
+        return self._types.get(ioc_type, ())
+
+    # Built on first use and kept: the records never change.
+    @cached_property
+    def _types(self) -> dict[str, tuple[IocRecord, ...]]:
+        grouped: dict[str, list[IocRecord]] = {}
+        for r in self.records:
+            grouped.setdefault(r.ioc_type, []).append(r)
+        return {ioc_type: tuple(records) for ioc_type, records in grouped.items()}
+
+    @cached_property
+    def resolved(self) -> dict:
+        """What each bind resolves to against this database, kept by
+        whoever resolves it (see :func:`wilee.hunt.memo_key`), so a bind
+        is resolved once for the database's lifetime."""
+        return {}
 
 
 def resolve_bind(

@@ -22,8 +22,10 @@ from conftest import (
 import wilee.cli
 import wilee.hunt.proxy
 import wilee.hunt.query
+import wilee.stores
 from wilee.cli import main
 from wilee.dsl import NodeKind, ThreatDescription, parse
+from wilee.hunt import BindSpec, schedule
 from wilee.interpreter import concretize
 from wilee.stores import StorePaths, load_stores
 
@@ -281,6 +283,58 @@ def test_hunt_reads_each_step_body_once(workspace, tmp_path, monkeypatch):
     assert main(hunt_args(workspace, log, tmp_path / "out")) == 0
     assert counts == {"read_body": len(steps), "make_qid": sum(_objects(s.record.ast) for s in steps)}
 
+
+_BIND_ENTRIES = [
+    ("T1552.002", ["credential-access"], "SME", '''def t1552_002():
+    winregistrykey1 = WinRegistryKey()
+    winregistrykey1.Hive = bind(ioc_type=registry_hive, technique="T1552.002")
+    process1 = Process()
+    process1.name = bind(ioc_type=process_name, technique="T1552.002")
+    process1.observed(winregistrykey1)
+'''),
+    ("T1552.002", ["credential-access"], "SME", '''def t1552_002():
+    winregistrykey1 = WinRegistryKey()
+    winregistrykey1.Hive = bind(ioc_type=registry_hive, pattern="*Putty*")
+    process1 = Process()
+    process1.name = bind(ioc_type=process_name, technique="T1552.002")
+    process1.observed(winregistrykey1)
+'''),
+    ("T1059.001", ["execution"], "SME", '''def t1059_001():
+    process1 = Process()
+    process1.command_line = bind(ioc_type=command_line, technique="T1059.001")
+'''),
+    ("T1059.001", ["execution"], "SME", '''def t1059_001():
+    process1 = Process()
+    process1.name = bind(ioc_type=process_name, technique="T1552.002")
+    process1.command_line = bind(ioc_type=command_line, technique="T1059.001")
+'''),
+]
+
+
+def test_hunt_resolves_each_distinct_bind_once(workspace, tmp_path, monkeypatch):
+    """A hunt resolves each distinct bind once, although many queries of
+    many implementations carry it: once for the read's keys, and never
+    again when each implementation's queries run."""
+    _, _, ioc_db, desc = workspace
+    (tmp_path / "binds").mkdir()
+    store_dir = make_store_dir(tmp_path / "binds", _BIND_ENTRIES)
+    store, _, model = load_stores(StorePaths(ttp_index=store_dir))
+    impls = concretize(ThreatDescription.from_module(parse(desc.read_text("utf-8"))), store).implementations
+    binds = [p.value for impl in impls for q in schedule(impl, model) for p in q.predicates]
+    assert len(impls) == 4 and len(binds) == 14 and len(set(binds)) == 4
+    calls = []
+    resolve_bind = wilee.stores.resolve_bind
+
+    def counting(db, ioc_type, technique=None, pattern=None):
+        calls.append(BindSpec(ioc_type, technique, pattern))
+        return resolve_bind(db, ioc_type, technique, pattern)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("wilee") and getattr(module, "resolve_bind", None) is resolve_bind:
+            monkeypatch.setattr(module, "resolve_bind", counting)
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(565), 300, PlantedAttack.build().events))
+    assert main(hunt_args((tmp_path, store_dir, ioc_db, desc), log, tmp_path / "out", fmt="json")) == 0
+    assert sorted(calls, key=repr) == sorted(set(binds), key=repr)
 
 def test_perturb_fitness_reads_each_step_body_once(workspace, tmp_path, monkeypatch):
     """Each fitness call reads each of the candidate's step bodies once

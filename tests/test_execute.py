@@ -6,13 +6,14 @@ import json
 import random
 import re
 import tracemalloc
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 
 from conftest import MALFORMED_EVENT_LINES, PlantedAttack, build_store, log_ending_with, synth_log, write_ndjson
-from oracles import oracle_execute, oracle_glob_match, oracle_read_events, oracle_read_jsonl
+from oracles import _oracle_passes, oracle_execute, oracle_glob_match, oracle_read_events, oracle_read_jsonl
 
 import wilee.hunt.proxy
 import wilee.stores
@@ -659,6 +660,161 @@ def test_hits_agree_whole_seeded_and_missed_on_random_logs(tmp_path):
     assert seeded_hits > 500 and missed_hits > 500, (seeded_hits, missed_hits)
 
 
+# Field texts the shared-verdict tests draw from: few, so that many keys
+# test the same texts, with texts that are the JSON text of another value
+# and paths the globs read case-insensitively.
+_SHARED_FIELDS = {"Process": ("name", "pid", "command_line"), "WinRegistryKey": ("Hive",), "File": ("path",)}
+_SHARED_TEXTS = (
+    "cmd.exe", "svchost.exe", "svc.exe", "4242", "true", "null", "", "1.5", '[1, "a"]', '{"k": 1}',
+    "C:\\Users\\a.exe", "c:\\users\\A.EXE", "Software\\A\\Run",
+)
+_SHARED_NON_STRINGS = (4242, True, None, [1, "a"], {"k": 1}, 1.5)
+_SHARED_GLOBS = ("*.exe", "svc*", "*", "C:\\Users\\*", "*Run", "4*", "[*", "*u*", "*.EXE")
+
+
+def _shared_log(rng, n):
+    """``n`` events whose fields hold few texts: now and then a value that
+    is not a string, a missing field, no ``fields`` at all, or a class no
+    key asks for."""
+    events = []
+    for i in range(n):
+        cls = rng.choice([*_SHARED_FIELDS, "Mutex"])
+        fields = {}
+        for var in _SHARED_FIELDS.get(cls, ("name",)):
+            roll = rng.random()
+            if roll < 0.15:
+                continue
+            fields[var] = rng.choice(_SHARED_NON_STRINGS) if roll < 0.3 else rng.choice(_SHARED_TEXTS)
+        doc = {"event_id": f"e{i}", "timestamp": "2026-03-01T07:00:00Z", "host": rng.choice("ab"), "entity_class": cls}
+        if rng.random() < 0.95:
+            doc["fields"] = fields
+        events.append(doc)
+    return events
+
+
+def _shared_predicate(rng, var):
+    """``(var, exact texts, globs)``: exact texts, globs, or both."""
+    exact = frozenset(rng.sample(_SHARED_TEXTS, rng.randrange(3)))
+    globs = tuple(rng.sample(_SHARED_GLOBS, rng.randrange(0 if exact else 1, 3)))
+    return var, exact, globs
+
+
+def _shared_keys(rng):
+    """Keys drawn from a small pool of predicates per class, so that keys
+    share fields and predicates: the empty filter, one predicate, several
+    (on one field or on several, a predicate twice), a field the class
+    never holds, and repeated keys."""
+    keys = []
+    for cls, variables in _SHARED_FIELDS.items():
+        pool = [_shared_predicate(rng, rng.choice((*variables, "user"))) for _ in range(rng.randrange(1, 7))]
+        for _ in range(rng.randrange(1, 9)):
+            keys.append((cls, tuple(rng.choice(pool) for _ in range(rng.choice((0, 1, 1, 2, 2, 3))))))
+    return keys + rng.choices(keys, k=rng.randrange(3))
+
+
+def _exact_here_glob_there(keys) -> int:
+    """How many texts are an exact value of one key's predicate and match
+    a glob of another predicate on the same field of the same class."""
+    count = 0
+    for cls, filt in set(keys):
+        for var, exact, _ in filt:
+            for other_cls, other in set(keys):
+                count += sum(
+                    1
+                    for other_var, other_exact, globs in other
+                    if other_cls == cls and other_var == var and other_exact != exact
+                    for text in exact
+                    if any(oracle_glob_match(g, text) for g in globs)
+                )
+    return count
+
+
+def test_filtered_read_shared_verdicts_equal_reference_read(tmp_path, monkeypatch):
+    """The filtered read of many keys per class that share fields and
+    predicates gives each key the reference read's hits, builds one
+    :class:`Event` per kept line, shared by every key that keeps it, and
+    gives the same hits when the verdict memo holds one text or two."""
+    rng = random.Random(20261020)
+    path = tmp_path / "events.ndjson"
+    built = []
+    make = wilee.hunt.proxy._event
+    monkeypatch.setattr(wilee.hunt.proxy, "_event", lambda row: built.append(row[0]) or make(row))
+    seen = Counter()
+    for trial in range(200):
+        write_ndjson(path, _shared_log(rng, rng.randrange(0, 120)))
+        keys = _shared_keys(rng)
+        monkeypatch.setattr(wilee.hunt.proxy, "_MEMO_LIMIT", rng.choice((1, 2, 4096)))
+        _, expected, fault = oracle_read_events(path, keys)
+        assert fault is None
+        built.clear()
+        filtered = NdjsonProxy(path, keys)
+        seeded = _seeded(filtered)
+        assert list(seeded) == list(dict.fromkeys(keys))
+        shared = {}
+        for key, found in seeded.items():
+            assert _attributes(found) == expected[key], (trial, key)
+            for event in found:
+                assert shared.setdefault(event.event_id, event) is event
+        assert sorted(built) == sorted(shared), trial
+        seen["hits"] += sum(map(len, seeded.values()))
+        seen["empty_filter_keys"] += sum(1 for _, filt in seeded if not filt)
+        seen["several_predicates"] += sum(1 for _, filt in seeded if len(filt) > 1)
+        seen["exact_and_glob_on_one_field"] += sum(1 for _, filt in seeded for _, e, g in filt if e and g)
+        seen["exact_here_glob_there"] += _exact_here_glob_there(seeded)
+        seen["repeated_keys"] += len(keys) - len(seeded)
+    assert min(seen.values()) > 250, seen
+
+
+def test_filtered_read_tests_each_glob_once_per_distinct_text(tmp_path, monkeypatch):
+    """Over a 3,000-line log whose filtered fields hold few texts, each
+    glob of a field is tested at most once per distinct text of that
+    field, however many keys hold it."""
+    events = synth_log(random.Random(20261021), 3000)
+    path = write_ndjson(tmp_path / "events.ndjson", events)
+    name_globs, command_globs = ("*.exe", "svc*", "*host*"), ("*-k *", "*")
+    keys = [
+        ("Process", (("name", frozenset(), name_globs[:1]),)),
+        ("Process", (("name", frozenset({"cmd.exe"}), name_globs),)),  # "*.exe" in two predicates
+        ("Process", (("name", frozenset({"svchost.exe"}), ()), ("command_line", frozenset(), command_globs))),
+        ("Process", (("command_line", frozenset(), command_globs[:1]), ("pid", frozenset({"4242", "100"}), ()))),
+        ("Process", ()),
+        ("WinRegistryKey", (("Hive", frozenset(), ("Software\\*",)),)),
+    ]
+    tested = Counter()
+    glob_match_ = wilee.hunt.proxy.glob_match
+    monkeypatch.setattr(
+        wilee.hunt.proxy, "glob_match", lambda glob, text: tested.update([(glob, text)]) or glob_match_(glob, text)
+    )
+    filtered = NdjsonProxy(path, keys)
+    texts = {var: {e["fields"][var] for e in events if var in e.get("fields", {})} for var in ("name", "command_line", "Hive")}
+    assert max(tested.values()) == 1
+    assert sum(tested.values()) <= len(name_globs) * len(texts["name"]) + len(command_globs) * len(
+        texts["command_line"]
+    ) + len(texts["Hive"]) < len(events)
+    _, expected, _ = oracle_read_events(path, keys)
+    for key in keys:
+        assert _attributes(filtered.hits(key)) == expected[key], key
+    assert sum(map(len, expected.values())) > 1000
+
+
+def test_filtered_read_verdict_memo_stays_bounded(tmp_path, monkeypatch):
+    """A glob field of more distinct texts than the memo holds keeps at
+    most ``_MEMO_LIMIT`` verdicts, and its hits stay the reference's."""
+    events = synth_log(random.Random(20261022), 2000)  # about 700 distinct pids
+    path = write_ndjson(tmp_path / "events.ndjson", events)
+    keys = [("Process", (("pid", frozenset({"4242"}), ("1*", "*7")),)), ("Process", (("pid", frozenset(), ("*",)),))]
+    monkeypatch.setattr(wilee.hunt.proxy, "_MEMO_LIMIT", 50)
+    made = []
+    field_verdicts = wilee.hunt.proxy._field_verdicts
+    monkeypatch.setattr(wilee.hunt.proxy, "_field_verdicts", lambda bits: made.append(field_verdicts(bits)) or made[-1])
+    filtered = NdjsonProxy(path, keys)
+    ((var, memo, fill),) = made[0]
+    assert var == "pid" and fill is not None and 0 < len(memo) <= 50
+    assert len({e["fields"]["pid"] for e in events if "pid" in e["fields"]}) > 500
+    _, expected, _ = oracle_read_events(path, keys)
+    for key in keys:
+        assert _attributes(filtered.hits(key)) == expected[key], key
+
 # ---------------------------------------------------------------------------
 # The whole read's value index
 # ---------------------------------------------------------------------------
@@ -739,8 +895,9 @@ def _as_text(doc):
 
 def test_whole_read_value_index_equals_passes_and_oracle_on_random_logs(tmp_path, monkeypatch):
     """A whole proxy answers each key from its value indexes with the
-    same events, in the same order, as ``_passes`` over the class list and
-    as the reference scan; each (class, field) index is built once."""
+    same events, in the same order, as the reference filter
+    (``_oracle_passes``) over the class list and as the reference scan;
+    each (class, field) index is built once."""
     rng = random.Random(20261019)
     path = tmp_path / "events.ndjson"
     built = []
@@ -762,8 +919,7 @@ def test_whole_read_value_index_equals_passes_and_oracle_on_random_logs(tmp_path
         for q in asked:
             key = memo_key(q, _INDEX_DB)
             got = proxy.hits(key)
-            tests = wilee.hunt.proxy._tests(key[1])
-            reference = [e for e in proxy.scan(q.entity_class) if wilee.hunt.proxy._passes(e.fields, tests)]
+            reference = [e for e in proxy.scan(q.entity_class) if _oracle_passes(e.fields, key[1])]
             assert got == reference, (trial, q.entity_class, key[1])
             assert [e.event_id for e in got] == oracle_execute(q, text_events, _INDEX_DB.records), (trial, q)
             if key in answers:
@@ -782,6 +938,30 @@ def test_whole_read_value_index_equals_passes_and_oracle_on_random_logs(tmp_path
         cases, hits, several, same_field, repeats
     )
 
+
+def test_value_indexes_take_four_bytes_per_event_and_eight_per_text(tmp_path):
+    """Every (class, field) value index of a 20k-event ``synth_log``, under
+    ``tracemalloc``: four bytes per event that has the field, eight per
+    distinct text, and a fixed part per index.  That is 0.36 MB here, and
+    2.50 MB when each distinct text had an array of its own."""
+    path = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(20260301), 20_000))
+    proxy = NdjsonProxy(path)
+    columns = [(cls, var, texts, codes) for cls, held in proxy._classes.items() for var, (texts, codes) in held.fields.items()]
+    holding = sum(len(codes) - codes.count(0) for _, _, _, codes in columns)
+    distinct = sum(len(texts) - 1 for _, _, texts, _ in columns)
+    assert holding > 40_000 and distinct > 15_000  # pid, path and size are nearly all distinct
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for cls, var, _, _ in columns:
+            proxy.hits((cls, ((var, frozenset({"x"}), ()),)))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert set(proxy._indexes) == {(cls, var) for cls, var, _, _ in columns}
+    assert retained <= 4 * holding + 8 * distinct + 4096 * len(columns), (retained, holding, distinct)
 
 # ---------------------------------------------------------------------------
 # The whole read's columns

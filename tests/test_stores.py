@@ -252,6 +252,16 @@ def test_resolve_bind_matches_linear_scan_oracle():
         assert got == expected
 
 
+def test_by_type_groups_the_records_once(putty_ioc_db):
+    """Each type's records, in file order, from one grouping of the
+    records made on first use; a type with no record gives none."""
+    for ioc_type in ("registry_hive", "process_name", "domain"):
+        assert putty_ioc_db.by_type(ioc_type) == tuple(r for r in putty_ioc_db.records if r.ioc_type == ioc_type)
+        assert putty_ioc_db.by_type(ioc_type) is putty_ioc_db.by_type(ioc_type)
+    assert putty_ioc_db.by_type("domain") == ()
+    with pytest.raises(UnknownIocType):
+        putty_ioc_db.by_type("telepathy")
+
 # ---------------------------------------------------------------------------
 # ttps_for_step
 # ---------------------------------------------------------------------------
