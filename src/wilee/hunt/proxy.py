@@ -9,51 +9,54 @@ implementation that asks the same question of the same log shares one
 answer, and a second IOC database that resolves a bind differently asks
 another question.
 
-:class:`NdjsonProxy` reads a newline-delimited JSON log and keeps the
-answers in its hit memo; :meth:`NdjsonProxy.hits` is the one way to get
-one, and :func:`execute_all` and ``scan`` are each one lookup.
-The read decodes and checks every line alike, so a malformed line fails
-with the same ``file:line`` message whichever way the proxy was made:
+A hit is an :class:`Event`: its id, host, moment and links, all that
+the join and the matcher read.  :class:`NdjsonProxy` reads a
+newline-delimited JSON log and keeps the answers in its hit memo;
+:meth:`NdjsonProxy.hits` is the one way to get one, and
+:func:`execute_all` and ``scan`` are each one lookup.  The read decodes
+and checks every line alike, so a malformed line fails with the same
+``file:line`` message whichever way the proxy was made, and both ways
+test a field text by its verdict (:func:`_field_verdicts`), the mask of
+every predicate on the field that the text passes:
 
 * Whole (``NdjsonProxy(path)``): every event is kept, as columns per
-  class (:class:`_Class`): the event ids; the timestamps as codes into
-  one list of the log's distinct ``(timestamp, moment)`` pairs; the
-  hosts as two-byte codes (four past 65,536 hosts); the links of the
-  events that have some; and each field as a code column over that
-  field's distinct texts (a value that is not a string as its JSON
-  text), where code 0 means the event lacks the field.  No per-line
-  dict, key string or repeated text is kept.  ``perturb --events`` reads
-  this way, since its fitness asks questions nobody knows in advance.  A
-  key not seen before is answered from value indexes: the first filter
-  on a field of a class sorts, once, the positions of the events holding
-  it by code into one array, with a start offset per code and the codes
-  in text order beside it (:func:`_value_index`).  An exact value is
-  then one bisection, a glob is tested once per distinct text, and the
-  predicates' position sets are intersected and sorted, so a new key
-  costs O(distinct values + hits) instead of O(class size).  An
-  :class:`Event` is built only for a hit, on its first request, and kept
-  for the proxy's lifetime, so every key that holds it shares one
-  object; the empty filter builds its class's events when first asked.
-  Retained memory is O(events) for the columns plus O(hits) for the
-  events.  Under ``tracemalloc`` a whole proxy of the benchmark's seed-3
-  logs retains 0.85 MB (2.5k events), 6.39 MB (20k) and 29.68 MB (120k,
-  0.25 KB per event), against 1.95, 15.09 and 92.37 MB when it kept one
+  class (:class:`_Class`): the event ids; the moments as codes into one
+  list, one per distinct timestamp text; the hosts as two-byte codes
+  (four past 65,536 hosts); the links of the events that have some; and
+  each field as a code column over that field's distinct texts (a value
+  that is not a string as its JSON text), where code 0 means the event
+  lacks the field.  No per-line dict, key string or repeated text is
+  kept.  ``perturb --events`` reads this way, since its fitness asks
+  questions nobody knows in advance.  A key not seen before is answered
+  from value indexes: the first filter on a field of a class sorts,
+  once, the positions of the events holding it by code into one array,
+  with a start offset per code (:func:`_value_index`).  Each distinct
+  text of the field gets its verdict, so a glob is tested once per
+  distinct text; the positions of the texts whose verdict covers the
+  filter's predicates on the field are gathered, and the fields'
+  position sets intersected and sorted, so a new key costs O(distinct
+  values + hits) instead of O(class size).  An :class:`Event` is built
+  only for a hit, on its first request, and kept for the proxy's
+  lifetime, so every key that holds it shares one object; the empty
+  filter builds its class's events when first asked.  Retained memory
+  is O(events) for the columns plus O(hits) for the events.  Under
+  ``tracemalloc`` a whole proxy of the benchmark's seed-3 logs retains
+  0.54 MB (2.5k events), 4.17 MB (20k) and 21.57 MB (120k, 0.18 KB per
+  event), against 1.95, 15.09 and 92.37 MB when it kept one
   :class:`Event` per line; every (class, field) index built takes these
-  to 0.91, 6.77 and 31.84 MB (1.17, 9.15 and 44.13 MB with an array per
-  distinct text).
+  to 0.60, 4.47 and 23.29 MB.
 * Filtered (``NdjsonProxy(path, keys)``): when every question is known
   before the log is opened, as in ``wilee hunt``, one pass tests each
   line's raw fields against the filters of its class and builds an
   :class:`Event` only for a line that passes some filter, and seeds the
   memo with one list per key.  The keys of a class share their
   predicates (see :func:`_keep_hits`): a line costs one dict lookup per
-  filtered field, from a memo of each field text's verdict over every
-  predicate on that field, so each glob is tested once per distinct
-  text, however many keys hold it.  The memo is bounded by
-  :data:`_MEMO_LIMIT` texts per field.  Retained memory is O(hits), plus
-  the set of event ids and the bounded memo while the pass runs.  A key
-  not seeded costs one more read of the file with that key's filter
-  alone.
+  filtered field, from a memo of each field text's verdict, so each glob
+  is tested once per distinct text, however many keys hold it.  The memo
+  is bounded by :data:`_MEMO_LIMIT` texts per field.  Retained memory is
+  O(hits), plus the set of event ids and the bounded memo while the pass
+  runs.  A key not seeded costs one more read of the file with that
+  key's filter alone.
 
 The line loop is shared.  :func:`~wilee.stores.read_jsonl` takes a line
 from one call of the C JSON scanner when the line is one object and then
@@ -62,11 +65,9 @@ data, a blank line, not an object) goes to ``json.loads``, so every
 object and every error message is ``json.loads``'s.  :func:`_checked`
 then checks the object and parses its timestamp, unless the text is the
 previous line's, whose moment it takes.  The filtered read builds an
-:class:`Event` from that row with :func:`_event`: its ``fields`` is the
-decoded dict itself when every value is a string, and its host and class
-strings are interned.  The whole read appends the row to its class's
-columns instead.  The same loop feeds every byte to SHA-256, so
-``NdjsonProxy.sha256`` names the log without a second read.
+:class:`Event` from that row with :func:`_event`; the whole read appends
+the row to its class's columns.  The same loop feeds every byte to
+SHA-256, so ``NdjsonProxy.sha256`` names the log without a second read.
 
 A hit list is kept for the proxy's lifetime and shared by every caller
 that asks its key, so callers must not modify it, and a proxy's file
@@ -81,12 +82,11 @@ import json
 import re
 import sys
 from array import array
-from bisect import bisect_left
-from collections import Counter, namedtuple
+from collections import Counter
 from datetime import datetime, timezone
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from ..stores import FormatError, IocDb, read_jsonl, resolve_bind
 from ..globmatch import glob_match
@@ -127,25 +127,23 @@ def parse_rfc3339(value: str) -> datetime:
     return moment
 
 
-class Event(namedtuple("Event", "event_id timestamp host entity_class fields links moment")):
-    """One event of a log: an immutable tuple that compares by value.
-    ``Event(event_id, timestamp, host, entity_class, fields, links=())``
-    parses ``moment`` from ``timestamp``."""
+class Event(NamedTuple):
+    """One event of a log as the hunt reads it: an immutable tuple that
+    compares by value.  ``links`` holds its ``(verb, target event id)``
+    pairs."""
 
-    __slots__ = ()
-
-    def __new__(cls, event_id, timestamp, host, entity_class, fields, links=()):
-        return tuple.__new__(cls, (event_id, timestamp, host, entity_class, fields, links, parse_rfc3339(timestamp)))
-
-    def __getnewargs__(self):  # copy and pickle call ``__new__``
-        return tuple(self[:6])
+    event_id: str
+    host: str
+    moment: datetime
+    links: tuple[tuple[str, str], ...] = ()
 
 
 class NdjsonProxy:
     """Event log backend over an ``events.ndjson`` file.
 
     Without ``keys`` the whole log is kept as columns, and each key's hits
-    are found in them on its first request.  With ``keys``, the
+    are found in them on its first request, from the verdicts of the
+    distinct texts of each field its filter names.  With ``keys``, the
     ``(entity_class, filter)`` keys of every query the proxy will be
     asked (see :func:`memo_key`), the one read keeps only the events some
     key's filter passes and seeds the memo with one list per key.
@@ -159,7 +157,7 @@ class NdjsonProxy:
         digest = hashlib.sha256()
         if self._whole:
             self._classes: dict[str, _Class] = {}
-            self._stamps: list[tuple[str, datetime]] = []  # each distinct (timestamp, moment)
+            self._stamps: list[datetime] = []  # the moment of each distinct timestamp text
             hosts: dict[str, int] = {}
             self._read(_keep_columns(self._classes, self._stamps, hosts), digest)
             self._hosts = list(hosts)
@@ -167,7 +165,7 @@ class NdjsonProxy:
                 held.fields = {var: ([None, *texts], codes) for var, (texts, codes) in held.fields.items()}
             self._hits: dict[Key, list[Event]] = {}
             # (entity_class, field) -> its value index (see _value_index)
-            self._indexes: dict[tuple[str, str], tuple[array, array, array]] = {}
+            self._indexes: dict[tuple[str, str], tuple[array, array]] = {}
         else:
             self._hits = {key: [] for key in keys}
             self._read(_keep_hits(self._hits), digest)
@@ -191,22 +189,27 @@ class NdjsonProxy:
 
     def _indexed(self, entity_class: str, filt: Filter) -> list[Event]:
         """The events of the class whose fields pass ``filt``, in log
-        order, from the value index of each field the filter names."""
-        held = self._classes.get(entity_class) or _Class(entity_class)
+        order: each distinct text of a field the filter names gets its
+        verdict (see :func:`_field_verdicts`), and the field's value index
+        gives the positions of the texts whose verdict covers the mask of
+        the filter's predicates on that field."""
+        held = self._classes.get(entity_class) or _Class()
+        bits = {predicate: bit for bit, predicate in enumerate(dict.fromkeys(filt))}
         common: Optional[set[int]] = None
-        for var, exact, globs in filt:
+        for var, known, fill in _field_verdicts(bits):
             index = self._indexes.get((entity_class, var))
             if index is None:
                 index = self._indexes[entity_class, var] = _value_index(held.fields, var)
-            by_text, starts, positions = index
+            starts, positions = index
             texts = held.fields[var][0] if var in held.fields else [None]
-            wanted = {_code_of(texts, by_text, value) for value in exact}
-            if globs:
-                wanted.update(code for code in by_text if any(glob_match(g, texts[code]) for g in globs))
-            wanted.discard(0)
+            want = sum(1 << bit for (field, _, _), bit in bits.items() if field == var)
             matched = set()
-            for code in wanted:
-                matched.update(positions[starts[code - 1] : starts[code]])
+            for code in range(1, len(texts)):
+                mask = known.get(texts[code])
+                if mask is None:
+                    mask = fill(texts[code]) if fill else 0
+                if mask & want == want:
+                    matched.update(positions[starts[code - 1] : starts[code]])
             common = matched if common is None else common & matched
         return self._events(held, range(len(held.ids)) if common is None else sorted(common))
 
@@ -219,15 +222,7 @@ class NdjsonProxy:
         for i in positions:
             event = made.get(i)
             if event is None:
-                timestamp, moment = stamps[held.stamps[i]]
-                fields = {}
-                for var, (texts, codes) in held.fields.items():
-                    code = codes[i]
-                    if code:
-                        fields[var] = texts[code]
-                event = made[i] = tuple.__new__(
-                    Event, (ids[i], timestamp, hosts[held.hosts[i]], held.name, fields, links.get(i, ()), moment)
-                )
+                event = made[i] = Event(ids[i], hosts[held.hosts[i]], stamps[held.stamps[i]], links.get(i, ()))
             events.append(event)
         return events
 
@@ -285,13 +280,9 @@ _NO_ROW = (None,) * 7  # the ``previous`` row of a log's first line
 
 
 def _event(row: tuple) -> Event:
-    """The :class:`Event` of a checked row.  Its field values are text
-    (see :func:`_text_fields`), and its host and class are interned, so
-    the events of a log share one string per host and per class."""
-    event_id, timestamp, host, entity_class, fields, links, moment = row
-    return tuple.__new__(
-        Event, (event_id, timestamp, sys.intern(host), sys.intern(entity_class), _text_fields(fields), links, moment)
-    )
+    """The :class:`Event` of a checked row.  Its host is interned, so the
+    events of a log share one string per host."""
+    return Event(row[0], sys.intern(row[2]), row[6], row[5])
 
 
 def _links(links) -> tuple[tuple[str, str], ...]:
@@ -308,53 +299,35 @@ def _links(links) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
-def _text_fields(fields: dict) -> dict[str, str]:
-    """``fields`` with each value that is not a string replaced by its
-    JSON text; ``fields`` itself when every value is a string."""
-    for value in fields.values():
-        if not isinstance(value, str):
-            return {str(k): v if isinstance(v, str) else json.dumps(v) for k, v in fields.items()}
-    return fields
-
-
-def _value_index(columns: dict[str, tuple[list, array]], var: str) -> tuple[array, array, array]:
+def _value_index(columns: dict[str, tuple[list, array]], var: str) -> tuple[array, array]:
     """The value index of the field ``var`` in a class's ``columns`` (see
-    :class:`_Class`): ``(by_text, starts, positions)``.  ``positions``
-    holds the position of every event that has the field, sorted by code
-    and then ascending, so that the events holding code ``c`` are
-    ``positions[starts[c - 1]:starts[c]]``; ``by_text`` is every code in
-    the order of its text, for :func:`_code_of` to bisect.  That is four
-    bytes per event and eight per distinct text."""
+    :class:`_Class`): ``(starts, positions)``.  ``positions`` holds the
+    position of every event that has the field, sorted by code and then
+    ascending, so that the events holding code ``c`` are
+    ``positions[starts[c - 1]:starts[c]]``.  That is four bytes per event
+    and four per distinct text."""
     if var not in columns:
-        return array("I"), array("I", [0]), array("I")
+        return array("I", [0]), array("I")
     texts, codes = columns[var]
     tally = Counter(codes)
     order = sorted(range(len(codes)), key=codes.__getitem__)  # stable: ascending within a code
     starts = array("I", accumulate((tally[code] for code in range(1, len(texts))), initial=0))
-    by_text = array("I", sorted(range(1, len(texts)), key=texts.__getitem__))
-    return by_text, starts, array("I", order[tally[0] :])
-
-
-def _code_of(texts: list, by_text: array, value: str) -> int:
-    """The code of ``value`` among a field's ``texts``, 0 if none holds it."""
-    at = bisect_left(by_text, value, key=texts.__getitem__)
-    return by_text[at] if at < len(by_text) and texts[by_text[at]] == value else 0
+    return starts, array("I", order[tally[0] :])
 
 
 class _Class:
     """The events of one entity class of a whole log, as columns in log
     order: ``ids`` their event ids; ``stamps`` codes into the proxy's
-    list of distinct ``(timestamp, moment)`` pairs; ``hosts`` codes into
-    its list of hosts; ``links`` the links of each event that has some,
-    by position; and ``fields`` each field's ``(texts, codes)``, where
-    event ``i`` holds ``texts[codes[i]]`` (a value that is not a string
-    as its JSON text) and code 0 means it lacks the field.  ``events``
-    holds the :class:`Event` of each position built so far."""
+    list of the moments of the distinct timestamp texts; ``hosts`` codes
+    into its list of hosts; ``links`` the links of each event that has
+    some, by position; and ``fields`` each field's ``(texts, codes)``,
+    where event ``i`` holds ``texts[codes[i]]`` (a value that is not a
+    string as its JSON text) and code 0 means it lacks the field.
+    ``events`` holds the :class:`Event` of each position built so far."""
 
-    __slots__ = ("name", "ids", "stamps", "hosts", "links", "fields", "events")
+    __slots__ = ("ids", "stamps", "hosts", "links", "fields", "events")
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self):
         self.ids: list[str] = []
         self.stamps = array("I")
         self.hosts = array("H")
@@ -365,9 +338,9 @@ class _Class:
 
 def _keep_columns(classes: dict[str, _Class], stamps: list, hosts: dict[str, int]) -> Callable[[tuple], None]:
     """Appends each row to the columns of its class in ``classes``, with
-    its timestamp coded into ``stamps``, the list of distinct
-    ``(timestamp, moment)`` pairs, and its host into ``hosts``, a map of
-    each host to its code.  While the read runs, a field's ``texts`` is a
+    its timestamp coded into ``stamps``, the list of the moments of the
+    distinct timestamp texts, and its host into ``hosts``, a map of each
+    host to its code.  While the read runs, a field's ``texts`` is a
     map of each text to its code, counted from 1; the proxy turns it into
     a list when the read ends."""
     stamp_codes: dict[str, int] = {}
@@ -377,14 +350,14 @@ def _keep_columns(classes: dict[str, _Class], stamps: list, hosts: dict[str, int
         event_id, timestamp, host, entity_class, fields, links, moment = row
         held = classes.get(entity_class)
         if held is None:
-            held = classes[entity_class] = _Class(sys.intern(entity_class))
+            held = classes[entity_class] = _Class()
         ids = held.ids
         at = len(ids)
         ids.append(event_id)
         code = stamp_codes.get(timestamp)
         if code is None:
             code = stamp_codes[timestamp] = len(stamps)
-            stamps.append((timestamp, moment))
+            stamps.append(moment)
         held.stamps.append(code)
         code = hosts.get(host)
         if code is None:
@@ -477,12 +450,12 @@ _MEMO_LIMIT = 4096
 
 def _field_verdicts(bits: dict[tuple, int]) -> list[tuple[str, dict[str, int], Optional[Callable[[str], int]]]]:
     """``(variable, verdicts, fill)`` for each field the predicates of
-    ``bits`` (predicate -> bit) test: ``verdicts`` maps a field text to
-    the mask of every predicate on that field that it passes.  A field
-    with exact values only has every verdict from the start and no
-    ``fill``.  A field a glob tests starts empty, and ``fill`` finds a
-    text's verdict on its first sight, testing each distinct glob of the
-    field once, and keeps it."""
+    ``bits`` (predicate -> bit) test, for both reads: ``verdicts`` maps a
+    field text to the mask of every predicate on that field that it
+    passes.  A field with exact values only has every verdict from the
+    start and no ``fill``.  A field a glob tests starts empty, and
+    ``fill`` finds a text's verdict on its first sight, testing each
+    distinct glob of the field once, and keeps it."""
     by_field: dict[str, list[tuple[int, frozenset, tuple]]] = {}
     for (var, exact, globs), bit in bits.items():
         by_field.setdefault(var, []).append((1 << bit, exact, globs))

@@ -33,8 +33,6 @@ logger = logging.getLogger(__name__)
 
 TTP_SOURCES = ("SME", "MALMO", "GPE")
 
-DEFAULT_CREATED_AT = "1970-01-01T00:00:00Z"
-
 
 class StoreError(Exception):
     pass
@@ -301,7 +299,6 @@ class TtpRecord:
     tactic_tags: tuple[str, ...]
     source: str
     ast: AstNode  # FunctionDef
-    created_at: str = DEFAULT_CREATED_AT
 
     # Computed on first access and kept: the tree never changes.
     @cached_property
@@ -407,7 +404,6 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
             tactic_tags=tuple(tags),
             source=source,
             ast=fn,
-            created_at=doc.get("created_at", DEFAULT_CREATED_AT),
         )
         problems = _admission_problems(fn, model)
         if problems:

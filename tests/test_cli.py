@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import shutil
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -825,3 +828,32 @@ def test_perturb_seed_override_with_fitness(workspace, tmp_path):
     entries = [json.loads(line) for line in index.splitlines()]
     assert entries and all(e["fitness"] is not None for e in entries)
     assert index == (direct / "archive" / "archive.jsonl").read_text("utf-8")
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(workspace, tmp_path):
+    """``hunt`` (both formats), ``perturb --events`` and ``malmo``, each run
+    in a new interpreter under ``PYTHONHASHSEED`` 1 and then 2 into the
+    same ``--out``, write byte-identical files, manifests included."""
+    _, store_dir, ioc_db, _ = workspace
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(563), 300, PlantedAttack.build().events))
+    impl = tmp_path / "impl.wdsl"
+    impl.write_text(T1552_PUTTY_SRC, "utf-8")
+    out = tmp_path / "out"
+    runs = {
+        "hunt-md": hunt_args(workspace, log, out),
+        "hunt-json": hunt_args(workspace, log, out, fmt="json"),
+        "perturb": perturb_args(workspace, impl, out) + ["--events", str(log)],
+        "malmo": ["malmo", str(FIXTURES / "technique_t1552_002.json"), "--ttp-store", str(store_dir),
+                  "--ioc-db", str(ioc_db), "--out", str(out)],
+    }
+    src = str(Path(wilee.cli.__file__).parents[1])
+    for name, argv in runs.items():
+        written = []
+        for seed in ("1", "2"):
+            shutil.rmtree(out, ignore_errors=True)
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-m", "wilee.cli", *argv], env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, (name, seed, done.stderr.decode())
+            written.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        assert "manifest.json" in written[0] and len(written[0]) > 1, (name, sorted(written[0]))
+        assert written[0] == written[1], name

@@ -16,7 +16,6 @@ from conftest import MALFORMED_EVENT_LINES, PlantedAttack, build_store, log_endi
 from oracles import _oracle_passes, oracle_execute, oracle_glob_match, oracle_read_events, oracle_read_jsonl
 
 import wilee.hunt.proxy
-import wilee.stores
 from wilee.dsl import ThreatDescription
 from wilee.globmatch import glob_match
 from wilee.hunt import (
@@ -311,8 +310,9 @@ def test_log_line_may_hold_a_raw_line_separator(tmp_path):
     log = tmp_path / "events.ndjson"
     log.write_text(json.dumps(doc, ensure_ascii=False) + "\r\n", "utf-8")
     assert "\u2028" in log.read_text("utf-8")
-    (event,) = NdjsonProxy(log).scan("Process")
-    assert event.fields["name"] == value
+    key = ("Process", (("name", frozenset({value}), ()),))
+    for proxy in (NdjsonProxy(log), NdjsonProxy(log, [key])):
+        assert [e.event_id for e in proxy.hits(key)] == ["e1"]
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +752,7 @@ def test_filtered_read_shared_verdicts_equal_reference_read(tmp_path, monkeypatc
         assert list(seeded) == list(dict.fromkeys(keys))
         shared = {}
         for key, found in seeded.items():
-            assert _attributes(found) == expected[key], (trial, key)
+            assert _attributes(found) == _lean(expected[key]), (trial, key)
             for event in found:
                 assert shared.setdefault(event.event_id, event) is event
         assert sorted(built) == sorted(shared), trial
@@ -793,7 +793,7 @@ def test_filtered_read_tests_each_glob_once_per_distinct_text(tmp_path, monkeypa
     ) + len(texts["Hive"]) < len(events)
     _, expected, _ = oracle_read_events(path, keys)
     for key in keys:
-        assert _attributes(filtered.hits(key)) == expected[key], key
+        assert _attributes(filtered.hits(key)) == _lean(expected[key]), key
     assert sum(map(len, expected.values())) > 1000
 
 
@@ -813,7 +813,7 @@ def test_filtered_read_verdict_memo_stays_bounded(tmp_path, monkeypatch):
     assert len({e["fields"]["pid"] for e in events if "pid" in e["fields"]}) > 500
     _, expected, _ = oracle_read_events(path, keys)
     for key in keys:
-        assert _attributes(filtered.hits(key)) == expected[key], key
+        assert _attributes(filtered.hits(key)) == _lean(expected[key]), key
 
 # ---------------------------------------------------------------------------
 # The whole read's value index
@@ -910,6 +910,7 @@ def test_whole_read_value_index_equals_passes_and_oracle_on_random_logs(tmp_path
         events, logged = _index_log(rng, rng.randrange(0, 100))
         write_ndjson(path, events)
         text_events = [_as_text(doc) for doc in events]
+        docs = {doc["event_id"]: doc for doc in text_events}
         proxy = NdjsonProxy(path)
         built.clear()
         descriptors = [_index_descriptor(rng, i, logged) for i in range(rng.randrange(3, 9))]
@@ -919,7 +920,9 @@ def test_whole_read_value_index_equals_passes_and_oracle_on_random_logs(tmp_path
         for q in asked:
             key = memo_key(q, _INDEX_DB)
             got = proxy.hits(key)
-            reference = [e for e in proxy.scan(q.entity_class) if _oracle_passes(e.fields, key[1])]
+            reference = [
+                e for e in proxy.scan(q.entity_class) if _oracle_passes(docs[e.event_id].get("fields", {}), key[1])
+            ]
             assert got == reference, (trial, q.entity_class, key[1])
             assert [e.event_id for e in got] == oracle_execute(q, text_events, _INDEX_DB.records), (trial, q)
             if key in answers:
@@ -939,10 +942,10 @@ def test_whole_read_value_index_equals_passes_and_oracle_on_random_logs(tmp_path
     )
 
 
-def test_value_indexes_take_four_bytes_per_event_and_eight_per_text(tmp_path):
+def test_value_indexes_take_four_bytes_per_event_and_four_per_text(tmp_path):
     """Every (class, field) value index of a 20k-event ``synth_log``, under
-    ``tracemalloc``: four bytes per event that has the field, eight per
-    distinct text, and a fixed part per index.  That is 0.36 MB here, and
+    ``tracemalloc``: four bytes per event that has the field, four per
+    distinct text, and a fixed part per index.  That is 0.28 MB here, and
     2.50 MB when each distinct text had an array of its own."""
     path = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(20260301), 20_000))
     proxy = NdjsonProxy(path)
@@ -961,7 +964,75 @@ def test_value_indexes_take_four_bytes_per_event_and_eight_per_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert set(proxy._indexes) == {(cls, var) for cls, var, _, _ in columns}
-    assert retained <= 4 * holding + 8 * distinct + 4096 * len(columns), (retained, holding, distinct)
+    assert retained <= 4 * holding + 4 * distinct + 4096 * len(columns), (retained, holding, distinct)
+
+
+def test_whole_read_tests_each_glob_once_per_distinct_text(tmp_path, monkeypatch):
+    """When a whole proxy answers a new key, each distinct glob of a field
+    is tested at most once per distinct text of that field, however many
+    predicates hold it, and a key of exact values only tests no glob."""
+    events = synth_log(random.Random(20261023), 3000)
+    path = write_ndjson(tmp_path / "events.ndjson", events)
+    proxy = NdjsonProxy(path)
+    tested = Counter()
+    glob_match_ = wilee.hunt.proxy.glob_match
+    monkeypatch.setattr(
+        wilee.hunt.proxy, "glob_match", lambda glob, text: tested.update([(glob, text)]) or glob_match_(glob, text)
+    )
+    texts = {
+        var: {e["fields"][var] for e in events if e["entity_class"] == "Process"}
+        for var in ("name", "pid", "command_line")
+    }
+    keys = [
+        ("Process", (("name", frozenset({"svchost.exe"}), ()),)),
+        ("Process", (("name", frozenset({"explorer.exe", "nothing.exe"}), ()), ("pid", frozenset({"4242"}), ()))),
+        ("Process", (("name", frozenset(), ("*.exe", "svc*")),)),
+        ("Process", (("name", frozenset({"svchost.exe"}), ("*.exe",)), ("name", frozenset(), ("*host*", "*.exe")))),
+        ("Process", (("command_line", frozenset(), ("*/*",)), ("pid", frozenset(), ("1*", "*7")))),
+    ]
+    _, expected, _ = oracle_read_events(path, keys)
+    for cls, filt in keys:
+        tested.clear()
+        assert _attributes(proxy.hits((cls, filt))) == _lean(expected[cls, filt]), filt
+        globs = {var: set() for var, _, _ in filt}
+        for var, _, field_globs in filt:
+            globs[var].update(field_globs)
+        assert sum(tested.values()) <= sum(len(g) * len(texts[var]) for var, g in globs.items()), filt
+        assert set(tested.values()) == ({1} if any(globs.values()) else set()), filt
+    assert sum(map(len, expected.values())) > 1000
+
+
+def test_whole_and_filtered_reads_agree_on_filters_that_pass_nothing_or_test_a_field_twice(tmp_path):
+    """On seeded logs, the whole read, the filtered read and
+    ``oracle_execute`` give the same hits for a bind that resolves to
+    nothing, a field the class lacks, two predicates on one field and an
+    exact value no event holds."""
+    db = IocDb((IocRecord("process_name", "explorer.exe"), IocRecord("process_name", "svc*")))
+    cases = {
+        "bind_to_nothing": [Predicate("name", "eq", BindSpec("process_name", pattern="zz*"))],
+        "bind_to_nothing_beside_a_glob": [Predicate("pid", "glob", "*"), Predicate("name", "eq", BindSpec("domain"))],
+        "field_the_class_lacks": [Predicate("Hive", "glob", "*")],
+        "field_the_class_lacks_beside_a_glob": [Predicate("name", "glob", "*.exe"), Predicate("path", "eq", "C:\\x")],
+        "two_on_one_field": [Predicate("name", "glob", "*.exe"), Predicate("name", "eq", BindSpec("process_name"))],
+        "two_globs_on_one_field": [Predicate("name", "glob", "s*"), Predicate("name", "glob", "*.exe")],
+        "exact_no_event_holds": [Predicate("name", "eq", "nothing.exe")],
+        "exact_no_event_holds_beside_a_glob": [Predicate("name", "eq", "nothing.exe"), Predicate("name", "glob", "*")],
+    }
+    descriptors = [dataclasses.replace(make_descriptor("Process", p), qid=name) for name, p in cases.items()]
+    keys = [memo_key(q, db) for q in descriptors]
+    path = tmp_path / "events.ndjson"
+    found = Counter()
+    for seed in range(8):
+        events = synth_log(random.Random(seed), 400)
+        write_ndjson(path, events)
+        whole, filtered = NdjsonProxy(path), NdjsonProxy(path, keys)
+        for q, key in zip(descriptors, keys):
+            expected = oracle_execute(q, events, db.records)
+            assert [e.event_id for e in whole.hits(key)] == expected, (seed, q.qid)
+            assert _attributes(filtered.hits(key)) == _attributes(whole.hits(key)), (seed, q.qid)
+            found[q.qid] += len(expected)
+    assert found["two_on_one_field"] > 100 and found["two_globs_on_one_field"] > 100, found
+    assert sum(found.values()) == found["two_on_one_field"] + found["two_globs_on_one_field"], found
 
 # ---------------------------------------------------------------------------
 # The whole read's columns
@@ -1026,7 +1097,7 @@ def _column_key(rng, logged):
 
 def test_whole_read_columns_equal_filtered_read_on_random_logs(tmp_path):
     """A whole proxy's ``scan`` and ``hits`` give, for every key, the events
-    a filtered read keeps for it: all seven members equal, in log order,
+    a filtered read keeps for it: all four members equal, in log order,
     each event one object however many keys hold it."""
     rng = random.Random(20261019)
     path = tmp_path / "events.ndjson"
@@ -1084,7 +1155,7 @@ def test_whole_read_codes_more_hosts_than_two_bytes_hold(tmp_path):
 
 def test_whole_proxy_retains_under_half_a_kilobyte_per_event(tmp_path):
     """What a whole proxy over a 20k-event ``synth_log`` retains, under
-    ``tracemalloc``: 0.31 KB per event with its columns, 0.75 KB when it
+    ``tracemalloc``: 0.20 KB per event with its columns, 0.75 KB when it
     kept one ``Event`` per line."""
     count = 20_000
     path = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(20260301), count))
@@ -1143,11 +1214,17 @@ def test_whole_and_filtered_reads_fail_alike(tmp_path, name):
 # The line loop: fast decode, checks and events against the reference read
 # ---------------------------------------------------------------------------
 
-_ATTRIBUTES = ("event_id", "timestamp", "host", "entity_class", "fields", "links", "moment")
+_ATTRIBUTES = ("event_id", "host", "moment", "links")
 
 
 def _attributes(events) -> list[dict]:
     return [{name: getattr(event, name) for name in _ATTRIBUTES} for event in events]
+
+
+def _lean(docs) -> list[dict]:
+    """The reference read's events as the members an :class:`Event` keeps;
+    the reference already grouped them by class and filtered their fields."""
+    return [{name: doc[name] for name in _ATTRIBUTES} for doc in docs]
 
 
 def _read_jsonl_outcome(path):
@@ -1254,45 +1331,27 @@ def test_parse_rfc3339_rejects_other_forms(stamp):
 
 
 def test_event_is_immutable_compares_by_value_and_builds_by_keyword():
+    moment = datetime(2026, 3, 1, 7, tzinfo=timezone.utc)
     links = (("observed", "e0"),)
-    by_position = Event("e1", "2026-03-01T07:00:00Z", "ws-002", "Process", {"name": "cmd.exe"}, links)
-    by_keyword = Event(
-        links=links, fields={"name": "cmd.exe"}, entity_class="Process", host="ws-002",
-        timestamp="2026-03-01T07:00:00Z", event_id="e1",
-    )
+    by_position = Event("e1", "ws-002", moment, links)
+    by_keyword = Event(links=links, moment=moment, host="ws-002", event_id="e1")
     assert by_position == by_keyword
-    assert by_keyword.moment == datetime(2026, 3, 1, 7, tzinfo=timezone.utc)
-    assert Event("e1", "2026-03-01T07:00:00Z", "h", "Process", {}).links == ()
-    assert by_position != Event("e1", "2026-03-01T07:00:01Z", "ws-002", "Process", {"name": "cmd.exe"}, links)
+    assert Event._fields == _ATTRIBUTES
+    assert Event("e1", "h", moment).links == ()
+    assert by_position != Event("e1", "ws-002", moment.replace(second=1), links)
     assert copy.copy(by_position) == by_position == copy.deepcopy(by_position)
     for name in (*_ATTRIBUTES, "extra"):
         with pytest.raises(AttributeError):
             setattr(by_position, name, "x")
-    with pytest.raises(ValueError, match="Invalid isoformat string"):
-        Event("e1", "2026-03-01", "h", "Process", {})
 
 
-def test_events_of_a_log_share_host_and_class_strings(tmp_path):
-    proxy = NdjsonProxy(write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(7), 200)))
-    events = [e for cls in ("Process", "File", "WinRegistryKey", "NetworkConnection") for e in proxy.scan(cls)]
-    assert len({id(e.host) for e in events}) == len({e.host for e in events})
-    assert len({id(e.entity_class) for e in events}) == len({e.entity_class for e in events})
-
-
-def test_clean_fields_are_kept_as_read(tmp_path, monkeypatch):
-    """In a filtered read, a line whose field values are all strings keeps
-    the dict the decoder made; one with another value gets a copy holding
-    its text.  (A whole read keeps columns and builds each hit's dict.)"""
-    made = []
-    scan = wilee.stores._scan_value
-    monkeypatch.setattr(wilee.stores, "_scan_value", lambda text, i: made.append(scan(text, i)) or made[-1])
-    docs = [
-        {"event_id": "e1", "timestamp": "2026-03-01T07:00:00Z", "host": "h", "entity_class": "P", "fields": {"a": "x"}},
-        {"event_id": "e2", "timestamp": "2026-03-01T07:00:00Z", "host": "h", "entity_class": "P", "fields": {"a": 1}},
-    ]
-    e1, e2 = NdjsonProxy(write_ndjson(tmp_path / "events.ndjson", docs), [("P", ())]).scan("P")
-    assert e1.fields is made[0][0]["fields"]
-    assert e2.fields == {"a": "1"} and e2.fields is not made[1][0]["fields"]
+def test_events_of_a_log_share_host_strings(tmp_path):
+    path = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(7), 200))
+    classes = ("Process", "File", "WinRegistryKey", "NetworkConnection")
+    for proxy in (NdjsonProxy(path), NdjsonProxy(path, [(cls, ()) for cls in classes])):
+        events = [e for cls in classes for e in proxy.scan(cls)]
+        assert len(events) == 200
+        assert len({id(e.host) for e in events}) == len({e.host for e in events})
 
 
 def _restamped(rng, doc: dict) -> dict:
@@ -1352,9 +1411,9 @@ def test_reads_equal_reference_read_on_mixed_logs(tmp_path):
         whole, filtered = NdjsonProxy(path), NdjsonProxy(path, keys)
         assert whole.sha256 == filtered.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
         for cls in {*classes, *by_class}:
-            assert _attributes(whole.scan(cls)) == by_class.get(cls, []), cls
-            assert _attributes(filtered.scan(cls)) == by_class.get(cls, []), cls
+            assert _attributes(whole.scan(cls)) == _lean(by_class.get(cls, [])), cls
+            assert _attributes(filtered.scan(cls)) == _lean(by_class.get(cls, [])), cls
         seeded = _seeded(filtered)
         for key in keys:
-            assert _attributes(seeded[key]) == hits[key], key
+            assert _attributes(seeded[key]) == _lean(hits[key]), key
     assert min(outcomes.values()) > 60, outcomes

@@ -24,7 +24,7 @@ from wilee.hunt import (
     match,
     schedule,
 )
-from wilee.hunt.proxy import Event
+from wilee.hunt.proxy import Event, parse_rfc3339
 from wilee.hunt.query import QueryDescriptor, RelationRef
 from wilee.interpreter import concretize, implementation_from_module
 from wilee.stores import IocDb
@@ -220,7 +220,7 @@ def _random_join_case(rng):
         )
         if links and rng.random() < 0.3:
             links += (links[0],)
-        log.append(Event(event_id, stamp, rng.choice(("h1", "h2", "h3")), "Process", {}, links))
+        log.append(Event(event_id, rng.choice(("h1", "h2", "h3")), parse_rfc3339(stamp), links))
     qids = ["qa", "qb", "qc"][: rng.randrange(1, 4)]
     results = {
         qid: [e for e in log if rng.random() < 0.6] for qid in qids if rng.random() < 0.9
@@ -332,7 +332,7 @@ def _random_hits(rng, descriptors):
             (rng.choice(("observed", "has")), rng.choice(ids))
             for _ in range(rng.choice((0, 0, 1, 2)))
         )
-        log.append(Event(event_id, moment.isoformat(), rng.choice(hosts), "Process", {}, links))
+        log.append(Event(event_id, rng.choice(hosts), moment, links))
     share = rng.choice((0.2, 0.5, 0.8))
     return {
         q.qid: [e for e in log if rng.random() < share]
@@ -409,7 +409,7 @@ def test_empty_graph_scores_zero(model):
 def _unasked_graph():
     """A graph with hosts whose hit and edge answer no obligation."""
     moment = datetime(2026, 3, 1, 6, 0, 0, tzinfo=timezone.utc)
-    hit = Event("ev1", moment.isoformat(), "h1", "Process", {})
+    hit = Event("ev1", "h1", moment)
     edge = GraphEdge("e00000", "q-none", "q-peer", "has", "ev1", "ev2", "h1", "h2", moment, "window")
     return EvidenceGraph({"q-none": [hit]}, (edge,))
 
@@ -574,7 +574,7 @@ def _random_support_graph(rng, per_step):
         host = rng.choice(hosts)
         moment = base + timedelta(seconds=30 * rng.randrange(12))
         if key[0] == "node":
-            hits.setdefault(key[1], []).append(Event(f"ev{n:05d}", moment.isoformat(), host, "Process", {}))
+            hits.setdefault(key[1], []).append(Event(f"ev{n:05d}", host, moment))
         else:
             peer_host = rng.choice(hosts) if rng.random() < 0.4 else host
             edges.append(

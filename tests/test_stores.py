@@ -149,6 +149,16 @@ def test_ttp_store_loads_and_validates(tmp_path):
     assert store.tactics_present() == ["execution", "credential-access"]
 
 
+def test_index_line_keys_the_store_does_not_read_are_accepted(tmp_path):
+    paths = write_stores(tmp_path, [], [("T1059.001", ["execution"], "SME", T1059_SRC)])
+    plain, _, _ = load_stores(paths)
+    index = paths.ttp_index / "index.jsonl"
+    (doc,) = [json.loads(line) for line in index.read_text("utf-8").splitlines()]
+    index.write_text(json.dumps({**doc, "created_at": "2026-03-01T07:00:00Z", "owner": "x"}) + "\n", "utf-8")
+    store, _, _ = load_stores(paths)
+    assert store.records == plain.records and len(store) == 1
+
+
 def test_invalid_ttp_reported_with_ids(tmp_path):
     bad = "def t1552_002():\n    ghost.Hive = \"x\"\n"
     paths = write_stores(tmp_path, [], [("T1552.002", [], "SME", bad)])
