@@ -21,30 +21,26 @@ every predicate on the field that the text passes:
 
 * Whole (``NdjsonProxy(path)``): every event is kept, as columns per
   class (:class:`_Class`): the event ids; the moments as codes into one
-  list, one per distinct timestamp text; the hosts as two-byte codes
-  (four past 65,536 hosts); the links of the events that have some; and
-  each field as a code column over that field's distinct texts (a value
-  that is not a string as its JSON text), where code 0 means the event
-  lacks the field.  No per-line dict, key string or repeated text is
-  kept.  ``perturb --events`` reads this way, since its fitness asks
-  questions nobody knows in advance.  A key not seen before is answered
-  from value indexes: the first filter on a field of a class sorts,
-  once, the positions of the events holding it by code into one array,
-  with a start offset per code (:func:`_value_index`).  Each distinct
-  text of the field gets its verdict, so a glob is tested once per
-  distinct text; the positions of the texts whose verdict covers the
-  filter's predicates on the field are gathered, and the fields'
-  position sets intersected and sorted, so a new key costs O(distinct
-  values + hits) instead of O(class size).  An :class:`Event` is built
-  only for a hit, on its first request, and kept for the proxy's
-  lifetime, so every key that holds it shares one object; the empty
-  filter builds its class's events when first asked.  Retained memory
-  is O(events) for the columns plus O(hits) for the events.  Under
-  ``tracemalloc`` a whole proxy of the benchmark's seed-3 logs retains
-  0.54 MB (2.5k events), 4.17 MB (20k) and 21.57 MB (120k, 0.18 KB per
-  event), against 1.95, 15.09 and 92.37 MB when it kept one
-  :class:`Event` per line; every (class, field) index built takes these
-  to 0.60, 4.47 and 23.29 MB.
+  list, one per distinct timestamp text; the hosts as four-byte codes;
+  the links of the events that have some; and each field as a code
+  column over that field's distinct texts (a value that is not a string
+  as its JSON text), where code 0 means the event lacks the field.  No
+  per-line dict, key string or repeated text is kept.  ``perturb
+  --events`` reads this way, since its fitness asks questions nobody
+  knows in advance.  A key not seen before is answered by a scan of its
+  class's code columns (:meth:`NdjsonProxy._indexed`): each distinct
+  text of a field the filter names gets its verdict once, so a glob is
+  tested once per distinct text, into a table of one byte per code; the
+  first field's column is scanned through its table, and each further
+  field filters only the positions that passed.  A new key costs
+  O(distinct texts + class size) and retains nothing but its answer.
+  An :class:`Event` is built only for a hit, on its first request, and
+  kept for the proxy's lifetime, so every key that holds it shares one
+  object; the empty filter builds its class's events when first asked.
+  Retained memory is O(events) for the columns plus O(hits) for the
+  events.  Under ``tracemalloc`` a whole proxy of the benchmark's
+  120k-event seed-3 log retains 21.82 MB (0.18 KB per event), against
+  92.37 MB when it kept one :class:`Event` per line.
 * Filtered (``NdjsonProxy(path, keys)``): when every question is known
   before the log is opened, as in ``wilee hunt``, one pass tests each
   line's raw fields against the filters of its class and builds an
@@ -82,9 +78,8 @@ import json
 import re
 import sys
 from array import array
-from collections import Counter
 from datetime import datetime, timezone
-from itertools import accumulate
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
@@ -164,8 +159,6 @@ class NdjsonProxy:
             for held in self._classes.values():
                 held.fields = {var: ([None, *texts], codes) for var, (texts, codes) in held.fields.items()}
             self._hits: dict[Key, list[Event]] = {}
-            # (entity_class, field) -> its value index (see _value_index)
-            self._indexes: dict[tuple[str, str], tuple[array, array]] = {}
         else:
             self._hits = {key: [] for key in keys}
             self._read(_keep_hits(self._hits), digest)
@@ -189,29 +182,27 @@ class NdjsonProxy:
 
     def _indexed(self, entity_class: str, filt: Filter) -> list[Event]:
         """The events of the class whose fields pass ``filt``, in log
-        order: each distinct text of a field the filter names gets its
-        verdict (see :func:`_field_verdicts`), and the field's value index
-        gives the positions of the texts whose verdict covers the mask of
-        the filter's predicates on that field."""
+        order.  Each field the filter names gets a table of one byte per
+        code: whether the verdict of the code's text (see
+        :func:`_field_verdicts`) covers the mask of the filter's
+        predicates on that field.  The first field's code column is
+        scanned, and each further field keeps only the positions that
+        passed so far."""
         held = self._classes.get(entity_class) or _Class()
         bits = {predicate: bit for bit, predicate in enumerate(dict.fromkeys(filt))}
-        common: Optional[set[int]] = None
-        for var, known, fill in _field_verdicts(bits):
-            index = self._indexes.get((entity_class, var))
-            if index is None:
-                index = self._indexes[entity_class, var] = _value_index(held.fields, var)
-            starts, positions = index
-            texts = held.fields[var][0] if var in held.fields else [None]
+        positions: Iterable[int] = range(len(held.ids))
+        for n, (var, known, fill) in enumerate(_field_verdicts(bits)):
+            if var not in held.fields:
+                return []
+            texts, codes = held.fields[var]
             want = sum(1 << bit for (field, _, _), bit in bits.items() if field == var)
-            matched = set()
-            for code in range(1, len(texts)):
-                mask = known.get(texts[code])
-                if mask is None:
-                    mask = fill(texts[code]) if fill else 0
-                if mask & want == want:
-                    matched.update(positions[starts[code - 1] : starts[code]])
-            common = matched if common is None else common & matched
-        return self._events(held, range(len(held.ids)) if common is None else sorted(common))
+            masks = map(fill, texts[1:]) if fill else (known.get(text, 0) for text in texts[1:])
+            passes = bytes([0, *(mask & want == want for mask in masks)])
+            if n == 0:
+                positions = compress(positions, map(passes.__getitem__, codes))
+            else:
+                positions = [i for i in positions if passes[codes[i]]]
+        return self._events(held, positions)
 
     def _events(self, held: _Class, positions: Iterable[int]) -> list[Event]:
         """The :class:`Event` at each of the class's ``positions``, each
@@ -299,22 +290,6 @@ def _links(links) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
-def _value_index(columns: dict[str, tuple[list, array]], var: str) -> tuple[array, array]:
-    """The value index of the field ``var`` in a class's ``columns`` (see
-    :class:`_Class`): ``(starts, positions)``.  ``positions`` holds the
-    position of every event that has the field, sorted by code and then
-    ascending, so that the events holding code ``c`` are
-    ``positions[starts[c - 1]:starts[c]]``.  That is four bytes per event
-    and four per distinct text."""
-    if var not in columns:
-        return array("I", [0]), array("I")
-    texts, codes = columns[var]
-    tally = Counter(codes)
-    order = sorted(range(len(codes)), key=codes.__getitem__)  # stable: ascending within a code
-    starts = array("I", accumulate((tally[code] for code in range(1, len(texts))), initial=0))
-    return starts, array("I", order[tally[0] :])
-
-
 class _Class:
     """The events of one entity class of a whole log, as columns in log
     order: ``ids`` their event ids; ``stamps`` codes into the proxy's
@@ -323,14 +298,16 @@ class _Class:
     some, by position; and ``fields`` each field's ``(texts, codes)``,
     where event ``i`` holds ``texts[codes[i]]`` (a value that is not a
     string as its JSON text) and code 0 means it lacks the field.
-    ``events`` holds the :class:`Event` of each position built so far."""
+    ``stamps``, ``hosts`` and each field's ``codes`` are ``array('I')``,
+    four bytes per event.  ``events`` holds the :class:`Event` of each
+    position built so far."""
 
     __slots__ = ("ids", "stamps", "hosts", "links", "fields", "events")
 
     def __init__(self):
         self.ids: list[str] = []
         self.stamps = array("I")
-        self.hosts = array("H")
+        self.hosts = array("I")
         self.links: dict[int, tuple] = {}
         self.fields: dict[str, tuple] = {}
         self.events: dict[int, Event] = {}
@@ -362,11 +339,7 @@ def _keep_columns(classes: dict[str, _Class], stamps: list, hosts: dict[str, int
         code = hosts.get(host)
         if code is None:
             code = hosts[host] = len(hosts)
-        try:
-            held.hosts.append(code)
-        except OverflowError:  # a 65,537th host
-            held.hosts = array("I", held.hosts)
-            held.hosts.append(code)
+        held.hosts.append(code)
         if links:
             held.links[at] = links
         columns = held.fields
@@ -396,9 +369,11 @@ def _keep_hits(hits: dict[Key, list[Event]]) -> Callable[[tuple], None]:
     The keys of a class share their predicates: each distinct predicate
     is one bit, and a key is the mask of its predicates (the empty filter
     0).  A row's verdict is the union of the bits its field texts pass,
-    one dict lookup per filtered field (see :func:`_field_verdicts`); it
-    goes to every key whose mask the verdict covers, and the keys of each
-    verdict are remembered, up to :data:`_MEMO_LIMIT` verdicts."""
+    one dict lookup per filtered field (see :func:`_field_verdicts`),
+    where a glob field remembers the verdicts of up to
+    :data:`_MEMO_LIMIT` texts.  The row goes to every key whose mask the
+    verdict covers, and the keys of each verdict are remembered, up to
+    :data:`_MEMO_LIMIT` verdicts."""
     predicates: dict[str, dict[tuple, int]] = {}  # class -> predicate -> bit
     masks: dict[str, list[tuple[int, list[Event]]]] = {}
     for (entity_class, filt), found in hits.items():
@@ -426,7 +401,9 @@ def _keep_hits(hits: dict[Key, list[Event]]) -> Callable[[tuple], None]:
                 if mask is None:
                     if fill is None:
                         continue
-                    mask = fill(value)
+                    if len(known) >= _MEMO_LIMIT:
+                        known.clear()
+                    mask = known[value] = fill(value)
                 have |= mask
         targets = routes.get(have)
         if targets is None:
@@ -453,9 +430,10 @@ def _field_verdicts(bits: dict[tuple, int]) -> list[tuple[str, dict[str, int], O
     ``bits`` (predicate -> bit) test, for both reads: ``verdicts`` maps a
     field text to the mask of every predicate on that field that it
     passes.  A field with exact values only has every verdict from the
-    start and no ``fill``.  A field a glob tests starts empty, and
-    ``fill`` finds a text's verdict on its first sight, testing each
-    distinct glob of the field once, and keeps it."""
+    start and no ``fill``.  For a field a glob tests, ``verdicts`` starts
+    empty and ``fill`` is a pure function from a text to its verdict,
+    testing each distinct glob of the field once; a caller that sees a
+    text more than once keeps what ``fill`` gives in ``verdicts``."""
     by_field: dict[str, list[tuple[int, frozenset, tuple]]] = {}
     for (var, exact, globs), bit in bits.items():
         by_field.setdefault(var, []).append((1 << bit, exact, globs))
@@ -469,22 +447,18 @@ def _field_verdicts(bits: dict[tuple, int]) -> list[tuple[str, dict[str, int], O
             for glob in globs:
                 glob_masks[glob] = glob_masks.get(glob, 0) | flag
         if glob_masks:
-            memo: dict[str, int] = {}
-            out.append((var, memo, _glob_fill(exact_masks, list(glob_masks.items()), memo)))
+            out.append((var, {}, _glob_fill(exact_masks, list(glob_masks.items()))))
         else:
             out.append((var, exact_masks, None))
     return out
 
 
-def _glob_fill(exact_masks: dict[str, int], glob_masks: list[tuple[str, int]], memo: dict[str, int]):
+def _glob_fill(exact_masks: dict[str, int], glob_masks: list[tuple[str, int]]) -> Callable[[str], int]:
     def fill(text: str) -> int:
         mask = exact_masks.get(text, 0)
         for glob, flags in glob_masks:
             if flags & ~mask and glob_match(glob, text):
                 mask |= flags
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
-        memo[text] = mask
         return mask
 
     return fill

@@ -857,3 +857,50 @@ def test_outputs_do_not_depend_on_the_hash_seed(workspace, tmp_path):
             written.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
         assert "manifest.json" in written[0] and len(written[0]) > 1, (name, sorted(written[0]))
         assert written[0] == written[1], name
+
+
+def _digest_dir(path):
+    """One SHA-256 over the name and bytes of every file under ``path``,
+    in sorted order."""
+    digest = hashlib.sha256()
+    for p in sorted(path.rglob("*")):
+        if p.is_file():
+            digest.update(str(p.relative_to(path)).encode() + b"\0" + p.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+# The outputs' digests: a change to the read, the join, the matcher or gpe
+# that moves any byte of a report, an archived candidate or a fitness
+# history fails here.
+GOLDEN_HUNT_REPORT = "a1e9c3ff0af7f80d74d0fdf8d526b0d7323988dfd6c368f355cd2d32e490baf5"
+GOLDEN_PERTURB = {
+    0: (
+        "44f5bd58df7482cec63755ba26eb015f8adc86517283283df39c688de9ece5d2",
+        "7e5434b8dd1cc2bbbb731cc1ca7e34dd239b45c99357ade5789c87e4834fed09",
+    ),
+    3: (
+        "25d72041db823257d7e6dbc37a267b2af56ef32e03816ccc4dff0e315e40cd93",
+        "570964578080862bcfb6b2ef232b62cc9dda9dedf6acf28567f59bf2974a562c",
+    ),
+    11: (
+        "6ffb9b7d471d0bd65b6ad42b1d013e0dc0046a7f0914c14f24da3a8b414d4d82",
+        "d622ed5b1c013e2f4c22b7dcc813fea22913cca483cd8e360071839cc114ca46",
+    ),
+}
+
+
+def test_golden_outputs(workspace, tmp_path):
+    """``hunt``'s ``report.json`` and ``perturb --events``'s ``archive/`` and
+    ``run.json``, on a fixed log and seeds, have pinned SHA-256 digests."""
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(564), 1500, PlantedAttack.build().events))
+    impl = tmp_path / "impl.wdsl"
+    impl.write_text(T1552_PUTTY_SRC, "utf-8")
+    assert main(hunt_args(workspace, log, tmp_path / "hunt", fmt="json")) == 0
+    got_report = hashlib.sha256((tmp_path / "hunt" / "report.json").read_bytes()).hexdigest()
+    got = {}
+    for seed in GOLDEN_PERTURB:
+        out = tmp_path / f"perturb-{seed}"
+        assert main(perturb_args(workspace, impl, out, seed=seed, generations=6) + ["--events", str(log)]) == 0
+        got[seed] = (_digest_dir(out / "archive"), hashlib.sha256((out / "run.json").read_bytes()).hexdigest())
+    assert got_report == GOLDEN_HUNT_REPORT
+    assert got == GOLDEN_PERTURB

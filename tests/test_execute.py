@@ -816,7 +816,7 @@ def test_filtered_read_verdict_memo_stays_bounded(tmp_path, monkeypatch):
         assert _attributes(filtered.hits(key)) == _lean(expected[key]), key
 
 # ---------------------------------------------------------------------------
-# The whole read's value index
+# The whole read's code scan
 # ---------------------------------------------------------------------------
 
 _INDEXED_FIELDS = {"Process": ("name", "pid"), "File": ("path", "size"), "WinRegistryKey": ("Hive",)}
@@ -893,18 +893,13 @@ def _as_text(doc):
     return {**doc, "fields": {k: v if isinstance(v, str) else json.dumps(v) for k, v in doc["fields"].items()}}
 
 
-def test_whole_read_value_index_equals_passes_and_oracle_on_random_logs(tmp_path, monkeypatch):
-    """A whole proxy answers each key from its value indexes with the
-    same events, in the same order, as the reference filter
-    (``_oracle_passes``) over the class list and as the reference scan;
-    each (class, field) index is built once."""
+def test_whole_read_code_scan_equals_passes_and_oracle_on_random_logs(tmp_path):
+    """A whole proxy answers each key by scanning its code columns with
+    the same events, in the same order, as the reference filter
+    (``_oracle_passes``) over the class list and as the reference scan,
+    and keeps each answer for the key's next request."""
     rng = random.Random(20261019)
     path = tmp_path / "events.ndjson"
-    built = []
-    value_index = wilee.hunt.proxy._value_index
-    monkeypatch.setattr(
-        wilee.hunt.proxy, "_value_index", lambda events, var: built.append(var) or value_index(events, var)
-    )
     cases = hits = several = same_field = repeats = 0
     for trial in range(80):
         events, logged = _index_log(rng, rng.randrange(0, 100))
@@ -912,7 +907,6 @@ def test_whole_read_value_index_equals_passes_and_oracle_on_random_logs(tmp_path
         text_events = [_as_text(doc) for doc in events]
         docs = {doc["event_id"]: doc for doc in text_events}
         proxy = NdjsonProxy(path)
-        built.clear()
         descriptors = [_index_descriptor(rng, i, logged) for i in range(rng.randrange(3, 9))]
         asked = [*descriptors, *rng.choices(descriptors, k=rng.randrange(1, 4))]
         rng.shuffle(asked)
@@ -934,37 +928,30 @@ def test_whole_read_value_index_equals_passes_and_oracle_on_random_logs(tmp_path
             several += len(got) > 1
             variables = [p.variable for p in q.predicates]
             same_field += len(variables) > len(set(variables))
-        fields_asked = {(cls, var) for cls, filt in answers for var, _, _ in filt}
-        assert sorted(built) == sorted(var for _, var in fields_asked)
-        assert set(proxy._indexes) == fields_asked
     assert cases >= 300 and hits > 1000 and several > 100 and same_field > 100 and repeats > 100, (
         cases, hits, several, same_field, repeats
     )
 
 
-def test_value_indexes_take_four_bytes_per_event_and_four_per_text(tmp_path):
-    """Every (class, field) value index of a 20k-event ``synth_log``, under
-    ``tracemalloc``: four bytes per event that has the field, four per
-    distinct text, and a fixed part per index.  That is 0.28 MB here, and
-    2.50 MB when each distinct text had an array of its own."""
+def test_whole_read_keeps_nothing_but_the_answer_of_a_new_key(tmp_path):
+    """A key on each (class, field) of a 20k-event ``synth_log`` that no
+    event passes leaves, under ``tracemalloc``, at most 1 KB per key in
+    a whole proxy: its memo entry and nothing per event or per text."""
     path = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(20260301), 20_000))
     proxy = NdjsonProxy(path)
-    columns = [(cls, var, texts, codes) for cls, held in proxy._classes.items() for var, (texts, codes) in held.fields.items()]
-    holding = sum(len(codes) - codes.count(0) for _, _, _, codes in columns)
-    distinct = sum(len(texts) - 1 for _, _, texts, _ in columns)
-    assert holding > 40_000 and distinct > 15_000  # pid, path and size are nearly all distinct
+    keys = [(cls, ((var, frozenset({"x"}), ()),)) for cls, held in proxy._classes.items() for var in held.fields]
+    assert len(keys) >= 9
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for cls, var, _, _ in columns:
-            proxy.hits((cls, ((var, frozenset({"x"}), ()),)))
+        for key in keys:
+            assert proxy.hits(key) == []
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert set(proxy._indexes) == {(cls, var) for cls, var, _, _ in columns}
-    assert retained <= 4 * holding + 4 * distinct + 4096 * len(columns), (retained, holding, distinct)
+    assert retained <= 1024 * len(keys), (retained, len(keys))
 
 
 def test_whole_read_tests_each_glob_once_per_distinct_text(tmp_path, monkeypatch):
@@ -1145,7 +1132,7 @@ def test_whole_read_builds_events_only_for_hits(tmp_path):
     assert built() == len(scan) and all(any(e is s for s in scan) for e in hits)
 
 
-def test_whole_read_codes_more_hosts_than_two_bytes_hold(tmp_path):
+def test_whole_read_codes_more_than_65536_hosts(tmp_path):
     events = [{"event_id": f"e{i}", "timestamp": "2026-03-01T07:00:00Z", "host": f"h{i}", "entity_class": "P"}
               for i in range(65_538)]
     events[-1]["host"] = "h7"
