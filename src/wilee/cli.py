@@ -45,7 +45,7 @@ from .dsl import (
 from .dsl.vocab import is_identifier
 from .gpe import ConfigError, GpeConfig, export_archive, run_gpe
 from .hunt import NdjsonProxy, ProxyUnavailable, evaluate, memo_key, render_report, schedule
-from .interpreter import EmptyStore, concretize, default_killchain, implementation_from_module
+from .interpreter import EmptyStore, concretize, default_killchain
 from .malmo import (
     NoClassesSelected,
     generate_dsl,
@@ -261,9 +261,8 @@ def cmd_perturb(args) -> int:
         proxy = NdjsonProxy(args.events)
         digests[args.events] = proxy.sha256
 
-        def fitness_fn(candidate_tree):
-            impl = implementation_from_module(candidate_tree)
-            return evaluate(impl, schedule(impl, model), proxy, ioc_db).score
+        def fitness_fn(candidate_tree, impl, descriptors):
+            return evaluate(impl, descriptors, proxy, ioc_db).score
 
     result = run_gpe(tree, config, fitness_fn=fitness_fn, model=model, ioc_db=ioc_db)
     out = Path(args.out)

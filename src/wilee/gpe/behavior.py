@@ -1,10 +1,10 @@
 """Behavior descriptors and distances for novelty search.
 
 A candidate's behavior is the observable consequence of its tree: the
-multiset of (entity class, variable, predicate op) signatures that its
-function bodies give their objects, read by
-:func:`~wilee.hunt.query.read_body` as the scheduler reads them, plus
-relation verb counts.  Distance is multiset Jaccard, which degrades to
+multiset of (entity class, variable, predicate op) signatures of the
+queries its schedule asks of the log, plus relation verb counts.  It is
+counted from the same descriptors its fitness hunts with, so a body is
+read once for both.  Distance is multiset Jaccard, which degrades to
 plain set Jaccard when every signature occurs once.
 """
 
@@ -12,23 +12,20 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..dsl import AstNode
-from ..hunt.query import read_body
+from ..hunt.query import QueryDescriptor
 
 # Sorted (signature, count) pairs; signatures are string tuples.
 Behavior = tuple[tuple[tuple[str, ...], int], ...]
 
 
-def behavior_of(tree: AstNode) -> Behavior:
-    """Deterministic descriptor of a candidate module."""
+def behavior_of(descriptors: list[QueryDescriptor]) -> Behavior:
+    """Deterministic descriptor of a candidate, from its schedule."""
     counter: Counter = Counter()
-    for fn in tree.children:
-        objects, relations = read_body(fn)
-        for cls, predicates in objects.values():
-            for predicate in predicates:
-                counter[("pred", cls, predicate.variable, predicate.op)] += 1
-        for _, verb, _ in relations:
-            counter[("rel", verb)] += 1
+    for q in descriptors:
+        for p in q.predicates:
+            counter[("pred", q.entity_class, p.variable, p.op)] += 1
+        for r in q.relations:
+            counter[("rel", r.verb)] += 1
     return tuple(sorted(counter.items()))
 
 

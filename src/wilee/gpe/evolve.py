@@ -177,8 +177,10 @@ def run_gpe(
     """Evolve variants of a module of concrete functions.
 
     Without ``fitness_fn`` the loop runs on novelty alone; with one
-    (e.g. hunt-engine match score against a fixed log snapshot) the
-    selection knob blends the two and auto-balances on stagnation.
+    (e.g. hunt-engine match score against a fixed log snapshot), called
+    as ``fitness_fn(tree, impl, descriptors)`` with a candidate's
+    fields, the selection knob blends the two and auto-balances on
+    stagnation.
     Identical config and seed give an identical trace.
     """
     model = model or DataModel.default()
@@ -188,7 +190,7 @@ def run_gpe(
     problems = validate(seed_tree, model)
     if problems:
         raise ConfigError(f"seed implementation is invalid: {problems[0]}")
-    seed_candidate = Candidate.from_ast(seed_tree, Lineage((), "seed"))
+    seed_candidate = Candidate.from_ast(seed_tree, Lineage((), "seed"), model)
 
     def spawn(gen: int, index: int, candidate: Candidate) -> Candidate:
         candidate.uid = f"g{gen:03d}-{index:03d}-{candidate.digest}"
@@ -222,7 +224,7 @@ def run_gpe(
             for candidate in population:
                 if candidate.fitness is None:
                     if candidate.digest not in scores:
-                        scores[candidate.digest] = fitness_fn(candidate.ast)
+                        scores[candidate.digest] = fitness_fn(candidate.ast, candidate.impl, candidate.descriptors)
                     candidate.fitness = scores[candidate.digest]
         for candidate in population:
             archive.consider(candidate)
@@ -273,6 +275,7 @@ def run_gpe(
                 offspring[i] = perturb_iocs(
                     candidate,
                     db,
+                    model=model,
                     rng_seed=rng.randrange(2**63),
                     probability=config.ioc_site_probability,
                 )

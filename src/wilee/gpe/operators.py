@@ -9,7 +9,7 @@ function of its inputs and an explicit seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..dsl import (
@@ -25,6 +25,8 @@ from ..dsl import (
     validate,
 )
 from ..dsl.ast import NodePath
+from ..hunt.query import QueryDescriptor, schedule
+from ..interpreter import ThreatImplementation, implementation_from_module
 from ..stores import DataModel, IocDb, ioc_type_for_variable, is_abstract, resolve_bind
 from .behavior import Behavior, behavior_of
 
@@ -66,15 +68,22 @@ class Candidate:
     uid: str
     digest: str  # content hash of ``ast``
     ast: AstNode  # Module of concrete functions
+    impl: ThreatImplementation  # ``ast`` wrapped one step per function
+    descriptors: list[QueryDescriptor]  # ``impl``'s schedule
     behavior: Behavior
     lineage: Lineage
     fitness: Optional[float] = None
     novelty: float = 0.0
 
     @classmethod
-    def from_ast(cls, tree: AstNode, lineage: Lineage) -> "Candidate":
+    def from_ast(cls, tree: AstNode, lineage: Lineage, model: DataModel) -> "Candidate":
+        """The candidate of a valid module: its bodies are read once, by
+        :func:`~wilee.hunt.schedule`, for its behavior and its fitness."""
         digest = content_hash(tree)
-        return cls(uid=digest, digest=digest, ast=tree, behavior=behavior_of(tree), lineage=lineage)
+        impl = implementation_from_module(tree)
+        descriptors = schedule(impl, model)
+        return cls(uid=digest, digest=digest, ast=tree, impl=impl, descriptors=descriptors,
+                   behavior=behavior_of(descriptors), lineage=lineage)
 
 
 def is_valid(tree: AstNode, model: DataModel) -> bool:
@@ -181,12 +190,12 @@ def mutate(
         if offspring == c.ast or tree_depth(offspring) > max_depth:
             continue
         if is_valid(offspring, model):
-            return Candidate.from_ast(offspring, Lineage((c.uid,), "mutate", (path,)))
+            return Candidate.from_ast(offspring, Lineage((c.uid,), "mutate", (path,)), model)
     return replace_lineage(c, Lineage((c.uid,), "mutate", flag="max-retries"))
 
 
 def replace_lineage(c: Candidate, lineage: Lineage) -> Candidate:
-    return Candidate(uid=c.uid, digest=c.digest, ast=c.ast, behavior=c.behavior, lineage=lineage, fitness=c.fitness)
+    return replace(c, lineage=lineage, novelty=0.0)
 
 
 def crossover(
@@ -224,7 +233,7 @@ def crossover(
             continue
         if is_valid(child_a, model) and is_valid(child_b, model):
             lineage = Lineage((a.uid, b.uid), "crossover", (path_a, path_b))
-            return Candidate.from_ast(child_a, lineage), Candidate.from_ast(child_b, lineage)
+            return Candidate.from_ast(child_a, lineage, model), Candidate.from_ast(child_b, lineage, model)
     flag = Lineage((a.uid, b.uid), "crossover", flag="no-common-nonterminal")
     return replace_lineage(a, flag), replace_lineage(b, flag)
 
@@ -232,6 +241,7 @@ def crossover(
 def perturb_iocs(
     c: Candidate,
     db: IocDb,
+    model: Optional[DataModel] = None,
     rng_seed: int = 0,
     probability: float = 0.5,
 ) -> Candidate:
@@ -243,6 +253,7 @@ def perturb_iocs(
     other values of that type.  Sites with fewer than two candidates
     are left untouched, and substitution never crosses ioc_types.
     """
+    model = model or DataModel.default()
     rng = random.Random(rng_seed)
     tree = c.ast
     changed: list[NodePath] = []
@@ -275,4 +286,4 @@ def perturb_iocs(
                 changed.append(value_path)
     if not changed:
         return replace_lineage(c, Lineage((c.uid,), "perturb_iocs"))
-    return Candidate.from_ast(tree, Lineage((c.uid,), "perturb_iocs", tuple(changed)))
+    return Candidate.from_ast(tree, Lineage((c.uid,), "perturb_iocs", tuple(changed)), model)

@@ -7,9 +7,10 @@ among its step's relation statements.  Descriptors carry stable ids so
 evidence can be traced back to the implementation that asked for it.
 
 :func:`read_body` is the one walk over a TTP body's statements.  The
-scheduler, malmo's relation priors and gpe's behavior descriptors read
-a body through it; the matcher reads its obligations from the schedule's
-descriptors, so a hunt reads each step's body once.
+scheduler and malmo's relation priors read a body through it; the
+matcher reads its obligations from the schedule's descriptors, so a
+hunt reads each step's body once, and gpe counts a candidate's behavior
+from the same schedule its fitness hunts with.
 """
 
 from __future__ import annotations

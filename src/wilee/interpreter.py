@@ -13,7 +13,6 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .dsl import (
     AstNode,
@@ -146,9 +145,9 @@ def default_killchain(store: TtpStore) -> ThreatDescription:
     return ThreatDescription.from_steps(KILLCHAIN_NAME, tactics)
 
 
-def implementation_from_module(tree: AstNode, name: Optional[str] = None) -> ThreatImplementation:
+def implementation_from_module(tree: AstNode) -> ThreatImplementation:
     """Wrap a module of concrete functions as a one-record-per-step
-    implementation (used to seed perturbation from a ``.wdsl`` file)."""
+    implementation (how gpe hunts with each of its candidates)."""
     steps = []
     for i, fn in enumerate(tree.children):
         technique = normalize_step(fn.attrs.get("name", ""))
@@ -159,4 +158,4 @@ def implementation_from_module(tree: AstNode, name: Optional[str] = None) -> Thr
             ast=fn,
         )
         steps.append(ImplementationStep(i, technique, record))
-    return ThreatImplementation(name or (steps[0].step_name if steps else "empty"), tuple(steps))
+    return ThreatImplementation(steps[0].step_name if steps else "empty", tuple(steps))

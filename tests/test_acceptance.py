@@ -366,8 +366,8 @@ def test_criterion_5_query_oracle(big_log_events, tmp_path):
 def test_criterion_6_gp_closure_and_determinism(model, putty_ioc_db, tmp_path):
     rng = random.Random(10_006)
     seeds = [
-        Candidate.from_ast(parse(T1552_PUTTY_SRC), Lineage((), "seed")),
-        Candidate.from_ast(parse(T1059_SRC), Lineage((), "seed")),
+        Candidate.from_ast(parse(T1552_PUTTY_SRC), Lineage((), "seed"), model),
+        Candidate.from_ast(parse(T1059_SRC), Lineage((), "seed"), model),
     ]
     pool = list(seeds)
     invalid = 0
@@ -473,8 +473,8 @@ def test_criterion_8_ioc_type_safety(model):
         '    file1.path = "C:\\Windows\\Temp\\stage2.ps1"\n'
     )
     parents = [
-        Candidate.from_ast(parse(simontatham_src), Lineage((), "seed")),
-        Candidate.from_ast(parse(shell_src), Lineage((), "seed")),
+        Candidate.from_ast(parse(simontatham_src), Lineage((), "seed"), model),
+        Candidate.from_ast(parse(shell_src), Lineage((), "seed"), model),
     ]
     rng = random.Random(10_008)
     cross_type = 0

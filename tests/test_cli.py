@@ -28,6 +28,7 @@ import wilee.hunt.query
 import wilee.stores
 from wilee.cli import main
 from wilee.dsl import NodeKind, ThreatDescription, parse
+from wilee.gpe import Candidate
 from wilee.hunt import BindSpec, schedule
 from wilee.interpreter import concretize
 from wilee.stores import StorePaths, load_stores
@@ -339,30 +340,37 @@ def test_hunt_resolves_each_distinct_bind_once(workspace, tmp_path, monkeypatch)
     assert main(hunt_args((tmp_path, store_dir, ioc_db, desc), log, tmp_path / "out", fmt="json")) == 0
     assert sorted(calls, key=repr) == sorted(set(binds), key=repr)
 
-def test_perturb_fitness_reads_each_step_body_once(workspace, tmp_path, monkeypatch):
-    """Each fitness call reads each of the candidate's step bodies once
-    and makes one qid per object."""
+def test_perturb_reads_each_candidate_body_once(workspace, tmp_path, monkeypatch):
+    """A candidate's step bodies are read once, when it is built, for both
+    its behavior and its fitness: a whole run reads one body per function
+    and makes one qid per object of each candidate built, and a fitness
+    call reads no body and makes no qid."""
     log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(564), 200, PlantedAttack.build().events))
     impl = tmp_path / "impl.wdsl"
     impl.write_text(T1552_PUTTY_SRC, "utf-8")
-    counts, calls = Counter(), []
-    run_gpe = wilee.cli.run_gpe
+    counts, calls, built = Counter(), [], []
+    run_gpe, from_ast = wilee.cli.run_gpe, Candidate.from_ast.__func__
 
     def counting_run_gpe(tree, config, fitness_fn, **kwargs):
-        def counted(candidate):
+        def counted(*args):
             before = Counter(counts)
-            score = fitness_fn(candidate)
-            calls.append((counts - before, candidate))
+            score = fitness_fn(*args)
+            calls.append(counts - before)
             return score
 
         return run_gpe(tree, config, fitness_fn=counted, **kwargs)
 
+    def recording_from_ast(cls, tree, *args):
+        built.append(tree)
+        return from_ast(cls, tree, *args)
+
     monkeypatch.setattr(wilee.cli, "run_gpe", counting_run_gpe)
+    monkeypatch.setattr(Candidate, "from_ast", classmethod(recording_from_ast))
     _count_calls(monkeypatch, counts)
     assert main(perturb_args(workspace, impl, tmp_path / "out") + ["--events", str(log)]) == 0
-    assert calls
-    for made, candidate in calls:
-        assert made == Counter(read_body=len(candidate.children), make_qid=sum(map(_objects, candidate.children)))
+    assert calls and all(made == Counter() for made in calls)
+    functions = [fn for tree in built for fn in tree.children]
+    assert counts == Counter(read_body=len(functions), make_qid=sum(map(_objects, functions)))
 
 
 def _ttp_index_line_not_an_object(workspace, tmp_path):
@@ -691,6 +699,46 @@ def test_perturb_archive_files_validate(workspace, tmp_path):
     files = sorted((out / "archive").glob("*.wdsl"))
     assert files
     assert main(["validate", *[str(p) for p in files]]) == 0
+
+
+GIZMO_SRC = (
+    "def t1552_002():\n"
+    "    gizmo1 = Gizmo()\n"
+    '    gizmo1.hive = "Software\\SimonTatham\\Putty\\Sessions"\n'
+    "    widget1 = Widget()\n"
+    '    widget1.colour = "teal"\n'
+    "    gizmo1.observed(widget1)\n"
+)
+
+
+def test_perturb_with_a_custom_data_model(workspace, tmp_path):
+    """perturb evolves and hunts under the data model it is given, here
+    one whose classes the default lacks: every archived candidate is
+    scored and validates against that model."""
+    model = tmp_path / "model.json"
+    classes = [
+        {"class_name": "Gizmo", "variables": ["hive", "serial"]},
+        {"class_name": "Widget", "variables": ["command_line", "colour"]},
+    ]
+    model.write_text(json.dumps({"classes": classes}), "utf-8")
+    impl = tmp_path / "impl.wdsl"
+    impl.write_text(GIZMO_SRC, "utf-8")
+    events = [
+        {"event_id": "g1", "timestamp": "2026-03-01T07:00:00Z", "host": "ws-002", "entity_class": "Gizmo",
+         "fields": {"hive": "Software\\SimonTatham\\Putty\\Sessions"}},
+        {"event_id": "w1", "timestamp": "2026-03-01T07:00:10Z", "host": "ws-002", "entity_class": "Widget",
+         "fields": {"colour": "teal"}},
+    ]
+    log = write_ndjson(tmp_path / "events.ndjson", events)
+    out = tmp_path / "out"
+    args = perturb_args(workspace, impl, out) + ["--data-model", str(model), "--events", str(log)]
+    assert main(args) == 0
+    files = sorted((out / "archive").glob("*.wdsl"))
+    assert files
+    assert main(["validate", "--data-model", str(model), *map(str, files)]) == 0
+    entries = [json.loads(line) for line in (out / "archive" / "archive.jsonl").read_text("utf-8").splitlines()]
+    assert all(entry["fitness"] is not None for entry in entries)
+    assert any(entry["fitness"] > 0 for entry in entries)
 
 
 def test_perturb_rerun_into_one_out_holds_only_its_archive(workspace, tmp_path):

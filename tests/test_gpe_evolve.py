@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import T1552_PUTTY_SRC
-from oracles import oracle_multiset_jaccard_distance, oracle_novelty
+from oracles import oracle_multiset_jaccard_distance, oracle_novelty, oracle_schedule
 
 from wilee.dsl import content_hash, parse, pretty_print, validate
 from wilee.gpe import (
@@ -41,7 +41,10 @@ def small_db():
 
 
 def stub(uid, behavior, fitness=None, nov=0.0):
-    c = Candidate(uid=uid, digest=uid, ast=None, behavior=behavior, lineage=Lineage((), "seed"), fitness=fitness)
+    c = Candidate(
+        uid=uid, digest=uid, ast=None, impl=None, descriptors=[], behavior=behavior,
+        lineage=Lineage((), "seed"), fitness=fitness,
+    )
     c.novelty = nov
     return c
 
@@ -320,7 +323,7 @@ def test_without_fitness_rho_stays_put_and_history_empty(model):
 def test_fitness_fn_drives_history(model):
     config = GpeConfig(population_size=8, generations=4, seed=2)
 
-    def fake_fitness(tree):
+    def fake_fitness(tree, impl, descriptors):
         return min(1.0, len(pretty_print(tree)) / 1000)
 
     result = run_gpe(seed_impl(), config, fitness_fn=fake_fitness, model=model, ioc_db=small_db())
@@ -332,7 +335,9 @@ def test_fitness_fn_called_once_per_distinct_tree(model):
     config = GpeConfig(population_size=10, generations=8, seed=4)
     calls = []
 
-    def fake_fitness(tree):
+    def fake_fitness(tree, impl, descriptors):
+        assert tuple(step.record.ast for step in impl.steps) == tree.children
+        assert descriptors == oracle_schedule(impl, model)
         calls.append(content_hash(tree))
         return len(pretty_print(tree)) % 97 / 97
 
@@ -340,7 +345,7 @@ def test_fitness_fn_called_once_per_distinct_tree(model):
     assert calls and len(calls) == len(set(calls))
     scored = [c for c in result.archive if c.fitness is not None]
     assert scored
-    assert all(c.fitness == fake_fitness(c.ast) for c in scored)
+    assert all(c.fitness == fake_fitness(c.ast, c.impl, c.descriptors) for c in scored)
 
 
 def test_archive_growth_and_capacity(model):

@@ -3,9 +3,11 @@ from collections import Counter
 
 import pytest
 
-from conftest import T1552_PUTTY_SRC
+from conftest import T1552_PUTTY_SRC, random_module
+from oracles import oracle_behavior_of, oracle_schedule
 
 from wilee.dsl import (
+    AstGenerator,
     NodeKind,
     get_node,
     iter_nodes,
@@ -14,14 +16,16 @@ from wilee.dsl import (
     tree_depth,
     validate,
 )
+from wilee.dsl.vocab import IOC_TYPES
 from wilee.gpe import Candidate, Lineage, crossover, mutate, perturb_iocs
 from wilee.gpe.operators import MUTATION_LABELS, NODE_NONTERMINAL
-from wilee.stores import IocDb, IocRecord
+from wilee.interpreter import implementation_from_module
+from wilee.stores import DataModel, IocDb, IocRecord
 
 
 def candidate_from(source, model):
     tree = parse(source)
-    return Candidate.from_ast(tree, Lineage((), "seed"))
+    return Candidate.from_ast(tree, Lineage((), "seed"), model)
 
 
 @pytest.fixture
@@ -281,3 +285,46 @@ def test_no_cross_type_substitutions_in_sweep(model, putty_candidate, shell_cand
             assert attrs_after["value"] in by_type[expected_type], (
                 f"value crossed ioc_type at {path}"
             )
+
+
+# ---------------------------------------------------------------------------
+# every operator's child carries its own schedule
+# ---------------------------------------------------------------------------
+
+# Classes the default data model lacks, with variables that map to ioc_types.
+GIZMO_MODEL = DataModel(
+    {"Gizmo": ("name", "path", "serial"), "Widget": ("command_line", "hash", "colour")}
+)
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["default-model", "custom-model"])
+def test_operator_children_carry_the_schedule_of_their_tree(model, custom):
+    """Chained mutate, crossover and perturb_iocs over random valid
+    modules: each child's implementation, descriptors and behavior are
+    those of its own tree under the run's data model."""
+    model = GIZMO_MODEL if custom else model
+    rng = random.Random(21_021)
+    gen = AstGenerator(rng, model=model)
+    db = IocDb(tuple(IocRecord(t, f"{t}-{i}", None) for t in IOC_TYPES for i in range(3)))
+    pool = []
+    for _ in range(12):
+        tree = random_module(gen)
+        assert validate(tree, model) == []
+        pool.append(Candidate.from_ast(tree, Lineage((), "seed"), model))
+    children = 0
+    while children < 1800:
+        roll = rng.random()
+        pick = pool[rng.randrange(len(pool))]
+        if roll < 0.4:
+            offspring = [mutate(pick, model=model, rng_seed=rng.randrange(2**63))]
+        elif roll < 0.7:
+            other = pool[rng.randrange(len(pool))]
+            offspring = list(crossover(pick, other, model=model, rng_seed=rng.randrange(2**63)))
+        else:
+            offspring = [perturb_iocs(pick, db, model=model, rng_seed=rng.randrange(2**63))]
+        for child in offspring:
+            assert child.impl == implementation_from_module(child.ast)
+            assert child.descriptors == oracle_schedule(child.impl, model)
+            assert child.behavior == oracle_behavior_of(child.ast, model)
+        pool = (pool + offspring)[-20:]
+        children += len(offspring)

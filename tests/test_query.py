@@ -192,7 +192,7 @@ def _assert_reader_consumers_agree(tree, model, where):
     descriptors = schedule(impl, model)
     assert descriptors == oracle_schedule(impl, model), where
     assert _obligations(impl, descriptors) == oracle_obligations_for(impl), where
-    assert behavior_of(tree) == oracle_behavior_of(tree, model), where
+    assert behavior_of(descriptors) == oracle_behavior_of(tree, model), where
     records = [
         TtpRecord("T1000", (), "SME" if i % 3 else "GPE", fn) for i, fn in enumerate(tree.children)
     ]
