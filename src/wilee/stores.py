@@ -97,11 +97,13 @@ _scan_value = json.JSONDecoder().scan_once
 _LINE_ENDS = ("\n", "", "\r\n")
 
 
-def read_jsonl(path: Path, digest=None) -> Iterator[tuple[int, dict]]:
+def read_jsonl(path: Path, digest=None, start: int = 0, end: Optional[int] = None) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line of a JSON-lines
     file, read one line at a time; a line that is not UTF-8 or not a
     JSON object raises :class:`FormatError`.  ``digest``, a ``hashlib``
-    object, if given, is fed every byte read.
+    object, if given, is fed every byte read.  ``start`` and ``end``, byte
+    offsets at line starts, read the lines between them only (``end``
+    ``None``: to the end of the file), numbered from 1 at ``start``.
 
     Lines end at ``\n`` only, so a JSON string may hold any other line
     separator (U+2028, U+0085) raw; a ``\r`` before the ``\n`` is JSON
@@ -113,7 +115,8 @@ def read_jsonl(path: Path, digest=None) -> Iterator[tuple[int, dict]]:
     JSON) goes to ``json.loads``, so each object read and each error
     message is the one ``json.loads`` gives."""
     with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
+        handle.seek(start)
+        for lineno, raw in enumerate(handle if end is None else _lines_within(handle, end - start), start=1):
             if digest is not None:
                 digest.update(raw)
             try:
@@ -129,6 +132,17 @@ def read_jsonl(path: Path, digest=None) -> Iterator[tuple[int, dict]]:
                 if doc is None:
                     continue
             yield lineno, doc
+
+
+def _lines_within(handle, size: int) -> Iterator[bytes]:
+    """The lines of ``handle`` from where it stands that start within the
+    next ``size`` bytes."""
+    while size > 0:
+        raw = handle.readline()
+        if not raw:
+            return
+        yield raw
+        size -= len(raw)
 
 
 def _load_line(text: str, path, lineno: int) -> Optional[dict]:

@@ -952,3 +952,31 @@ def test_golden_outputs(workspace, tmp_path):
         got[seed] = (_digest_dir(out / "archive"), hashlib.sha256((out / "run.json").read_bytes()).hexdigest())
     assert got_report == GOLDEN_HUNT_REPORT
     assert got == GOLDEN_PERTURB
+
+
+def test_split_hunt_writes_the_serial_outputs(workspace, tmp_path, monkeypatch):
+    """``hunt`` with its log read in three forked ranges writes the bytes
+    it writes when the log is read in one pass, the pinned report among
+    them, and leaves no child process."""
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(564), 1500, PlantedAttack.build().events))
+    out = tmp_path / "out"
+    for fmt in ("json", "md"):
+        assert main(hunt_args(workspace, log, out, fmt=fmt)) == 0
+        out.rename(tmp_path / f"serial-{fmt}")
+    forks = []
+    forked = wilee.hunt.proxy._forked
+    monkeypatch.setattr(wilee.hunt.proxy, "_forked", lambda *args: forks.append(args) or forked(*args))
+    monkeypatch.setattr(wilee.hunt.proxy, "_RANGE_BYTES", 1)
+    monkeypatch.setattr(wilee.hunt.proxy, "_cpus", lambda: 3)
+    for fmt in ("json", "md"):
+        serial = tmp_path / f"serial-{fmt}"
+        assert main(hunt_args(workspace, log, out, fmt=fmt)) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in serial.iterdir())
+        for path in serial.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        if fmt == "json":
+            assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == GOLDEN_HUNT_REPORT
+        shutil.rmtree(out)
+    assert len(forks) == 4
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -12,8 +12,11 @@ dropped, or a value nested in a list or an object.  The oracle is the
 byte level's, and an exit 2 over a JSON-lines file names the mutated
 line as ``file:line``.
 
-For every mutated event log, the whole read and the filtered read the
-hunt makes agree on whether the log is accepted and on the message.
+For every mutated event log, the whole read, the filtered read the
+hunt makes and that read split into three ranges agree on whether the
+log is accepted and on the message, and the hunt fails exactly when the
+reference read (``tests/oracles.py``) finds a fault, with its
+``file:line: message``.
 
 Grammar level: generated modules are printed and token-spliced.
 ``parse`` raises nothing but :class:`DslSyntaxError`, ``validate``
@@ -29,7 +32,9 @@ from importlib import resources
 import pytest
 
 from conftest import FIXTURES, PlantedAttack, T1059_SRC, T1552_PUTTY_SRC, random_module, synth_log, write_ndjson
+from oracles import oracle_read_events
 
+import wilee.hunt.proxy
 from wilee.cli import main
 from wilee.dsl import AstGenerator, DslSyntaxError, ThreatDescription, parse, pretty_print, validate
 from wilee.hunt import NdjsonProxy, ProxyUnavailable, memo_key, schedule
@@ -140,6 +145,14 @@ def _read_outcome(path, keys=None):
     return "accepted"
 
 
+def _split_outcome(path, keys):
+    """:func:`_read_outcome` of the filtered read split into three ranges."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wilee.hunt.proxy, "_RANGE_BYTES", 1)
+        patch.setattr(wilee.hunt.proxy, "_cpus", lambda: 3)
+        return _read_outcome(path, keys)
+
+
 def _fuzz(root, capsys, kind, mutators, with_line=False):
     """Runs the command reading input ``kind`` once per seed and mutator
     over a mutated copy, and checks the oracle.  ``mutate(rng, data)``
@@ -166,7 +179,12 @@ def _fuzz(root, capsys, kind, mutators, with_line=False):
                 where = target.name if line is None else f"{target.name}:{line}:"
                 assert where in err, f"{label} seed {seed}: exit 2 without naming {where}\n{err}"
             if keys is not None:
-                assert _read_outcome(target) == _read_outcome(target, keys), f"{label} seed {seed}"
+                fault = oracle_read_events(target, keys)[2]
+                outcome = _read_outcome(target, keys)
+                assert outcome == (fault or "accepted"), f"{label} seed {seed}"
+                assert _read_outcome(target) == _split_outcome(target, keys) == outcome, f"{label} seed {seed}"
+                assert (code == 2) == (fault is not None), f"{label} seed {seed}: exit {code}\n{err}"
+                assert fault is None or f"error: {fault}\n" in err, f"{label} seed {seed}: {fault}\n{err}"
     target.write_bytes(original)
 
 

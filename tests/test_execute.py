@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
 import random
 import re
 import tracemalloc
@@ -1404,3 +1405,239 @@ def test_reads_equal_reference_read_on_mixed_logs(tmp_path):
         for key in keys:
             assert _attributes(seeded[key]) == _lean(hits[key]), key
     assert min(outcomes.values()) > 60, outcomes
+
+
+# ---------------------------------------------------------------------------
+# The split read: line-aligned ranges read in forked children
+# ---------------------------------------------------------------------------
+
+
+def _force_split(monkeypatch, count: int) -> list[int]:
+    """Makes the filtered read split any log of ``count`` bytes or more
+    into ``count`` ranges; returns the list each fork appends its pid to."""
+    forks = []
+    forked = wilee.hunt.proxy._forked
+
+    def counting(*args):
+        pid, pipe = forked(*args)
+        forks.append(pid)
+        return pid, pipe
+
+    monkeypatch.setattr(wilee.hunt.proxy, "_RANGE_BYTES", 1)
+    monkeypatch.setattr(wilee.hunt.proxy, "_cpus", lambda: count)
+    monkeypatch.setattr(wilee.hunt.proxy, "_forked", counting)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _line_at(data: bytes, offset: int) -> bytes:
+    """The line of ``data`` that holds byte ``offset``, with its end."""
+    start = data.rfind(b"\n", 0, offset) + 1
+    end = data.find(b"\n", offset)
+    return data[start : len(data) if end < 0 else end + 1]
+
+
+def _split_log(rng, path) -> Path:
+    """A :func:`_mixed_log`, now and then ending in a line longer than the
+    rest of the log, so that the cuts past its start fall at the end of
+    the file and the last ranges are empty."""
+    _mixed_log(rng, path)
+    if rng.random() < 0.2:
+        data = path.read_bytes()
+        if data and not data.endswith(b"\n"):
+            data += b"\n"
+        doc = {"event_id": "long", "timestamp": "2026-03-01T07:00:00Z", "host": "ws-001",
+               "entity_class": "Process", "fields": {"name": "x" * (2 * len(data) + 10)}}
+        path.write_bytes(data + json.dumps(doc).encode() + rng.choice((b"", b"\n")))
+    return path
+
+
+def test_split_read_equals_reference_read_on_mixed_logs(tmp_path, monkeypatch):
+    """Split into two to four ranges, the filtered read gives each key the
+    reference read's hits, one :class:`Event` per line shared by every
+    key that holds it and one host string per host, the log's SHA-256,
+    and on a bad log the reference read's first fault.  The ranges start
+    at line starts, next to blank and CRLF lines among others."""
+    rng = random.Random(20261102)
+    path = tmp_path / "events.ndjson"
+    forks = _force_split(monkeypatch, 2)
+    seen = Counter()
+    for trial in range(250):
+        count = rng.choice((2, 3, 4))
+        monkeypatch.setattr(wilee.hunt.proxy, "_cpus", lambda: count)
+        del forks[:]
+        _split_log(rng, path)
+        data = path.read_bytes()
+        spans = wilee.hunt.proxy._spans(path)
+        assert [start for start, _ in spans] == [0, *(end for _, end in spans[:-1])] and spans[-1][1] is None
+        for start, _ in spans[1:]:
+            assert start == len(data) or data[start - 1 : start] == b"\n", (trial, start)
+            seen["cut_after_crlf"] += data[start - 2 : start] == b"\r\n"
+            seen["cut_by_blank_line"] += any(
+                not line.strip() for line in (_line_at(data, start - 1), _line_at(data, start)) if start < len(data)
+            )
+        seen["empty_last_range"] += spans[-1][0] == len(data) > 0
+        seen["last_line_without_newline"] += spans[-1][0] < len(data) and not data.endswith(b"\n")
+        descriptors = [_differential_descriptor(rng, i) for i in range(rng.randrange(1, 6))]
+        descriptors.append(make_descriptor(descriptors[0].entity_class, []))  # shares events with the first
+        keys = list(dict.fromkeys(memo_key(q, _DIFF_DB) for q in descriptors))
+        by_class, expected, fault = oracle_read_events(path, keys)
+        if fault is not None:
+            seen["fault"] += 1
+            with pytest.raises(ProxyUnavailable) as info:
+                NdjsonProxy(path, keys)
+            assert str(info.value) == fault, trial
+            assert len(forks) == len(spans) - 1
+            continue
+        proxy = NdjsonProxy(path, keys)
+        assert len(forks) == len(spans) - 1
+        assert proxy.sha256 == hashlib.sha256(data).hexdigest()
+        first_range = {doc["event_id"] for _, doc in read_jsonl(path, None, 0, spans[0][1])}
+        shared: dict[str, Event] = {}
+        holders = Counter()
+        for key in keys:
+            found = _seeded(proxy)[key]
+            assert _attributes(found) == _lean(expected[key]), (trial, key)
+            for event in found:
+                assert shared.setdefault(event.event_id, event) is event, trial
+                holders[event.event_id] += 1
+        seen["shared_from_a_child"] += sum(1 for i, n in holders.items() if n > 1 and i not in first_range)
+        hosts = [event.host for event in shared.values()]
+        assert len({id(host) for host in hosts}) == len(set(hosts)), trial
+        cls = rng.choice(sorted(by_class) or ["Process"])
+        assert _attributes(proxy.scan(cls)) == _lean(by_class.get(cls, [])), trial  # a miss, read split again
+        seen["split_and_ok"] += len(spans) > 1
+    _assert_no_child_left()
+    assert min(seen.values()) >= 15, seen
+
+
+def _planted_log(path, rng, lines: list[bytes], at: dict[int, bytes]) -> Path:
+    path.write_bytes(b"".join(at.get(i, line) + b"\n" for i, line in enumerate(lines)))
+    return path
+
+
+def test_split_read_gives_the_first_fault_planted_in_any_range(tmp_path, monkeypatch):
+    """A bad line, or an event id that an earlier line of the same or an
+    earlier range holds, planted in each of three ranges (and a second
+    fault in a later range) fails the split read with the reference
+    read's message for the first fault."""
+    forks = _force_split(monkeypatch, 3)
+    rng = random.Random(20261103)
+    lines = [json.dumps(doc).encode() for doc in synth_log(rng, 90)]
+    ids = [json.loads(line)["event_id"] for line in lines]
+    path = tmp_path / "events.ndjson"
+    keys = [memo_key(make_descriptor("Process", []), IocDb())]
+    bad = [MALFORMED_EVENT_LINES[name][0] for name in ("invalid-json", "not-utf8", "links-null", "bad-timestamp")]
+    checked = Counter()
+    for _ in range(60):
+        at = {}
+        for _ in range(rng.choice((1, 1, 2))):
+            i = rng.randrange(1, len(lines))
+            if rng.random() < 0.5:
+                at[i] = rng.choice(bad)
+            else:  # the id of an earlier line
+                at[i] = lines[i].replace(ids[i].encode(), ids[rng.randrange(i)].encode())
+        _planted_log(path, rng, lines, at)
+        spans = wilee.hunt.proxy._spans(path)
+        assert len(spans) == 3
+        first = min(at)
+        offset = sum(len(at.get(i, line)) + 1 for i, line in enumerate(lines[:first]))
+        fault = oracle_read_events(path, keys)[2]
+        assert fault.startswith(f"{path}:{first + 1}: ")
+        del forks[:]
+        with pytest.raises(ProxyUnavailable) as info:
+            NdjsonProxy(path, keys)
+        assert str(info.value) == fault
+        assert len(forks) == 2
+        in_range = max(k for k, (start, _) in enumerate(spans) if start <= offset)
+        checked[in_range, "duplicate" in fault] += 1
+    _assert_no_child_left()
+    assert len(checked) == 6 and min(checked.values()) >= 3, checked
+
+
+def test_split_read_falls_back_to_one_pass_when_a_child_fails(tmp_path, monkeypatch):
+    """A child that dies before sending its hits, or a fork that fails,
+    leaves the read to one pass in this process: the same hits, once
+    each, the same SHA-256, and no child left."""
+    rng = random.Random(20261105)
+    path = write_ndjson(tmp_path / "events.ndjson", synth_log(rng, 300))
+    keys = [memo_key(make_descriptor(cls, []), IocDb()) for cls in ("Process", "File")]
+    serial = NdjsonProxy(path, keys)
+    forked = wilee.hunt.proxy._forked
+    _force_split(monkeypatch, 3)
+    calls = []
+
+    def dying(read, *args):
+        calls.append(read)
+        return forked(lambda *_: os._exit(3), *args)
+
+    def failing(read, *args):
+        calls.append(read)
+        if len(calls) == 2:
+            raise OSError("fork failed")
+        return forked(read, *args)
+
+    for broken in (dying, failing):
+        del calls[:]
+        monkeypatch.setattr(wilee.hunt.proxy, "_forked", broken)
+        proxy = NdjsonProxy(path, keys)
+        assert len(calls) == 2, broken
+        assert proxy.sha256 == serial.sha256
+        assert {key: _attributes(found) for key, found in _seeded(proxy).items()} == {
+            key: _attributes(found) for key, found in _seeded(serial).items()
+        }, broken
+        _assert_no_child_left()
+
+
+def test_split_read_leaves_no_child_process(tmp_path, monkeypatch):
+    """No child is left after a split read that succeeds, one that faults
+    in a child's range, and one interrupted in the parent's range; with a
+    second thread alive the read does not fork."""
+    import threading
+
+    forks = _force_split(monkeypatch, 2)
+    rng = random.Random(20261104)
+    path = write_ndjson(tmp_path / "events.ndjson", synth_log(rng, 200))
+    keys = [memo_key(make_descriptor("Process", []), IocDb())]
+    assert len(NdjsonProxy(path, keys).hits(keys[0])) > 0 and len(forks) == 1
+    _assert_no_child_left()
+
+    with path.open("ab") as handle:
+        handle.write(b"[1, 2]\n")
+    with pytest.raises(ProxyUnavailable, match=":201: expected a JSON object"):
+        NdjsonProxy(path, keys)
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+    parent = os.getpid()
+    checked = wilee.hunt.proxy._checked
+
+    def interrupted(doc, previous):
+        if os.getpid() == parent and doc["event_id"] == "bg000050":
+            raise KeyboardInterrupt
+        return checked(doc, previous)
+
+    path = write_ndjson(tmp_path / "events.ndjson", sorted(synth_log(rng, 200), key=lambda doc: doc["event_id"]))
+    monkeypatch.setattr(wilee.hunt.proxy, "_checked", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        NdjsonProxy(path, keys)
+    assert len(forks) == 3
+    _assert_no_child_left()
+    monkeypatch.setattr(wilee.hunt.proxy, "_checked", checked)
+
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert wilee.hunt.proxy._spans(path) == [(0, None)]
+        NdjsonProxy(path, keys)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(forks) == 3
+    assert len(wilee.hunt.proxy._spans(path)) == 2
