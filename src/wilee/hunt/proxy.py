@@ -54,16 +54,18 @@ every predicate on the field that the text passes:
   runs.  A key not seeded costs one more read of the file with that
   key's filter alone.
 
-  A filtered read of a large log uses every CPU the process may run
-  on.  :func:`_spans` cuts the log into line-aligned byte ranges, one
-  per CPU but none under :data:`_RANGE_BYTES` (1 MiB), when ``os.fork``
-  exists and no other thread is alive; a smaller log is one range, read
-  by the loop above.  This process reads the first range; a forked
-  child (:func:`_forked`) reads each other range with the same pass and
-  pickles back its hit lists and event ids.  This process hashes the
-  later ranges' bytes, so ``sha256`` is the same, then appends each
-  range's hits to each key's list in range order, which keeps log
-  order; an :class:`Event` stays one object however many keys hold it.
+  A filtered read of a large log uses a second CPU.  :func:`_spans`
+  cuts the log into line-aligned byte ranges, one per CPU the process
+  may run on but at most two (:func:`_readers`) and none under
+  :data:`_RANGE_BYTES` (1 MiB), when ``os.fork`` exists and no other
+  thread is alive; a smaller log is one range, read by the loop above.
+  This process reads the first range; a forked child (:func:`_forked`)
+  reads each other range with the same pass and pickles back its hit
+  lists and event ids.  This process hashes the later ranges' bytes, up
+  to the size the cut saw, so ``sha256`` names the bytes whose events
+  were read, then appends each range's hits to each key's list in range
+  order, which keeps log order; an :class:`Event` stays one object
+  however many keys hold it.
   If a range faults, or an event id is in two ranges, the whole log is
   read again in this process, so a fault gives the serial read's
   ``file:line`` message.  Every child is reaped before the read
@@ -98,7 +100,7 @@ import sys
 import threading
 from array import array
 from datetime import datetime, timezone
-from itertools import compress
+from itertools import compress, islice
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
@@ -257,7 +259,7 @@ class NdjsonProxy:
         self._read(_keep_hits(hits), digest)
         return digest
 
-    def _split_read(self, hits: dict[Key, list[Event]], spans: list[tuple[int, Optional[int]]], digest) -> bool:
+    def _split_read(self, hits: dict[Key, list[Event]], spans: list[tuple[int, int]], digest) -> bool:
         """Reads ``spans[0]`` here and each later span in a forked child
         (:func:`_forked`) that sends back its hit lists and event ids, and
         feeds ``digest`` the later spans' bytes; then appends each child's
@@ -265,9 +267,8 @@ class NdjsonProxy:
         reaped, if a span faults or an event id is in two spans."""
         keep = _keep_hits(hits)
 
-        def read_span(start: int, end: Optional[int]) -> tuple[list[list[Event]], list[str]]:
-            # A list of ids unpickles to no set table of its own.
-            return [*hits.values()], [*self._read(keep, None, start, end)]
+        def read_span(start: int, end: int) -> tuple[list[list[Event]], set[str]]:
+            return [*hits.values()], self._read(keep, None, start, end)
 
         readers: list[tuple[int, int]] = []
         later: list[list[list[Event]]] = []  # each later span's hit lists
@@ -278,18 +279,16 @@ class NdjsonProxy:
             if digest is not None:
                 with open(self.path, "rb") as handle:
                     handle.seek(spans[0][1])
-                    while chunk := handle.read(1 << 20):
+                    left = spans[-1][1] - spans[0][1]
+                    while left > 0 and (chunk := handle.read(min(left, 1 << 20))):
                         digest.update(chunk)
-            # One child's ids are held at a time, and the last span's need
-            # no check against a later one.
+                        left -= len(chunk)
+            # The last span's ids need no check against a later one.
             for n, (_, fd) in enumerate(readers, 1):
-                part = _unpickled(fd)
-                if part is None or not seen.isdisjoint(part[1]):
+                lists = _received(fd, seen, n < len(readers))
+                if lists is None:
                     return False
-                if n < len(readers):
-                    seen.update(part[1])
-                later.append(part[0])
-                del part
+                later.append(lists)
         except (OSError, ProxyUnavailable):
             return False
         finally:
@@ -393,42 +392,54 @@ _RANGE_BYTES = 1 << 20
 
 def _spans(path: Path) -> list[tuple[int, Optional[int]]]:
     """The byte ranges ``(start, end)`` the filtered read splits the log
-    into, each starting at a line start, the last one's ``end`` ``None``
-    (the end of the file): as many as this process may use CPUs, but
-    none under :data:`_RANGE_BYTES`.  One range, the whole log, where the
-    log is smaller, cannot be read, or another thread is alive, or
-    there is no ``os.fork``."""
+    into, each starting at a line start, the last one ending at the
+    file's size as this call sees it: one per reader (:func:`_readers`),
+    but none under :data:`_RANGE_BYTES`.  ``[(0, None)]``, the whole log
+    to its end, where the log is smaller or cannot be read, another
+    thread is alive, or there is no ``os.fork``."""
     try:
         size = path.stat().st_size
-    except OSError:
+        count = min(_readers(), size // _RANGE_BYTES)
+        if count < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
+            return [(0, None)]
+        cuts = [0]
+        with open(path, "rb") as handle:
+            for k in range(1, count):
+                # After the line end at or past the even cut, or where the
+                # last range ended, if a long line took it past this cut.
+                handle.seek(max(k * size // count, cuts[-1]) - 1)
+                handle.readline()
+                cuts.append(min(handle.tell(), size))
+    except OSError:  # the serial read raises its own error
         return [(0, None)]
-    count = min(_cpus(), size // _RANGE_BYTES)
-    if count < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
-        return [(0, None)]
-    cuts = [0]
-    with open(path, "rb") as handle:
-        for k in range(1, count):
-            # After the line end at or past the even cut, or where the
-            # last range ended, if a long line took it past this cut.
-            handle.seek(max(k * size // count, cuts[-1]) - 1)
-            handle.readline()
-            cuts.append(handle.tell())
-    return list(zip(cuts, [*cuts[1:], None]))
+    return list(zip(cuts, [*cuts[1:], size]))
 
 
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
+def _readers() -> int:
+    """How many ranges a split read may have: one per CPU this process
+    may run on, but at most two, the count :data:`_RANGE_BYTES` was
+    measured at.  The affinity mask does not see a CPU quota, and the
+    parent's share of the merge grows with each range."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, 2)
 
 
-def _forked(read: Callable[..., object], *args) -> tuple[int, int]:
-    """``(pid, pipe)`` of a forked child that pickles what
-    ``read(*args)`` returns into the pipe and exits.  The child never
-    returns from this call; if it fails, it exits without a whole
-    pickle."""
+# The most event ids in one pickle a child sends.  A pickler's memo
+# holds every object of its pickle: 24 MB for one list of 500k ids.
+_IDS_PER_PICKLE = 1 << 16
+
+
+def _forked(read: Callable[..., tuple[list, set[str]]], *args) -> tuple[int, int]:
+    """``(pid, pipe)`` of a forked child that sends what ``read(*args)``
+    returns, its hit lists and its event ids, into the pipe and exits:
+    the lists as one pickle, so that an :class:`Event` that several
+    lists hold is sent once, then the ids as lists of at most
+    :data:`_IDS_PER_PICKLE`, then an empty list.  The child never
+    returns from this call; if it fails, it exits before the empty
+    list."""
     pipe, sink = os.pipe()
     try:
         pid = os.fork()
@@ -443,36 +454,33 @@ def _forked(read: Callable[..., object], *args) -> tuple[int, int]:
     try:
         os.close(pipe)
         with open(sink, "wb") as out:
-            _EventPickler(out, pickle.HIGHEST_PROTOCOL).dump(read(*args))
+            lists, ids = read(*args)
+            pickle.dump(lists, out, pickle.HIGHEST_PROTOCOL)
+            ids = iter(ids)
+            while chunk := [*islice(ids, _IDS_PER_PICKLE)]:
+                pickle.dump(chunk, out, pickle.HIGHEST_PROTOCOL)
+            pickle.dump([], out, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
 
 
-def _unpickled(pipe: int):
-    """What a forked child pickled into ``pipe``, or ``None`` if it sent
-    no whole pickle.  Leaves the pipe open."""
+def _received(pipe: int, seen: set[str], more: bool) -> Optional[list]:
+    """The hit lists a forked child sent into ``pipe`` (see
+    :func:`_forked`), or ``None`` if it did not send all it had or one of
+    its event ids is in ``seen``.  Adds its ids to ``seen`` if ``more``
+    spans are to be checked.  Leaves the pipe open."""
     try:
         with open(pipe, "rb", closefd=False) as source:
-            return pickle.load(source)
+            lists = pickle.load(source)
+            while ids := pickle.load(source):
+                if not seen.isdisjoint(ids):
+                    return None
+                if more:
+                    seen.update(ids)
     except (EOFError, pickle.UnpicklingError):  # the child failed
         return None
-
-
-class _EventPickler(pickle.Pickler):
-    """Pickles each :class:`Event` once, however many lists hold it, as
-    a call of :func:`_interned_event`."""
-
-    def reducer_override(self, obj):
-        if type(obj) is Event:
-            return _interned_event, tuple(obj)
-        return NotImplemented
-
-
-def _interned_event(event_id: str, host: str, moment: datetime, links: tuple) -> Event:
-    """An unpickled :class:`Event`, its host interned as :func:`_event`
-    interns it."""
-    return Event(event_id, sys.intern(host), moment, links)
+    return lists
 
 
 class _Class:

@@ -102,8 +102,9 @@ def read_jsonl(path: Path, digest=None, start: int = 0, end: Optional[int] = Non
     file, read one line at a time; a line that is not UTF-8 or not a
     JSON object raises :class:`FormatError`.  ``digest``, a ``hashlib``
     object, if given, is fed every byte read.  ``start`` and ``end``, byte
-    offsets at line starts, read the lines between them only (``end``
-    ``None``: to the end of the file), numbered from 1 at ``start``.
+    offsets at line starts, read the bytes between them only (``end``
+    ``None``: to the end of the file), lines numbered from 1 at
+    ``start``.
 
     Lines end at ``\n`` only, so a JSON string may hold any other line
     separator (U+2028, U+0085) raw; a ``\r`` before the ``\n`` is JSON
@@ -135,10 +136,10 @@ def read_jsonl(path: Path, digest=None, start: int = 0, end: Optional[int] = Non
 
 
 def _lines_within(handle, size: int) -> Iterator[bytes]:
-    """The lines of ``handle`` from where it stands that start within the
-    next ``size`` bytes."""
+    """The lines of ``handle`` within the next ``size`` bytes from where
+    it stands, the last one cut at that end if it runs past it."""
     while size > 0:
-        raw = handle.readline()
+        raw = handle.readline(size)
         if not raw:
             return
         yield raw

@@ -967,7 +967,7 @@ def test_split_hunt_writes_the_serial_outputs(workspace, tmp_path, monkeypatch):
     forked = wilee.hunt.proxy._forked
     monkeypatch.setattr(wilee.hunt.proxy, "_forked", lambda *args: forks.append(args) or forked(*args))
     monkeypatch.setattr(wilee.hunt.proxy, "_RANGE_BYTES", 1)
-    monkeypatch.setattr(wilee.hunt.proxy, "_cpus", lambda: 3)
+    monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 3)
     for fmt in ("json", "md"):
         serial = tmp_path / f"serial-{fmt}"
         assert main(hunt_args(workspace, log, out, fmt=fmt)) == 0

@@ -149,7 +149,7 @@ def _split_outcome(path, keys):
     """:func:`_read_outcome` of the filtered read split into three ranges."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wilee.hunt.proxy, "_RANGE_BYTES", 1)
-        patch.setattr(wilee.hunt.proxy, "_cpus", lambda: 3)
+        patch.setattr(wilee.hunt.proxy, "_readers", lambda: 3)
         return _read_outcome(path, keys)
 
 

@@ -1414,7 +1414,8 @@ def test_reads_equal_reference_read_on_mixed_logs(tmp_path):
 
 def _force_split(monkeypatch, count: int) -> list[int]:
     """Makes the filtered read split any log of ``count`` bytes or more
-    into ``count`` ranges; returns the list each fork appends its pid to."""
+    into ``count`` ranges, its children sending their event ids three to
+    a pickle; returns the list each fork appends its pid to."""
     forks = []
     forked = wilee.hunt.proxy._forked
 
@@ -1424,7 +1425,8 @@ def _force_split(monkeypatch, count: int) -> list[int]:
         return pid, pipe
 
     monkeypatch.setattr(wilee.hunt.proxy, "_RANGE_BYTES", 1)
-    monkeypatch.setattr(wilee.hunt.proxy, "_cpus", lambda: count)
+    monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: count)
+    monkeypatch.setattr(wilee.hunt.proxy, "_IDS_PER_PICKLE", 3)
     monkeypatch.setattr(wilee.hunt.proxy, "_forked", counting)
     return forks
 
@@ -1459,7 +1461,7 @@ def _split_log(rng, path) -> Path:
 def test_split_read_equals_reference_read_on_mixed_logs(tmp_path, monkeypatch):
     """Split into two to four ranges, the filtered read gives each key the
     reference read's hits, one :class:`Event` per line shared by every
-    key that holds it and one host string per host, the log's SHA-256,
+    key that holds it, the log's SHA-256,
     and on a bad log the reference read's first fault.  The ranges start
     at line starts, next to blank and CRLF lines among others."""
     rng = random.Random(20261102)
@@ -1468,12 +1470,13 @@ def test_split_read_equals_reference_read_on_mixed_logs(tmp_path, monkeypatch):
     seen = Counter()
     for trial in range(250):
         count = rng.choice((2, 3, 4))
-        monkeypatch.setattr(wilee.hunt.proxy, "_cpus", lambda: count)
+        monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: count)
         del forks[:]
         _split_log(rng, path)
         data = path.read_bytes()
         spans = wilee.hunt.proxy._spans(path)
-        assert [start for start, _ in spans] == [0, *(end for _, end in spans[:-1])] and spans[-1][1] is None
+        assert [start for start, _ in spans] == [0, *(end for _, end in spans[:-1])]
+        assert spans[-1][1] == (None if len(spans) == 1 else len(data)), trial
         for start, _ in spans[1:]:
             assert start == len(data) or data[start - 1 : start] == b"\n", (trial, start)
             seen["cut_after_crlf"] += data[start - 2 : start] == b"\r\n"
@@ -1506,8 +1509,6 @@ def test_split_read_equals_reference_read_on_mixed_logs(tmp_path, monkeypatch):
                 assert shared.setdefault(event.event_id, event) is event, trial
                 holders[event.event_id] += 1
         seen["shared_from_a_child"] += sum(1 for i, n in holders.items() if n > 1 and i not in first_range)
-        hosts = [event.host for event in shared.values()]
-        assert len({id(host) for host in hosts}) == len(set(hosts)), trial
         cls = rng.choice(sorted(by_class) or ["Process"])
         assert _attributes(proxy.scan(cls)) == _lean(by_class.get(cls, [])), trial  # a miss, read split again
         seen["split_and_ok"] += len(spans) > 1
@@ -1562,7 +1563,9 @@ def test_split_read_gives_the_first_fault_planted_in_any_range(tmp_path, monkeyp
 def test_split_read_falls_back_to_one_pass_when_a_child_fails(tmp_path, monkeypatch):
     """A child that dies before sending its hits, or a fork that fails,
     leaves the read to one pass in this process: the same hits, once
-    each, the same SHA-256, and no child left."""
+    each, the same SHA-256, and no child left.  A log that can be
+    stat'ed but not opened is not split, and fails with the serial
+    read's message."""
     rng = random.Random(20261105)
     path = write_ndjson(tmp_path / "events.ndjson", synth_log(rng, 300))
     keys = [memo_key(make_descriptor(cls, []), IocDb()) for cls in ("Process", "File")]
@@ -1591,6 +1594,61 @@ def test_split_read_falls_back_to_one_pass_when_a_child_fails(tmp_path, monkeypa
             key: _attributes(found) for key, found in _seeded(serial).items()
         }, broken
         _assert_no_child_left()
+
+    unreadable = tmp_path / "unreadable"
+    unreadable.mkdir()
+    for name in "abc":
+        (unreadable / name).touch()
+    assert unreadable.stat().st_size >= 3
+    monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 1)
+    with pytest.raises(ProxyUnavailable) as serial_error:
+        NdjsonProxy(unreadable, keys)
+    assert str(serial_error.value).startswith(f"cannot read event log {unreadable}: ")
+    monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 3)
+    del calls[:]
+    assert wilee.hunt.proxy._spans(unreadable) == [(0, None)]
+    with pytest.raises(ProxyUnavailable) as split_error:
+        NdjsonProxy(unreadable, keys)
+    assert str(split_error.value) == str(serial_error.value) and not calls
+
+
+def test_split_read_hashes_the_bytes_it_reads(tmp_path, monkeypatch):
+    """Bytes appended to the log after it was cut, a new line or the rest
+    of an unfinished last line, are neither read nor hashed: ``sha256``
+    names the bytes whose events the split read gives."""
+    forks = _force_split(monkeypatch, 2)
+    rng = random.Random(20261106)
+    keys = [memo_key(make_descriptor("Process", []), IocDb())]
+    cut = wilee.hunt.proxy._spans
+    for n, tail in enumerate((b"\n", b"")):
+        path = write_ndjson(tmp_path / f"events-{n}.ndjson", synth_log(rng, 200))
+        data = path.read_bytes()[:-1] + tail
+        path.write_bytes(data)
+        expected = oracle_read_events(path, keys)[1][keys[0]]
+        appended = b'{"event_id": "late", "timestamp": "2026-03-01T07:00:00Z", "host": "h", "entity_class": "Process"}\n'
+
+        def cut_then_append(path):
+            spans = cut(path)
+            with path.open("ab") as handle:
+                handle.write(b"\n" + appended if tail == b"\n" else b"  " + appended)
+            return spans
+
+        monkeypatch.setattr(wilee.hunt.proxy, "_spans", cut_then_append)
+        del forks[:]
+        proxy = NdjsonProxy(path, keys)
+        monkeypatch.setattr(wilee.hunt.proxy, "_spans", cut)
+        assert len(forks) == 1
+        assert proxy.sha256 == hashlib.sha256(data).hexdigest(), n
+        assert _attributes(_seeded(proxy)[keys[0]]) == _lean(expected), n
+    _assert_no_child_left()
+
+
+def test_split_read_uses_at_most_two_ranges(monkeypatch):
+    """One range per CPU the process may run on, but no more than the two
+    the range size was measured with."""
+    for cpus, readers in ((1, 1), (2, 2), (3, 2), (64, 2)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(cpus)), raising=False)
+        assert wilee.hunt.proxy._readers() == readers, cpus
 
 
 def test_split_read_leaves_no_child_process(tmp_path, monkeypatch):
