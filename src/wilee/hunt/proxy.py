@@ -57,7 +57,7 @@ every predicate on the field that the text passes:
   A filtered read of a large log uses a second CPU.  :func:`_spans`
   cuts the log into line-aligned byte ranges, one per CPU the process
   may run on but at most two (:func:`_readers`) and none under
-  :data:`_RANGE_BYTES` (1 MiB), when ``os.fork`` exists and no other
+  :data:`_RANGE_BYTES` (8 MiB), when ``os.fork`` exists and no other
   thread is alive; a smaller log is one range, read by the loop above.
   This process reads the first range; a forked child (:func:`_forked`)
   reads each other range with the same pass and pickles back its hit
@@ -382,12 +382,15 @@ def _links(links) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
-# The fewest bytes of log each range of a split filtered read holds.  On
-# two vCPUs (Python 3.11) the serial read takes about 19 ms per MiB, and
-# a split into two takes 9-10 ms more than half of that (the fork,
-# pickling a range's hits and event ids, the merge): even at about 1 MiB
-# of log, a gain of about 10 ms at 2 MiB.
-_RANGE_BYTES = 1 << 20
+# The fewest bytes of log each range of a split filtered read holds.  A
+# split read waits for its child, so it is only as fast as the second
+# CPU is free, and that swings with the host's load.  On two shared
+# vCPUs (Python 3.11, `wilee hunt` on prefixes of the `hunt_scale`
+# seed-1 log, 11 interleaved pairs) the split won 0 of 11 pairs at 3.8
+# and 8 MB and 4 of 11 at 10 MB in one series, 5 of 5 at 3.8 MB in
+# another, and every pair at 12 MB and above, by 14-40 %.  Ranges of
+# 8 MiB keep logs under 16 MiB serial, clear of that crossover.
+_RANGE_BYTES = 8 << 20
 
 
 def _spans(path: Path) -> list[tuple[int, Optional[int]]]:
