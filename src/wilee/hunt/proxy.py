@@ -30,7 +30,8 @@ every predicate on the field that the text passes:
   knows in advance.  A key not seen before is answered by a scan of its
   class's code columns (:meth:`NdjsonProxy._indexed`): each distinct
   text of a field the filter names gets its verdict once, so a glob is
-  tested once per distinct text, into a table of one byte per code; the
+  tested once per distinct text (of each part, see below), into a table
+  of one byte per code; the
   first field's column is scanned through its table, and each further
   field filters only the positions that passed.  A new key costs
   O(distinct texts + class size) and retains nothing but its answer.
@@ -54,22 +55,33 @@ every predicate on the field that the text passes:
   runs.  A key not seeded costs one more read of the file with that
   key's filter alone.
 
-  A filtered read of a large log uses a second CPU.  :func:`_spans`
-  cuts the log into line-aligned byte ranges, one per CPU the process
-  may run on but at most two (:func:`_readers`) and none under
-  :data:`_RANGE_BYTES` (8 MiB), when ``os.fork`` exists and no other
-  thread is alive; a smaller log is one range, read by the loop above.
-  This process reads the first range; a forked child (:func:`_forked`)
-  reads each other range with the same pass and pickles back its hit
-  lists and event ids.  This process hashes the later ranges' bytes, up
-  to the size the cut saw, so ``sha256`` names the bytes whose events
-  were read, then appends each range's hits to each key's list in range
-  order, which keeps log order; an :class:`Event` stays one object
-  however many keys hold it.
-  If a range faults, or an event id is in two ranges, the whole log is
-  read again in this process, so a fault gives the serial read's
-  ``file:line`` message.  Every child is reaped before the read
-  returns or raises.  The whole read is always serial.
+Either read of a large log uses a second CPU.  :func:`_spans` cuts the
+log into line-aligned byte ranges, one per CPU the process may run on and
+its cgroup's CPU quota allows, but at most two (:func:`_readers`), and
+none under :data:`_RANGE_BYTES` (8 MiB), when ``os.fork`` exists and no
+other thread is alive; a smaller log is one range, read by the loops
+above.  This process reads the first range; a forked child
+(:func:`_forked`) reads each other range with the same loop and pickles
+back what it kept: the filtered read's hit lists, then its event ids in
+bounded batches; the whole read's columns, whose class id lists serve as
+its ids.  This process hashes the later ranges' bytes, up to the size
+the cut saw, so ``sha256`` names the bytes whose events were read, then
+takes each range's result in range order, which keeps log order
+(:meth:`NdjsonProxy._split_read`).  The filtered read appends each
+range's hits to each key's list; an :class:`Event` stays one object
+however many keys hold it.  The whole read keeps each range's columns as
+they came, as one :class:`_Part` per range with its own timestamp and
+host tables, since recoding a child's codes into this process's tables
+cost as much as the split saved.  A key's hits are each part's answer in
+part order, so a distinct text in both parts gets its verdict in each,
+and a moment or host in both parts is two equal objects.  On two vCPUs
+the whole read of the benchmark's 22.9 MB ``hunt_scale`` log takes about
+30 % less time; the child peaks at about 50 MB RSS, part of it pages it
+shares with this process since the fork, and pickles back about
+3.7 MB.  If a range faults, or an event id is in two ranges, the
+whole log is read again in this process, so a fault gives the serial
+read's ``file:line`` message.  Every child is reaped before the read
+returns or raises.
 
 The line loop is shared.  :func:`~wilee.stores.read_jsonl` takes a line
 from one call of the C JSON scanner when the line is one object and then
@@ -100,7 +112,8 @@ import sys
 import threading
 from array import array
 from datetime import datetime, timezone
-from itertools import compress, islice
+from functools import partial
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
@@ -172,13 +185,8 @@ class NdjsonProxy:
         self._whole = keys is None
         digest = hashlib.sha256()
         if self._whole:
-            self._classes: dict[str, _Class] = {}
-            self._stamps: list[datetime] = []  # the moment of each distinct timestamp text
-            hosts: dict[str, int] = {}
-            self._read(_keep_columns(self._classes, self._stamps, hosts), digest)
-            self._hosts = list(hosts)
-            for held in self._classes.values():
-                held.fields = {var: ([None, *texts], codes) for var, (texts, codes) in held.fields.items()}
+            self._parts: list[_Part] = []  # one per span of the log, in log order
+            digest = self._load(self._read_part, self._parts.append, digest)
             self._hits: dict[Key, list[Event]] = {}
         else:
             self._hits = {key: [] for key in keys}
@@ -203,79 +211,96 @@ class NdjsonProxy:
 
     def _indexed(self, entity_class: str, filt: Filter) -> list[Event]:
         """The events of the class whose fields pass ``filt``, in log
-        order.  Each field the filter names gets a table of one byte per
-        code: whether the verdict of the code's text (see
-        :func:`_field_verdicts`) covers the mask of the filter's
-        predicates on that field.  The first field's code column is
-        scanned, and each further field keeps only the positions that
-        passed so far."""
-        held = self._classes.get(entity_class) or _Class()
+        order: each part's, in part order.  In a part, each field the
+        filter names gets a table of one byte per code: whether the
+        verdict of the code's text (see :func:`_field_verdicts`) covers
+        the mask of the filter's predicates on that field.  The first
+        field's code column is scanned, and each further field keeps only
+        the positions that passed so far."""
         bits = {predicate: bit for bit, predicate in enumerate(dict.fromkeys(filt))}
-        positions: Iterable[int] = range(len(held.ids))
-        for n, (var, known, fill) in enumerate(_field_verdicts(bits)):
-            if var not in held.fields:
-                return []
-            texts, codes = held.fields[var]
-            want = sum(1 << bit for (field, _, _), bit in bits.items() if field == var)
-            masks = map(fill, texts[1:]) if fill else (known.get(text, 0) for text in texts[1:])
-            passes = bytes([0, *(mask & want == want for mask in masks)])
-            if n == 0:
-                positions = compress(positions, map(passes.__getitem__, codes))
-            else:
-                positions = [i for i in positions if passes[codes[i]]]
-        return self._events(held, positions)
-
-    def _events(self, held: _Class, positions: Iterable[int]) -> list[Event]:
-        """The :class:`Event` at each of the class's ``positions``, each
-        built on its first request and kept for the proxy's lifetime."""
-        made = held.events
-        stamps, hosts, ids, links = self._stamps, self._hosts, held.ids, held.links
-        events = []
-        for i in positions:
-            event = made.get(i)
-            if event is None:
-                event = made[i] = Event(ids[i], hosts[held.hosts[i]], stamps[held.stamps[i]], links.get(i, ()))
-            events.append(event)
-        return events
+        verdicts = _field_verdicts(bits)
+        found: list[Event] = []
+        for part in self._parts:
+            held = part.classes.get(entity_class)
+            if held is None:
+                continue
+            positions: Iterable[int] = range(len(held.ids))
+            for n, (var, known, fill) in enumerate(verdicts):
+                if var not in held.fields:
+                    positions = ()
+                    break
+                texts, codes = held.fields[var]
+                want = sum(1 << bit for (field, _, _), bit in bits.items() if field == var)
+                masks = map(fill, texts[1:]) if fill else (known.get(text, 0) for text in texts[1:])
+                passes = bytes([0, *(mask & want == want for mask in masks)])
+                if n == 0:
+                    positions = compress(positions, map(passes.__getitem__, codes))
+                else:
+                    positions = [i for i in positions if passes[codes[i]]]
+            part.events(held, positions, found)
+        return found
 
     def _read_hits(self, hits: dict[Key, list[Event]], digest=None):
         """The filtered read: appends to each key's list in ``hits`` (all
         empty) the events its filter passes, in log order (see
-        :func:`_keep_hits`).  Returns ``digest``, a fresh ``hashlib``
+        :func:`_keep_hits`).  Returns ``digest`` as :meth:`_load` does."""
+
+        def read(start: int, end: Optional[int], digest, seen: set[str]) -> tuple:
+            found: dict[Key, list[Event]] = {key: [] for key in hits}
+            self._read(_keep_hits(found), start, end, digest, seen)
+            return [*found.values()], (), seen
+
+        def take(lists: list[list[Event]]) -> None:
+            for found, more in zip(hits.values(), lists):
+                found += more
+
+        return self._load(read, take, digest)
+
+    def _read_part(self, start: int, end: Optional[int], digest, seen: set[str]) -> tuple:
+        """The whole read of one span: a :class:`_Part` of the columns of
+        its lines, the event id lists of its classes, and no other id."""
+        part, hosts = _Part(), {}
+        self._read(_keep_columns(part, hosts), start, end, digest, seen)
+        part.hosts = list(hosts)
+        for held in part.classes.values():
+            held.fields = {var: ([None, *texts], codes) for var, (texts, codes) in held.fields.items()}
+        return part, [held.ids for held in part.classes.values()], ()
+
+    def _load(self, read: Callable[..., tuple], take: Callable[[object], None], digest=None):
+        """Reads the log with ``read`` and gives ``take`` each span's
+        result, in log order.  ``read(start, end, digest, seen)`` reads
+        the lines between two byte offsets with :meth:`_read` and
+        returns ``(result, held, sent)``: what it kept of them, the lists
+        of their event ids that ``result`` holds, and the rest of their
+        ids (see :func:`_forked`).  Returns ``digest``, a fresh ``hashlib``
         object or ``None``, fed every byte of the log; after a split read
         that faulted, a copy of it that the serial read fed instead.  A
-        log of more than one range (:func:`_spans`) is read split
+        log of more than one span (:func:`_spans`) is read split
         (:meth:`_split_read`); when that faults, the whole log is read
         again in this process, so a fault raises what the serial read
         raises."""
         spans = _spans(self.path)
         if len(spans) > 1:
             unfed = None if digest is None else digest.copy()
-            if self._split_read(hits, spans, digest):
+            if self._split_read(spans, digest, read, take):
                 return digest
-            for found in hits.values():
-                found.clear()
             digest = unfed
-        self._read(_keep_hits(hits), digest)
+        take(read(0, None, digest, set())[0])
         return digest
 
-    def _split_read(self, hits: dict[Key, list[Event]], spans: list[tuple[int, int]], digest) -> bool:
+    def _split_read(self, spans: list[tuple[int, int]], digest, read: Callable[..., tuple], take) -> bool:
         """Reads ``spans[0]`` here and each later span in a forked child
-        (:func:`_forked`) that sends back its hit lists and event ids, and
-        feeds ``digest`` the later spans' bytes; then appends each child's
-        hits to ``hits`` in span order.  Returns ``False``, every child
-        reaped, if a span faults or an event id is in two spans."""
-        keep = _keep_hits(hits)
-
-        def read_span(start: int, end: int) -> tuple[list[list[Event]], set[str]]:
-            return [*hits.values()], self._read(keep, None, start, end)
-
+        (:func:`_forked`), each with ``read``, and feeds ``digest`` the
+        later spans' bytes; then gives ``take`` each span's result in span
+        order.  Returns ``False``, every child reaped and nothing taken,
+        if a span faults or an event id is in two spans."""
         readers: list[tuple[int, int]] = []
-        later: list[list[list[Event]]] = []  # each later span's hit lists
+        results: list = []  # each span's result
         try:
             for span in spans[1:]:
-                readers.append(_forked(read_span, *span))
-            seen = self._read(keep, digest, 0, spans[0][1])
+                readers.append(_forked(read, *span))
+            seen: set[str] = set()
+            results.append(read(0, spans[0][1], digest, seen)[0])
             if digest is not None:
                 with open(self.path, "rb") as handle:
                     handle.seek(spans[0][1])
@@ -285,35 +310,33 @@ class NdjsonProxy:
                         left -= len(chunk)
             # The last span's ids need no check against a later one.
             for n, (_, fd) in enumerate(readers, 1):
-                lists = _received(fd, seen, n < len(readers))
-                if lists is None:
+                result = _received(fd, seen, n < len(readers))
+                if result is None:
                     return False
-                later.append(lists)
+                results.append(result)
         except (OSError, ProxyUnavailable):
             return False
         finally:
             # A child whose pipe was read through has finished or is
             # failing to write to it; any other is stopped.
-            kill = len(later) < len(readers)
+            kill = len(results) <= len(readers)
             for pid, fd in readers:
                 os.close(fd)
                 if kill:
                     os.kill(pid, signal.SIGKILL)
             for pid, _ in readers:
                 os.waitpid(pid, 0)
-        for lists in later:
-            for found, more in zip(hits.values(), lists):
-                found += more
+        for result in results:
+            take(result)
         return True
 
-    def _read(self, keep: Callable[[tuple], None], digest=None, start: int = 0, end: Optional[int] = None) -> set[str]:
-        """Check each line (:func:`_checked`) and run ``keep`` on its row;
-        ``digest``, if given, is fed every byte read.  Any malformed line
-        or duplicate ``event_id`` raises :class:`ProxyUnavailable` naming
-        ``file:line``.  ``start`` and ``end`` read the lines between
-        those byte offsets only (see :func:`~wilee.stores.read_jsonl`).
-        Returns the event ids read."""
-        seen: set[str] = set()
+    def _read(self, keep: Callable[[tuple], None], start: int, end: Optional[int], digest, seen: set[str]) -> None:
+        """Check each line between byte offsets ``start`` and ``end`` (see
+        :func:`~wilee.stores.read_jsonl`) with :func:`_checked`, add its
+        event id to ``seen`` and run ``keep`` on its row; ``digest``, if
+        given, is fed every byte read.  Any malformed line or an event id
+        already in ``seen`` raises :class:`ProxyUnavailable` naming
+        ``file:line``."""
         row = _NO_ROW
         try:
             for lineno, doc in read_jsonl(self.path, digest, start, end):
@@ -329,7 +352,6 @@ class NdjsonProxy:
             raise ProxyUnavailable(f"cannot read event log {self.path}: {exc}") from None
         except FormatError as exc:
             raise ProxyUnavailable(str(exc)) from None
-        return seen
 
     def scan(self, entity_class: str) -> list[Event]:
         """A new list of every event of the class, in log order."""
@@ -382,27 +404,30 @@ def _links(links) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
-# The fewest bytes of log each range of a split filtered read holds.  A
-# split read waits for its child, so it is only as fast as the second
-# CPU is free, and that swings with the host's load.  On two shared
-# vCPUs (Python 3.11, `wilee hunt` on prefixes of the `hunt_scale`
-# seed-1 log, 11 interleaved pairs) the split won 0 of 11 pairs at 3.8
-# and 8 MB and 4 of 11 at 10 MB in one series, 5 of 5 at 3.8 MB in
-# another, and every pair at 12 MB and above, by 14-40 %.  Ranges of
-# 8 MiB keep logs under 16 MiB serial, clear of that crossover.
+# The fewest bytes of log each range of a split read holds, whole or
+# filtered.  A split read waits for its child, so it is only as fast as
+# the second CPU is free, and that swings with the host's load.  On two
+# shared vCPUs (Python 3.11, `wilee hunt` on prefixes of the
+# `hunt_scale` seed-1 log, 11 interleaved pairs) the split won 0 of 11
+# pairs at 3.8 and 8 MB and 4 of 11 at 10 MB in one series, 5 of 5 at
+# 3.8 MB in another, and every pair at 12 MB and above, by 14-40 %.
+# Ranges of 8 MiB keep logs under 16 MiB serial, clear of that
+# crossover.
 _RANGE_BYTES = 8 << 20
 
 
 def _spans(path: Path) -> list[tuple[int, Optional[int]]]:
-    """The byte ranges ``(start, end)`` the filtered read splits the log
-    into, each starting at a line start, the last one ending at the
-    file's size as this call sees it: one per reader (:func:`_readers`),
+    """The byte ranges ``(start, end)`` a read splits the log into,
+    each starting at a line start, the last one ending at the file's
+    size as this call sees it: one per reader (:func:`_readers`),
     but none under :data:`_RANGE_BYTES`.  ``[(0, None)]``, the whole log
     to its end, where the log is smaller or cannot be read, another
     thread is alive, or there is no ``os.fork``."""
     try:
         size = path.stat().st_size
-        count = min(_readers(), size // _RANGE_BYTES)
+        count = size // _RANGE_BYTES
+        if count > 1:
+            count = min(count, _readers())
         if count < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
             return [(0, None)]
         cuts = [0]
@@ -420,14 +445,42 @@ def _spans(path: Path) -> list[tuple[int, Optional[int]]]:
 
 def _readers() -> int:
     """How many ranges a split read may have: one per CPU this process
-    may run on, but at most two, the count :data:`_RANGE_BYTES` was
-    measured at.  The affinity mask does not see a CPU quota, and the
-    parent's share of the merge grows with each range."""
+    may run on and its cgroup's CPU quota allows in full
+    (:func:`_quota_cpus`), but at most two, the count
+    :data:`_RANGE_BYTES` was measured at; the parent's share of the
+    merge grows with each range."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
-    return min(cpus, 2)
+    quota = _quota_cpus()
+    if quota is not None:
+        cpus = min(cpus, int(quota))
+    return max(1, min(cpus, 2))
+
+
+# The cgroup file system root, where :func:`_quota_cpus` reads the quota.
+_CGROUP = Path("/sys/fs/cgroup")
+
+
+def _quota_cpus() -> Optional[float]:
+    """The CPUs the CPU quota of this process's cgroup allows: cgroup
+    v2's ``cpu.max`` (``"<quota> <period>"``, or ``"max ..."`` for
+    none) or, where that file does not exist, cgroup v1's
+    ``cpu/cpu.cfs_quota_us`` (-1 for none) over ``cpu/cpu.cfs_period_us``.
+    ``None`` if there is no quota, or no file can be read or parsed."""
+    try:
+        try:
+            quota, period = (_CGROUP / "cpu.max").read_text().split()
+        except FileNotFoundError:
+            quota = (_CGROUP / "cpu" / "cpu.cfs_quota_us").read_text().strip()
+            period = (_CGROUP / "cpu" / "cpu.cfs_period_us").read_text()
+        if quota in ("max", "-1"):
+            return None
+        cpus = int(quota) / int(period)
+    except (OSError, ValueError, ZeroDivisionError):
+        return None
+    return cpus if cpus > 0 else None
 
 
 # The most event ids in one pickle a child sends.  A pickler's memo
@@ -435,14 +488,15 @@ def _readers() -> int:
 _IDS_PER_PICKLE = 1 << 16
 
 
-def _forked(read: Callable[..., tuple[list, set[str]]], *args) -> tuple[int, int]:
-    """``(pid, pipe)`` of a forked child that sends what ``read(*args)``
-    returns, its hit lists and its event ids, into the pipe and exits:
-    the lists as one pickle, so that an :class:`Event` that several
-    lists hold is sent once, then the ids as lists of at most
-    :data:`_IDS_PER_PICKLE`, then an empty list.  The child never
-    returns from this call; if it fails, it exits before the empty
-    list."""
+def _forked(read: Callable[..., tuple], start: int, end: int) -> tuple[int, int]:
+    """``(pid, pipe)`` of a forked child that reads one span with ``read``
+    (see :meth:`NdjsonProxy._load`), sends what it returns into the pipe
+    and exits: ``(result, held)`` as one pickle, so that an object that
+    ``result`` holds more than once, an :class:`Event` that several hit
+    lists hold or an id list of ``held``, is sent once; then the ``sent``
+    ids as lists of at most :data:`_IDS_PER_PICKLE`, then an empty list.
+    The child never returns from this call; if it fails, it exits before
+    the empty list."""
     pipe, sink = os.pipe()
     try:
         pid = os.fork()
@@ -457,10 +511,10 @@ def _forked(read: Callable[..., tuple[list, set[str]]], *args) -> tuple[int, int
     try:
         os.close(pipe)
         with open(sink, "wb") as out:
-            lists, ids = read(*args)
-            pickle.dump(lists, out, pickle.HIGHEST_PROTOCOL)
-            ids = iter(ids)
-            while chunk := [*islice(ids, _IDS_PER_PICKLE)]:
+            result, held, sent = read(start, end, None, set())
+            pickle.dump((result, held), out, pickle.HIGHEST_PROTOCOL)
+            sent = iter(sent)
+            while chunk := [*islice(sent, _IDS_PER_PICKLE)]:
                 pickle.dump(chunk, out, pickle.HIGHEST_PROTOCOL)
             pickle.dump([], out, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -468,35 +522,61 @@ def _forked(read: Callable[..., tuple[list, set[str]]], *args) -> tuple[int, int
         os._exit(status)
 
 
-def _received(pipe: int, seen: set[str], more: bool) -> Optional[list]:
-    """The hit lists a forked child sent into ``pipe`` (see
-    :func:`_forked`), or ``None`` if it did not send all it had or one of
-    its event ids is in ``seen``.  Adds its ids to ``seen`` if ``more``
+def _received(pipe: int, seen: set[str], more: bool):
+    """The result a forked child sent into ``pipe`` (see :func:`_forked`),
+    or ``None`` if it did not send all it had or one of its event ids,
+    held or sent, is in ``seen``.  Adds its ids to ``seen`` if ``more``
     spans are to be checked.  Leaves the pipe open."""
     try:
         with open(pipe, "rb", closefd=False) as source:
-            lists = pickle.load(source)
-            while ids := pickle.load(source):
+            result, held = pickle.load(source)
+            for ids in chain(held, iter(partial(pickle.load, source), [])):
                 if not seen.isdisjoint(ids):
                     return None
                 if more:
                     seen.update(ids)
     except (EOFError, pickle.UnpicklingError):  # the child failed
         return None
-    return lists
+    return result
+
+
+class _Part:
+    """The whole read's columns of one span of the log: ``classes`` the
+    :class:`_Class` of each entity class it holds; ``stamps`` the moment
+    of each distinct timestamp text of the span; ``hosts`` each distinct
+    host, in the order of first sight."""
+
+    __slots__ = ("classes", "stamps", "hosts")
+
+    def __init__(self):
+        self.classes: dict[str, _Class] = {}
+        self.stamps: list[datetime] = []
+        self.hosts: list[str] = []
+
+    def events(self, held: _Class, positions: Iterable[int], out: list[Event]) -> None:
+        """Appends to ``out`` the :class:`Event` at each of ``held``'s
+        ``positions``, each built on its first request and kept for the
+        proxy's lifetime."""
+        made = held.events
+        stamps, hosts, ids, links = self.stamps, self.hosts, held.ids, held.links
+        append = out.append
+        for i in positions:
+            event = made.get(i)
+            if event is None:
+                event = made[i] = Event(ids[i], hosts[held.hosts[i]], stamps[held.stamps[i]], links.get(i, ()))
+            append(event)
 
 
 class _Class:
-    """The events of one entity class of a whole log, as columns in log
-    order: ``ids`` their event ids; ``stamps`` codes into the proxy's
-    list of the moments of the distinct timestamp texts; ``hosts`` codes
-    into its list of hosts; ``links`` the links of each event that has
-    some, by position; and ``fields`` each field's ``(texts, codes)``,
-    where event ``i`` holds ``texts[codes[i]]`` (a value that is not a
-    string as its JSON text) and code 0 means it lacks the field.
-    ``stamps``, ``hosts`` and each field's ``codes`` are ``array('I')``,
-    four bytes per event.  ``events`` holds the :class:`Event` of each
-    position built so far."""
+    """The events of one entity class in one :class:`_Part`, as columns
+    in log order: ``ids`` their event ids; ``stamps`` codes into the
+    part's list of moments; ``hosts`` codes into its list of hosts;
+    ``links`` the links of each event that has some, by position; and
+    ``fields`` each field's ``(texts, codes)``, where event ``i`` holds
+    ``texts[codes[i]]`` (a value that is not a string as its JSON text)
+    and code 0 means it lacks the field.  ``stamps``, ``hosts`` and each
+    field's ``codes`` are ``array('I')``, four bytes per event.
+    ``events`` holds the :class:`Event` of each position built so far."""
 
     __slots__ = ("ids", "stamps", "hosts", "links", "fields", "events")
 
@@ -509,13 +589,14 @@ class _Class:
         self.events: dict[int, Event] = {}
 
 
-def _keep_columns(classes: dict[str, _Class], stamps: list, hosts: dict[str, int]) -> Callable[[tuple], None]:
-    """Appends each row to the columns of its class in ``classes``, with
-    its timestamp coded into ``stamps``, the list of the moments of the
-    distinct timestamp texts, and its host into ``hosts``, a map of each
-    host to its code.  While the read runs, a field's ``texts`` is a
-    map of each text to its code, counted from 1; the proxy turns it into
-    a list when the read ends."""
+def _keep_columns(part: _Part, hosts: dict[str, int]) -> Callable[[tuple], None]:
+    """Appends each row to the columns of its class in ``part``, with its
+    timestamp coded into the part's list of the moments of the distinct
+    timestamp texts, and its host into ``hosts``, a map of each host to
+    its code.  While the read runs, a field's ``texts`` is a map of each
+    text to its code, counted from 1; :meth:`NdjsonProxy._read_part`
+    turns it and ``hosts`` into lists when the span ends."""
+    classes, stamps = part.classes, part.stamps
     stamp_codes: dict[str, int] = {}
     dumps = json.dumps
 

@@ -980,3 +980,32 @@ def test_split_hunt_writes_the_serial_outputs(workspace, tmp_path, monkeypatch):
     assert len(forks) == 4
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_perturb_writes_the_serial_outputs(workspace, tmp_path, monkeypatch):
+    """``perturb --events`` with its whole log read in two forked ranges
+    writes the ``archive/`` and ``run.json`` it writes when the log is
+    read in one pass, the pinned ones among them, and leaves no child
+    process."""
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(564), 1500, PlantedAttack.build().events))
+    impl = tmp_path / "impl.wdsl"
+    impl.write_text(T1552_PUTTY_SRC, "utf-8")
+
+    def outputs(name: str, seed: int) -> tuple:
+        out = tmp_path / f"{name}-{seed}"
+        assert main(perturb_args(workspace, impl, out, seed=seed, generations=6) + ["--events", str(log)]) == 0
+        return _digest_dir(out / "archive"), (out / "run.json").read_bytes()
+
+    serial = {seed: outputs("serial", seed) for seed in GOLDEN_PERTURB}
+    forks = []
+    forked = wilee.hunt.proxy._forked
+    monkeypatch.setattr(wilee.hunt.proxy, "_forked", lambda *args: forks.append(args) or forked(*args))
+    monkeypatch.setattr(wilee.hunt.proxy, "_RANGE_BYTES", 1)
+    monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 2)
+    for seed in GOLDEN_PERTURB:
+        split = outputs("split", seed)
+        assert split == serial[seed], seed
+        assert (split[0], hashlib.sha256(split[1]).hexdigest()) == GOLDEN_PERTURB[seed], seed
+    assert len(forks) == len(GOLDEN_PERTURB)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

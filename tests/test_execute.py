@@ -409,9 +409,9 @@ class _CountingProxy(NdjsonProxy):
 
     scans = 0
 
-    def _read(self, keep, digest=None):
+    def _read(self, *args):
         self.scans += 1
-        super()._read(keep, digest)
+        super()._read(*args)
 
 
 def test_execute_all_scans_each_distinct_filter_once_per_proxy(tmp_path):
@@ -940,7 +940,7 @@ def test_whole_read_keeps_nothing_but_the_answer_of_a_new_key(tmp_path):
     a whole proxy: its memo entry and nothing per event or per text."""
     path = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(20260301), 20_000))
     proxy = NdjsonProxy(path)
-    keys = [(cls, ((var, frozenset({"x"}), ()),)) for cls, held in proxy._classes.items() for var in held.fields]
+    keys = [(cls, ((var, frozenset({"x"}), ()),)) for cls, held in proxy._parts[0].classes.items() for var in held.fields]
     assert len(keys) >= 9
     gc.collect()
     tracemalloc.start()
@@ -1125,7 +1125,7 @@ def test_whole_read_columns_equal_filtered_read_on_random_logs(tmp_path):
 def test_whole_read_builds_events_only_for_hits(tmp_path):
     path = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(11), 2_000))
     proxy = NdjsonProxy(path)
-    built = lambda: sum(len(held.events) for held in proxy._classes.values())  # noqa: E731
+    built = lambda: sum(len(held.events) for part in proxy._parts for held in part.classes.values())  # noqa: E731
     assert built() == 0
     hits = proxy.hits(("Process", (("name", frozenset({"notepad.exe"}), ()),)))
     assert 0 < len(hits) == built() < 2_000 // 10
@@ -1521,11 +1521,23 @@ def _planted_log(path, rng, lines: list[bytes], at: dict[int, bytes]) -> Path:
     return path
 
 
+# Both reads of a log, by name: the whole read keeps every event as
+# columns, the filtered read the hits of the keys it is given.
+_READS = {
+    "filtered": lambda path, keys: NdjsonProxy(path, keys),
+    "whole": lambda path, keys: NdjsonProxy(path),
+}
+
+
+def _answers(proxy, keys) -> dict:
+    return {key: _attributes(proxy.hits(key)) for key in keys}
+
+
 def test_split_read_gives_the_first_fault_planted_in_any_range(tmp_path, monkeypatch):
     """A bad line, or an event id that an earlier line of the same or an
     earlier range holds, planted in each of three ranges (and a second
-    fault in a later range) fails the split read with the reference
-    read's message for the first fault."""
+    fault in a later range) fails the split read, whole or filtered, with
+    the reference read's message for the first fault."""
     forks = _force_split(monkeypatch, 3)
     rng = random.Random(20261103)
     lines = [json.dumps(doc).encode() for doc in synth_log(rng, 90)]
@@ -1549,11 +1561,12 @@ def test_split_read_gives_the_first_fault_planted_in_any_range(tmp_path, monkeyp
         offset = sum(len(at.get(i, line)) + 1 for i, line in enumerate(lines[:first]))
         fault = oracle_read_events(path, keys)[2]
         assert fault.startswith(f"{path}:{first + 1}: ")
-        del forks[:]
-        with pytest.raises(ProxyUnavailable) as info:
-            NdjsonProxy(path, keys)
-        assert str(info.value) == fault
-        assert len(forks) == 2
+        for name, read in _READS.items():
+            del forks[:]
+            with pytest.raises(ProxyUnavailable) as info:
+                read(path, keys)
+            assert str(info.value) == fault, name
+            assert len(forks) == 2, name
         in_range = max(k for k, (start, _) in enumerate(spans) if start <= offset)
         checked[in_range, "duplicate" in fault] += 1
     _assert_no_child_left()
@@ -1561,15 +1574,15 @@ def test_split_read_gives_the_first_fault_planted_in_any_range(tmp_path, monkeyp
 
 
 def test_split_read_falls_back_to_one_pass_when_a_child_fails(tmp_path, monkeypatch):
-    """A child that dies before sending its hits, or a fork that fails,
-    leaves the read to one pass in this process: the same hits, once
+    """A child that dies before sending its result, or a fork that fails,
+    leaves either read to one pass in this process: the same hits, once
     each, the same SHA-256, and no child left.  A log that can be
     stat'ed but not opened is not split, and fails with the serial
     read's message."""
     rng = random.Random(20261105)
     path = write_ndjson(tmp_path / "events.ndjson", synth_log(rng, 300))
     keys = [memo_key(make_descriptor(cls, []), IocDb()) for cls in ("Process", "File")]
-    serial = NdjsonProxy(path, keys)
+    serial = {name: read(path, keys) for name, read in _READS.items()}
     forked = wilee.hunt.proxy._forked
     _force_split(monkeypatch, 3)
     calls = []
@@ -1584,93 +1597,128 @@ def test_split_read_falls_back_to_one_pass_when_a_child_fails(tmp_path, monkeypa
             raise OSError("fork failed")
         return forked(read, *args)
 
-    for broken in (dying, failing):
-        del calls[:]
-        monkeypatch.setattr(wilee.hunt.proxy, "_forked", broken)
-        proxy = NdjsonProxy(path, keys)
-        assert len(calls) == 2, broken
-        assert proxy.sha256 == serial.sha256
-        assert {key: _attributes(found) for key, found in _seeded(proxy).items()} == {
-            key: _attributes(found) for key, found in _seeded(serial).items()
-        }, broken
-        _assert_no_child_left()
+    for name, read in _READS.items():
+        for broken in (dying, failing):
+            del calls[:]
+            monkeypatch.setattr(wilee.hunt.proxy, "_forked", broken)
+            proxy = read(path, keys)
+            assert len(calls) == 2, (name, broken)
+            assert proxy.sha256 == serial[name].sha256
+            assert _answers(proxy, keys) == _answers(serial[name], keys), (name, broken)
+            _assert_no_child_left()
 
     unreadable = tmp_path / "unreadable"
     unreadable.mkdir()
     for name in "abc":
         (unreadable / name).touch()
     assert unreadable.stat().st_size >= 3
-    monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 1)
-    with pytest.raises(ProxyUnavailable) as serial_error:
-        NdjsonProxy(unreadable, keys)
-    assert str(serial_error.value).startswith(f"cannot read event log {unreadable}: ")
-    monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 3)
-    del calls[:]
-    assert wilee.hunt.proxy._spans(unreadable) == [(0, None)]
-    with pytest.raises(ProxyUnavailable) as split_error:
-        NdjsonProxy(unreadable, keys)
-    assert str(split_error.value) == str(serial_error.value) and not calls
+    for name, read in _READS.items():
+        monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 1)
+        with pytest.raises(ProxyUnavailable) as serial_error:
+            read(unreadable, keys)
+        assert str(serial_error.value).startswith(f"cannot read event log {unreadable}: ")
+        monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 3)
+        del calls[:]
+        assert wilee.hunt.proxy._spans(unreadable) == [(0, None)]
+        with pytest.raises(ProxyUnavailable) as split_error:
+            read(unreadable, keys)
+        assert str(split_error.value) == str(serial_error.value) and not calls, name
 
 
 def test_split_read_hashes_the_bytes_it_reads(tmp_path, monkeypatch):
     """Bytes appended to the log after it was cut, a new line or the rest
-    of an unfinished last line, are neither read nor hashed: ``sha256``
-    names the bytes whose events the split read gives."""
+    of an unfinished last line, are neither read nor hashed by either
+    read: ``sha256`` names the bytes whose events the split read gives."""
     forks = _force_split(monkeypatch, 2)
     rng = random.Random(20261106)
     keys = [memo_key(make_descriptor("Process", []), IocDb())]
     cut = wilee.hunt.proxy._spans
-    for n, tail in enumerate((b"\n", b"")):
-        path = write_ndjson(tmp_path / f"events-{n}.ndjson", synth_log(rng, 200))
-        data = path.read_bytes()[:-1] + tail
-        path.write_bytes(data)
-        expected = oracle_read_events(path, keys)[1][keys[0]]
-        appended = b'{"event_id": "late", "timestamp": "2026-03-01T07:00:00Z", "host": "h", "entity_class": "Process"}\n'
+    for name, read in _READS.items():
+        for n, tail in enumerate((b"\n", b"")):
+            path = write_ndjson(tmp_path / f"events-{name}-{n}.ndjson", synth_log(rng, 200))
+            data = path.read_bytes()[:-1] + tail
+            path.write_bytes(data)
+            expected = oracle_read_events(path, keys)[1][keys[0]]
+            appended = b'{"event_id": "late", "timestamp": "2026-03-01T07:00:00Z", "host": "h", "entity_class": "Process"}\n'
 
-        def cut_then_append(path):
-            spans = cut(path)
-            with path.open("ab") as handle:
-                handle.write(b"\n" + appended if tail == b"\n" else b"  " + appended)
-            return spans
+            def cut_then_append(path):
+                spans = cut(path)
+                with path.open("ab") as handle:
+                    handle.write(b"\n" + appended if tail == b"\n" else b"  " + appended)
+                return spans
 
-        monkeypatch.setattr(wilee.hunt.proxy, "_spans", cut_then_append)
-        del forks[:]
-        proxy = NdjsonProxy(path, keys)
-        monkeypatch.setattr(wilee.hunt.proxy, "_spans", cut)
-        assert len(forks) == 1
-        assert proxy.sha256 == hashlib.sha256(data).hexdigest(), n
-        assert _attributes(_seeded(proxy)[keys[0]]) == _lean(expected), n
+            monkeypatch.setattr(wilee.hunt.proxy, "_spans", cut_then_append)
+            del forks[:]
+            proxy = read(path, keys)
+            monkeypatch.setattr(wilee.hunt.proxy, "_spans", cut)
+            assert len(forks) == 1
+            assert proxy.sha256 == hashlib.sha256(data).hexdigest(), (name, n)
+            assert _attributes(proxy.hits(keys[0])) == _lean(expected), (name, n)
     _assert_no_child_left()
 
 
-def test_split_read_uses_at_most_two_ranges(monkeypatch):
+def test_split_read_uses_at_most_two_ranges(tmp_path, monkeypatch):
     """One range per CPU the process may run on, but no more than the two
-    the range size was measured with."""
+    the range size was measured with, in either read."""
+    monkeypatch.setattr(wilee.hunt.proxy, "_CGROUP", tmp_path / "no-cgroup")
+    monkeypatch.setattr(wilee.hunt.proxy, "_RANGE_BYTES", 1)
+    forks = []
+    forked = wilee.hunt.proxy._forked
+    monkeypatch.setattr(wilee.hunt.proxy, "_forked", lambda *args: forks.append(args) or forked(*args))
+    path = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(20261107), 60))
+    keys = [memo_key(make_descriptor("Process", []), IocDb())]
     for cpus, readers in ((1, 1), (2, 2), (3, 2), (64, 2)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(cpus)), raising=False)
         assert wilee.hunt.proxy._readers() == readers, cpus
+        for name, read in _READS.items():
+            del forks[:]
+            assert read(path, keys).hits(keys[0])
+            assert len(forks) == readers - 1, (cpus, name)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("version", ["v1", "v2"])
+def test_readers_take_the_cgroup_cpu_quota(tmp_path, monkeypatch, version):
+    """A cgroup CPU quota of fewer than two CPUs keeps the read to one
+    range; no quota, two CPUs' worth, or a quota file that is missing,
+    unreadable or malformed leaves it to the CPUs of the affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1, 2, 3}, raising=False)
+    v2 = {"none": "max 100000\n", "1.5": "150000 100000\n", "2": "200000 100000\n", "0.5": "50000 100000\n",
+          "malformed": "150000\n"}
+    v1 = {"none": ("-1\n", "100000\n"), "1.5": ("150000\n", "100000\n"), "2": ("200000\n", "100000\n"),
+          "0.5": ("50000\n", "100000\n"), "malformed": ("lots\n", "100000\n")}
+    expected = {"none": (None, 2), "1.5": (1.5, 1), "2": (2.0, 2), "0.5": (0.5, 1), "malformed": (None, 2)}
+    for case, (quota, readers) in expected.items():
+        root = tmp_path / case
+        if version == "v2":
+            root.mkdir()
+            (root / "cpu.max").write_text(v2[case])
+        else:
+            (root / "cpu").mkdir(parents=True)
+            for name, text in zip(("cpu.cfs_quota_us", "cpu.cfs_period_us"), v1[case]):
+                (root / "cpu" / name).write_text(text)
+        monkeypatch.setattr(wilee.hunt.proxy, "_CGROUP", root)
+        assert wilee.hunt.proxy._quota_cpus() == quota, case
+        assert wilee.hunt.proxy._readers() == readers, case
+    for case in ("missing", "unreadable"):
+        root = tmp_path / case
+        root.mkdir()
+        if case == "unreadable":  # a directory where the file should be
+            (root / ("cpu.max" if version == "v2" else "cpu") / "cpu.cfs_quota_us").mkdir(parents=True)
+        monkeypatch.setattr(wilee.hunt.proxy, "_CGROUP", root)
+        assert wilee.hunt.proxy._quota_cpus() is None and wilee.hunt.proxy._readers() == 2, case
 
 
 def test_split_read_leaves_no_child_process(tmp_path, monkeypatch):
-    """No child is left after a split read that succeeds, one that faults
-    in a child's range, and one interrupted in the parent's range; with a
-    second thread alive the read does not fork."""
+    """No child is left after a split read, whole or filtered, that
+    succeeds, one that faults in a child's range, and one interrupted in
+    the parent's range; with a second thread alive the read does not
+    fork."""
     import threading
 
     forks = _force_split(monkeypatch, 2)
     rng = random.Random(20261104)
-    path = write_ndjson(tmp_path / "events.ndjson", synth_log(rng, 200))
     keys = [memo_key(make_descriptor("Process", []), IocDb())]
-    assert len(NdjsonProxy(path, keys).hits(keys[0])) > 0 and len(forks) == 1
-    _assert_no_child_left()
-
-    with path.open("ab") as handle:
-        handle.write(b"[1, 2]\n")
-    with pytest.raises(ProxyUnavailable, match=":201: expected a JSON object"):
-        NdjsonProxy(path, keys)
-    assert len(forks) == 2
-    _assert_no_child_left()
-
     parent = os.getpid()
     checked = wilee.hunt.proxy._checked
 
@@ -1679,23 +1727,113 @@ def test_split_read_leaves_no_child_process(tmp_path, monkeypatch):
             raise KeyboardInterrupt
         return checked(doc, previous)
 
-    path = write_ndjson(tmp_path / "events.ndjson", sorted(synth_log(rng, 200), key=lambda doc: doc["event_id"]))
-    monkeypatch.setattr(wilee.hunt.proxy, "_checked", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        NdjsonProxy(path, keys)
-    assert len(forks) == 3
-    _assert_no_child_left()
-    monkeypatch.setattr(wilee.hunt.proxy, "_checked", checked)
+    for name, read in _READS.items():
+        del forks[:]
+        path = write_ndjson(tmp_path / "events.ndjson", synth_log(rng, 200))
+        assert len(read(path, keys).hits(keys[0])) > 0 and len(forks) == 1, name
+        _assert_no_child_left()
 
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert wilee.hunt.proxy._spans(path) == [(0, None)]
-        NdjsonProxy(path, keys)
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert len(forks) == 3
-    assert len(wilee.hunt.proxy._spans(path)) == 2
+        with path.open("ab") as handle:
+            handle.write(b"[1, 2]\n")
+        with pytest.raises(ProxyUnavailable, match=":201: expected a JSON object"):
+            read(path, keys)
+        assert len(forks) == 2, name
+        _assert_no_child_left()
+
+        path = write_ndjson(tmp_path / "events.ndjson", sorted(synth_log(rng, 200), key=lambda doc: doc["event_id"]))
+        monkeypatch.setattr(wilee.hunt.proxy, "_checked", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            read(path, keys)
+        assert len(forks) == 3, name
+        _assert_no_child_left()
+        monkeypatch.setattr(wilee.hunt.proxy, "_checked", checked)
+
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert wilee.hunt.proxy._spans(path) == [(0, None)]
+            read(path, keys)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(forks) == 3, name
+        assert len(wilee.hunt.proxy._spans(path)) == 2
+
+
+def _one_sided_log(rng, n):
+    """A :func:`_column_log` of ``n`` events whose first or last quarter
+    also holds the only events of class ``Mutant`` and the only ``only``
+    fields of ``Process``, so that with two ranges they fall in one."""
+    events, values = _column_log(rng, n)
+    side = range(n // 4) if rng.random() < 0.5 else range(n - n // 4, n)
+    for i in side:
+        doc = events[i]
+        if rng.random() < 0.4:
+            doc["entity_class"] = "Mutant"
+        elif doc["entity_class"] == "Process" and "fields" in doc:
+            doc["fields"]["only"] = rng.choice(values)
+    return events, values
+
+
+def test_split_whole_read_equals_serial_whole_read_on_random_logs(tmp_path, monkeypatch):
+    """Split into two ranges, the whole read gives each key, asked once or
+    twice, the serial whole read's hits and the reference read's, with
+    the same ``scan`` of every class and ``sha256``; an :class:`Event` is
+    one object however many keys hold it.  The logs hold a class and a
+    field that only one range has, hosts and timestamp texts on both
+    sides of the cut, and links in both ranges."""
+    rng = random.Random(20261108)
+    path = tmp_path / "events.ndjson"
+    forks = _force_split(monkeypatch, 2)
+    seen = Counter()
+    for trial in range(150):
+        events, logged = _one_sided_log(rng, rng.randrange(8, 80))
+        write_ndjson(path, events)
+        keys = [_column_key(rng, logged) for _ in range(rng.randrange(2, 8))]
+        keys += [("Mutant", ()), ("Mutant", (("name", frozenset(), ("*",)),)),
+                 ("Process", (("only", frozenset(), ("*",)),)), ("Process", (("only", frozenset({"cmd.exe"}), ()),))]
+        classes = (*_COLUMN_FIELDS, "Mutex", "Mutant", "DnsQuery")
+        monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 1)
+        serial = NdjsonProxy(path)
+        monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 2)
+        del forks[:]
+        split = NdjsonProxy(path)
+        assert len(forks) == 1 and len(split._parts) == 2 and len(serial._parts) == 1
+        assert split.sha256 == serial.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        by_class, expected, fault = oracle_read_events(path, keys)
+        assert fault is None
+        asked = [*keys, *rng.choices(keys, k=rng.randrange(1, 6))]
+        rng.shuffle(asked)
+        answers, objects = {}, {}
+        for key in asked:
+            got = split.hits(key)
+            assert _attributes(got) == _attributes(serial.hits(key)) == _lean(expected[key]), (trial, key)
+            if key in answers:
+                assert got is answers[key]
+                seen["asked_twice"] += 1
+            answers[key] = got
+            for event in got:
+                assert objects.setdefault(event.event_id, event) is event, (trial, key)
+            filt = key[1]
+            seen["empty"] += not filt
+            seen["exact"] += any(exact for _, exact, _ in filt)
+            seen["glob"] += any(globs for _, _, globs in filt)
+        for cls in classes:
+            scan = split.scan(cls)
+            assert _attributes(scan) == _attributes(serial.scan(cls)) == _lean(by_class.get(cls, [])), (trial, cls)
+            assert all(objects.setdefault(e.event_id, e) is e for e in scan), (trial, cls)
+        first, second = split._parts
+        seen["class_in_one_range"] += len(set(first.classes) ^ set(second.classes))
+        seen["field_in_one_range"] += sum(
+            len(set(first.classes[cls].fields) ^ set(second.classes[cls].fields))
+            for cls in set(first.classes) & set(second.classes)
+        )
+        seen["host_on_both_sides"] += bool(set(first.hosts) & set(second.hosts))
+        stamps = [{doc["timestamp"] for doc in events if doc["event_id"] in ids} for ids in (
+            {i for held in part.classes.values() for i in held.ids} for part in (first, second))]
+        seen["stamp_text_on_both_sides"] += bool(stamps[0] & stamps[1])
+        seen["links_in_both_ranges"] += all(any(held.links for held in part.classes.values()) for part in (first, second))
+    _assert_no_child_left()
+    assert min(seen.values()) >= 30, seen
