@@ -160,6 +160,12 @@ def auto_balance(
 
 @dataclass
 class GpeResult:
+    """What :func:`run_gpe` leaves: the novelty archive's members; the
+    last population scored (the initial one, unscored, after no
+    generation); the initial population; the best fitness of each
+    generation, with a fitness function; and the selection knob before the first generation and
+    after each."""
+
     archive: list[Candidate]
     population: list[Candidate]
     initial_population: list[Candidate]
@@ -239,6 +245,8 @@ def run_gpe(
                 stagnation_generations=config.stagnation_generations,
             )
         rho_trace.append(rho)
+        if gen == config.generations:
+            break  # breed nothing that no generation scores
 
         parents = select(population, rho, config.population_size)
         offspring: list[Candidate] = []

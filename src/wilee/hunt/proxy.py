@@ -55,33 +55,34 @@ every predicate on the field that the text passes:
   runs.  A key not seeded costs one more read of the file with that
   key's filter alone.
 
-Either read of a large log uses a second CPU.  :func:`_spans` cuts the
-log into line-aligned byte ranges, one per CPU the process may run on and
-its cgroup's CPU quota allows, but at most two (:func:`_readers`), and
-none under :data:`_RANGE_BYTES` (8 MiB), when ``os.fork`` exists and no
-other thread is alive; a smaller log is one range, read by the loops
-above.  This process reads the first range; a forked child
-(:func:`_forked`) reads each other range with the same loop and pickles
-back what it kept: the filtered read's hit lists, then its event ids in
-bounded batches; the whole read's columns, whose class id lists serve as
-its ids.  This process hashes the later ranges' bytes, up to the size
-the cut saw, so ``sha256`` names the bytes whose events were read, then
-takes each range's result in range order, which keeps log order
-(:meth:`NdjsonProxy._split_read`).  The filtered read appends each
-range's hits to each key's list; an :class:`Event` stays one object
+Either read of a large log uses a second CPU.  :func:`_cut` cuts the
+log in two at the first line start at or after its middle, where the
+log holds at least two :data:`_RANGE_BYTES` (8 MiB), the second range
+is not empty, the process may use two CPUs (:func:`_cpus`: its affinity
+mask and its cgroup's CPU quota), ``os.fork`` exists and no other thread
+is alive; any other log is read in one pass by the loops above.  This
+process reads the first range; one forked child (:func:`_forked`) reads
+the second with the same loop and pickles back what it kept: the
+filtered read's hit lists, then its event ids in bounded batches; the
+whole read's columns, whose class id lists serve as its ids.  This
+process hashes the second range's bytes, up to the size the cut saw, so
+``sha256`` names the bytes whose events were read, then takes its own
+result and then the child's, which keeps log order
+(:meth:`NdjsonProxy._split_read`).  The filtered read appends the
+child's hits to each key's list; an :class:`Event` stays one object
 however many keys hold it.  The whole read keeps each range's columns as
 they came, as one :class:`_Part` per range with its own timestamp and
-host tables, since recoding a child's codes into this process's tables
+host tables, since recoding the child's codes into this process's tables
 cost as much as the split saved.  A key's hits are each part's answer in
 part order, so a distinct text in both parts gets its verdict in each,
 and a moment or host in both parts is two equal objects.  On two vCPUs
 the whole read of the benchmark's 22.9 MB ``hunt_scale`` log takes about
 30 % less time; the child peaks at about 50 MB RSS, part of it pages it
 shares with this process since the fork, and pickles back about
-3.7 MB.  If a range faults, or an event id is in two ranges, the
-whole log is read again in this process, so a fault gives the serial
-read's ``file:line`` message.  Every child is reaped before the read
-returns or raises.
+3.7 MB.  If either range faults, or an event id is in both, the whole
+log is read again in this process, so a fault gives the serial read's
+``file:line`` message.  The child is reaped before the read returns or
+raises.
 
 The line loop is shared.  :func:`~wilee.stores.read_jsonl` takes a line
 from one call of the C JSON scanner when the line is one object and then
@@ -185,7 +186,7 @@ class NdjsonProxy:
         self._whole = keys is None
         digest = hashlib.sha256()
         if self._whole:
-            self._parts: list[_Part] = []  # one per span of the log, in log order
+            self._parts: list[_Part] = []  # one per range of the log, in log order
             digest = self._load(self._read_part, self._parts.append, digest)
             self._hits: dict[Key, list[Event]] = {}
         else:
@@ -251,13 +252,13 @@ class NdjsonProxy:
             return [*found.values()], (), seen
 
         def take(lists: list[list[Event]]) -> None:
-            for found, more in zip(hits.values(), lists):
-                found += more
+            for found, kept in zip(hits.values(), lists):
+                found += kept
 
         return self._load(read, take, digest)
 
     def _read_part(self, start: int, end: Optional[int], digest, seen: set[str]) -> tuple:
-        """The whole read of one span: a :class:`_Part` of the columns of
+        """The whole read of one range: a :class:`_Part` of the columns of
         its lines, the event id lists of its classes, and no other id."""
         part, hosts = _Part(), {}
         self._read(_keep_columns(part, hosts), start, end, digest, seen)
@@ -267,7 +268,7 @@ class NdjsonProxy:
         return part, [held.ids for held in part.classes.values()], ()
 
     def _load(self, read: Callable[..., tuple], take: Callable[[object], None], digest=None):
-        """Reads the log with ``read`` and gives ``take`` each span's
+        """Reads the log with ``read`` and gives ``take`` each range's
         result, in log order.  ``read(start, end, digest, seen)`` reads
         the lines between two byte offsets with :meth:`_read` and
         returns ``(result, held, sent)``: what it kept of them, the lists
@@ -275,59 +276,53 @@ class NdjsonProxy:
         ids (see :func:`_forked`).  Returns ``digest``, a fresh ``hashlib``
         object or ``None``, fed every byte of the log; after a split read
         that faulted, a copy of it that the serial read fed instead.  A
-        log of more than one span (:func:`_spans`) is read split
+        log that :func:`_cut` cuts in two is read split
         (:meth:`_split_read`); when that faults, the whole log is read
         again in this process, so a fault raises what the serial read
         raises."""
-        spans = _spans(self.path)
-        if len(spans) > 1:
+        cut = _cut(self.path)
+        if cut is not None:
             unfed = None if digest is None else digest.copy()
-            if self._split_read(spans, digest, read, take):
+            if self._split_read(*cut, digest, read, take):
                 return digest
             digest = unfed
         take(read(0, None, digest, set())[0])
         return digest
 
-    def _split_read(self, spans: list[tuple[int, int]], digest, read: Callable[..., tuple], take) -> bool:
-        """Reads ``spans[0]`` here and each later span in a forked child
-        (:func:`_forked`), each with ``read``, and feeds ``digest`` the
-        later spans' bytes; then gives ``take`` each span's result in span
-        order.  Returns ``False``, every child reaped and nothing taken,
-        if a span faults or an event id is in two spans."""
-        readers: list[tuple[int, int]] = []
-        results: list = []  # each span's result
+    def _split_read(self, cut: int, size: int, digest, read: Callable[..., tuple], take) -> bool:
+        """Reads the bytes before ``cut`` here and those from ``cut`` to
+        ``size`` in a forked child (:func:`_forked`), each with ``read``,
+        and feeds ``digest`` the child's bytes; then gives ``take`` the
+        two results in log order.  Returns ``False``, the child reaped
+        and nothing taken, if the fork fails, either range faults or an
+        event id is in both."""
         try:
-            for span in spans[1:]:
-                readers.append(_forked(read, *span))
+            pid, pipe = _forked(read, cut, size)
+        except OSError:
+            return False
+        try:
             seen: set[str] = set()
-            results.append(read(0, spans[0][1], digest, seen)[0])
+            first = read(0, cut, digest, seen)[0]
             if digest is not None:
                 with open(self.path, "rb") as handle:
-                    handle.seek(spans[0][1])
-                    left = spans[-1][1] - spans[0][1]
+                    handle.seek(cut)
+                    left = size - cut
                     while left > 0 and (chunk := handle.read(min(left, 1 << 20))):
                         digest.update(chunk)
                         left -= len(chunk)
-            # The last span's ids need no check against a later one.
-            for n, (_, fd) in enumerate(readers, 1):
-                result = _received(fd, seen, n < len(readers))
-                if result is None:
-                    return False
-                results.append(result)
+            second = _received(pipe, seen)
         except (OSError, ProxyUnavailable):
             return False
         finally:
-            # A child whose pipe was read through has finished or is
-            # failing to write to it; any other is stopped.
-            kill = len(results) <= len(readers)
-            for pid, fd in readers:
-                os.close(fd)
-                if kill:
-                    os.kill(pid, signal.SIGKILL)
-            for pid, _ in readers:
-                os.waitpid(pid, 0)
-        for result in results:
-            take(result)
+            # The child has sent all it had, or has failed; either way
+            # nothing more is wanted of it.
+            os.close(pipe)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if second is None:
+            return False
+        take(first)
+        take(second)
         return True
 
     def _read(self, keep: Callable[[tuple], None], start: int, end: Optional[int], digest, seen: set[str]) -> None:
@@ -416,47 +411,35 @@ def _links(links) -> tuple[tuple[str, str], ...]:
 _RANGE_BYTES = 8 << 20
 
 
-def _spans(path: Path) -> list[tuple[int, Optional[int]]]:
-    """The byte ranges ``(start, end)`` a read splits the log into,
-    each starting at a line start, the last one ending at the file's
-    size as this call sees it: one per reader (:func:`_readers`),
-    but none under :data:`_RANGE_BYTES`.  ``[(0, None)]``, the whole log
-    to its end, where the log is smaller or cannot be read, another
+def _cut(path: Path) -> Optional[tuple[int, int]]:
+    """``(cut, size)`` where a read splits the log in two: the first
+    line start at or after half the file's size, and that size as this
+    call sees it.  ``None``, one serial read, where the log is under two
+    :data:`_RANGE_BYTES` or cannot be read, the line at its middle runs
+    to its end, fewer than two CPUs are usable (:func:`_cpus`), another
     thread is alive, or there is no ``os.fork``."""
     try:
         size = path.stat().st_size
-        count = size // _RANGE_BYTES
-        if count > 1:
-            count = min(count, _readers())
-        if count < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
-            return [(0, None)]
-        cuts = [0]
+        if size < 2 * _RANGE_BYTES or _cpus() < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
+            return None
         with open(path, "rb") as handle:
-            for k in range(1, count):
-                # After the line end at or past the even cut, or where the
-                # last range ended, if a long line took it past this cut.
-                handle.seek(max(k * size // count, cuts[-1]) - 1)
-                handle.readline()
-                cuts.append(min(handle.tell(), size))
+            handle.seek(size // 2 - 1)
+            handle.readline()  # to the end of the line that holds the middle
+            cut = handle.tell()
     except OSError:  # the serial read raises its own error
-        return [(0, None)]
-    return list(zip(cuts, [*cuts[1:], size]))
+        return None
+    return (cut, size) if cut < size else None
 
 
-def _readers() -> int:
-    """How many ranges a split read may have: one per CPU this process
-    may run on and its cgroup's CPU quota allows in full
-    (:func:`_quota_cpus`), but at most two, the count
-    :data:`_RANGE_BYTES` was measured at; the parent's share of the
-    merge grows with each range."""
+def _cpus() -> float:
+    """How many CPUs this process may use: those it may run on, but no
+    more than its cgroup's CPU quota allows (:func:`_quota_cpus`)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
     quota = _quota_cpus()
-    if quota is not None:
-        cpus = min(cpus, int(quota))
-    return max(1, min(cpus, 2))
+    return cpus if quota is None else min(cpus, quota)
 
 
 # The cgroup file system root, where :func:`_quota_cpus` reads the quota.
@@ -489,7 +472,7 @@ _IDS_PER_PICKLE = 1 << 16
 
 
 def _forked(read: Callable[..., tuple], start: int, end: int) -> tuple[int, int]:
-    """``(pid, pipe)`` of a forked child that reads one span with ``read``
+    """``(pid, pipe)`` of a forked child that reads one range with ``read``
     (see :meth:`NdjsonProxy._load`), sends what it returns into the pipe
     and exits: ``(result, held)`` as one pickle, so that an object that
     ``result`` holds more than once, an :class:`Event` that several hit
@@ -522,28 +505,25 @@ def _forked(read: Callable[..., tuple], start: int, end: int) -> tuple[int, int]
         os._exit(status)
 
 
-def _received(pipe: int, seen: set[str], more: bool):
+def _received(pipe: int, seen: set[str]):
     """The result a forked child sent into ``pipe`` (see :func:`_forked`),
     or ``None`` if it did not send all it had or one of its event ids,
-    held or sent, is in ``seen``.  Adds its ids to ``seen`` if ``more``
-    spans are to be checked.  Leaves the pipe open."""
+    held or sent, is in ``seen``.  Leaves the pipe open."""
     try:
         with open(pipe, "rb", closefd=False) as source:
             result, held = pickle.load(source)
             for ids in chain(held, iter(partial(pickle.load, source), [])):
                 if not seen.isdisjoint(ids):
                     return None
-                if more:
-                    seen.update(ids)
     except (EOFError, pickle.UnpicklingError):  # the child failed
         return None
     return result
 
 
 class _Part:
-    """The whole read's columns of one span of the log: ``classes`` the
+    """The whole read's columns of one range of the log: ``classes`` the
     :class:`_Class` of each entity class it holds; ``stamps`` the moment
-    of each distinct timestamp text of the span; ``hosts`` each distinct
+    of each distinct timestamp text of the range; ``hosts`` each distinct
     host, in the order of first sight."""
 
     __slots__ = ("classes", "stamps", "hosts")
@@ -595,7 +575,7 @@ def _keep_columns(part: _Part, hosts: dict[str, int]) -> Callable[[tuple], None]
     timestamp texts, and its host into ``hosts``, a map of each host to
     its code.  While the read runs, a field's ``texts`` is a map of each
     text to its code, counted from 1; :meth:`NdjsonProxy._read_part`
-    turns it and ``hosts`` into lists when the span ends."""
+    turns it and ``hosts`` into lists when the range ends."""
     classes, stamps = part.classes, part.stamps
     stamp_codes: dict[str, int] = {}
     dumps = json.dumps

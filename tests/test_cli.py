@@ -955,9 +955,9 @@ def test_golden_outputs(workspace, tmp_path):
 
 
 def test_split_hunt_writes_the_serial_outputs(workspace, tmp_path, monkeypatch):
-    """``hunt`` with its log read in three forked ranges writes the bytes
-    it writes when the log is read in one pass, the pinned report among
-    them, and leaves no child process."""
+    """``hunt`` with its log read in two ranges, the second in a forked
+    reader, writes the bytes it writes when the log is read in one pass,
+    the pinned report among them, and leaves no child process."""
     log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(564), 1500, PlantedAttack.build().events))
     out = tmp_path / "out"
     for fmt in ("json", "md"):
@@ -967,7 +967,7 @@ def test_split_hunt_writes_the_serial_outputs(workspace, tmp_path, monkeypatch):
     forked = wilee.hunt.proxy._forked
     monkeypatch.setattr(wilee.hunt.proxy, "_forked", lambda *args: forks.append(args) or forked(*args))
     monkeypatch.setattr(wilee.hunt.proxy, "_RANGE_BYTES", 1)
-    monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 3)
+    monkeypatch.setattr(wilee.hunt.proxy, "_cpus", lambda: 2)
     for fmt in ("json", "md"):
         serial = tmp_path / f"serial-{fmt}"
         assert main(hunt_args(workspace, log, out, fmt=fmt)) == 0
@@ -977,7 +977,7 @@ def test_split_hunt_writes_the_serial_outputs(workspace, tmp_path, monkeypatch):
         if fmt == "json":
             assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == GOLDEN_HUNT_REPORT
         shutil.rmtree(out)
-    assert len(forks) == 4
+    assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1001,7 +1001,7 @@ def test_split_perturb_writes_the_serial_outputs(workspace, tmp_path, monkeypatc
     forked = wilee.hunt.proxy._forked
     monkeypatch.setattr(wilee.hunt.proxy, "_forked", lambda *args: forks.append(args) or forked(*args))
     monkeypatch.setattr(wilee.hunt.proxy, "_RANGE_BYTES", 1)
-    monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 2)
+    monkeypatch.setattr(wilee.hunt.proxy, "_cpus", lambda: 2)
     for seed in GOLDEN_PERTURB:
         split = outputs("split", seed)
         assert split == serial[seed], seed

@@ -146,10 +146,10 @@ def _read_outcome(path, keys=None):
 
 
 def _split_outcome(path, keys):
-    """:func:`_read_outcome` of the filtered read split into three ranges."""
+    """:func:`_read_outcome` of the filtered read split into two ranges."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wilee.hunt.proxy, "_RANGE_BYTES", 1)
-        patch.setattr(wilee.hunt.proxy, "_readers", lambda: 3)
+        patch.setattr(wilee.hunt.proxy, "_cpus", lambda: 2)
         return _read_outcome(path, keys)
 
 

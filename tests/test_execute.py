@@ -1408,14 +1408,15 @@ def test_reads_equal_reference_read_on_mixed_logs(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The split read: line-aligned ranges read in forked children
+# The split read: a log cut in two at a line start, the second range read
+# in a forked child
 # ---------------------------------------------------------------------------
 
 
-def _force_split(monkeypatch, count: int) -> list[int]:
-    """Makes the filtered read split any log of ``count`` bytes or more
-    into ``count`` ranges, its children sending their event ids three to
-    a pickle; returns the list each fork appends its pid to."""
+def _force_split(monkeypatch) -> list[int]:
+    """Makes either read split any log of two bytes or more in two, its
+    child sending its event ids three to a pickle; returns the list each
+    fork appends its pid to."""
     forks = []
     forked = wilee.hunt.proxy._forked
 
@@ -1425,7 +1426,7 @@ def _force_split(monkeypatch, count: int) -> list[int]:
         return pid, pipe
 
     monkeypatch.setattr(wilee.hunt.proxy, "_RANGE_BYTES", 1)
-    monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: count)
+    monkeypatch.setattr(wilee.hunt.proxy, "_cpus", lambda: 2)
     monkeypatch.setattr(wilee.hunt.proxy, "_IDS_PER_PICKLE", 3)
     monkeypatch.setattr(wilee.hunt.proxy, "_forked", counting)
     return forks
@@ -1444,10 +1445,16 @@ def _line_at(data: bytes, offset: int) -> bytes:
 
 
 def _split_log(rng, path) -> Path:
-    """A :func:`_mixed_log`, now and then ending in a line longer than the
-    rest of the log, so that the cuts past its start fall at the end of
-    the file and the last ranges are empty."""
+    """A :func:`_mixed_log`, now and then with a blank line next to its
+    middle, so that the cut falls by it, or ending in a line longer than
+    the rest of the log, so that the line at the middle runs to the end of
+    the file and the second range would be empty."""
     _mixed_log(rng, path)
+    if rng.random() < 0.15:
+        data = path.read_bytes()
+        middle = data.find(b"\n", len(data) // 2) + 1
+        if middle:
+            path.write_bytes(data[:middle] + rng.choice((b"", b"  ")) + b"\n" + data[middle:])
     if rng.random() < 0.2:
         data = path.read_bytes()
         if data and not data.endswith(b"\n"):
@@ -1459,34 +1466,34 @@ def _split_log(rng, path) -> Path:
 
 
 def test_split_read_equals_reference_read_on_mixed_logs(tmp_path, monkeypatch):
-    """Split into two to four ranges, the filtered read gives each key the
-    reference read's hits, one :class:`Event` per line shared by every
-    key that holds it, the log's SHA-256,
-    and on a bad log the reference read's first fault.  The ranges start
-    at line starts, next to blank and CRLF lines among others."""
+    """Split in two, the filtered read gives each key the reference read's
+    hits, one :class:`Event` per line shared by every key that holds it,
+    the log's SHA-256, and on a bad log the reference read's first fault.
+    The cut is the first line start at or after the middle, next to blank
+    and CRLF lines among others; a log whose middle line runs to its end
+    is read in one pass."""
     rng = random.Random(20261102)
     path = tmp_path / "events.ndjson"
-    forks = _force_split(monkeypatch, 2)
+    forks = _force_split(monkeypatch)
     seen = Counter()
     for trial in range(250):
-        count = rng.choice((2, 3, 4))
-        monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: count)
         del forks[:]
         _split_log(rng, path)
         data = path.read_bytes()
-        spans = wilee.hunt.proxy._spans(path)
-        assert [start for start, _ in spans] == [0, *(end for _, end in spans[:-1])]
-        assert spans[-1][1] == (None if len(spans) == 1 else len(data)), trial
-        for start, _ in spans[1:]:
-            assert start == len(data) or data[start - 1 : start] == b"\n", (trial, start)
+        cut = wilee.hunt.proxy._cut(path)
+        start = data.find(b"\n", len(data) // 2 - 1) + 1 if len(data) >= 2 else 0
+        assert cut == ((start, len(data)) if 0 < start < len(data) else None), trial
+        if cut is None:
+            seen["middle_line_runs_to_the_end"] += len(data) >= 2
+        else:
             seen["cut_after_crlf"] += data[start - 2 : start] == b"\r\n"
-            seen["cut_by_blank_line"] += any(
-                not line.strip() for line in (_line_at(data, start - 1), _line_at(data, start)) if start < len(data)
-            )
-        seen["empty_last_range"] += spans[-1][0] == len(data) > 0
-        seen["last_line_without_newline"] += spans[-1][0] < len(data) and not data.endswith(b"\n")
+            seen["cut_by_blank_line"] += any(not line.strip() for line in (_line_at(data, start - 1), _line_at(data, start)))
+            seen["last_line_without_newline"] += not data.endswith(b"\n")
         descriptors = [_differential_descriptor(rng, i) for i in range(rng.randrange(1, 6))]
-        descriptors.append(make_descriptor(descriptors[0].entity_class, []))  # shares events with the first
+        cls = descriptors[0].entity_class
+        # Both share events with the first, and with each other.
+        descriptors.append(make_descriptor(cls, []))
+        descriptors.append(make_descriptor(cls, [Predicate(rng.choice(_FIELDS[cls]), "glob", "*")]))
         keys = list(dict.fromkeys(memo_key(q, _DIFF_DB) for q in descriptors))
         by_class, expected, fault = oracle_read_events(path, keys)
         if fault is not None:
@@ -1494,12 +1501,12 @@ def test_split_read_equals_reference_read_on_mixed_logs(tmp_path, monkeypatch):
             with pytest.raises(ProxyUnavailable) as info:
                 NdjsonProxy(path, keys)
             assert str(info.value) == fault, trial
-            assert len(forks) == len(spans) - 1
+            assert len(forks) == (cut is not None)
             continue
         proxy = NdjsonProxy(path, keys)
-        assert len(forks) == len(spans) - 1
+        assert len(forks) == (cut is not None)
         assert proxy.sha256 == hashlib.sha256(data).hexdigest()
-        first_range = {doc["event_id"] for _, doc in read_jsonl(path, None, 0, spans[0][1])}
+        first_range = {doc["event_id"] for _, doc in read_jsonl(path, None, 0, None if cut is None else start)}
         shared: dict[str, Event] = {}
         holders = Counter()
         for key in keys:
@@ -1511,7 +1518,7 @@ def test_split_read_equals_reference_read_on_mixed_logs(tmp_path, monkeypatch):
         seen["shared_from_a_child"] += sum(1 for i, n in holders.items() if n > 1 and i not in first_range)
         cls = rng.choice(sorted(by_class) or ["Process"])
         assert _attributes(proxy.scan(cls)) == _lean(by_class.get(cls, [])), trial  # a miss, read split again
-        seen["split_and_ok"] += len(spans) > 1
+        seen["split_and_ok"] += cut is not None
     _assert_no_child_left()
     assert min(seen.values()) >= 15, seen
 
@@ -1534,11 +1541,11 @@ def _answers(proxy, keys) -> dict:
 
 
 def test_split_read_gives_the_first_fault_planted_in_any_range(tmp_path, monkeypatch):
-    """A bad line, or an event id that an earlier line of the same or an
-    earlier range holds, planted in each of three ranges (and a second
-    fault in a later range) fails the split read, whole or filtered, with
+    """A bad line, or an event id that an earlier line of the same or the
+    first range holds, planted in either range (and now and then a
+    second fault after it) fails the split read, whole or filtered, with
     the reference read's message for the first fault."""
-    forks = _force_split(monkeypatch, 3)
+    forks = _force_split(monkeypatch)
     rng = random.Random(20261103)
     lines = [json.dumps(doc).encode() for doc in synth_log(rng, 90)]
     ids = [json.loads(line)["event_id"] for line in lines]
@@ -1555,8 +1562,7 @@ def test_split_read_gives_the_first_fault_planted_in_any_range(tmp_path, monkeyp
             else:  # the id of an earlier line
                 at[i] = lines[i].replace(ids[i].encode(), ids[rng.randrange(i)].encode())
         _planted_log(path, rng, lines, at)
-        spans = wilee.hunt.proxy._spans(path)
-        assert len(spans) == 3
+        cut, _ = wilee.hunt.proxy._cut(path)
         first = min(at)
         offset = sum(len(at.get(i, line)) + 1 for i, line in enumerate(lines[:first]))
         fault = oracle_read_events(path, keys)[2]
@@ -1566,11 +1572,10 @@ def test_split_read_gives_the_first_fault_planted_in_any_range(tmp_path, monkeyp
             with pytest.raises(ProxyUnavailable) as info:
                 read(path, keys)
             assert str(info.value) == fault, name
-            assert len(forks) == 2, name
-        in_range = max(k for k, (start, _) in enumerate(spans) if start <= offset)
-        checked[in_range, "duplicate" in fault] += 1
+            assert len(forks) == 1, name
+        checked[offset >= cut, "duplicate" in fault] += 1
     _assert_no_child_left()
-    assert len(checked) == 6 and min(checked.values()) >= 3, checked
+    assert len(checked) == 4 and min(checked.values()) >= 3, checked
 
 
 def test_split_read_falls_back_to_one_pass_when_a_child_fails(tmp_path, monkeypatch):
@@ -1584,7 +1589,7 @@ def test_split_read_falls_back_to_one_pass_when_a_child_fails(tmp_path, monkeypa
     keys = [memo_key(make_descriptor(cls, []), IocDb()) for cls in ("Process", "File")]
     serial = {name: read(path, keys) for name, read in _READS.items()}
     forked = wilee.hunt.proxy._forked
-    _force_split(monkeypatch, 3)
+    _force_split(monkeypatch)
     calls = []
 
     def dying(read, *args):
@@ -1593,16 +1598,14 @@ def test_split_read_falls_back_to_one_pass_when_a_child_fails(tmp_path, monkeypa
 
     def failing(read, *args):
         calls.append(read)
-        if len(calls) == 2:
-            raise OSError("fork failed")
-        return forked(read, *args)
+        raise OSError("fork failed")
 
     for name, read in _READS.items():
         for broken in (dying, failing):
             del calls[:]
             monkeypatch.setattr(wilee.hunt.proxy, "_forked", broken)
             proxy = read(path, keys)
-            assert len(calls) == 2, (name, broken)
+            assert len(calls) == 1, (name, broken)
             assert proxy.sha256 == serial[name].sha256
             assert _answers(proxy, keys) == _answers(serial[name], keys), (name, broken)
             _assert_no_child_left()
@@ -1613,13 +1616,13 @@ def test_split_read_falls_back_to_one_pass_when_a_child_fails(tmp_path, monkeypa
         (unreadable / name).touch()
     assert unreadable.stat().st_size >= 3
     for name, read in _READS.items():
-        monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 1)
+        monkeypatch.setattr(wilee.hunt.proxy, "_cpus", lambda: 1)
         with pytest.raises(ProxyUnavailable) as serial_error:
             read(unreadable, keys)
         assert str(serial_error.value).startswith(f"cannot read event log {unreadable}: ")
-        monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 3)
+        monkeypatch.setattr(wilee.hunt.proxy, "_cpus", lambda: 2)
         del calls[:]
-        assert wilee.hunt.proxy._spans(unreadable) == [(0, None)]
+        assert wilee.hunt.proxy._cut(unreadable) is None
         with pytest.raises(ProxyUnavailable) as split_error:
             read(unreadable, keys)
         assert str(split_error.value) == str(serial_error.value) and not calls, name
@@ -1629,10 +1632,10 @@ def test_split_read_hashes_the_bytes_it_reads(tmp_path, monkeypatch):
     """Bytes appended to the log after it was cut, a new line or the rest
     of an unfinished last line, are neither read nor hashed by either
     read: ``sha256`` names the bytes whose events the split read gives."""
-    forks = _force_split(monkeypatch, 2)
+    forks = _force_split(monkeypatch)
     rng = random.Random(20261106)
     keys = [memo_key(make_descriptor("Process", []), IocDb())]
-    cut = wilee.hunt.proxy._spans
+    cut = wilee.hunt.proxy._cut
     for name, read in _READS.items():
         for n, tail in enumerate((b"\n", b"")):
             path = write_ndjson(tmp_path / f"events-{name}-{n}.ndjson", synth_log(rng, 200))
@@ -1642,15 +1645,15 @@ def test_split_read_hashes_the_bytes_it_reads(tmp_path, monkeypatch):
             appended = b'{"event_id": "late", "timestamp": "2026-03-01T07:00:00Z", "host": "h", "entity_class": "Process"}\n'
 
             def cut_then_append(path):
-                spans = cut(path)
+                found = cut(path)
                 with path.open("ab") as handle:
                     handle.write(b"\n" + appended if tail == b"\n" else b"  " + appended)
-                return spans
+                return found
 
-            monkeypatch.setattr(wilee.hunt.proxy, "_spans", cut_then_append)
+            monkeypatch.setattr(wilee.hunt.proxy, "_cut", cut_then_append)
             del forks[:]
             proxy = read(path, keys)
-            monkeypatch.setattr(wilee.hunt.proxy, "_spans", cut)
+            monkeypatch.setattr(wilee.hunt.proxy, "_cut", cut)
             assert len(forks) == 1
             assert proxy.sha256 == hashlib.sha256(data).hexdigest(), (name, n)
             assert _attributes(proxy.hits(keys[0])) == _lean(expected), (name, n)
@@ -1658,8 +1661,8 @@ def test_split_read_hashes_the_bytes_it_reads(tmp_path, monkeypatch):
 
 
 def test_split_read_uses_at_most_two_ranges(tmp_path, monkeypatch):
-    """One range per CPU the process may run on, but no more than the two
-    the range size was measured with, in either read."""
+    """Either read forks one reader where the process may run on two CPUs
+    or more, however many, and none on one."""
     monkeypatch.setattr(wilee.hunt.proxy, "_CGROUP", tmp_path / "no-cgroup")
     monkeypatch.setattr(wilee.hunt.proxy, "_RANGE_BYTES", 1)
     forks = []
@@ -1667,28 +1670,85 @@ def test_split_read_uses_at_most_two_ranges(tmp_path, monkeypatch):
     monkeypatch.setattr(wilee.hunt.proxy, "_forked", lambda *args: forks.append(args) or forked(*args))
     path = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(20261107), 60))
     keys = [memo_key(make_descriptor("Process", []), IocDb())]
-    for cpus, readers in ((1, 1), (2, 2), (3, 2), (64, 2)):
+    for cpus in (1, 2, 3, 64):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(cpus)), raising=False)
-        assert wilee.hunt.proxy._readers() == readers, cpus
+        assert wilee.hunt.proxy._cpus() == cpus
         for name, read in _READS.items():
             del forks[:]
             assert read(path, keys).hits(keys[0])
-            assert len(forks) == readers - 1, (cpus, name)
+            assert len(forks) == (cpus >= 2), (cpus, name)
     _assert_no_child_left()
+
+
+def test_split_read_starts_at_two_range_sizes(tmp_path, monkeypatch):
+    """A log of ``2 * _RANGE_BYTES - 1`` bytes is read in one pass and one
+    of ``2 * _RANGE_BYTES`` bytes forks one reader, in either read, with
+    the same hits; at that size a CPU quota of 1.5 CPUs or an affinity
+    mask of one CPU keeps the read in one pass."""
+    cpus = wilee.hunt.proxy._cpus
+    forks = _force_split(monkeypatch)
+    path = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(20261109), 60))
+    data = path.read_bytes()
+    if len(data) % 2:
+        data = data[:-2] + b" }\n"  # one byte more, the same events
+    keys = [memo_key(make_descriptor("Process", []), IocDb())]
+    expected = _lean(oracle_read_events(path, keys)[1][keys[0]])
+    for variant in (data, data[:-2] + b" }\n"):
+        path.write_bytes(variant)
+        monkeypatch.setattr(wilee.hunt.proxy, "_RANGE_BYTES", (len(variant) + 1) // 2)
+        for name, read in _READS.items():
+            del forks[:]
+            assert _attributes(read(path, keys).hits(keys[0])) == expected, name
+            assert len(forks) == (len(variant) % 2 == 0), (len(variant), name)
+    path.write_bytes(data)
+    monkeypatch.setattr(wilee.hunt.proxy, "_RANGE_BYTES", len(data) // 2)
+    monkeypatch.setattr(wilee.hunt.proxy, "_cpus", cpus)
+    root = tmp_path / "cgroup"
+    root.mkdir()
+    for quota, affinity, forked in (("max", 2, 1), ("150000", 4, 0), ("max", 1, 0)):
+        (root / "cpu.max").write_text(f"{quota} 100000\n")
+        monkeypatch.setattr(wilee.hunt.proxy, "_CGROUP", root)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(affinity)), raising=False)
+        for name, read in _READS.items():
+            del forks[:]
+            assert _attributes(read(path, keys).hits(keys[0])) == expected, name
+            assert len(forks) == forked, (quota, affinity, name)
+    _assert_no_child_left()
+
+
+def test_split_read_forks_no_reader_for_an_empty_second_range(tmp_path, monkeypatch):
+    """Where the line that holds the log's middle runs to its end, with or
+    without a final newline, there is no second range: either read is one
+    pass, with the reference read's hits."""
+    forks = _force_split(monkeypatch)
+    rng = random.Random(20261110)
+    keys = [memo_key(make_descriptor("Process", []), IocDb())]
+    for tail in (b"\n", b""):
+        path = write_ndjson(tmp_path / "events.ndjson", synth_log(rng, 20))
+        doc = {"event_id": "long", "timestamp": "2026-03-01T07:00:00Z", "host": "ws-001",
+               "entity_class": "Process", "fields": {"name": "x" * 2 * path.stat().st_size}}
+        path.write_bytes(path.read_bytes() + json.dumps(doc).encode() + tail)
+        assert wilee.hunt.proxy._cut(path) is None
+        expected = _lean(oracle_read_events(path, keys)[1][keys[0]])
+        assert expected[-1]["event_id"] == "long"
+        for name, read in _READS.items():
+            del forks[:]
+            assert _attributes(read(path, keys).hits(keys[0])) == expected, (name, tail)
+            assert not forks, (name, tail)
 
 
 @pytest.mark.parametrize("version", ["v1", "v2"])
 def test_readers_take_the_cgroup_cpu_quota(tmp_path, monkeypatch, version):
-    """A cgroup CPU quota of fewer than two CPUs keeps the read to one
-    range; no quota, two CPUs' worth, or a quota file that is missing,
-    unreadable or malformed leaves it to the CPUs of the affinity mask."""
+    """A cgroup CPU quota below the CPUs of the affinity mask caps the
+    CPUs a read may use; no quota, or a quota file that is missing,
+    unreadable or malformed, leaves them to the affinity mask."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1, 2, 3}, raising=False)
     v2 = {"none": "max 100000\n", "1.5": "150000 100000\n", "2": "200000 100000\n", "0.5": "50000 100000\n",
           "malformed": "150000\n"}
     v1 = {"none": ("-1\n", "100000\n"), "1.5": ("150000\n", "100000\n"), "2": ("200000\n", "100000\n"),
           "0.5": ("50000\n", "100000\n"), "malformed": ("lots\n", "100000\n")}
-    expected = {"none": (None, 2), "1.5": (1.5, 1), "2": (2.0, 2), "0.5": (0.5, 1), "malformed": (None, 2)}
-    for case, (quota, readers) in expected.items():
+    expected = {"none": (None, 4), "1.5": (1.5, 1.5), "2": (2.0, 2), "0.5": (0.5, 0.5), "malformed": (None, 4)}
+    for case, (quota, cpus) in expected.items():
         root = tmp_path / case
         if version == "v2":
             root.mkdir()
@@ -1699,14 +1759,14 @@ def test_readers_take_the_cgroup_cpu_quota(tmp_path, monkeypatch, version):
                 (root / "cpu" / name).write_text(text)
         monkeypatch.setattr(wilee.hunt.proxy, "_CGROUP", root)
         assert wilee.hunt.proxy._quota_cpus() == quota, case
-        assert wilee.hunt.proxy._readers() == readers, case
+        assert wilee.hunt.proxy._cpus() == cpus, case
     for case in ("missing", "unreadable"):
         root = tmp_path / case
         root.mkdir()
         if case == "unreadable":  # a directory where the file should be
             (root / ("cpu.max" if version == "v2" else "cpu") / "cpu.cfs_quota_us").mkdir(parents=True)
         monkeypatch.setattr(wilee.hunt.proxy, "_CGROUP", root)
-        assert wilee.hunt.proxy._quota_cpus() is None and wilee.hunt.proxy._readers() == 2, case
+        assert wilee.hunt.proxy._quota_cpus() is None and wilee.hunt.proxy._cpus() == 4, case
 
 
 def test_split_read_leaves_no_child_process(tmp_path, monkeypatch):
@@ -1716,7 +1776,7 @@ def test_split_read_leaves_no_child_process(tmp_path, monkeypatch):
     fork."""
     import threading
 
-    forks = _force_split(monkeypatch, 2)
+    forks = _force_split(monkeypatch)
     rng = random.Random(20261104)
     keys = [memo_key(make_descriptor("Process", []), IocDb())]
     parent = os.getpid()
@@ -1752,14 +1812,14 @@ def test_split_read_leaves_no_child_process(tmp_path, monkeypatch):
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert wilee.hunt.proxy._spans(path) == [(0, None)]
+            assert wilee.hunt.proxy._cut(path) is None
             read(path, keys)
         finally:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert len(forks) == 3, name
-        assert len(wilee.hunt.proxy._spans(path)) == 2
+        assert wilee.hunt.proxy._cut(path) is not None
 
 
 def _one_sided_log(rng, n):
@@ -1786,7 +1846,7 @@ def test_split_whole_read_equals_serial_whole_read_on_random_logs(tmp_path, monk
     sides of the cut, and links in both ranges."""
     rng = random.Random(20261108)
     path = tmp_path / "events.ndjson"
-    forks = _force_split(monkeypatch, 2)
+    forks = _force_split(monkeypatch)
     seen = Counter()
     for trial in range(150):
         events, logged = _one_sided_log(rng, rng.randrange(8, 80))
@@ -1795,9 +1855,9 @@ def test_split_whole_read_equals_serial_whole_read_on_random_logs(tmp_path, monk
         keys += [("Mutant", ()), ("Mutant", (("name", frozenset(), ("*",)),)),
                  ("Process", (("only", frozenset(), ("*",)),)), ("Process", (("only", frozenset({"cmd.exe"}), ()),))]
         classes = (*_COLUMN_FIELDS, "Mutex", "Mutant", "DnsQuery")
-        monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 1)
+        monkeypatch.setattr(wilee.hunt.proxy, "_cpus", lambda: 1)
         serial = NdjsonProxy(path)
-        monkeypatch.setattr(wilee.hunt.proxy, "_readers", lambda: 2)
+        monkeypatch.setattr(wilee.hunt.proxy, "_cpus", lambda: 2)
         del forks[:]
         split = NdjsonProxy(path)
         assert len(forks) == 1 and len(split._parts) == 2 and len(serial._parts) == 1
