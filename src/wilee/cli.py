@@ -54,8 +54,6 @@ from .malmo import (
 )
 from .stores import FormatError, StorePaths, ValidationError, load_stores, parse_json, read_text
 
-logger = logging.getLogger("wilee")
-
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
 EXIT_IO = 2

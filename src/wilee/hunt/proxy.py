@@ -62,13 +62,13 @@ is not empty, the process may use two CPUs (:func:`_cpus`: its affinity
 mask and its cgroup's CPU quota), ``os.fork`` exists and no other thread
 is alive; any other log is read in one pass by the loops above.  This
 process reads the first range; one forked child (:func:`_forked`) reads
-the second with the same loop and pickles back what it kept: the
-filtered read's hit lists, then its event ids in bounded batches; the
-whole read's columns, whose class id lists serve as its ids.  This
-process hashes the second range's bytes, up to the size the cut saw, so
-``sha256`` names the bytes whose events were read, then takes its own
-result and then the child's, which keeps log order
-(:meth:`NdjsonProxy._split_read`).  The filtered read appends the
+the second with the same loop and replies the same way for both reads:
+what it kept, as one pickle (the filtered read's hit lists, the whole
+read's columns), then its event ids in bounded batches, which this
+process checks against its own.  This process hashes the second range's
+bytes, up to the size the cut saw, so ``sha256`` names the bytes whose
+events were read; :meth:`NdjsonProxy._load` gives its own result and
+then the child's, which is log order.  The filtered read appends the
 child's hits to each key's list; an :class:`Event` stays one object
 however many keys hold it.  The whole read keeps each range's columns as
 they came, as one :class:`_Part` per range with its own timestamp and
@@ -79,7 +79,7 @@ and a moment or host in both parts is two equal objects.  On two vCPUs
 the whole read of the benchmark's 22.9 MB ``hunt_scale`` log takes about
 30 % less time; the child peaks at about 50 MB RSS, part of it pages it
 shares with this process since the fork, and pickles back about
-3.7 MB.  If either range faults, or an event id is in both, the whole
+4.4 MB.  If either range faults, or an event id is in both, the whole
 log is read again in this process, so a fault gives the serial read's
 ``file:line`` message.  The child is reaped before the read returns or
 raises.
@@ -114,7 +114,7 @@ import threading
 from array import array
 from datetime import datetime, timezone
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
@@ -184,15 +184,13 @@ class NdjsonProxy:
     def __init__(self, path: Union[str, Path], keys: Optional[Iterable[Key]] = None):
         self.path = Path(path)
         self._whole = keys is None
-        digest = hashlib.sha256()
         if self._whole:
-            self._parts: list[_Part] = []  # one per range of the log, in log order
-            digest = self._load(self._read_part, self._parts.append, digest)
+            # One :class:`_Part` per range of the log, in log order.
+            self._parts, self.sha256 = self._load(self._read_part)
             self._hits: dict[Key, list[Event]] = {}
         else:
             self._hits = {key: [] for key in keys}
-            digest = self._read_hits(self._hits, digest)
-        self.sha256 = digest.hexdigest()
+            self.sha256 = self._read_hits(self._hits)
 
     def hits(self, key: Key) -> list[Event]:
         """The events of ``key``'s class whose fields pass its filter, in
@@ -241,89 +239,79 @@ class NdjsonProxy:
             part.events(held, positions, found)
         return found
 
-    def _read_hits(self, hits: dict[Key, list[Event]], digest=None):
+    def _read_hits(self, hits: dict[Key, list[Event]]) -> str:
         """The filtered read: appends to each key's list in ``hits`` (all
         empty) the events its filter passes, in log order (see
-        :func:`_keep_hits`).  Returns ``digest`` as :meth:`_load` does."""
+        :func:`_keep_hits`).  Returns the log's hex SHA-256."""
 
-        def read(start: int, end: Optional[int], digest, seen: set[str]) -> tuple:
+        def read(start: int, end: Optional[int], digest, seen: set[str]) -> list[list[Event]]:
             found: dict[Key, list[Event]] = {key: [] for key in hits}
             self._read(_keep_hits(found), start, end, digest, seen)
-            return [*found.values()], (), seen
+            return [*found.values()]
 
-        def take(lists: list[list[Event]]) -> None:
+        ranges, sha256 = self._load(read)
+        for lists in ranges:
             for found, kept in zip(hits.values(), lists):
                 found += kept
+        return sha256
 
-        return self._load(read, take, digest)
-
-    def _read_part(self, start: int, end: Optional[int], digest, seen: set[str]) -> tuple:
+    def _read_part(self, start: int, end: Optional[int], digest, seen: set[str]) -> _Part:
         """The whole read of one range: a :class:`_Part` of the columns of
-        its lines, the event id lists of its classes, and no other id."""
+        its lines."""
         part, hosts = _Part(), {}
         self._read(_keep_columns(part, hosts), start, end, digest, seen)
         part.hosts = list(hosts)
         for held in part.classes.values():
             held.fields = {var: ([None, *texts], codes) for var, (texts, codes) in held.fields.items()}
-        return part, [held.ids for held in part.classes.values()], ()
+        return part
 
-    def _load(self, read: Callable[..., tuple], take: Callable[[object], None], digest=None):
-        """Reads the log with ``read`` and gives ``take`` each range's
-        result, in log order.  ``read(start, end, digest, seen)`` reads
-        the lines between two byte offsets with :meth:`_read` and
-        returns ``(result, held, sent)``: what it kept of them, the lists
-        of their event ids that ``result`` holds, and the rest of their
-        ids (see :func:`_forked`).  Returns ``digest``, a fresh ``hashlib``
-        object or ``None``, fed every byte of the log; after a split read
-        that faulted, a copy of it that the serial read fed instead.  A
-        log that :func:`_cut` cuts in two is read split
+    def _load(self, read: Callable[..., object]) -> tuple[list, str]:
+        """``(results, sha256)``: what ``read`` kept of each range of the
+        log, in log order, and the hex SHA-256 of the bytes read.
+        ``read(start, end, digest, seen)`` reads the lines between two
+        byte offsets with :meth:`_read` and returns what it kept of them.
+        A log that :func:`_cut` cuts in two is read split
         (:meth:`_split_read`); when that faults, the whole log is read
-        again in this process, so a fault raises what the serial read
-        raises."""
+        again in this process, hashed afresh, so a fault raises what the
+        serial read raises."""
         cut = _cut(self.path)
         if cut is not None:
-            unfed = None if digest is None else digest.copy()
-            if self._split_read(*cut, digest, read, take):
-                return digest
-            digest = unfed
-        take(read(0, None, digest, set())[0])
-        return digest
+            digest = hashlib.sha256()
+            ranges = self._split_read(*cut, digest, read)
+            if ranges is not None:
+                return ranges, digest.hexdigest()
+        digest = hashlib.sha256()
+        return [read(0, None, digest, set())], digest.hexdigest()
 
-    def _split_read(self, cut: int, size: int, digest, read: Callable[..., tuple], take) -> bool:
-        """Reads the bytes before ``cut`` here and those from ``cut`` to
-        ``size`` in a forked child (:func:`_forked`), each with ``read``,
-        and feeds ``digest`` the child's bytes; then gives ``take`` the
-        two results in log order.  Returns ``False``, the child reaped
-        and nothing taken, if the fork fails, either range faults or an
-        event id is in both."""
+    def _split_read(self, cut: int, size: int, digest, read: Callable[..., object]) -> Optional[list]:
+        """``[first, second]``: what ``read`` kept of the bytes before
+        ``cut``, read here, and of those from ``cut`` to ``size``, read in
+        a forked child (:func:`_forked`); ``digest`` is fed both ranges'
+        bytes.  ``None``, the child reaped, if the fork fails, either
+        range faults or an event id is in both."""
         try:
             pid, pipe = _forked(read, cut, size)
         except OSError:
-            return False
+            return None
         try:
             seen: set[str] = set()
-            first = read(0, cut, digest, seen)[0]
-            if digest is not None:
-                with open(self.path, "rb") as handle:
-                    handle.seek(cut)
-                    left = size - cut
-                    while left > 0 and (chunk := handle.read(min(left, 1 << 20))):
-                        digest.update(chunk)
-                        left -= len(chunk)
+            first = read(0, cut, digest, seen)
+            with open(self.path, "rb") as handle:
+                handle.seek(cut)
+                left = size - cut
+                while left > 0 and (chunk := handle.read(min(left, 1 << 20))):
+                    digest.update(chunk)
+                    left -= len(chunk)
             second = _received(pipe, seen)
         except (OSError, ProxyUnavailable):
-            return False
+            return None
         finally:
             # The child has sent all it had, or has failed; either way
             # nothing more is wanted of it.
             os.close(pipe)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if second is None:
-            return False
-        take(first)
-        take(second)
-        return True
+        return None if second is None else [first, second]
 
     def _read(self, keep: Callable[[tuple], None], start: int, end: Optional[int], digest, seen: set[str]) -> None:
         """Check each line between byte offsets ``start`` and ``end`` (see
@@ -467,19 +455,22 @@ def _quota_cpus() -> Optional[float]:
 
 
 # The most event ids in one pickle a child sends.  A pickler's memo
-# holds every object of its pickle: 24 MB for one list of 500k ids.
-_IDS_PER_PICKLE = 1 << 16
+# holds every object of its pickle: 24 MB for one list of 500k ids.  On
+# the `hunt_scale` seed-1 log (Python 3.11), 8,192 ids a pickle keep this
+# process's peak RSS at 57.8 MB for a whole read and 30.8 MB for a hunt,
+# against 58.6 and 33.6 MB at 65,536.
+_IDS_PER_PICKLE = 1 << 13
 
 
-def _forked(read: Callable[..., tuple], start: int, end: int) -> tuple[int, int]:
+def _forked(read: Callable[..., object], start: int, end: int) -> tuple[int, int]:
     """``(pid, pipe)`` of a forked child that reads one range with ``read``
-    (see :meth:`NdjsonProxy._load`), sends what it returns into the pipe
-    and exits: ``(result, held)`` as one pickle, so that an object that
-    ``result`` holds more than once, an :class:`Event` that several hit
-    lists hold or an id list of ``held``, is sent once; then the ``sent``
-    ids as lists of at most :data:`_IDS_PER_PICKLE`, then an empty list.
-    The child never returns from this call; if it fails, it exits before
-    the empty list."""
+    (see :meth:`NdjsonProxy._load`), sends its reply into the pipe and
+    exits.  The reply is what ``read`` returns, as one pickle, so that an
+    object it holds more than once, such as an :class:`Event` that
+    several hit lists hold, is sent once; then the event ids of the range
+    as lists of at most :data:`_IDS_PER_PICKLE`; then an empty list.  The
+    child never returns from this call; if it fails, it exits before the
+    empty list."""
     pipe, sink = os.pipe()
     try:
         pid = os.fork()
@@ -494,10 +485,10 @@ def _forked(read: Callable[..., tuple], start: int, end: int) -> tuple[int, int]
     try:
         os.close(pipe)
         with open(sink, "wb") as out:
-            result, held, sent = read(start, end, None, set())
-            pickle.dump((result, held), out, pickle.HIGHEST_PROTOCOL)
-            sent = iter(sent)
-            while chunk := [*islice(sent, _IDS_PER_PICKLE)]:
+            seen: set[str] = set()
+            pickle.dump(read(start, end, None, seen), out, pickle.HIGHEST_PROTOCOL)
+            ids = iter(seen)
+            while chunk := [*islice(ids, _IDS_PER_PICKLE)]:
                 pickle.dump(chunk, out, pickle.HIGHEST_PROTOCOL)
             pickle.dump([], out, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -507,12 +498,13 @@ def _forked(read: Callable[..., tuple], start: int, end: int) -> tuple[int, int]
 
 def _received(pipe: int, seen: set[str]):
     """The result a forked child sent into ``pipe`` (see :func:`_forked`),
-    or ``None`` if it did not send all it had or one of its event ids,
-    held or sent, is in ``seen``.  Leaves the pipe open."""
+    or ``None`` if its reply did not end with the empty list or one of
+    its id batches holds an event id in ``seen``.  Leaves the pipe
+    open."""
     try:
         with open(pipe, "rb", closefd=False) as source:
-            result, held = pickle.load(source)
-            for ids in chain(held, iter(partial(pickle.load, source), [])):
+            result = pickle.load(source)
+            for ids in iter(partial(pickle.load, source), []):
                 if not seen.isdisjoint(ids):
                     return None
     except (EOFError, pickle.UnpicklingError):  # the child failed

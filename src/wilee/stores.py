@@ -125,10 +125,10 @@ def read_jsonl(path: Path, digest=None, start: int = 0, end: Optional[int] = Non
             except UnicodeDecodeError:
                 _decode(raw, path, lineno)  # raises at the byte
             try:
-                doc, end = _scan_value(text, 0)
+                doc, scanned = _scan_value(text, 0)
             except (StopIteration, ValueError):
                 doc = None
-            if type(doc) is not dict or text[end:] not in _LINE_ENDS:
+            if type(doc) is not dict or text[scanned:] not in _LINE_ENDS:
                 doc = _load_line(text, path, lineno)
                 if doc is None:
                     continue

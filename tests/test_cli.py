@@ -907,6 +907,39 @@ def test_outputs_do_not_depend_on_the_hash_seed(workspace, tmp_path):
         assert written[0] == written[1], name
 
 
+def test_log_level_shows_the_duplicate_ioc_line_and_changes_no_output(workspace, tmp_path):
+    """With a duplicate IOC record, ``hunt`` in a new interpreter prints
+    nothing on stderr where ``WILEE_LOG_LEVEL`` is unset or ``error``,
+    and the ``duplicate IOC ... dropped`` line at ``info``; its stdout and
+    the files it writes are byte-identical at every level."""
+    _, _, ioc_db, _ = workspace
+    first = ioc_db.read_text("utf-8").splitlines(keepends=True)[0]
+    ioc_db.write_text(ioc_db.read_text("utf-8") + first, "utf-8")
+    duplicate = len(ioc_db.read_text("utf-8").splitlines())
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(567), 200, PlantedAttack.build().events))
+    out = tmp_path / "out"
+    src = str(Path(wilee.cli.__file__).parents[1])
+    outputs, stderr = [], {}
+    for level in (None, "error", "info"):
+        shutil.rmtree(out, ignore_errors=True)
+        env = {k: v for k, v in os.environ.items() if k != "WILEE_LOG_LEVEL"}
+        env["PYTHONPATH"] = src
+        if level is not None:
+            env["WILEE_LOG_LEVEL"] = level
+        done = subprocess.run([sys.executable, "-m", "wilee.cli", *hunt_args(workspace, log, out)], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, (level, done.stderr.decode())
+        stderr[level] = done.stderr.decode()
+        outputs.append((done.stdout, {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}))
+    assert stderr[None] == stderr["error"] == ""
+    assert stderr["info"].splitlines() == [
+        f"WARNING wilee.stores: {ioc_db}:{duplicate}: duplicate IOC ('registry_hive', "
+        f"{json.loads(first)['value']!r}) dropped (keeping earliest)"
+    ]
+    assert "manifest.json" in outputs[0][1]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def _digest_dir(path):
     """One SHA-256 over the name and bytes of every file under ``path``,
     in sorted order."""

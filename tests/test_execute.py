@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import pickle
 import random
 import re
 import tracemalloc
@@ -1626,6 +1627,63 @@ def test_split_read_falls_back_to_one_pass_when_a_child_fails(tmp_path, monkeypa
         with pytest.raises(ProxyUnavailable) as split_error:
             read(unreadable, keys)
         assert str(split_error.value) == str(serial_error.value) and not calls, name
+
+
+def _state(result):
+    """A split read's range result as plain values: hit lists as they
+    are, a :class:`_Part` as its tables and columns."""
+    if isinstance(result, list):
+        return result
+    columns = {cls: [getattr(held, name) for name in held.__slots__] for cls, held in result.classes.items()}
+    return result.stamps, result.hosts, columns
+
+
+def test_split_read_child_replies_result_then_id_batches_then_empty_list(tmp_path, monkeypatch):
+    """For either read, the forked reader of a log's second range sends,
+    in order: one pickle equal to what ``read`` returns for that range
+    alone; lists of at most ``_IDS_PER_PICKLE`` ids, the range's event ids
+    once each; and ``[]``.  A reader whose ``read`` raises sends no
+    ``[]``, and ``_received`` gives ``None`` for it."""
+
+    def raising(*args):
+        raise ProxyUnavailable("the range faults")
+
+    _force_split(monkeypatch)
+    forked = wilee.hunt.proxy._forked
+    reads = []
+    monkeypatch.setattr(wilee.hunt.proxy, "_forked", lambda read, *args: reads.append(read) or forked(read, *args))
+    path = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(20261111), 120))
+    keys = [memo_key(make_descriptor("Process", []), IocDb()),
+            memo_key(make_descriptor("Process", [Predicate("name", "glob", "*e*")]), IocDb())]
+    for name, make in _READS.items():
+        del reads[:]
+        make(path, keys)
+        (read,) = reads
+        cut, size = wilee.hunt.proxy._cut(path)
+        ids: set[str] = set()
+        expected = _state(read(cut, size, None, ids))
+        assert len(ids) > 9, name  # several batches of three
+
+        pid, pipe = forked(read, cut, size)
+        with open(pipe, "rb") as source:
+            assert _state(pickle.load(source)) == expected, name
+            batches = []
+            while batch := pickle.load(source):
+                batches.append(batch)
+            assert source.read() == b"", name
+        os.waitpid(pid, 0)
+        assert all(0 < len(batch) <= 3 for batch in batches), name
+        assert sorted(i for batch in batches for i in batch) == sorted(ids), name
+
+        for check in ("pipe", "received"):
+            pid, pipe = forked(raising, cut, size)
+            with open(pipe, "rb") as source:
+                if check == "pipe":
+                    assert source.read() == b"", name
+                else:
+                    assert wilee.hunt.proxy._received(source.fileno(), set()) is None, name
+            os.waitpid(pid, 0)
+    _assert_no_child_left()
 
 
 def test_split_read_hashes_the_bytes_it_reads(tmp_path, monkeypatch):
