@@ -61,7 +61,7 @@ EXIT_CAP = 3
 EXIT_NO_CLASSES = 4
 EXIT_CONFIG = 5
 
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+_LOG_LEVELS = {"error": logging.ERROR, "warning": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
 
 def _setup_logging() -> None:
@@ -170,9 +170,10 @@ def cmd_hunt(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     results = []
     partial = False
+    joins = {}  # each distinct relation joined once for the whole hunt
     try:
         for impl, descriptors in scheduled:
-            results.append(evaluate(impl, descriptors, proxy, ioc_db))
+            results.append(evaluate(impl, descriptors, proxy, ioc_db, joins))
     except KeyboardInterrupt:
         partial = True
 
@@ -259,8 +260,10 @@ def cmd_perturb(args) -> int:
         proxy = NdjsonProxy(args.events)
         digests[args.events] = proxy.sha256
 
+        joins = {}  # each distinct relation joined once for the whole run
+
         def fitness_fn(candidate_tree, impl, descriptors):
-            return evaluate(impl, descriptors, proxy, ioc_db).score
+            return evaluate(impl, descriptors, proxy, ioc_db, joins).score
 
     result = run_gpe(tree, config, fitness_fn=fitness_fn, model=model, ioc_db=ioc_db)
     out = Path(args.out)

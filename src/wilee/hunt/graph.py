@@ -24,6 +24,15 @@ Edges come out in source log order, then target log order, and are
 numbered ``e00000``, ``e00001``, ... in that order.  A pair that is both
 explicitly linked and inside the window yields one edge of kind
 ``"link"``.
+
+A relation's join (:func:`join_relation`) reads only its two hit lists,
+its verb and the window; the qids and edge ids are labels put on after.
+So a hunt joins each relation once, not once per implementation: given a
+``joins`` dict, :func:`build_graph` joins a relation whose lists, verb
+and window it has not seen and relabels the rows of one it has.  Join
+work over a hunt is then O(distinct relations) rather than
+O(implementations x relations), and the dict retains O(their edges),
+with the hit lists they were joined from, until the hunt drops it.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .proxy import Event
 from .query import QueryDescriptor
@@ -94,13 +103,88 @@ class _PeerIndex:
             self.by_host[host] = ([m for m, _ in pairs], [p for _, p in pairs])
 
 
+# One relation's edges as the join finds them: a GraphEdge without its
+# edge_id, qid and peer_qid, the three labels of one implementation.
+Row = tuple[str, str, str, str, str, datetime, str]
+
+# The joins of one hunt or perturb run: (id(sources), id(targets), verb,
+# window in microseconds) -> (sources, targets, rows).  An entry holds the two lists
+# its key names, so no other list can take their ids while it lives.
+Joins = dict[tuple[int, int, str, int], tuple[list[Event], list[Event], list[Row]]]
+
+
+def join_relation(sources: list[Event], targets: list[Event], verb: str, window_us: int) -> list[Row]:
+    """The rows of one relation from ``sources`` to ``targets``, in source
+    log order, then target log order; both lists are non-empty."""
+    index = _PeerIndex(targets)
+    by_id, by_host = index.by_id, index.by_host
+    rows: list[Row] = []
+    for source in sources:
+        bucket = by_host.get(source.host)
+        if bucket is None:
+            lo = hi = 0
+        else:
+            moments, positions = bucket
+            t = _micros(source.moment)
+            lo = bisect_left(moments, t - window_us)
+            hi = bisect_right(moments, t + window_us)
+        linked = (
+            {
+                pos
+                for link_verb, event_id in source.links
+                if link_verb == verb
+                for pos in by_id.get(event_id, ())
+            }
+            if source.links
+            else None
+        )
+        if lo < hi:
+            candidates = positions[lo:hi]
+            if linked:
+                candidates = sorted(linked.union(candidates))
+            elif hi - lo > 1:
+                candidates.sort()
+        elif linked:
+            candidates = sorted(linked)
+        else:
+            continue
+        for pos in candidates:
+            target = targets[pos]
+            if linked and pos in linked:
+                kind = "link"
+            elif target.event_id != source.event_id:
+                kind = "window"
+            else:
+                continue
+            rows.append(
+                (
+                    verb,
+                    source.event_id,
+                    target.event_id,
+                    source.host,
+                    target.host,
+                    max(source.moment, target.moment),
+                    kind,
+                )
+            )
+    return rows
+
+
 def build_graph(
     results: dict[str, list[Event]],
     descriptors: list[QueryDescriptor],
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
+    joins: Optional[Joins] = None,
 ) -> EvidenceGraph:
     """Join the TTP-labelled relation edges of per-descriptor query
-    results; the graph keeps ``results`` itself as its hits."""
+    results; the graph keeps ``results`` itself as its hits.
+
+    A relation whose two hit lists, verb and window are already in
+    ``joins`` reuses its rows, and a new one is added.  The caller keeps
+    one dict for the hits of one proxy, whose lists never change; with
+    none, rows are shared only within this graph."""
+    if joins is None:
+        joins = {}
     window_us = timedelta(seconds=window_seconds) // _MICROSECOND
     edges: list[GraphEdge] = []
     for q in descriptors:
@@ -109,57 +193,10 @@ def build_graph(
             targets = results.get(rel.peer_qid)
             if not sources or not targets:
                 continue
-            index = _PeerIndex(targets)
-            by_id, by_host, verb = index.by_id, index.by_host, rel.verb
-            for source in sources:
-                bucket = by_host.get(source.host)
-                if bucket is None:
-                    lo = hi = 0
-                else:
-                    moments, positions = bucket
-                    t = _micros(source.moment)
-                    lo = bisect_left(moments, t - window_us)
-                    hi = bisect_right(moments, t + window_us)
-                linked = (
-                    {
-                        pos
-                        for link_verb, event_id in source.links
-                        if link_verb == verb
-                        for pos in by_id.get(event_id, ())
-                    }
-                    if source.links
-                    else None
-                )
-                if lo < hi:
-                    candidates = positions[lo:hi]
-                    if linked:
-                        candidates = sorted(linked.union(candidates))
-                    elif hi - lo > 1:
-                        candidates.sort()
-                elif linked:
-                    candidates = sorted(linked)
-                else:
-                    continue
-                for pos in candidates:
-                    target = targets[pos]
-                    if linked and pos in linked:
-                        kind = "link"
-                    elif target.event_id != source.event_id:
-                        kind = "window"
-                    else:
-                        continue
-                    edges.append(
-                        GraphEdge(
-                            edge_id=f"e{len(edges):05d}",
-                            qid=q.qid,
-                            peer_qid=rel.peer_qid,
-                            verb=verb,
-                            source_event=source.event_id,
-                            target_event=target.event_id,
-                            source_host=source.host,
-                            target_host=target.host,
-                            timestamp=max(source.moment, target.moment),
-                            kind=kind,
-                        )
-                    )
+            key = (id(sources), id(targets), rel.verb, window_us)
+            if key not in joins:
+                joins[key] = (sources, targets, join_relation(sources, targets, rel.verb, window_us))
+            rows = joins[key][2]
+            qid, peer_qid = q.qid, rel.peer_qid
+            edges.extend(GraphEdge(f"e{n:05d}", qid, peer_qid, *row) for n, row in enumerate(rows, len(edges)))
     return EvidenceGraph(results, tuple(edges))

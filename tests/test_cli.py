@@ -23,6 +23,7 @@ from conftest import (
 )
 
 import wilee.cli
+import wilee.hunt.engine
 import wilee.hunt.proxy
 import wilee.hunt.query
 import wilee.stores
@@ -910,8 +911,9 @@ def test_outputs_do_not_depend_on_the_hash_seed(workspace, tmp_path):
 def test_log_level_shows_the_duplicate_ioc_line_and_changes_no_output(workspace, tmp_path):
     """With a duplicate IOC record, ``hunt`` in a new interpreter prints
     nothing on stderr where ``WILEE_LOG_LEVEL`` is unset or ``error``,
-    and the ``duplicate IOC ... dropped`` line at ``info``; its stdout and
-    the files it writes are byte-identical at every level."""
+    and the ``duplicate IOC ... dropped`` line at ``warning`` and
+    ``info``; its stdout and the files it writes are byte-identical at
+    every level."""
     _, _, ioc_db, _ = workspace
     first = ioc_db.read_text("utf-8").splitlines(keepends=True)[0]
     ioc_db.write_text(ioc_db.read_text("utf-8") + first, "utf-8")
@@ -920,7 +922,7 @@ def test_log_level_shows_the_duplicate_ioc_line_and_changes_no_output(workspace,
     out = tmp_path / "out"
     src = str(Path(wilee.cli.__file__).parents[1])
     outputs, stderr = [], {}
-    for level in (None, "error", "info"):
+    for level in (None, "error", "warning", "info"):
         shutil.rmtree(out, ignore_errors=True)
         env = {k: v for k, v in os.environ.items() if k != "WILEE_LOG_LEVEL"}
         env["PYTHONPATH"] = src
@@ -932,12 +934,13 @@ def test_log_level_shows_the_duplicate_ioc_line_and_changes_no_output(workspace,
         stderr[level] = done.stderr.decode()
         outputs.append((done.stdout, {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}))
     assert stderr[None] == stderr["error"] == ""
-    assert stderr["info"].splitlines() == [
-        f"WARNING wilee.stores: {ioc_db}:{duplicate}: duplicate IOC ('registry_hive', "
-        f"{json.loads(first)['value']!r}) dropped (keeping earliest)"
-    ]
+    for level in ("warning", "info"):
+        assert stderr[level].splitlines() == [
+            f"WARNING wilee.stores: {ioc_db}:{duplicate}: duplicate IOC ('registry_hive', "
+            f"{json.loads(first)['value']!r}) dropped (keeping earliest)"
+        ]
     assert "manifest.json" in outputs[0][1]
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
 def _digest_dir(path):
@@ -985,6 +988,84 @@ def test_golden_outputs(workspace, tmp_path):
         got[seed] = (_digest_dir(out / "archive"), hashlib.sha256((out / "run.json").read_bytes()).hexdigest())
     assert got_report == GOLDEN_HUNT_REPORT
     assert got == GOLDEN_PERTURB
+
+
+# A product store: four variants of each step.  Four are broad, and their
+# edges come from the 60 s window: ``observed`` on "Software\*" by any
+# ``*.exe``, a repeated ``observed``, ``has`` from chrome to a user file,
+# and ``has`` between two objects of one filter.
+PRODUCT_T1552 = (
+    T1552_PUTTY_SRC,
+    T1552_RUNKEY_SRC,
+    '''def t1552_002():
+    winregistrykey1 = WinRegistryKey()
+    winregistrykey1.Hive = "Software\\*"
+    process1 = Process()
+    process1.name = "*.exe"
+    process1.observed(winregistrykey1)
+''',
+    '''def t1552_002():
+    process1 = Process()
+    process1.name = "svchost.exe"
+    winregistrykey1 = WinRegistryKey()
+    winregistrykey1.Hive = "System\\*"
+    process1.observed(winregistrykey1)
+    process1.observed(winregistrykey1)
+''',
+)
+PRODUCT_T1059 = (
+    T1059_SRC,
+    '''def t1059_001():
+    process1 = Process()
+    process1.name = "chrome.exe"
+    file1 = File()
+    file1.path = "C:\\Users\\*"
+    process1.has(file1)
+''',
+    '''def t1059_001():
+    process1 = Process()
+    process1.name = "explorer.exe"
+    process2 = Process()
+    process2.name = "explorer.exe"
+    process1.has(process2)
+''',
+    '''def t1059_001():
+    process1 = Process()
+    process1.name = "notepad.exe"
+''',
+)
+GOLDEN_PRODUCT_REPORT = "1ca883ce45f2cb9498d726d4a98de48aee0fcdbdb8b6682996f6ea4b1ccfd921"
+
+
+def test_golden_product_hunt(tmp_path, monkeypatch):
+    """A hunt over every product of four variants per step, with a step
+    repeated, writes a pinned ``report.json``; at least two of its
+    relations are joined by the window rule."""
+    store_dir = make_store_dir(
+        tmp_path,
+        [("T1552.002", ["credential-access"], "SME", src) for src in PRODUCT_T1552]
+        + [("T1059.001", ["execution"], "SME", src) for src in PRODUCT_T1059],
+    )
+    ioc_db = make_ioc_db(tmp_path)
+    desc = tmp_path / "desc.wdsl"
+    desc.write_text("def product_hunt():\n    t1552_002()\n    t1059_001()\n    t1552_002()\n", "utf-8")
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(564), 1500, PlantedAttack.build().events))
+    windowed = set()  # the predicates of each source with a window edge
+    build_graph = wilee.hunt.engine.build_graph
+
+    def spy(results, descriptors, *args, **kwargs):
+        graph = build_graph(results, descriptors, *args, **kwargs)
+        predicates = {q.qid: q.predicates for q in descriptors}
+        windowed.update(predicates[e.qid] for e in graph.edges if e.kind == "window")
+        return graph
+
+    monkeypatch.setattr(wilee.hunt.engine, "build_graph", spy)
+    workspace = (tmp_path, store_dir, ioc_db, desc)
+    assert main(hunt_args(workspace, log, tmp_path / "out", fmt="json")) == 0
+    report = (tmp_path / "out" / "report.json").read_bytes()
+    assert len(json.loads(report)["threats"]) == 4 * 4 * 4
+    assert len(windowed) >= 2, windowed
+    assert hashlib.sha256(report).hexdigest() == GOLDEN_PRODUCT_REPORT
 
 
 def test_split_hunt_writes_the_serial_outputs(workspace, tmp_path, monkeypatch):

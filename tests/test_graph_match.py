@@ -384,6 +384,162 @@ def test_build_graph_matches_like_the_full_graph(model):
     assert all(seen.values()), seen
 
 
+# Step variants for the shared-join test below, per technique: a broad
+# relation, a repeated relation statement beside one of another verb, a
+# relation whose source or target never hits, a relation between two
+# objects of one filter, a step with no relation, and an empty step.
+_VARIANTS = {
+    "T1552.002": (
+        """def t1552_002():
+    winregistrykey1 = WinRegistryKey()
+    winregistrykey1.Hive = "Software\\\\*"
+    process1 = Process()
+    process1.name = "*.exe"
+    process1.observed(winregistrykey1)
+""",
+        """def t1552_002():
+    process1 = Process()
+    process1.name = "a.exe"
+    winregistrykey1 = WinRegistryKey()
+    process1.observed(winregistrykey1)
+    process1.observed(winregistrykey1)
+    process1.has(winregistrykey1)
+""",
+        """def t1552_002():
+    process1 = Process()
+    process1.name = "ghost.exe"
+    winregistrykey1 = WinRegistryKey()
+    process1.observed(winregistrykey1)
+""",
+        """def t1552_002():
+    process1 = Process()
+    winregistrykey1 = WinRegistryKey()
+    winregistrykey1.Hive = "Nowhere"
+    process1.has(winregistrykey1)
+""",
+    ),
+    "T1059.001": (
+        """def t1059_001():
+    process1 = Process()
+    process1.name = "a.exe"
+    process2 = Process()
+    process2.name = "a.exe"
+    process1.has(process2)
+""",
+        """def t1059_001():
+    process1 = Process()
+    process1.name = "b.exe"
+    file1 = File()
+""",
+        """def t1059_001():
+    pass
+""",
+        """def t1059_001():
+    process1 = Process()
+    process1.name = "*.exe"
+    file1 = File()
+    process1.has(file1)
+""",
+    ),
+}
+
+
+def _random_store_log(rng):
+    """A store with two to four variants of each technique in
+    ``_VARIANTS``, a description of one to three steps over them, and a
+    log of up to 30 events on up to three hosts, on a 30 s grid, with
+    links of either verb."""
+    entries = [
+        (technique, ("execution",), "SME", src)
+        for technique, variants in _VARIANTS.items()
+        for src in rng.sample(variants, rng.randrange(2, len(variants) + 1))
+    ]
+    steps = [rng.choice(list(_VARIANTS)) for _ in range(rng.randrange(1, 4))]
+    base = datetime(2026, 3, 1, 6, 0, 0, tzinfo=timezone.utc)
+    hosts = ["h1", "h2", "h3"][: rng.randrange(1, 4)]
+    ids = [f"ev{i}" for i in range(rng.randrange(0, 31))]
+    fields = {
+        "Process": lambda: {"name": rng.choice(("a.exe", "b.exe", "c.bin"))},
+        "WinRegistryKey": lambda: {"Hive": rng.choice(("Software\\Run", "System\\Setup"))},
+        "File": lambda: {"path": "C:\\x.txt"},
+    }
+    log = []
+    for event_id in ids:
+        cls = rng.choice(list(fields))
+        links = [(rng.choice(("observed", "has")), rng.choice(ids)) for _ in range(rng.choice((0, 0, 1, 2)))]
+        moment = base + timedelta(seconds=30 * rng.randrange(0, 8))
+        log.append(event(event_id, iso(moment), rng.choice(hosts), cls, fields[cls](), links))
+    return entries, steps, log
+
+
+def test_shared_joins_equal_per_implementation_joins(model, monkeypatch):
+    """``evaluate`` with one ``joins`` dict for every implementation of a
+    product store gives the edges, ids included, and the match result of
+    ``build_graph`` and ``match`` with no dict, and joins each distinct
+    (source hits, target hits, verb) once."""
+    from wilee.hunt import engine, evaluate, graph as graph_module, memo_key
+
+    graphs, calls = [], []
+    build, join = graph_module.build_graph, graph_module.join_relation
+
+    def kept_graph(*args, **kwargs):
+        graphs.append(build(*args, **kwargs))
+        return graphs[-1]
+
+    def counted_join(*args):
+        calls.append(args)
+        return join(*args)
+
+    monkeypatch.setattr(engine, "build_graph", kept_graph)
+    monkeypatch.setattr(graph_module, "join_relation", counted_join)
+    rng = random.Random(20261020)
+    db = IocDb()
+    seen = dict.fromkeys(
+        ("no_relation_step", "empty_step", "side_without_hits", "same_key", "repeated_statement",
+         "shared_join", "link", "window", "confirmed", "partial"), 0
+    )
+    for trial in range(60):
+        entries, steps, log = _random_store_log(rng)
+        store = build_store(model, entries)
+        impls = concretize(ThreatDescription.from_steps(f"product{trial}", steps), store).implementations
+        proxy = whole_proxy(log)
+        scheduled = [(impl, schedule(impl, model)) for impl in impls]
+        joins = {}
+        shared = [evaluate(impl, descriptors, proxy, db, joins) for impl, descriptors in scheduled]
+        shared_graphs, made = graphs[:], len(calls)
+        graphs.clear()
+        distinct, pairs = set(), 0
+        for (impl, descriptors), result, got in zip(scheduled, shared, shared_graphs):
+            results = execute_all(descriptors, proxy, db)
+            expected = build_graph(results, descriptors)
+            assert got.edges == expected.edges, f"trial {trial}"
+            assert result == match(expected, impl, descriptors), f"trial {trial}"
+            for q in descriptors:
+                for rel in q.relations:
+                    sources, targets = results[q.qid], results[rel.peer_qid]
+                    if sources and targets:
+                        distinct.add((id(sources), id(targets), rel.verb))
+                        pairs += 1
+                    else:
+                        seen["side_without_hits"] += 1
+                seen["repeated_statement"] += len({(r.verb, r.peer_qid) for r in q.relations}) < len(q.relations)
+            keys = [(q.step_index, memo_key(q, db)) for q in descriptors]
+            seen["same_key"] += len(set(keys)) < len(keys)
+            by_step = [[q for q in descriptors if q.step_index == i] for i in range(len(impl.steps))]
+            seen["no_relation_step"] += any(qs and not any(q.relations for q in qs) for qs in by_step)
+            seen["empty_step"] += any(not qs for qs in by_step)
+            seen["link"] += any(e.kind == "link" for e in got.edges)
+            seen["window"] += any(e.kind == "window" for e in got.edges)
+            seen["confirmed"] += result.confirmed
+            seen["partial"] += 0 < result.score < 1
+        assert made == len(distinct) == len(joins), f"trial {trial}"
+        # A join is kept per window too.
+        assert build_graph(results, descriptors, 0.0, joins).edges == build_graph(results, descriptors, 0.0).edges
+        seen["shared_join"] += pairs > len(distinct)
+        calls.clear()
+    assert all(seen.values()), seen
+
+
 # ---------------------------------------------------------------------------
 # match
 # ---------------------------------------------------------------------------
@@ -625,6 +781,28 @@ def test_match_equals_per_host_oracle_index(model, monkeypatch):
         seen["partial"] += 0 < result.score < 1
         seen["cross_host"] += any(e.source_host != e.target_host for e in graph.edges)
     assert all(seen.values()), seen
+
+
+def test_support_ties_keep_edge_id_string_order(model):
+    """Edges on one host at one moment are supports in edge-id string
+    order, so past ``e99999`` the six-digit ``e100000`` comes first, and
+    the witness picks it.  The golden digests pin this order."""
+    from wilee.hunt.matcher import _support_index
+
+    impl = putty_impl(model)
+    descriptors = schedule(impl, model)
+    (q,) = [q for q in descriptors if q.relations]
+    (rel,) = q.relations
+    moment = datetime(2026, 3, 1, 6, 0, 0, tzinfo=timezone.utc)
+    edges = tuple(
+        GraphEdge(edge_id, q.qid, rel.peer_qid, rel.verb, f"src-{edge_id}", f"dst-{edge_id}",
+                  "ws-002", "ws-002", moment, "window")
+        for edge_id in ("e99999", "e100000")
+    )
+    graph = EvidenceGraph({}, edges)
+    key = ("relation", q.qid, rel.peer_qid, rel.verb)
+    assert _support_index(graph, set())["ws-002"][key] == [(moment, "e100000"), (moment, "e99999")]
+    assert match(graph, impl, descriptors).step_witness[0] == ("e100000",)
 
 
 def test_hunt_over_big_planted_log(model, big_log_events, tmp_path):
