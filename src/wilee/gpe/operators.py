@@ -263,27 +263,16 @@ def perturb_iocs(
         value_path = path + (1,)
         value = node.children[1]
         if value.kind is NodeKind.BIND_EXPR:
-            options = resolve_bind(db, **value.attrs)
-            if len(options) < 2:
-                continue
-            if rng.random() < probability:
-                pick = options[rng.randrange(len(options))]
-                tree = replace_node(tree, value_path, literal(pick.value))
-                changed.append(value_path)
+            options = choices = resolve_bind(db, **value.attrs)
         else:
             ioc_type = ioc_type_for_variable(node.attrs["attribute"])
-            if ioc_type is None:
-                continue
-            options = resolve_bind(db, ioc_type)
-            if len(options) < 2:
-                continue
-            different = [r for r in options if r.value != value.attrs["value"]]
-            if not different:
-                continue
-            if rng.random() < probability:
-                pick = different[rng.randrange(len(different))]
-                tree = replace_node(tree, value_path, literal(pick.value))
-                changed.append(value_path)
+            options = [] if ioc_type is None else resolve_bind(db, ioc_type)
+            choices = [r for r in options if r.value != value.attrs["value"]]
+        if len(options) < 2 or not choices or rng.random() >= probability:
+            continue
+        pick = choices[rng.randrange(len(choices))]
+        tree = replace_node(tree, value_path, literal(pick.value))
+        changed.append(value_path)
     if not changed:
         return replace_lineage(c, Lineage((c.uid,), "perturb_iocs"))
     return Candidate.from_ast(tree, Lineage((c.uid,), "perturb_iocs", tuple(changed)), model)

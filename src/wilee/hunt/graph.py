@@ -10,11 +10,13 @@ the relation is fully witnessed.
 
 Each relation is a band join (DeWitt, Naughton & Schneider, "An
 Evaluation of Non-Equijoin Algorithms", VLDB 1991).  The peer results
-are indexed once: by event id for the link path, and per host by moment
-for the window path.  Each source then finds its link targets by id
-lookup and its window targets with two binary searches, so a relation
-with S sources, T targets and E edges costs O((S + T) log T + E) rather
-than O(S x T).  A source with no candidate costs those two bisects (none
+are indexed once, in one pass: each event id to its one position for the
+link path (a hit list holds an event once, since the read rejects a
+repeated ``event_id``), and per host the moments in order for the window
+path.  Each source then finds its link targets with one lookup per link
+and its window targets with two binary searches, so a relation with S
+sources, T targets and E edges costs O((S + T) log T + E) rather than
+O(S x T).  A source with no candidate costs those two bisects (none
 when no target shares its host) and builds no set, list or sort: only a
 source with links builds its link set, and only a source with more than
 one candidate sorts.  A relation with no sources or no targets builds
@@ -60,10 +62,6 @@ class GraphEdge(NamedTuple):
     timestamp: datetime
     kind: str  # "link" | "window"
 
-    @property
-    def hosts(self) -> tuple[str, ...]:
-        return (self.source_host, self.target_host)
-
 
 @dataclass(frozen=True)
 class EvidenceGraph:
@@ -72,8 +70,8 @@ class EvidenceGraph:
 
     def hosts(self) -> list[str]:
         seen = {event.host for events in self.hits.values() for event in events}
-        for e in self.edges:
-            seen.update(e.hosts)
+        seen.update(e.source_host for e in self.edges)
+        seen.update(e.target_host for e in self.edges)
         return sorted(seen)
 
 
@@ -84,23 +82,6 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 def _micros(moment: datetime) -> int:
     """Exact integer microseconds since the epoch, whatever the offset."""
     return (moment - _EPOCH) // _MICROSECOND
-
-
-class _PeerIndex:
-    """One relation side's results indexed for the join: positions by
-    event id, and per host the moments in ascending order beside their
-    positions (ties in position order)."""
-
-    def __init__(self, events: list[Event]):
-        self.by_id: dict[str, list[int]] = {}
-        buckets: dict[str, list[tuple[int, int]]] = {}
-        for pos, event in enumerate(events):
-            self.by_id.setdefault(event.event_id, []).append(pos)
-            buckets.setdefault(event.host, []).append((_micros(event.moment), pos))
-        self.by_host: dict[str, tuple[list[int], list[int]]] = {}
-        for host, pairs in buckets.items():
-            pairs.sort()
-            self.by_host[host] = ([m for m, _ in pairs], [p for _, p in pairs])
 
 
 # One relation's edges as the join finds them: a GraphEdge without its
@@ -116,8 +97,17 @@ Joins = dict[tuple[int, int, str, int], tuple[list[Event], list[Event], list[Row
 def join_relation(sources: list[Event], targets: list[Event], verb: str, window_us: int) -> list[Row]:
     """The rows of one relation from ``sources`` to ``targets``, in source
     log order, then target log order; both lists are non-empty."""
-    index = _PeerIndex(targets)
-    by_id, by_host = index.by_id, index.by_host
+    by_id: dict[str, int] = {}
+    buckets: dict[str, list[tuple[int, int]]] = {}
+    for pos, target in enumerate(targets):
+        by_id[target.event_id] = pos
+        buckets.setdefault(target.host, []).append((_micros(target.moment), pos))
+    # Per host, the moments in ascending order beside their positions
+    # (ties in position order).
+    by_host: dict[str, tuple[list[int], list[int]]] = {}
+    for host, pairs in buckets.items():
+        pairs.sort()
+        by_host[host] = ([m for m, _ in pairs], [p for _, p in pairs])
     rows: list[Row] = []
     for source in sources:
         bucket = by_host.get(source.host)
@@ -132,8 +122,7 @@ def join_relation(sources: list[Event], targets: list[Event], verb: str, window_
             {
                 pos
                 for link_verb, event_id in source.links
-                if link_verb == verb
-                for pos in by_id.get(event_id, ())
+                if link_verb == verb and (pos := by_id.get(event_id)) is not None
             }
             if source.links
             else None

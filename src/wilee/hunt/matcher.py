@@ -21,10 +21,12 @@ engaging a step versus skipping it entirely, which the frontier tracks.
 
 Supports are indexed once per graph, by host and then obligation, so
 indexing costs O((N + E) log(N + E)) for N nodes and E edges whatever
-the host count, and each earliest-item pick is one binary search.  A
-node support is read straight from the graph's hit lists, and only for
-the queries a node obligation names: hit ``event`` of query ``qid`` is
-the node ``qid:event_id`` at the event's moment.
+the host count, and each earliest-item pick is one binary search.  An
+edge is filed by its own host fields: under its source host, and under
+its target host too when that differs.  A node support is read straight
+from the graph's hit lists, and only for the queries a node obligation
+names: hit ``event`` of query ``qid`` is the node ``qid:event_id`` at
+the event's moment.
 """
 
 from __future__ import annotations
@@ -94,8 +96,10 @@ def _support_index(
     index: dict[str, dict[tuple, list[tuple[datetime, str]]]] = {}
     for edge in graph.edges:
         key = ("relation", edge.qid, edge.peer_qid, edge.verb)
-        for host in set(edge.hosts):
-            index.setdefault(host, {}).setdefault(key, []).append((edge.timestamp, edge.edge_id))
+        item = (edge.timestamp, edge.edge_id)
+        index.setdefault(edge.source_host, {}).setdefault(key, []).append(item)
+        if edge.target_host != edge.source_host:
+            index.setdefault(edge.target_host, {}).setdefault(key, []).append(item)
     for qid in node_qids:
         for event in graph.hits.get(qid, ()):
             index.setdefault(event.host, {}).setdefault(("node", qid), []).append(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, Optional
@@ -202,21 +202,17 @@ class DataModel:
         return cls.from_json(json.loads(text), "wilee/data/data_model.json")
 
 
-def load_ioc_type_map() -> dict[str, str]:
+@cache
+def _ioc_type_map() -> dict[str, str]:
     """Variable-name to ioc_type bridge used for template filling and
-    indicator perturbation.  Keys are matched case-insensitively."""
+    indicator perturbation, keyed by lowercased variable name."""
     text = resources.files("wilee").joinpath("data/ioc_type_map.json").read_text("utf-8")
-    return json.loads(text)
-
-
-_IOC_TYPE_MAP: Optional[dict[str, str]] = None
+    return {k.lower(): v for k, v in json.loads(text).items()}
 
 
 def ioc_type_for_variable(variable: str) -> Optional[str]:
-    global _IOC_TYPE_MAP
-    if _IOC_TYPE_MAP is None:
-        _IOC_TYPE_MAP = {k.lower(): v for k, v in load_ioc_type_map().items()}
-    return _IOC_TYPE_MAP.get(variable.lower())
+    """The ioc_type of ``variable``, matched case-insensitively."""
+    return _ioc_type_map().get(variable.lower())
 
 
 # ---------------------------------------------------------------------------

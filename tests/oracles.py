@@ -511,7 +511,7 @@ def oracle_support_index(graph, host: str) -> dict[tuple, list]:
     ``host``, and every hit of every query on ``host`` is a node."""
     index: dict[tuple, list] = {}
     for edge in graph.edges:
-        if host in edge.hosts:
+        if host in (edge.source_host, edge.target_host):
             key = ("relation", edge.qid, edge.peer_qid, edge.verb)
             index.setdefault(key, []).append((edge.timestamp, edge.edge_id))
     for qid, events in graph.hits.items():

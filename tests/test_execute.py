@@ -1513,6 +1513,7 @@ def test_split_read_equals_reference_read_on_mixed_logs(tmp_path, monkeypatch):
         for key in keys:
             found = _seeded(proxy)[key]
             assert _attributes(found) == _lean(expected[key]), (trial, key)
+            assert len({event.event_id for event in found}) == len(found), (trial, key)
             for event in found:
                 assert shared.setdefault(event.event_id, event) is event, trial
                 holders[event.event_id] += 1
@@ -1928,6 +1929,8 @@ def test_split_whole_read_equals_serial_whole_read_on_random_logs(tmp_path, monk
         for key in asked:
             got = split.hits(key)
             assert _attributes(got) == _attributes(serial.hits(key)) == _lean(expected[key]), (trial, key)
+            # The join keeps one position per event id of a hit list.
+            assert len({event.event_id for event in got}) == len(got), (trial, key)
             if key in answers:
                 assert got is answers[key]
                 seen["asked_twice"] += 1

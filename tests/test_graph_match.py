@@ -250,7 +250,7 @@ def test_build_graph_equals_pairwise_oracle():
     rng = random.Random(20260301)
     seen = dict.fromkeys(
         ("link", "window", "self_relation", "self_link", "boundary", "link_in_window",
-         "link_outside_window", "empty_side"), 0
+         "link_outside_window", "empty_side", "link_to_no_target"), 0
     )
     for trial in range(300):
         results, descriptors, window = _random_join_case(rng)
@@ -261,6 +261,14 @@ def test_build_graph_equals_pairwise_oracle():
         seen["empty_side"] += any(
             not results.get(rel.peer_qid) for q in descriptors for rel in q.relations
         )
+        for q in descriptors:
+            for rel in q.relations:
+                target_ids = {e.event_id for e in results.get(rel.peer_qid, ())}
+                seen["link_to_no_target"] += bool(target_ids) and any(
+                    verb == rel.verb and event_id not in target_ids
+                    for source in results.get(q.qid, ())
+                    for verb, event_id in source.links
+                )
         moments = {e.event_id: e.moment for events in results.values() for e in events}
         for edge in edges:
             delta = abs(moments[edge.source_event] - moments[edge.target_event])
