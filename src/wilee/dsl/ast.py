@@ -180,4 +180,9 @@ def content_hash(node: AstNode) -> str:
     """
     from .printer import pretty_print_node
 
-    return hashlib.sha256(pretty_print_node(node).encode("utf-8")).hexdigest()[:12]
+    return text_hash(pretty_print_node(node))
+
+
+def text_hash(text: str) -> str:
+    """The :func:`content_hash` of a tree whose canonical text is ``text``."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]

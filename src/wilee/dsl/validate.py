@@ -39,8 +39,13 @@ class Diagnostic:
 
 
 def _model_mapping(model) -> Optional[dict[str, frozenset[str]]]:
+    """A data model's ``variable_sets``, built once per model, or a plain
+    class -> variables mapping's, built per call."""
     if model is None:
         return None
+    found = getattr(model, "variable_sets", None)
+    if found is not None:
+        return found
     mapping = getattr(model, "variables_by_class", model)
     return {cls: frozenset(variables) for cls, variables in dict(mapping).items()}
 

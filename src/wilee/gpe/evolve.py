@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional
 
-from ..dsl import AstNode, pretty_print, validate
+from ..dsl import AstNode, validate
 from ..stores import DataModel, IocDb, read_text
 from .novelty import NoveltyArchive, novelty
 from .operators import Candidate, Lineage, crossover, mutate, perturb_iocs, replace_lineage
@@ -306,7 +306,7 @@ def export_archive(result: GpeResult, outdir: Path) -> list[Path]:
     meta_lines = []
     for candidate in result.archive:
         path = outdir / f"{candidate.uid}.wdsl"
-        path.write_text(pretty_print(candidate.ast), "utf-8")
+        path.write_text(candidate.text, "utf-8")
         written.append(path)
         meta_lines.append(
             json.dumps(

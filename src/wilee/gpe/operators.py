@@ -16,11 +16,11 @@ from ..dsl import (
     AstNode,
     AstGenerator,
     NodeKind,
-    content_hash,
     get_node,
     iter_nodes,
     literal,
     replace_node,
+    text_hash,
     tree_depth,
     validate,
 )
@@ -66,7 +66,7 @@ class Lineage:
 @dataclass
 class Candidate:
     uid: str
-    digest: str  # content hash of ``ast``
+    digest: str  # content hash of ``ast``, the hash of ``text``
     ast: AstNode  # Module of concrete functions
     impl: ThreatImplementation  # ``ast`` wrapped one step per function
     descriptors: list[QueryDescriptor]  # ``impl``'s schedule
@@ -75,15 +75,28 @@ class Candidate:
     fitness: Optional[float] = None
     novelty: float = 0.0
 
+    @property
+    def text(self) -> str:
+        """``pretty_print(ast)``."""
+        return _module_text(self.impl)
+
     @classmethod
     def from_ast(cls, tree: AstNode, lineage: Lineage, model: DataModel) -> "Candidate":
         """The candidate of a valid module: its bodies are read once, by
-        :func:`~wilee.hunt.schedule`, for its behavior and its fitness."""
-        digest = content_hash(tree)
+        :func:`~wilee.hunt.schedule`, for its behavior and its fitness,
+        and each function is printed once, for its digest and its step's
+        record id."""
         impl = implementation_from_module(tree)
+        digest = text_hash(_module_text(impl))
         descriptors = schedule(impl, model)
         return cls(uid=digest, digest=digest, ast=tree, impl=impl, descriptors=descriptors,
                    behavior=behavior_of(descriptors), lineage=lineage)
+
+
+def _module_text(impl: ThreatImplementation) -> str:
+    """``pretty_print`` of the module ``impl`` wraps one step per function,
+    from the text each step's record keeps."""
+    return "\n".join(step.record.text for step in impl.steps)
 
 
 def is_valid(tree: AstNode, model: DataModel) -> bool:

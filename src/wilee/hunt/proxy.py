@@ -20,12 +20,14 @@ test a field text by its verdict (:func:`_field_verdicts`), the mask of
 every predicate on the field that the text passes:
 
 * Whole (``NdjsonProxy(path)``): every event is kept, as columns per
-  class (:class:`_Class`): the event ids; the moments as codes into one
-  list, one per distinct timestamp text; the hosts as four-byte codes;
-  the links of the events that have some; and each field as a code
-  column over that field's distinct texts (a value that is not a string
-  as its JSON text), where code 0 means the event lacks the field.  No
-  per-line dict, key string or repeated text is kept.  ``perturb
+  class (:class:`_Class`): the event ids; the timestamps as codes into
+  one list of the distinct timestamp texts, each of which becomes its
+  moment in that list when an event that carries it is first handed
+  out; the hosts as four-byte codes; the links of the events that have
+  some; and each field as a code column over that field's distinct
+  texts (a value that is not a string as its JSON text), where code 0
+  means the event lacks the field.  No per-line dict, key string or
+  repeated text is kept.  ``perturb
   --events`` reads this way, since its fitness asks questions nobody
   knows in advance.  A key not seen before is answered by a scan of its
   class's code columns (:meth:`NdjsonProxy._indexed`): each distinct
@@ -40,8 +42,9 @@ every predicate on the field that the text passes:
   object; the empty filter builds its class's events when first asked.
   Retained memory is O(events) for the columns plus O(hits) for the
   events.  Under ``tracemalloc`` a whole proxy of the benchmark's
-  120k-event seed-3 log retains 21.82 MB (0.18 KB per event), against
-  92.37 MB when it kept one :class:`Event` per line.
+  120k-event seed-3 log retains 22.76 MB (0.19 KB per event) before it
+  hands out an event, against 21.46 MB when it kept moments, not texts,
+  and 92.37 MB when it kept one :class:`Event` per line.
 * Filtered (``NdjsonProxy(path, keys)``): when every question is known
   before the log is opened, as in ``wilee hunt``, one pass tests each
   line's raw fields against the filters of its class and builds an
@@ -77,12 +80,13 @@ cost as much as the split saved.  A key's hits are each part's answer in
 part order, so a distinct text in both parts gets its verdict in each,
 and a moment or host in both parts is two equal objects.  On two vCPUs
 the whole read of the benchmark's 22.9 MB ``hunt_scale`` log takes about
-30 % less time; the child peaks at about 50 MB RSS, part of it pages it
-shares with this process since the fork, and pickles back about
-4.4 MB.  If either range faults, or an event id is in both, the whole
-log is read again in this process, so a fault gives the serial read's
-``file:line`` message.  The child is reaped before the read returns or
-raises.
+a third less time; the child peaks at about 40 MB RSS, part of it pages
+it shares with this process since the fork, and pickles back about
+4.3 MB, its timestamps as texts, which cost half the time from the
+reply's first byte to its last that ``datetime`` objects did.  If either
+range faults, or an event id is in both, the whole log is read again in
+this process, so a fault gives the serial read's ``file:line`` message.
+The child is reaped before the read returns or raises.
 
 The line loop is shared.  :func:`~wilee.stores.read_jsonl` takes a line
 from one call of the C JSON scanner when the line is one object and then
@@ -92,8 +96,11 @@ object and every error message is ``json.loads``'s.  :func:`_checked`
 then checks the object and parses its timestamp, unless the text is the
 previous line's, whose moment it takes.  The filtered read builds an
 :class:`Event` from that row with :func:`_event`; the whole read appends
-the row to its class's columns.  The same loop feeds every byte to
-SHA-256, so ``NdjsonProxy.sha256`` names the log without a second read.
+the row to its class's columns with the timestamp's text in place of the
+moment: the text fails the read if it is not RFC 3339, and is parsed
+again when an event that carries it is first handed out
+(:meth:`_Part.events`).  The same loop feeds every byte to SHA-256, so
+``NdjsonProxy.sha256`` names the log without a second read.
 
 A hit list is kept for the proxy's lifetime and shared by every caller
 that asks its key, so callers must not modify it, and a proxy's file
@@ -457,8 +464,8 @@ def _quota_cpus() -> Optional[float]:
 # The most event ids in one pickle a child sends.  A pickler's memo
 # holds every object of its pickle: 24 MB for one list of 500k ids.  On
 # the `hunt_scale` seed-1 log (Python 3.11), 8,192 ids a pickle keep this
-# process's peak RSS at 57.8 MB for a whole read and 30.8 MB for a hunt,
-# against 58.6 and 33.6 MB at 65,536.
+# process's peak RSS at 55.0 MB for a whole read and 31.0 MB for a hunt,
+# against 57.5 and 34.0 MB at 65,536.
 _IDS_PER_PICKLE = 1 << 13
 
 
@@ -514,35 +521,42 @@ def _received(pipe: int, seen: set[str]):
 
 class _Part:
     """The whole read's columns of one range of the log: ``classes`` the
-    :class:`_Class` of each entity class it holds; ``stamps`` the moment
-    of each distinct timestamp text of the range; ``hosts`` each distinct
-    host, in the order of first sight."""
+    :class:`_Class` of each entity class it holds; ``stamps`` each
+    distinct timestamp text of the range, replaced by its moment when
+    :meth:`events` first hands out an event that carries it, so a split
+    read's child sends texts, and the events of one text share one
+    moment; ``hosts`` each distinct host, in the order of first sight."""
 
     __slots__ = ("classes", "stamps", "hosts")
 
     def __init__(self):
         self.classes: dict[str, _Class] = {}
-        self.stamps: list[datetime] = []
+        self.stamps: list[Union[str, datetime]] = []
         self.hosts: list[str] = []
 
     def events(self, held: _Class, positions: Iterable[int], out: list[Event]) -> None:
         """Appends to ``out`` the :class:`Event` at each of ``held``'s
         ``positions``, each built on its first request and kept for the
-        proxy's lifetime."""
+        proxy's lifetime, parsing its timestamp text the first time the
+        part hands out that text."""
         made = held.events
         stamps, hosts, ids, links = self.stamps, self.hosts, held.ids, held.links
         append = out.append
         for i in positions:
             event = made.get(i)
             if event is None:
-                event = made[i] = Event(ids[i], hosts[held.hosts[i]], stamps[held.stamps[i]], links.get(i, ()))
+                code = held.stamps[i]
+                moment = stamps[code]
+                if type(moment) is str:
+                    moment = stamps[code] = parse_rfc3339(moment)
+                event = made[i] = Event(ids[i], hosts[held.hosts[i]], moment, links.get(i, ()))
             append(event)
 
 
 class _Class:
     """The events of one entity class in one :class:`_Part`, as columns
     in log order: ``ids`` their event ids; ``stamps`` codes into the
-    part's list of moments; ``hosts`` codes into its list of hosts;
+    part's list of timestamps; ``hosts`` codes into its list of hosts;
     ``links`` the links of each event that has some, by position; and
     ``fields`` each field's ``(texts, codes)``, where event ``i`` holds
     ``texts[codes[i]]`` (a value that is not a string as its JSON text)
@@ -563,8 +577,8 @@ class _Class:
 
 def _keep_columns(part: _Part, hosts: dict[str, int]) -> Callable[[tuple], None]:
     """Appends each row to the columns of its class in ``part``, with its
-    timestamp coded into the part's list of the moments of the distinct
-    timestamp texts, and its host into ``hosts``, a map of each host to
+    timestamp coded into the part's list of the distinct timestamp
+    texts, and its host into ``hosts``, a map of each host to
     its code.  While the read runs, a field's ``texts`` is a map of each
     text to its code, counted from 1; :meth:`NdjsonProxy._read_part`
     turns it and ``hosts`` into lists when the range ends."""
@@ -573,7 +587,7 @@ def _keep_columns(part: _Part, hosts: dict[str, int]) -> Callable[[tuple], None]
     dumps = json.dumps
 
     def keep(row: tuple) -> None:
-        event_id, timestamp, host, entity_class, fields, links, moment = row
+        event_id, timestamp, host, entity_class, fields, links, _ = row
         held = classes.get(entity_class)
         if held is None:
             held = classes[entity_class] = _Class()
@@ -583,7 +597,7 @@ def _keep_columns(part: _Part, hosts: dict[str, int]) -> Callable[[tuple], None]
         code = stamp_codes.get(timestamp)
         if code is None:
             code = stamp_codes[timestamp] = len(stamps)
-            stamps.append(moment)
+            stamps.append(timestamp)
         held.stamps.append(code)
         code = hosts.get(host)
         if code is None:

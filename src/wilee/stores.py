@@ -20,10 +20,11 @@ from .dsl import (
     AstNode,
     DslSyntaxError,
     NodeKind,
-    content_hash,
     is_technique_id,
     normalize_step,
     parse,
+    pretty_print_node,
+    text_hash,
     validate,
 )
 from .dsl.vocab import IOC_TYPES, TACTIC_ORDER
@@ -170,6 +171,12 @@ class DataModel:
 
     variables_by_class: dict[str, tuple[str, ...]]
 
+    # Built on first use and kept: the classes never change.
+    @cached_property
+    def variable_sets(self) -> dict[str, frozenset[str]]:
+        """Each class's variables as a set, as ``validate`` reads them."""
+        return {cls: frozenset(variables) for cls, variables in self.variables_by_class.items()}
+
     @classmethod
     def from_json(cls, doc: dict, file: str = "<memory>") -> "DataModel":
         classes = doc.get("classes") if isinstance(doc, dict) else None
@@ -313,8 +320,14 @@ class TtpRecord:
 
     # Computed on first access and kept: the tree never changes.
     @cached_property
+    def text(self) -> str:
+        """The function's canonical text; a module's ``pretty_print`` is
+        its functions' texts joined by ``"\\n"``."""
+        return pretty_print_node(self.ast)
+
+    @cached_property
     def ast_hash(self) -> str:
-        return content_hash(self.ast)
+        return text_hash(self.text)
 
     @cached_property
     def record_id(self) -> str:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import pickle
+import pickletools
 import random
 import re
 import tracemalloc
@@ -1172,7 +1173,9 @@ def test_a_repeated_timestamp_takes_the_previous_moment_unparsed(tmp_path, monke
     for proxy in (NdjsonProxy(path), NdjsonProxy(path, [("Process", ())])):
         first, second = proxy.scan("Process")
         assert second.moment is first.moment == datetime(2026, 3, 1, 7, tzinfo=timezone.utc)
-    assert parsed == ["2026-03-01T07:00:00Z"] * 2  # once per read
+    # Once per read while reading, and once more when the whole read first
+    # hands out an event that carries the text.
+    assert parsed == ["2026-03-01T07:00:00Z"] * 3
     write_ndjson(path, [*good, {"event_id": "e3", "timestamp": "yesterday", **base}])
     for read in (lambda: NdjsonProxy(path), lambda: NdjsonProxy(path, [("Process", ())])):
         parsed.clear()
@@ -1958,3 +1961,67 @@ def test_split_whole_read_equals_serial_whole_read_on_random_logs(tmp_path, monk
         seen["links_in_both_ranges"] += all(any(held.links for held in part.classes.values()) for part in (first, second))
     _assert_no_child_left()
     assert min(seen.values()) >= 30, seen
+
+
+def _holds_datetime(data: bytes) -> bool:
+    """Whether the first pickle in ``data`` loads a global of the
+    ``datetime`` module: by name (protocols 0-3) or by the module string
+    that ``STACK_GLOBAL`` reads (protocol 4 and up)."""
+    return any(
+        (op.name in ("GLOBAL", "INST") and arg.split(" ")[0] == "datetime") or arg == "datetime"
+        for op, arg, _ in pickletools.genops(data)
+    )
+
+
+def test_split_whole_read_child_sends_timestamp_texts(tmp_path, monkeypatch):
+    """The whole read's forked reader sends each distinct timestamp of its
+    range as its text: its reply holds no ``datetime``.  The split and
+    serial whole reads hand out equal events, and within a part each
+    distinct text becomes one moment object, parsed when an event that
+    carries it is first handed out."""
+    _force_split(monkeypatch)
+    forked = wilee.hunt.proxy._forked
+    reads = []
+    monkeypatch.setattr(wilee.hunt.proxy, "_forked", lambda read, *args: reads.append(read) or forked(read, *args))
+    rng = random.Random(20261120)
+    events = synth_log(rng, 400)
+    # A few texts, each on lines far apart and of several classes.
+    texts = sorted({doc["timestamp"] for doc in events})[:: len(events) // 20]
+    for doc in events:
+        doc["timestamp"] = rng.choice(texts)
+    path = write_ndjson(tmp_path / "events.ndjson", events)
+    stamp_of = {doc["event_id"]: doc["timestamp"] for doc in events}
+    classes = sorted({doc["entity_class"] for doc in events})
+
+    split = NdjsonProxy(path)
+    (read,) = reads
+    assert len(split._parts) == 2
+    for part in split._parts:
+        assert sorted(part.stamps) == sorted(set(part.stamps)) and all(type(s) is str for s in part.stamps)
+    cut, size = wilee.hunt.proxy._cut(path)
+    pid, pipe = forked(read, cut, size)
+    with open(pipe, "rb") as source:
+        reply = source.read()
+    os.waitpid(pid, 0)
+    assert _holds_datetime(pickle.dumps([datetime(2026, 3, 1, tzinfo=timezone.utc)], pickle.HIGHEST_PROTOCOL))
+    assert not _holds_datetime(reply)
+    assert pickle.loads(reply).stamps == split._parts[1].stamps
+
+    monkeypatch.setattr(wilee.hunt.proxy, "_cpus", lambda: 1)
+    serial = NdjsonProxy(path)
+    assert len(serial._parts) == 1
+    for cls in classes:
+        assert split.scan(cls) == serial.scan(cls) == [
+            Event(doc["event_id"], doc["host"], parse_rfc3339(doc["timestamp"]), ())
+            for doc in events if doc["entity_class"] == cls
+        ], cls
+    shared = 0
+    for part in split._parts:
+        moments = {}
+        for held in part.classes.values():
+            for event in held.events.values():
+                assert moments.setdefault(stamp_of[event.event_id], event.moment) is event.moment
+                shared += 1
+        assert len(moments) == len(part.stamps) and all(type(s) is datetime for s in part.stamps)
+    assert shared > 2 * sum(len(part.stamps) for part in split._parts)
+    _assert_no_child_left()

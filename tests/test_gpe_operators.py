@@ -9,6 +9,7 @@ from oracles import oracle_behavior_of, oracle_schedule
 from wilee.dsl import (
     AstGenerator,
     NodeKind,
+    content_hash,
     get_node,
     iter_nodes,
     parse,
@@ -301,7 +302,9 @@ GIZMO_MODEL = DataModel(
 def test_operator_children_carry_the_schedule_of_their_tree(model, custom):
     """Chained mutate, crossover and perturb_iocs over random valid
     modules: each child's implementation, descriptors and behavior are
-    those of its own tree under the run's data model."""
+    those of its own tree under the run's data model, and its digest and
+    text, made from its records' texts, are its tree's ``content_hash``
+    and ``pretty_print``."""
     model = GIZMO_MODEL if custom else model
     rng = random.Random(21_021)
     gen = AstGenerator(rng, model=model)
@@ -326,5 +329,7 @@ def test_operator_children_carry_the_schedule_of_their_tree(model, custom):
             assert child.impl == implementation_from_module(child.ast)
             assert child.descriptors == oracle_schedule(child.impl, model)
             assert child.behavior == oracle_behavior_of(child.ast, model)
+            assert child.digest == content_hash(child.ast)
+            assert child.text == pretty_print(child.ast)
         pool = (pool + offspring)[-20:]
         children += len(offspring)

@@ -120,9 +120,9 @@ def test_duplicate_iocs_keep_earliest_with_warning(tmp_path, caplog):
 def test_duplicate_ttp_records_keep_one_with_warning(tmp_path, caplog, monkeypatch):
     import wilee.stores
 
-    hashed = []
+    printed = []
     monkeypatch.setattr(
-        wilee.stores, "content_hash", lambda node: hashed.append(node) or content_hash(node)
+        wilee.stores, "pretty_print_node", lambda node: printed.append(node) or pretty_print_node(node)
     )
     entry = ("T1552.002", ("credential-access",), "SME", T1552_PUTTY_SRC)
     other = ("T1059.001", ("execution",), "SME", T1059_SRC)
@@ -132,7 +132,8 @@ def test_duplicate_ttp_records_keep_one_with_warning(tmp_path, caplog, monkeypat
     assert [r.technique_id for r in store.records] == ["T1552.002", "T1059.001"]
     (warning,) = [r.getMessage() for r in caplog.records]
     assert warning.endswith(f":3: duplicate TTP record {store.records[0].record_id} ignored")
-    assert len(hashed) == 3  # each record's tree is hashed once
+    assert len(printed) == 3  # each record's tree is printed once, for its hash
+    assert store.records[0].ast_hash == content_hash(store.records[0].ast)
 
 
 def test_ttp_store_loads_and_validates(tmp_path):
