@@ -52,7 +52,7 @@ from .malmo import (
     mine_relation_priors,
     scores_to_json,
 )
-from .stores import FormatError, StorePaths, ValidationError, load_stores, parse_json, read_text
+from .stores import FormatError, StorePaths, ValidationError, load_stores, parse_json, read_text, ttp_index_file
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -106,6 +106,12 @@ def _store_paths(args) -> StorePaths:
         ioc_db=getattr(args, "ioc_db", None),
         data_model=getattr(args, "data_model", None),
     )
+
+
+def _store_inputs(args) -> list:
+    """The store files a command reads, as its manifest lists them: a TTP
+    store given as a directory is its index file."""
+    return [args.ttp_store and ttp_index_file(args.ttp_store), args.ioc_db, args.data_model]
 
 
 @contextlib.contextmanager
@@ -170,10 +176,9 @@ def cmd_hunt(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     results = []
     partial = False
-    joins = {}  # each distinct relation joined once for the whole hunt
     try:
         for impl, descriptors in scheduled:
-            results.append(evaluate(impl, descriptors, proxy, ioc_db, joins))
+            results.append(evaluate(impl, descriptors, proxy, ioc_db))
     except KeyboardInterrupt:
         partial = True
 
@@ -181,7 +186,7 @@ def cmd_hunt(args) -> int:
     report = render_report(results, fmt, title=desc.name, partial=partial)
     report_path = out / ("report.md" if fmt == "markdown" else "report.json")
     report_path.write_text(report, "utf-8")
-    inputs = [args.ttp_store, args.ioc_db, args.data_model, args.events, args.desc]
+    inputs = [*_store_inputs(args), args.events, args.desc]
     digests = {args.events: proxy.sha256}
     _write_manifest(out, "hunt", vars(args), inputs, [report_path], partial=partial, digests=digests)
     confirmed = sum(1 for r in results if r.confirmed)
@@ -230,7 +235,7 @@ def cmd_malmo(args) -> int:
     dsl_path.write_text(pretty_print_node(fn), "utf-8")
     scores_path = out / "scores.json"
     scores_path.write_text(json.dumps(scores_to_json(scores), indent=2) + "\n", "utf-8")
-    inputs = [args.ttp_store, args.ioc_db, args.data_model, args.technique]
+    inputs = [*_store_inputs(args), args.technique]
     _write_manifest(out, "malmo", vars(args), inputs, [dsl_path, scores_path])
     print(f"wrote {dsl_path} and {scores_path}")
     return EXIT_OK
@@ -260,10 +265,8 @@ def cmd_perturb(args) -> int:
         proxy = NdjsonProxy(args.events)
         digests[args.events] = proxy.sha256
 
-        joins = {}  # each distinct relation joined once for the whole run
-
         def fitness_fn(candidate_tree, impl, descriptors):
-            return evaluate(impl, descriptors, proxy, ioc_db, joins).score
+            return evaluate(impl, descriptors, proxy, ioc_db).score
 
     result = run_gpe(tree, config, fitness_fn=fitness_fn, model=model, ioc_db=ioc_db)
     out = Path(args.out)
@@ -285,7 +288,7 @@ def cmd_perturb(args) -> int:
         + "\n",
         "utf-8",
     )
-    inputs = [args.ttp_store, args.ioc_db, args.data_model, args.impl, args.config, args.events]
+    inputs = [*_store_inputs(args), args.impl, args.config, args.events]
     _write_manifest(out, "perturb", vars(args), inputs, written + [summary_path], digests=digests)
     print(f"archived {len(result.archive)} candidate(s) under {archive_dir}")
     return EXIT_OK

@@ -51,19 +51,17 @@ def random_technique_id(rng: random.Random) -> str:
 class AstGenerator:
     """Samples grammar-conformant subtrees.
 
-    With a data model, generated trees are also semantically valid:
-    classes come from the model, attributes from the owning class, and
-    object references from the scope supplied by the caller.
+    With a :class:`~wilee.stores.DataModel`, generated trees are also
+    semantically valid: classes come from the model, attributes from the
+    owning class, and object references from the scope supplied by the
+    caller.  ``classes`` is the model's own ``variables_by_class``, not a
+    copy, or ``None`` without a model.
     """
 
     def __init__(self, rng: random.Random, model=None, max_statements: int = 6):
         self.rng = rng
         self.max_statements = max_statements
-        if model is None:
-            self.classes = None
-        else:
-            mapping = getattr(model, "variables_by_class", model)
-            self.classes = {cls: tuple(variables) for cls, variables in dict(mapping).items()}
+        self.classes = None if model is None else model.variables_by_class
 
     # -- terminals ---------------------------------------------------------
 

@@ -38,21 +38,9 @@ class Diagnostic:
         return f"{self.severity.value}: {self.message} [{self.code}]{where}"
 
 
-def _model_mapping(model) -> Optional[dict[str, frozenset[str]]]:
-    """A data model's ``variable_sets``, built once per model, or a plain
-    class -> variables mapping's, built per call."""
-    if model is None:
-        return None
-    found = getattr(model, "variable_sets", None)
-    if found is not None:
-        return found
-    mapping = getattr(model, "variables_by_class", model)
-    return {cls: frozenset(variables) for cls, variables in dict(mapping).items()}
-
-
 class _Checker:
     def __init__(self, model):
-        self.model = _model_mapping(model)
+        self.model = None if model is None else model.variable_sets
         self.out: list[Diagnostic] = []
 
     def error(self, node: AstNode, message: str, code: str) -> None:
@@ -179,9 +167,9 @@ class _Checker:
 def validate(tree: AstNode, model=None) -> list[Diagnostic]:
     """Check a Module or FunctionDef tree.
 
-    ``model`` may be a :class:`wilee.stores.DataModel`, a plain mapping
-    of class name to variable names, or ``None`` to skip model-dependent
-    checks (class and variable resolution).
+    ``model`` is a :class:`wilee.stores.DataModel`, whose
+    ``variable_sets`` are read in place, or ``None`` to skip
+    model-dependent checks (class and variable resolution).
     """
     checker = _Checker(model)
     if tree.kind is NodeKind.MODULE:

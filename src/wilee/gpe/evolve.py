@@ -228,10 +228,9 @@ def run_gpe(
             candidate.novelty = novelty(candidate, archive, population, config.k_nearest)
         if fitness_fn is not None:
             for candidate in population:
-                if candidate.fitness is None:
-                    if candidate.digest not in scores:
-                        scores[candidate.digest] = fitness_fn(candidate.ast, candidate.impl, candidate.descriptors)
-                    candidate.fitness = scores[candidate.digest]
+                if candidate.digest not in scores:
+                    scores[candidate.digest] = fitness_fn(candidate.ast, candidate.impl, candidate.descriptors)
+                candidate.fitness = scores[candidate.digest]
         for candidate in population:
             archive.consider(candidate)
 

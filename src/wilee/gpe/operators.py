@@ -140,7 +140,7 @@ def _var_used_later(fn: AstNode, stmt_index: int, var: str) -> bool:
 
 def _regenerate(tree: AstNode, path: NodePath, node: AstNode, gen: AstGenerator) -> Optional[AstNode]:
     """Fresh subtree for the same grammar position, respecting the
-    variables in scope at the site."""
+    variables in scope at the site; ``gen`` holds a data model."""
     if node.kind is NodeKind.FUNCTION_DEF:
         return gen.random_function(name=node.attrs["name"], abstract=is_abstract(node))
 
@@ -171,7 +171,7 @@ def _regenerate(tree: AstNode, path: NodePath, node: AstNode, gen: AstGenerator)
             eligible = {
                 var: cls
                 for var, cls in scope.items()
-                if attribute in dict(gen.classes or {}).get(cls, ())
+                if attribute in gen.classes.get(cls, ())
             } or scope
             return gen.random_identifier(eligible)
         return gen.random_identifier(scope)

@@ -4,20 +4,18 @@ the graph matched against the implementation.  Bind sites stay symbolic
 until their query runs; :func:`execute_all` resolves each against the
 IOC database.
 
-A hunt, and a perturb run's fitness, pass one ``joins`` dict to every
-:func:`evaluate` over one proxy, so implementations that share a step
-variant share its join: a relation is joined once per distinct (source
-hits, target hits, verb), and only its labels are per implementation.
-The dict keeps every such join's rows, and the hit lists it keys on,
-until the command drops it."""
+Every :func:`evaluate` over one proxy joins through that proxy's
+``joins``, so implementations that share a step variant share its join:
+a relation is joined once per distinct (source hits, target hits,
+verb), and only its labels are per implementation.  The proxy keeps
+every such join's rows, beside the hit lists it keys on, until it is
+dropped."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..interpreter import ThreatImplementation
 from ..stores import IocDb
-from .graph import Joins, build_graph
+from .graph import build_graph
 from .matcher import MatchResult, match
 from .proxy import NdjsonProxy, execute_all
 from .query import QueryDescriptor
@@ -28,10 +26,9 @@ def evaluate(
     descriptors: list[QueryDescriptor],
     proxy: NdjsonProxy,
     db: IocDb,
-    joins: Optional[Joins] = None,
 ) -> MatchResult:
     """Match ``impl`` against the hits of ``descriptors``, its queries as
-    :func:`~wilee.hunt.schedule` gives them; ``joins`` is passed to
-    :func:`~wilee.hunt.build_graph`."""
-    graph = build_graph(execute_all(descriptors, proxy, db), descriptors, joins=joins)
+    :func:`~wilee.hunt.schedule` gives them, joined through
+    ``proxy.joins``."""
+    graph = build_graph(execute_all(descriptors, proxy, db), descriptors, joins=proxy.joins)
     return match(graph, impl, descriptors)

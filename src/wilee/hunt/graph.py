@@ -31,10 +31,12 @@ A relation's join (:func:`join_relation`) reads only its two hit lists,
 its verb and the window; the qids and edge ids are labels put on after.
 So a hunt joins each relation once, not once per implementation: given a
 ``joins`` dict, :func:`build_graph` joins a relation whose lists, verb
-and window it has not seen and relabels the rows of one it has.  Join
-work over a hunt is then O(distinct relations) rather than
-O(implementations x relations), and the dict retains O(their edges),
-with the hit lists they were joined from, until the hunt drops it.
+and window it has not seen and relabels the rows of one it has.  The
+hit lists are a proxy's, so the dict is too: :func:`~wilee.hunt.evaluate`
+passes ``NdjsonProxy.joins``.  Join work over a hunt is then
+O(distinct relations) rather than O(implementations x relations), and
+the proxy retains O(their edges), with the hit lists they were joined
+from, for its lifetime.
 """
 
 from __future__ import annotations
@@ -88,8 +90,8 @@ def _micros(moment: datetime) -> int:
 # edge_id, qid and peer_qid, the three labels of one implementation.
 Row = tuple[str, str, str, str, str, datetime, str]
 
-# The joins of one hunt or perturb run: (id(sources), id(targets), verb,
-# window in microseconds) -> (sources, targets, rows).  An entry holds the two lists
+# The joins over one proxy's hit lists (``NdjsonProxy.joins``): (id(sources),
+# id(targets), verb, window in microseconds) -> (sources, targets, rows).  An entry holds the two lists
 # its key names, so no other list can take their ids while it lives.
 Joins = dict[tuple[int, int, str, int], tuple[list[Event], list[Event], list[Row]]]
 
@@ -169,9 +171,10 @@ def build_graph(
     results; the graph keeps ``results`` itself as its hits.
 
     A relation whose two hit lists, verb and window are already in
-    ``joins`` reuses its rows, and a new one is added.  The caller keeps
-    one dict for the hits of one proxy, whose lists never change; with
-    none, rows are shared only within this graph."""
+    ``joins`` reuses its rows, and a new one is added.  The dict belongs
+    with the proxy the hits came from, whose lists never change
+    (``NdjsonProxy.joins``); with none, rows are shared only within this
+    graph."""
     if joins is None:
         joins = {}
     window_us = timedelta(seconds=window_seconds) // _MICROSECOND

@@ -105,7 +105,8 @@ again when an event that carries it is first handed out
 A hit list is kept for the proxy's lifetime and shared by every caller
 that asks its key, so callers must not modify it, and a proxy's file
 must not change while the proxy is used.  The memo retains at most one
-pointer per hit per distinct key, and is freed with the proxy.
+pointer per hit per distinct key, and is freed with the proxy, as are
+the joins :func:`~wilee.hunt.evaluate` keeps in ``NdjsonProxy.joins``.
 """
 
 from __future__ import annotations
@@ -186,10 +187,14 @@ class NdjsonProxy:
     key's filter passes and seeds the memo with one list per key.
 
     ``sha256`` is the hex SHA-256 of the file's bytes as that first read
-    saw them."""
+    saw them.  ``joins`` is :func:`~wilee.hunt.build_graph`'s memo of the
+    relations joined over this proxy's hit lists (see
+    :data:`~wilee.hunt.graph.Joins`); like the lists, it lives as long as
+    the proxy."""
 
     def __init__(self, path: Union[str, Path], keys: Optional[Iterable[Key]] = None):
         self.path = Path(path)
+        self.joins: dict = {}
         self._whole = keys is None
         if self._whole:
             # One :class:`_Part` per range of the log, in log order.

@@ -3,7 +3,6 @@
 from .generate import (
     DEFAULT_TOP_N,
     NoClassesSelected,
-    RelationPrior,
     generate_dsl,
     mine_relation_priors,
     object_name,
@@ -25,7 +24,6 @@ from .tagger import TaggedToken, parse_pretagged, tag_text, tag_word, tokenize
 __all__ = [
     "DEFAULT_TOP_N",
     "NoClassesSelected",
-    "RelationPrior",
     "generate_dsl",
     "mine_relation_priors",
     "object_name",

@@ -9,8 +9,6 @@ expert-authored store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..dsl import (
     AstNode,
     attribute_assign,
@@ -37,12 +35,7 @@ class NoClassesSelected(Exception):
 Triple = tuple[str, str, str]  # (subject class, verb, object class)
 
 
-@dataclass(frozen=True)
-class RelationPrior:
-    triples: dict[Triple, int] = field(default_factory=dict)
-
-
-def mine_relation_priors(store: TtpStore) -> RelationPrior:
+def mine_relation_priors(store: TtpStore) -> dict[Triple, int]:
     """Count (subject class, verb, object class) triples across the
     store's expert-authored functions."""
     counts: dict[Triple, int] = {}
@@ -53,7 +46,7 @@ def mine_relation_priors(store: TtpStore) -> RelationPrior:
         for subj, verb, obj in relations:
             triple = (objects[subj][0], verb, objects[obj][0])
             counts[triple] = counts.get(triple, 0) + 1
-    return RelationPrior(counts)
+    return counts
 
 
 def object_name(class_name: str) -> str:
@@ -65,7 +58,7 @@ def generate_dsl(
     description_text: str,
     model: DataModel,
     ioc_db: IocDb,
-    priors: RelationPrior,
+    priors: dict[Triple, int],
     n: int = DEFAULT_TOP_N,
     pretagged: bool = False,
 ) -> tuple[AstNode, list[ClassScore]]:
@@ -104,7 +97,7 @@ def generate_dsl(
                     )
                 )
 
-    for subj_cls, verb, obj_cls in sorted(priors.triples):
+    for subj_cls, verb, obj_cls in sorted(priors):
         if subj_cls in objects and obj_cls in objects:
             body.append(relation(objects[subj_cls], verb, objects[obj_cls]))
 

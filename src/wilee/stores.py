@@ -341,9 +341,6 @@ class TtpStore:
 
     records: list[TtpRecord] = field(default_factory=list)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TtpStore) and self.records == other.records
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -400,10 +397,15 @@ class StorePaths:
     data_model: Optional[Path] = None
 
 
+def ttp_index_file(path: Path) -> Path:
+    """The index file of a TTP store given as ``path``: a directory
+    means its ``index.jsonl``."""
+    path = Path(path)
+    return path / "index.jsonl" if path.is_dir() else path
+
+
 def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
-    index_path = Path(index_path)
-    if index_path.is_dir():
-        index_path = index_path / "index.jsonl"
+    index_path = ttp_index_file(index_path)
     base = index_path.parent
     store = TtpStore()
     seen: set[str] = set()

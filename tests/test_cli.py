@@ -166,6 +166,24 @@ def test_hunt_planted_attack_reports_confirmed(workspace, tmp_path):
     assert "report.md" in manifest["outputs"]
 
 
+def test_manifest_lists_the_index_of_a_store_directory(workspace, tmp_path):
+    """``hunt`` and ``malmo`` given ``--ttp-store`` as a directory list its
+    ``index.jsonl`` and that file's digest among their manifest inputs."""
+    _, store_dir, ioc_db, desc = workspace
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(555), 100, PlantedAttack.build().events))
+    technique = FIXTURES / "technique_t1552_002.json"
+    runs = {
+        "hunt": (hunt_args(workspace, log, tmp_path / "hunt"), (log, desc)),
+        "malmo": (["malmo", str(technique), "--ttp-store", str(store_dir), "--ioc-db", str(ioc_db),
+                   "--out", str(tmp_path / "malmo")], (technique,)),
+    }
+    for command, (argv, own_inputs) in runs.items():
+        assert main(argv) == 0
+        inputs = json.loads((tmp_path / command / "manifest.json").read_text("utf-8"))["inputs"]
+        expected = (store_dir / "index.jsonl", ioc_db, *own_inputs)
+        assert inputs == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in expected}, command
+
+
 def test_hunt_clean_log_zero_confirmations(workspace, tmp_path):
     rng = random.Random(556)
     log = write_ndjson(tmp_path / "events.ndjson", synth_log(rng, 400))

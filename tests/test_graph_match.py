@@ -481,10 +481,11 @@ def _random_store_log(rng):
 
 
 def test_shared_joins_equal_per_implementation_joins(model, monkeypatch):
-    """``evaluate`` with one ``joins`` dict for every implementation of a
-    product store gives the edges, ids included, and the match result of
-    ``build_graph`` and ``match`` with no dict, and joins each distinct
-    (source hits, target hits, verb) once."""
+    """``evaluate`` of every implementation of a product store over one
+    proxy, whose ``joins`` they share, gives the edges, ids included, and
+    the match result of ``build_graph`` and ``match`` with no dict, and
+    joins each distinct (source hits, target hits, verb) once; a second
+    proxy of the same log starts with no joins."""
     from wilee.hunt import engine, evaluate, graph as graph_module, memo_key
 
     graphs, calls = [], []
@@ -512,8 +513,8 @@ def test_shared_joins_equal_per_implementation_joins(model, monkeypatch):
         impls = concretize(ThreatDescription.from_steps(f"product{trial}", steps), store).implementations
         proxy = whole_proxy(log)
         scheduled = [(impl, schedule(impl, model)) for impl in impls]
-        joins = {}
-        shared = [evaluate(impl, descriptors, proxy, db, joins) for impl, descriptors in scheduled]
+        shared = [evaluate(impl, descriptors, proxy, db) for impl, descriptors in scheduled]
+        joins = proxy.joins
         shared_graphs, made = graphs[:], len(calls)
         graphs.clear()
         distinct, pairs = set(), 0
@@ -541,6 +542,7 @@ def test_shared_joins_equal_per_implementation_joins(model, monkeypatch):
             seen["confirmed"] += result.confirmed
             seen["partial"] += 0 < result.score < 1
         assert made == len(distinct) == len(joins), f"trial {trial}"
+        assert whole_proxy(log).joins == {}, f"trial {trial}"
         # A join is kept per window too.
         assert build_graph(results, descriptors, 0.0, joins).edges == build_graph(results, descriptors, 0.0).edges
         seen["shared_join"] += pairs > len(distinct)

@@ -45,11 +45,11 @@ def technique_fixture():
 
 
 def test_empty_store_gives_empty_priors():
-    assert mine_relation_priors(TtpStore()).triples == {}
+    assert mine_relation_priors(TtpStore()) == {}
 
 
 def test_priors_count_triples(priors):
-    assert priors.triples == {
+    assert priors == {
         ("System", "has", "Process"): 1,
         ("Process", "observed", "WinRegistryKey"): 2,
     }
@@ -57,7 +57,7 @@ def test_priors_count_triples(priors):
 
 def test_priors_ignore_non_sme_sources(model):
     store = build_store(model, [("T1003.001", (), "GPE", SME_PRIORS_SRC)])
-    assert mine_relation_priors(store).triples == {}
+    assert mine_relation_priors(store) == {}
 
 
 def test_priors_equal_full_ast_recount(model):
@@ -84,7 +84,7 @@ def test_priors_equal_full_ast_recount(model):
                     classes[stmt.children[1].attrs["name"]],
                 )
                 recount[triple] = recount.get(triple, 0) + 1
-    assert priors.triples == recount
+    assert priors == recount
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,18 @@ from wilee.dsl import (
     validate,
 )
 from wilee.dsl.vocab import is_identifier
+from wilee.stores import DataModel
 
 # A small synthetic model exercising the resolution rules in isolation.
-FIVE_CLASS_MODEL = {
-    "System": ("hostname", "os"),
-    "Process": ("name", "pid", "command_line", "path"),
-    "WinRegistryKey": ("Hive", "Key", "Values", "modified"),
-    "File": ("path", "size"),
-    "NetworkConnection": ("dst_ip", "dst_port"),
-}
+FIVE_CLASS_MODEL = DataModel(
+    {
+        "System": ("hostname", "os"),
+        "Process": ("name", "pid", "command_line", "path"),
+        "WinRegistryKey": ("Hive", "Key", "Values", "modified"),
+        "File": ("path", "size"),
+        "NetworkConnection": ("dst_ip", "dst_port"),
+    }
+)
 
 
 def codes(tree, model=FIVE_CLASS_MODEL):
