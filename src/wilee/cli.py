@@ -108,10 +108,11 @@ def _store_paths(args) -> StorePaths:
     )
 
 
-def _store_inputs(args) -> list:
+def _store_inputs(args, store) -> list:
     """The store files a command reads, as its manifest lists them: a TTP
-    store given as a directory is its index file."""
-    return [args.ttp_store and ttp_index_file(args.ttp_store), args.ioc_db, args.data_model]
+    store given as a directory is its index file, followed by the
+    ``store.body_files`` it names."""
+    return [args.ttp_store and ttp_index_file(args.ttp_store), *store.body_files, args.ioc_db, args.data_model]
 
 
 @contextlib.contextmanager
@@ -186,7 +187,7 @@ def cmd_hunt(args) -> int:
     report = render_report(results, fmt, title=desc.name, partial=partial)
     report_path = out / ("report.md" if fmt == "markdown" else "report.json")
     report_path.write_text(report, "utf-8")
-    inputs = [*_store_inputs(args), args.events, args.desc]
+    inputs = [*_store_inputs(args, store), args.events, args.desc]
     digests = {args.events: proxy.sha256}
     _write_manifest(out, "hunt", vars(args), inputs, [report_path], partial=partial, digests=digests)
     confirmed = sum(1 for r in results if r.confirmed)
@@ -235,7 +236,7 @@ def cmd_malmo(args) -> int:
     dsl_path.write_text(pretty_print_node(fn), "utf-8")
     scores_path = out / "scores.json"
     scores_path.write_text(json.dumps(scores_to_json(scores), indent=2) + "\n", "utf-8")
-    inputs = [*_store_inputs(args), args.technique]
+    inputs = [*_store_inputs(args, store), args.technique]
     _write_manifest(out, "malmo", vars(args), inputs, [dsl_path, scores_path])
     print(f"wrote {dsl_path} and {scores_path}")
     return EXIT_OK
@@ -288,7 +289,7 @@ def cmd_perturb(args) -> int:
         + "\n",
         "utf-8",
     )
-    inputs = [*_store_inputs(args), args.impl, args.config, args.events]
+    inputs = [*_store_inputs(args, store), args.impl, args.config, args.events]
     _write_manifest(out, "perturb", vars(args), inputs, written + [summary_path], digests=digests)
     print(f"archived {len(result.archive)} candidate(s) under {archive_dir}")
     return EXIT_OK

@@ -63,9 +63,6 @@ class AstNode:
     attrs: dict[str, str] = field(default_factory=dict)
     span: Optional[tuple[int, int]] = field(default=None, compare=False)
 
-    def attr(self, key: str) -> str:
-        return self.attrs[key]
-
     def with_children(self, children: tuple["AstNode", ...]) -> "AstNode":
         return AstNode(self.kind, children, dict(self.attrs), self.span)
 

@@ -1,30 +1,29 @@
 """Lexer and recursive-descent parser for the DSL.
 
-``parse`` is total over text and bytes: it returns a Module AST or
-raises :class:`DslSyntaxError`; no input may crash it.  Bytes that are
-not UTF-8, and text holding a lone surrogate, fail at the line where
-they occur.
+``parse`` takes the text :func:`wilee.stores.read_text` gives, which
+reads a file's ``\\r\\n`` and lone ``\\r`` as ``\\n`` and fails on bytes
+that are not UTF-8.  It is total over text: it returns a Module AST or
+raises :class:`DslSyntaxError`; no input may crash it.  Text holding a
+lone surrogate fails at the line where it occurs.
 
-``tokenize`` reads one line at a time.  Lines end at ``\\n``; one ``\\r``
-before it is dropped, and any other ``\\r`` outside a string or comment
-is an error.  Each token is one match of a single pattern (a name, a
-string literal, a punctuation mark or a run of spaces); the identifier
-and string-literal rules come from :mod:`.vocab`, which the printer
-shares.  Token columns count characters from 1; token and node spans
-are byte ranges into the UTF-8 encoding of the source.
+``tokenize`` reads one line at a time.  Lines end at ``\\n``; a ``\\r``
+outside a comment is an error.  Each token is one match of a single
+pattern (a name, a string literal, a punctuation mark or a run of
+spaces); the identifier and string-literal rules come from
+:mod:`.vocab`, which the printer and the validator share.  Token
+columns count characters from 1; token and node spans are byte ranges
+into the UTF-8 encoding of the source.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from . import ast
 from .ast import AstNode, RELATION_VERBS
-from .vocab import IDENTIFIER_RE, KEYWORDS, STRING_LITERAL, normalize_step, unquote_string
-
-BIND_KEYS = ("ioc_type", "technique", "pattern")
+from .vocab import BIND_KEYS, IDENTIFIER_RE, KEYWORDS, STRING_LITERAL, normalize_step, unquote_string
 
 
 class DslSyntaxError(Exception):
@@ -77,9 +76,9 @@ _TOKEN = re.compile(
 
 def tokenize(source: str) -> list[Token]:
     """Tokens of ``source``, with Python-style INDENT/DEDENT, one line at
-    a time.  Lines end at ``\\n``, and one ``\\r`` before it is dropped.
-    Columns count characters; spans are byte offsets into the UTF-8
-    encoding of ``source``, which must encode."""
+    a time.  Lines end at ``\\n``.  Columns count characters; spans are
+    byte offsets into the UTF-8 encoding of ``source``, which must
+    encode."""
     out: list[Token] = []
     indents = [0]
     lines = source.split("\n")
@@ -88,8 +87,6 @@ def tokenize(source: str) -> list[Token]:
         ascii_line = line.isascii()
         line_start = next_start
         next_start += 1 + (len(line) if ascii_line else len(line.encode("utf-8")))
-        if lineno < len(lines) and line.endswith("\r"):
-            line = line[:-1]
         rest = line.lstrip(" ")
         pos = len(line) - len(rest)
         if rest[:1] == "\t":
@@ -300,24 +297,12 @@ class _Parser:
         )
 
 
-def parse(source: Union[str, bytes]) -> AstNode:
-    """Parse DSL source into a Module AST.
-
-    Accepts text or UTF-8 bytes; raises :class:`DslSyntaxError` on any
-    malformed input, never anything else.
-    """
-    if isinstance(source, bytes):
-        try:
-            text = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = source[: exc.start].count(b"\n") + 1
-            raise DslSyntaxError("source is not valid UTF-8", line, 1) from None
-        data = source
-    else:
-        text = source
-        try:
-            data = text.encode("utf-8")
-        except UnicodeEncodeError as exc:  # a lone surrogate
-            line = text.count("\n", 0, exc.start) + 1
-            raise DslSyntaxError("source is not valid UTF-8", line, 1) from None
-    return _Parser(tokenize(text), len(data)).parse_module()
+def parse(source: str) -> AstNode:
+    """Parse DSL source text into a Module AST; raises
+    :class:`DslSyntaxError` on any malformed input, never anything else."""
+    try:
+        size = len(source.encode("utf-8"))
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        line = source.count("\n", 0, exc.start) + 1
+        raise DslSyntaxError("source is not valid UTF-8", line, 1) from None
+    return _Parser(tokenize(source), size).parse_module()

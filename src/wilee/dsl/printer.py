@@ -14,7 +14,7 @@ from .ast import (
     RELATION_VERBS,
     VALUE_KINDS,
 )
-from .vocab import is_identifier, quote_string, step_identifier
+from .vocab import BIND_KEYS, is_identifier, is_literal_text, quote_string, step_identifier
 
 INDENT = "    "
 
@@ -38,18 +38,17 @@ def _print_value(node: AstNode) -> str:
         _require("value" in node.attrs, node, "missing value attr")
         _require(not node.children, node, "literals take no children")
         value = node.attrs["value"]
-        _require(isinstance(value, str), node, "literal value must be a string")
-        _require("\n" not in value, node, "literal value may not contain newlines")
+        _require(is_literal_text(value), node, "literal value must be a string with no line break")
         return quote_string(value)
     if node.kind is NodeKind.BIND_EXPR:
         _require(not node.children, node, "bind takes no children")
         _require("ioc_type" in node.attrs, node, "missing ioc_type attr")
-        unknown = set(node.attrs) - {"ioc_type", "technique", "pattern"}
+        unknown = set(node.attrs).difference(BIND_KEYS)
         _require(not unknown, node, f"unknown bind attrs {sorted(unknown)}")
         parts = ["ioc_type=" + _check_name(node, node.attrs["ioc_type"], "ioc_type")]
-        for key in ("technique", "pattern"):
+        for key in BIND_KEYS[1:]:
             if key in node.attrs:
-                _require("\n" not in node.attrs[key], node, f"{key} may not contain newlines")
+                _require(is_literal_text(node.attrs[key]), node, f"{key} must be a string with no line break")
                 parts.append(f"{key}={quote_string(node.attrs[key])}")
         return "bind(" + ", ".join(parts) + ")"
     raise InvalidAstError(f"{node.kind.value}: not a value node")

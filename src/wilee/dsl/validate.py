@@ -18,7 +18,7 @@ from .ast import (
     RELATION_VERBS,
     VALUE_KINDS,
 )
-from .vocab import IOC_TYPES, is_identifier, is_known_step, is_technique_id
+from .vocab import BIND_KEYS, IOC_TYPES, is_identifier, is_known_step, is_literal_text, is_technique_id
 
 
 class Severity(Enum):
@@ -132,19 +132,20 @@ class _Checker:
         if value.children:
             self.error(value, "values take no children", "bad-structure")
         if value.kind is NodeKind.LITERAL:
-            text = value.attrs.get("value")
-            if not isinstance(text, str) or "\n" in text:
-                self.error(value, "literal must be a single-line string", "bad-structure")
+            if not is_literal_text(value.attrs.get("value")):
+                self.error(value, "literal must be a string with no line break", "bad-structure")
         else:
             ioc_type = value.attrs.get("ioc_type", "")
             if ioc_type not in IOC_TYPES:
                 self.error(value, f"unknown ioc_type {ioc_type!r}", "unknown-ioc-type")
-            unknown = set(value.attrs) - {"ioc_type", "technique", "pattern"}
+            unknown = set(value.attrs).difference(BIND_KEYS)
             if unknown:
                 self.error(value, f"unknown bind attrs {sorted(unknown)}", "bad-structure")
             technique = value.attrs.get("technique")
-            if technique is not None and not is_technique_id(technique):
+            if technique is not None and not (is_literal_text(technique) and is_technique_id(technique)):
                 self.error(value, f"malformed technique id {technique!r}", "bad-technique")
+            if not is_literal_text(value.attrs.get("pattern", "")):
+                self.error(value, "bind pattern must be a string with no line break", "bad-structure")
 
     def _check_relation(self, stmt: AstNode, scope: dict[str, str]) -> None:
         if len(stmt.children) != 2:

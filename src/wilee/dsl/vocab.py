@@ -1,5 +1,7 @@
 """Shared vocabularies: IOC types, tactic names, step-name mapping, and
-the identifier and string-literal rules the lexer and printer share.
+the DSL's text rules (identifiers, string literals and what a literal or
+a bind argument may hold), which the lexer, the printer, the validator
+and the IOC writers share.
 
 Step identifiers in DSL source are plain identifiers (``t1552_002``,
 ``credential_access``); the rest of the pipeline works with their
@@ -53,11 +55,19 @@ IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: Reserved words of the DSL; they lex as keywords, never as names.
 KEYWORDS = frozenset({"def", "pass"})
 
+#: The arguments of ``bind(...)``, in printed order; ``ioc_type`` is required.
+BIND_KEYS = ("ioc_type", "technique", "pattern")
+
+#: The characters ``stores.read_text`` reads as line ends.  No literal,
+#: and no bind technique or pattern, holds one.
+LINE_BREAKS = "\r\n"
+_LINE_BREAK = re.compile(f"[{LINE_BREAKS}]")
+
 #: A double-quoted string literal on one line.  A backslash escapes only a
 #: backslash or a double quote and is a literal character anywhere else,
 #: so registry paths read naturally.  The three branches never overlap,
 #: so a failed match never re-reads an escape as a literal backslash.
-STRING_LITERAL = r'"(?:\\[\\"]|\\(?![\\"])|[^"\\])*"'
+STRING_LITERAL = rf'"(?:\\[\\"]|\\(?![\\"])|[^"\\{LINE_BREAKS}])*"'
 
 _ESCAPED = re.compile(r'\\([\\"])')
 _TO_ESCAPE = re.compile(r'\\(?=[\\"]|\Z)|"')
@@ -73,6 +83,13 @@ def quote_string(value: str) -> str:
     a backslash is doubled only before a backslash, a double quote or the
     closing quote."""
     return '"' + _TO_ESCAPE.sub(r"\\\g<0>", value) + '"'
+
+
+def is_literal_text(value: object) -> bool:
+    """Whether ``value`` may be a literal's value or a bind's technique
+    or pattern: a string with none of :data:`LINE_BREAKS`, which is what
+    a :data:`STRING_LITERAL` reads back."""
+    return isinstance(value, str) and _LINE_BREAK.search(value) is None
 
 
 def is_identifier(name: str) -> bool:

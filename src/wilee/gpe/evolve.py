@@ -47,19 +47,11 @@ class GpeConfig:
             number = f.type == "float"  # a string: annotations are postponed
             if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
                 raise ConfigError(f"{f.name} must be {'a number' if number else 'an integer'}, got {value!r}")
-        rates = {
-            "mutation_rate": self.mutation_rate,
-            "crossover_rate": self.crossover_rate,
-            "ioc_perturb_rate": self.ioc_perturb_rate,
-            "ioc_site_probability": self.ioc_site_probability,
-            "rho": self.rho,
-            "rho_min": self.rho_min,
-            "rho_step": self.rho_step,
-            "add_threshold": self.add_threshold,
-        }
-        for name, value in rates.items():
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+        # Every float field is a rate or a threshold in [0, 1].
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{f.name} must lie in [0, 1], got {value}")
         if self.population_size < 1:
             raise ConfigError("population_size must be >= 1")
         if self.generations < 0:

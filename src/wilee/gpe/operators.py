@@ -25,6 +25,7 @@ from ..dsl import (
     validate,
 )
 from ..dsl.ast import NodePath
+from ..dsl.vocab import is_literal_text
 from ..hunt.query import QueryDescriptor, schedule
 from ..interpreter import ThreatImplementation, implementation_from_module
 from ..stores import DataModel, IocDb, ioc_type_for_variable, is_abstract, resolve_bind
@@ -263,8 +264,9 @@ def perturb_iocs(
 
     Bind sites draw uniformly from their resolved candidates; literal
     sites whose variable maps to an ioc_type draw uniformly from the
-    other values of that type.  Sites with fewer than two candidates
-    are left untouched, and substitution never crosses ioc_types.
+    other values of that type.  Only values a literal may hold are
+    candidates.  Sites with fewer than two candidates are left
+    untouched, and substitution never crosses ioc_types.
     """
     model = model or DataModel.default()
     rng = random.Random(rng_seed)
@@ -276,11 +278,13 @@ def perturb_iocs(
         value_path = path + (1,)
         value = node.children[1]
         if value.kind is NodeKind.BIND_EXPR:
-            options = choices = resolve_bind(db, **value.attrs)
+            options = resolve_bind(db, **value.attrs)
         else:
             ioc_type = ioc_type_for_variable(node.attrs["attribute"])
             options = [] if ioc_type is None else resolve_bind(db, ioc_type)
-            choices = [r for r in options if r.value != value.attrs["value"]]
+        options = [r for r in options if is_literal_text(r.value)]
+        # A literal site draws a value other than its own; a bind has none.
+        choices = [r for r in options if r.value != value.attrs.get("value")]
         if len(options) < 2 or not choices or rng.random() >= probability:
             continue
         pick = choices[rng.randrange(len(choices))]

@@ -159,11 +159,9 @@ def _best_for_host(
             nxt.append(_State(state.floor, state.count, state.trace + ((),)))
             nxt.append(_advance(state, obligations, index))
         states = _prune(nxt)
-    best_count = max(state.count for state in states)
-    return min(
-        (state for state in states if state.count == best_count),
-        key=lambda s: s.floor,
-    )
+    # Counts strictly increase along the pruned frontier, so its last state
+    # alone has the highest count, at the lowest floor that reaches it.
+    return states[-1]
 
 
 def match(graph: EvidenceGraph, impl: ThreatImplementation, descriptors: list[QueryDescriptor]) -> MatchResult:

@@ -2,9 +2,9 @@
 
 Selected classes become object instantiations; variables with a
 compatible, technique-matching indicator in the IOC database become
-attribute assignments (a literal for a single candidate, a bind for
-several); relation statements come from priors mined over the existing
-expert-authored store.
+attribute assignments (a literal for a single candidate a literal may
+hold, a bind otherwise); relation statements come from priors mined
+over the existing expert-authored store.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from ..dsl import (
     step_identifier,
     validate,
 )
+from ..dsl.vocab import is_literal_text
 from ..hunt.query import read_body
 from ..stores import DataModel, IocDb, TtpStore, ioc_type_for_variable, resolve_bind
 from .phrases import extract_noun_phrases
@@ -88,14 +89,10 @@ def generate_dsl(
             if ioc_type is None:
                 continue
             matching = resolve_bind(ioc_db, ioc_type, technique=technique_id)
-            if len(matching) == 1:
+            if len(matching) == 1 and is_literal_text(matching[0].value):
                 body.append(attribute_assign(var, variable, literal(matching[0].value)))
-            elif len(matching) > 1:
-                body.append(
-                    attribute_assign(
-                        var, variable, bind(ioc_type, technique=technique_id)
-                    )
-                )
+            elif matching:
+                body.append(attribute_assign(var, variable, bind(ioc_type, technique=technique_id)))
 
     for subj_cls, verb, obj_cls in sorted(priors):
         if subj_cls in objects and obj_cls in objects:

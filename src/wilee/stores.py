@@ -337,9 +337,11 @@ class TtpRecord:
 @dataclass
 class TtpStore:
     """TTP implementations indexed by technique id and tactic tag,
-    admitted and deduplicated by :func:`load_stores`."""
+    admitted and deduplicated by :func:`load_stores`.  ``body_files``
+    are the ``.wdsl`` files it read them from, in index order."""
 
     records: list[TtpRecord] = field(default_factory=list)
+    body_files: list[Path] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -425,6 +427,7 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
         if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
             raise FormatError(str(index_path), lineno, "tactic_tags must be a list of strings")
         fn = _read_ttp_function(base / rel, technique_id, index_path, lineno)
+        store.body_files.append(base / rel)
         record = TtpRecord(
             technique_id=technique_id,
             tactic_tags=tuple(tags),

@@ -615,7 +615,8 @@ def oracle_novelty(candidate_behavior, other_behaviors, k) -> float:
 # ---------------------------------------------------------------------------
 
 # A lexer that reads one character at a time: ``dsl.parser.tokenize`` must
-# agree with it token for token and error for error.
+# agree with it token for token and error for error.  Lines end at "\n"
+# only; a "\r" outside a comment is an error, as it is anywhere in a string.
 
 _KEYWORDS = {"def": TokenType.DEF, "pass": TokenType.PASS}
 _PUNCT = {
@@ -667,9 +668,7 @@ class _Lexer:
                 self._advance()
             if self._peek() == "\t":
                 raise self.error("tabs are not allowed in indentation")
-            if self._peek() in ("\n", "") or self._peek() == "#" or (
-                self._peek() == "\r" and self._peek(1) == "\n"
-            ):
+            if self._peek() in ("\n", "", "#"):
                 self._skip_to_eol()
                 continue
             if indent > indents[-1]:
@@ -694,9 +693,6 @@ class _Lexer:
 
     def _skip_to_eol(self) -> None:
         while self.pos < len(self.source) and self._peek() != "\n":
-            if self._peek() == "\r" and self._peek(1) == "\n":
-                self._advance()
-                break
             self._advance()
         if self.pos < len(self.source):
             self._advance()  # the newline itself
@@ -705,11 +701,7 @@ class _Lexer:
         out: list[Token] = []
         while True:
             ch = self._peek()
-            if ch == "" or ch == "\n" or (ch == "\r" and self._peek(1) == "\n"):
-                out.append(self._mark(TokenType.NEWLINE, ""))
-                self._skip_to_eol()
-                return out
-            if ch == "#":
+            if ch in ("", "\n", "#"):
                 out.append(self._mark(TokenType.NEWLINE, ""))
                 self._skip_to_eol()
                 return out
@@ -755,7 +747,7 @@ class _Lexer:
         chars = []
         while True:
             ch = self._peek()
-            if ch == "" or ch == "\n":
+            if ch in ("", "\n", "\r"):
                 raise DslSyntaxError("unterminated string", line, col, ('"',))
             if ch == '"':
                 self._advance()

@@ -167,21 +167,46 @@ def test_hunt_planted_attack_reports_confirmed(workspace, tmp_path):
 
 
 def test_manifest_lists_the_index_of_a_store_directory(workspace, tmp_path):
-    """``hunt`` and ``malmo`` given ``--ttp-store`` as a directory list its
-    ``index.jsonl`` and that file's digest among their manifest inputs."""
+    """``hunt``, ``malmo`` and ``perturb`` given ``--ttp-store`` as a
+    directory list its ``index.jsonl`` and every body file the index
+    names, with their digests, among their manifest inputs."""
     _, store_dir, ioc_db, desc = workspace
     log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(555), 100, PlantedAttack.build().events))
     technique = FIXTURES / "technique_t1552_002.json"
+    impl = tmp_path / "impl.wdsl"
+    impl.write_text(T1552_PUTTY_SRC, "utf-8")
+    store_args = ["--ttp-store", str(store_dir), "--ioc-db", str(ioc_db)]
     runs = {
         "hunt": (hunt_args(workspace, log, tmp_path / "hunt"), (log, desc)),
-        "malmo": (["malmo", str(technique), "--ttp-store", str(store_dir), "--ioc-db", str(ioc_db),
-                   "--out", str(tmp_path / "malmo")], (technique,)),
+        "malmo": (["malmo", str(technique), *store_args, "--out", str(tmp_path / "malmo")], (technique,)),
+        "perturb": (["perturb", str(impl), *store_args, "--seed", "1", "--out", str(tmp_path / "perturb")], (impl,)),
     }
+    bodies = sorted(store_dir.glob("*.wdsl"))
+    assert len(bodies) == 4
     for command, (argv, own_inputs) in runs.items():
         assert main(argv) == 0
         inputs = json.loads((tmp_path / command / "manifest.json").read_text("utf-8"))["inputs"]
-        expected = (store_dir / "index.jsonl", ioc_db, *own_inputs)
+        expected = (store_dir / "index.jsonl", *bodies, ioc_db, *own_inputs)
         assert inputs == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in expected}, command
+
+
+def test_manifest_inputs_change_with_a_store_body(workspace, tmp_path):
+    """An edited body that changes the report changes the manifest's inputs too."""
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(555), 100, PlantedAttack.build().events))
+    _, store_dir, _, _ = workspace
+    body = store_dir / "entry0.wdsl"
+    manifests = []
+    for run in ("before", "after"):
+        if run == "after":
+            text = body.read_text("utf-8")
+            assert "Software\\*" in text
+            body.write_text(text.replace("Software\\*", "Software\\X*"), "utf-8")
+        assert main(hunt_args(workspace, log, tmp_path / run)) == 0
+        manifests.append(json.loads((tmp_path / run / "manifest.json").read_text("utf-8")))
+    before, after = manifests
+    assert before["outputs"] != after["outputs"]
+    changed = {p for p in before["inputs"] if before["inputs"][p] != after["inputs"].get(p)}
+    assert changed == {str(body)}
 
 
 def test_hunt_clean_log_zero_confirmations(workspace, tmp_path):
@@ -718,6 +743,49 @@ def test_perturb_archive_files_validate(workspace, tmp_path):
     files = sorted((out / "archive").glob("*.wdsl"))
     assert files
     assert main(["validate", *[str(p) for p in files]]) == 0
+
+
+MULTILINE_HIVE_SRC = (
+    "def t1552_002():\n"
+    "    winregistrykey1 = WinRegistryKey()\n"
+    '    winregistrykey1.Hive = "Software\\*\\Putty\\Sessions"\n'
+    "    winregistrykey2 = WinRegistryKey()\n"
+    "    winregistrykey2.Hive = bind(ioc_type=registry_hive)\n"
+)
+
+
+@pytest.mark.parametrize("line_break", ["\n", "\r"], ids=["lf", "cr"])
+def test_ioc_values_with_line_breaks_stay_out_of_literals(tmp_path, capsys, line_break):
+    """An IOC value holding a line break may be hunted for but cannot be
+    written as a literal: ``malmo`` writes a bind for it when it is the
+    single candidate, and ``perturb`` never draws it, at a literal or a
+    bind site.  Both exit 0 and every file they write validates."""
+    ioc_db = tmp_path / "ioc_db.jsonl"
+    other = "\r" if line_break == "\n" else "\n"
+    records = [
+        {"ioc_type": "registry_hive", "value": f"Software\\Evil{line_break}Line", "technique_id": "T1552.002"},
+        {"ioc_type": "registry_hive", "value": f"Software\\Evil{other}Line"},
+        {"ioc_type": "registry_hive", "value": "Software\\SimonTatham\\Putty\\Sessions"},
+        {"ioc_type": "registry_hive", "value": "Software\\Wow6432Node\\Putty\\Sessions"},
+    ]
+    ioc_db.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    impl = tmp_path / "impl.wdsl"
+    impl.write_text(MULTILINE_HIVE_SRC, "utf-8")
+    technique = FIXTURES / "technique_t1552_002.json"
+    assert main(["malmo", str(technique), "--ioc-db", str(ioc_db), "--out", str(tmp_path / "malmo")]) == 0
+    draft = (tmp_path / "malmo" / "t1552_002.wdsl").read_text("utf-8")
+    assert '    winregistrykey1.Hive = bind(ioc_type=registry_hive, technique="T1552.002")\n' in draft
+    written = [tmp_path / "malmo" / "t1552_002.wdsl"]
+    for seed in range(3):
+        out = tmp_path / f"perturb-{seed}"
+        assert main(["perturb", str(impl), "--ioc-db", str(ioc_db), "--seed", str(seed), "--out", str(out)]) == 0
+        archived = sorted((out / "archive").glob("*.wdsl"))
+        assert archived
+        written += archived
+    drawn = "".join(p.read_text("utf-8") for p in written[1:])
+    assert "Wow6432Node" in drawn and "SimonTatham" in drawn
+    assert "Traceback" not in capsys.readouterr().err
+    assert main(["validate", *[str(p) for p in written]]) == 0
 
 
 GIZMO_SRC = (

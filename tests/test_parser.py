@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from conftest import FIXTURES, random_module
+from conftest import FIXTURES, T1552_PUTTY_SRC, random_module
 from oracles import oracle_tokens
 
-from wilee.dsl import AstGenerator, DslSyntaxError, NodeKind, parse, pretty_print
+from wilee.dsl import AstGenerator, DslSyntaxError, NodeKind, iter_nodes, parse, pretty_print
 from wilee.dsl.parser import tokenize
-from wilee.stores import DataModel
+from wilee.stores import DataModel, FormatError, read_text
 
 
 def test_putty_example_shape():
@@ -129,12 +129,13 @@ def test_syntax_errors_carry_position(source, line, fragment):
         ("def f():\n    p = Process()\t\n", 2, 18, "tabs are not allowed here", ()),
         ("def f():\r    pass\n", 1, 9, "unexpected character '\\r'", ()),
         ('def f():\n    p.name = "abc\n', 2, 14, "unterminated string", ('"',)),
+        ('def f():\n    p.name = "a\rb"\n', 2, 14, "unterminated string", ('"',)),
         ('def f():\n    p.name = "abc\\"\n', 2, 14, "unterminated string", ('"',)),
         ("def f():\n    a = B()\n        c = D()\n", 3, 9, "unexpected indent", ()),
         ("def f():\n    a = B()\n  c = D()\n", 3, 3, "unindent does not match any outer level", ()),
         ("def f():\n    a = B() $\n", 2, 13, "unexpected character '$'", ()),
     ],
-    ids=["tab-indent", "tab-in-line", "lone-cr", "unterminated", "escaped-quote-at-eol",
+    ids=["tab-indent", "tab-in-line", "lone-cr", "unterminated", "cr-in-string", "escaped-quote-at-eol",
          "unexpected-indent", "unindent-mismatch", "unexpected-character"],
 )
 def test_lexer_errors_at_exact_positions(source, line, col, message, expected):
@@ -157,15 +158,6 @@ _HEAD = [
 @pytest.mark.parametrize(
     "source, tokens",
     [
-        (
-            "def f():\r\n    pass\r\n",
-            [("NEWLINE", "", 1, 9, (8, 8)),
-             ("INDENT", "", 2, 5, (14, 14)),
-             ("PASS", "pass", 2, 5, (14, 18)),
-             ("NEWLINE", "", 2, 9, (18, 18)),
-             ("DEDENT", "", 3, 1, (20, 20)),
-             ("EOF", "", 3, 1, (20, 20))],
-        ),
         (
             'def f():\n    p.n = "é漢" # µ\n    a = B()\n',
             [("NEWLINE", "", 1, 9, (8, 8)),
@@ -217,7 +209,7 @@ _HEAD = [
              ("EOF", "", 3, 7, (24, 24))],
         ),
     ],
-    ids=["crlf", "non-ascii-literal", "hash-in-string-and-after-code", "no-final-newline",
+    ids=["non-ascii-literal", "hash-in-string-and-after-code", "no-final-newline",
          "final-comment-ending-in-cr"],
 )
 def test_token_positions_and_byte_spans(source, tokens):
@@ -229,11 +221,6 @@ def test_expected_token_set_reported():
     with pytest.raises(DslSyntaxError) as err:
         parse("def f():\n    a.unknownverb(b)\n")
     assert set(err.value.expected) == {"has", "observed"}
-
-
-def test_invalid_utf8_bytes_rejected():
-    with pytest.raises(DslSyntaxError):
-        parse(b"def f():\n    \xff\xfe pass\n")
 
 
 @pytest.mark.parametrize(
@@ -248,14 +235,39 @@ def test_lone_surrogate_is_a_syntax_error(source, line):
     assert str(err.value) == f"{line}:1: source is not valid UTF-8"
 
 
-def test_parse_total_over_random_bytes():
+# Programs read a .wdsl file with ``read_text`` and parse the text it gives.
+_FILE_SOURCE = T1552_PUTTY_SRC + "    # a comment\n"
+
+
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+def test_file_line_ends_read_as_newlines(tmp_path, line_end):
+    path = tmp_path / "f.wdsl"
+    path.write_bytes(_FILE_SOURCE.replace("\n", line_end).encode("utf-8"))
+    text = read_text(path)
+    assert tokenize(text) == tokenize(_FILE_SOURCE)
+    tree, want = parse(text), parse(_FILE_SOURCE)
+    assert tree == want
+    assert [node.span for _, node in iter_nodes(tree)] == [node.span for _, node in iter_nodes(want)]
+
+
+def test_file_that_is_not_utf8_fails_at_its_line(tmp_path):
+    path = tmp_path / "f.wdsl"
+    path.write_bytes(b"def f():\n    \xff\xfe pass\n")
+    with pytest.raises(FormatError) as err:
+        parse(read_text(path))
+    assert (err.value.file, err.value.line) == (str(path), 2)
+    assert str(err.value) == f"{path}:2: not UTF-8: invalid start byte at byte 4"
+
+
+def test_parse_total_over_random_files(tmp_path):
     rng = random.Random(99)
+    path = tmp_path / "f.wdsl"
     for _ in range(500):
-        blob = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 120)))
+        path.write_bytes(bytes(rng.randrange(256) for _ in range(rng.randrange(0, 120))))
         try:
-            parse(blob)
-        except DslSyntaxError:
-            pass  # the only permitted failure mode
+            parse(read_text(path))
+        except (FormatError, DslSyntaxError):
+            pass  # the only permitted failure modes
 
 
 def test_parse_total_over_random_text():
@@ -301,7 +313,7 @@ def _lexed(lex, text):
 
 def test_tokenize_matches_reference_lexer():
     rng = random.Random(1931)
-    sources = [path.read_bytes().decode("utf-8") for path in sorted((FIXTURES / "corpus").glob("*.wdsl"))]
+    sources = [read_text(path) for path in sorted((FIXTURES / "corpus").glob("*.wdsl"))]
     for model in (None, DataModel.default()):
         gen = AstGenerator(rng, model=model, max_statements=4)
         sources += [pretty_print(random_module(gen, max_functions=2)) for _ in range(40)]

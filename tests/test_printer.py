@@ -82,6 +82,8 @@ def test_idempotent_over_corpus():
         module((function_def("f", (attribute_assign("p", "name", instantiation("q", "X")),)),)),
         module((function_def("f", (AstNode(NodeKind.ATTRIBUTE_ASSIGN, (), {"attribute": "a"}),)),)),
         module((function_def("f", (attribute_assign("p", "name", literal("two\nlines")),)),)),
+        module((function_def("f", (attribute_assign("p", "name", literal("two\rlines")),)),)),
+        module((function_def("f", (attribute_assign("p", "name", bind("process_name", pattern="a\r*")),)),)),
         module((function_def("f", (abstract_call("not a step!"),)),)),
         module((function_def("f", (AstNode(NodeKind.BIND_EXPR, (), {"pattern": "x"}),)),)),
     ],

@@ -3,13 +3,16 @@ import pytest
 from conftest import T1552_PUTTY_SRC
 
 from wilee.dsl import (
+    InvalidAstError,
     Severity,
     attribute_assign,
     bind,
     function_def,
     instantiation,
     is_technique_id,
+    literal,
     parse,
+    pretty_print_node,
     validate,
 )
 from wilee.dsl.vocab import is_identifier
@@ -114,6 +117,20 @@ def test_bind_technique_with_trailing_newline_is_malformed():
     value = bind("process_name", technique="T1552.002\n")
     tree = function_def("f", (instantiation("p", "Process"), attribute_assign("p", "name", value)))
     assert codes(tree) == ["bad-technique"]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [literal("two\rlines"), literal("two\nlines"), bind("registry_hive", pattern="Software\\*\r*"),
+     bind("registry_hive", pattern="Software\\*\n*")],
+    ids=["cr-in-literal", "lf-in-literal", "cr-in-pattern", "lf-in-pattern"],
+)
+def test_line_break_in_literal_or_pattern_is_malformed(value):
+    # Neither would read back: a line break ends the string literal.
+    tree = function_def("f", (instantiation("k", "WinRegistryKey"), attribute_assign("k", "Hive", value)))
+    assert codes(tree) == ["bad-structure"]
+    with pytest.raises(InvalidAstError):
+        pretty_print_node(tree)
 
 
 def test_technique_ids_and_identifiers_match_whole_strings():
