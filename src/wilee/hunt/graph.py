@@ -6,7 +6,9 @@ Edges witness a relation between two matched events.  An edge exists
 when the log records an explicit link with the relation's verb, or as a
 fallback when both events share a host inside a configurable temporal
 window.  Edge timestamps are the later of the two endpoints: the moment
-the relation is fully witnessed.
+the relation is fully witnessed.  Moments are the proxy's integer
+microseconds since the epoch (:class:`~wilee.hunt.proxy.Event`), so the
+window is one too, and the join compares integers as they come.
 
 Each relation is a band join (DeWitt, Naughton & Schneider, "An
 Evaluation of Non-Equijoin Algorithms", VLDB 1991).  The peer results
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta
 from typing import NamedTuple, Optional
 
 from .proxy import Event
@@ -61,7 +63,7 @@ class GraphEdge(NamedTuple):
     target_event: str
     source_host: str
     target_host: str
-    timestamp: datetime
+    timestamp: int  # microseconds since the epoch
     kind: str  # "link" | "window"
 
 
@@ -77,18 +79,9 @@ class EvidenceGraph:
         return sorted(seen)
 
 
-_MICROSECOND = timedelta(microseconds=1)
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-
-
-def _micros(moment: datetime) -> int:
-    """Exact integer microseconds since the epoch, whatever the offset."""
-    return (moment - _EPOCH) // _MICROSECOND
-
-
 # One relation's edges as the join finds them: a GraphEdge without its
 # edge_id, qid and peer_qid, the three labels of one implementation.
-Row = tuple[str, str, str, str, str, datetime, str]
+Row = tuple[str, str, str, str, str, int, str]
 
 # The joins over one proxy's hit lists (``NdjsonProxy.joins``): (id(sources),
 # id(targets), verb, window in microseconds) -> (sources, targets, rows).  An entry holds the two lists
@@ -103,7 +96,7 @@ def join_relation(sources: list[Event], targets: list[Event], verb: str, window_
     buckets: dict[str, list[tuple[int, int]]] = {}
     for pos, target in enumerate(targets):
         by_id[target.event_id] = pos
-        buckets.setdefault(target.host, []).append((_micros(target.moment), pos))
+        buckets.setdefault(target.host, []).append((target.moment, pos))
     # Per host, the moments in ascending order beside their positions
     # (ties in position order).
     by_host: dict[str, tuple[list[int], list[int]]] = {}
@@ -117,7 +110,7 @@ def join_relation(sources: list[Event], targets: list[Event], verb: str, window_
             lo = hi = 0
         else:
             moments, positions = bucket
-            t = _micros(source.moment)
+            t = source.moment
             lo = bisect_left(moments, t - window_us)
             hi = bisect_right(moments, t + window_us)
         linked = (
@@ -177,7 +170,7 @@ def build_graph(
     graph."""
     if joins is None:
         joins = {}
-    window_us = timedelta(seconds=window_seconds) // _MICROSECOND
+    window_us = timedelta(seconds=window_seconds) // timedelta(microseconds=1)
     edges: list[GraphEdge] = []
     for q in descriptors:
         sources = results.get(q.qid)

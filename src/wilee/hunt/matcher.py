@@ -33,14 +33,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Optional
 
 from ..interpreter import ThreatImplementation
 from .graph import EvidenceGraph
 from .query import QueryDescriptor
 
-_FLOOR_START = datetime.min.replace(tzinfo=timezone.utc)
+# Below every moment: a moment is integer microseconds since the epoch
+# (:class:`~wilee.hunt.proxy.Event`), and the earliest, 0001-01-01 at
+# +23:59, is about -6.2e16.
+_FLOOR_START = -(1 << 63)
 
 
 @dataclass(frozen=True)
@@ -89,11 +91,11 @@ def _obligations(impl: ThreatImplementation, descriptors: list[QueryDescriptor])
 
 def _support_index(
     graph: EvidenceGraph, node_qids: set[str]
-) -> dict[str, dict[tuple, list[tuple[datetime, str]]]]:
+) -> dict[str, dict[tuple, list[tuple[int, str]]]]:
     """Host -> obligation key -> (timestamp, item id) support, sorted by
     time then id, built in one pass over the edges and the hits of
     ``node_qids``.  An edge between two hosts supports both."""
-    index: dict[str, dict[tuple, list[tuple[datetime, str]]]] = {}
+    index: dict[str, dict[tuple, list[tuple[int, str]]]] = {}
     for edge in graph.edges:
         key = ("relation", edge.qid, edge.peer_qid, edge.verb)
         item = (edge.timestamp, edge.edge_id)
@@ -113,7 +115,7 @@ def _support_index(
 
 @dataclass(frozen=True)
 class _State:
-    floor: datetime
+    floor: int
     count: int
     trace: tuple[tuple[str, ...], ...]  # per step, chosen item ids
 
@@ -121,10 +123,10 @@ class _State:
 def _advance(
     state: _State,
     obligations: list[Obligation],
-    index: dict[tuple, list[tuple[datetime, str]]],
+    index: dict[tuple, list[tuple[int, str]]],
 ) -> _State:
     chosen: list[str] = []
-    step_min: Optional[datetime] = None
+    step_min: Optional[int] = None
     for obligation in obligations:
         items = index.get(obligation.key, ())
         at = bisect_left(items, (state.floor,))  # first item at or after the floor
@@ -149,7 +151,7 @@ def _prune(states: list[_State]) -> list[_State]:
 
 
 def _best_for_host(
-    per_step: list[list[Obligation]], index: dict[tuple, list[tuple[datetime, str]]]
+    per_step: list[list[Obligation]], index: dict[tuple, list[tuple[int, str]]]
 ) -> _State:
     states = [_State(_FLOOR_START, 0, ())]
     for obligations in per_step:

@@ -10,21 +10,22 @@ answer, and a second IOC database that resolves a bind differently asks
 another question.
 
 A hit is an :class:`Event`: its id, host, moment and links, all that
-the join and the matcher read.  :class:`NdjsonProxy` reads a
-newline-delimited JSON log and keeps the answers in its hit memo;
-:meth:`NdjsonProxy.hits` is the one way to get one, and
-:func:`execute_all` and ``scan`` are each one lookup.  The read decodes
-and checks every line alike, so a malformed line fails with the same
-``file:line`` message whichever way the proxy was made, and both ways
-test a field text by its verdict (:func:`_field_verdicts`), the mask of
-every predicate on the field that the text passes:
+the join and the matcher read.  A moment is an ``int``, the microseconds
+from the Unix epoch to the instant its RFC 3339 text names, whatever the
+offset the text gave, so the join and the matcher compare and subtract
+plain integers; this module alone turns a text into one.
+:class:`NdjsonProxy` reads a newline-delimited JSON log and keeps the
+answers in its hit memo; :meth:`NdjsonProxy.hits` is the one way to get
+one, and :func:`execute_all` and ``scan`` are each one lookup.  The read
+decodes and checks every line alike, so a malformed line fails with the
+same ``file:line`` message whichever way the proxy was made, and both
+ways test a field text by its verdict (:func:`_field_verdicts`), the
+mask of every predicate on the field that the text passes:
 
 * Whole (``NdjsonProxy(path)``): every event is kept, as columns per
-  class (:class:`_Class`): the event ids; the timestamps as codes into
-  one list of the distinct timestamp texts, each of which becomes its
-  moment in that list when an event that carries it is first handed
-  out; the hosts as four-byte codes; the links of the events that have
-  some; and each field as a code column over that field's distinct
+  class (:class:`_Class`): the event ids; the moments as eight-byte
+  integers; the hosts as four-byte codes; the links of the events that
+  have some; and each field as a code column over that field's distinct
   texts (a value that is not a string as its JSON text), where code 0
   means the event lacks the field.  No per-line dict, key string or
   repeated text is kept.  ``perturb
@@ -42,9 +43,10 @@ every predicate on the field that the text passes:
   object; the empty filter builds its class's events when first asked.
   Retained memory is O(events) for the columns plus O(hits) for the
   events.  Under ``tracemalloc`` a whole proxy of the benchmark's
-  120k-event seed-3 log retains 22.76 MB (0.19 KB per event) before it
-  hands out an event, against 21.46 MB when it kept moments, not texts,
-  and 92.37 MB when it kept one :class:`Event` per line.
+  120k-event seed-3 log, read in one pass, retains 18.64 MB (0.16 KB per
+  event) before it hands out an event, against 23.18 MB when it kept
+  each timestamp as a code into a list of the distinct texts (Python
+  3.11.7), and 92.37 MB when it kept one :class:`Event` per line.
 * Filtered (``NdjsonProxy(path, keys)``): when every question is known
   before the log is opened, as in ``wilee hunt``, one pass tests each
   line's raw fields against the filters of its class and builds an
@@ -74,19 +76,18 @@ events were read; :meth:`NdjsonProxy._load` gives its own result and
 then the child's, which is log order.  The filtered read appends the
 child's hits to each key's list; an :class:`Event` stays one object
 however many keys hold it.  The whole read keeps each range's columns as
-they came, as one :class:`_Part` per range with its own timestamp and
-host tables, since recoding the child's codes into this process's tables
-cost as much as the split saved.  A key's hits are each part's answer in
-part order, so a distinct text in both parts gets its verdict in each,
-and a moment or host in both parts is two equal objects.  On two vCPUs
-the whole read of the benchmark's 22.9 MB ``hunt_scale`` log takes about
-a third less time; the child peaks at about 40 MB RSS, part of it pages
-it shares with this process since the fork, and pickles back about
-4.3 MB, its timestamps as texts, which cost half the time from the
-reply's first byte to its last that ``datetime`` objects did.  If either
-range faults, or an event id is in both, the whole log is read again in
-this process, so a fault gives the serial read's ``file:line`` message.
-The child is reaped before the read returns or raises.
+they came, as one :class:`_Part` per range with its own host table,
+since recoding the child's codes into this process's tables cost as much
+as the split saved.  A key's hits are each part's answer in part order,
+so a distinct text in both parts gets its verdict in each, and a host in
+both parts is two equal strings.  On two vCPUs the whole read of the
+benchmark's 22.9 MB ``hunt_scale`` log takes about a third less time;
+the child peaks at about 36 MB RSS, part of it pages it shares with
+this process since the fork, and pickles back about 3.7 MB, its moments
+as the raw bytes of one ``array('q')`` per class.  If either range
+faults, or an event id is in both, the whole log is read again in this
+process, so a fault gives the serial read's ``file:line`` message.  The
+child is reaped before the read returns or raises.
 
 The line loop is shared.  :func:`~wilee.stores.read_jsonl` takes a line
 from one call of the C JSON scanner when the line is one object and then
@@ -94,13 +95,14 @@ its line end; any other line (a BOM, whitespace around the object, extra
 data, a blank line, not an object) goes to ``json.loads``, so every
 object and every error message is ``json.loads``'s.  :func:`_checked`
 then checks the object and parses its timestamp, unless the text is the
-previous line's, whose moment it takes.  The filtered read builds an
-:class:`Event` from that row with :func:`_event`; the whole read appends
-the row to its class's columns with the timestamp's text in place of the
-moment: the text fails the read if it is not RFC 3339, and is parsed
-again when an event that carries it is first handed out
-(:meth:`_Part.events`).  The same loop feeds every byte to SHA-256, so
-``NdjsonProxy.sha256`` names the log without a second read.
+previous line's, whose parsed moment it takes, so each text is parsed
+once for each run of lines that carry it.  A read turns a parsed moment
+into microseconds only where it keeps it: the filtered read once for
+each row it keeps, as :func:`_event` builds its :class:`Event`, and the
+whole read once for each run of rows that share a parsed moment, as
+:func:`_keep_columns` appends it to its class's column.  The same loop
+feeds every byte to SHA-256, so ``NdjsonProxy.sha256`` names the log
+without a second read.
 
 A hit list is kept for the proxy's lifetime and shared by every caller
 that asks its key, so callers must not modify it, and a proxy's file
@@ -120,7 +122,7 @@ import signal
 import sys
 import threading
 from array import array
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from functools import partial
 from itertools import compress, islice
 from pathlib import Path
@@ -144,7 +146,7 @@ _UTC_SUFFIX = "z" if sys.version_info >= (3, 11) else "Zz"
 
 
 def parse_rfc3339(value: str) -> datetime:
-    """The moment an RFC 3339 date-time names, such as
+    """The aware ``datetime`` an RFC 3339 date-time names, such as
     ``2026-03-01T07:00:00Z``; one without an offset is taken as UTC.  Any
     other text, ISO 8601's date-only, basic and week forms among it,
     raises ``ValueError("Invalid isoformat string: ...")``.  A fraction
@@ -167,13 +169,20 @@ def parse_rfc3339(value: str) -> datetime:
 
 class Event(NamedTuple):
     """One event of a log as the hunt reads it: an immutable tuple that
-    compares by value.  ``links`` holds its ``(verb, target event id)``
-    pairs."""
+    compares by value.  ``moment`` is the integer microseconds since the
+    Unix epoch (see :data:`_EPOCH`); ``links`` holds its ``(verb, target
+    event id)`` pairs."""
 
     event_id: str
     host: str
-    moment: datetime
+    moment: int
     links: tuple[tuple[str, str], ...] = ()
+
+
+# An event's moment is ``(parsed - _EPOCH) // _MICROSECOND``: exact, and
+# the same integer for one instant under any offset.
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
 class NdjsonProxy:
@@ -355,7 +364,8 @@ class NdjsonProxy:
 
 def _checked(doc: dict, previous: tuple) -> tuple:
     """The row ``(event_id, timestamp, host, entity_class, fields, links,
-    moment)`` of an event line, with ``fields`` as read.  Checks, in this
+    moment)`` of an event line, with ``fields`` as read and ``moment``
+    the timestamp parsed (:func:`parse_rfc3339`).  Checks, in this
     order, that ``fields`` is a JSON object, that ``links`` is a list of
     objects with ``verb`` and ``target``, that the four keys are present
     and that the timestamp is RFC 3339; a failed check raises a
@@ -380,9 +390,10 @@ _NO_ROW = (None,) * 7  # the ``previous`` row of a log's first line
 
 
 def _event(row: tuple) -> Event:
-    """The :class:`Event` of a checked row.  Its host is interned, so the
-    events of a log share one string per host."""
-    return Event(row[0], sys.intern(row[2]), row[6], row[5])
+    """The :class:`Event` of a checked row, its moment in microseconds.
+    Its host is interned, so the events of a log share one string per
+    host."""
+    return Event(row[0], sys.intern(row[2]), (row[6] - _EPOCH) // _MICROSECOND, row[5])
 
 
 def _links(links) -> tuple[tuple[str, str], ...]:
@@ -526,54 +537,46 @@ def _received(pipe: int, seen: set[str]):
 
 class _Part:
     """The whole read's columns of one range of the log: ``classes`` the
-    :class:`_Class` of each entity class it holds; ``stamps`` each
-    distinct timestamp text of the range, replaced by its moment when
-    :meth:`events` first hands out an event that carries it, so a split
-    read's child sends texts, and the events of one text share one
-    moment; ``hosts`` each distinct host, in the order of first sight."""
+    :class:`_Class` of each entity class it holds; ``hosts`` each
+    distinct host, in the order of first sight."""
 
-    __slots__ = ("classes", "stamps", "hosts")
+    __slots__ = ("classes", "hosts")
 
     def __init__(self):
         self.classes: dict[str, _Class] = {}
-        self.stamps: list[Union[str, datetime]] = []
         self.hosts: list[str] = []
 
     def events(self, held: _Class, positions: Iterable[int], out: list[Event]) -> None:
         """Appends to ``out`` the :class:`Event` at each of ``held``'s
         ``positions``, each built on its first request and kept for the
-        proxy's lifetime, parsing its timestamp text the first time the
-        part hands out that text."""
+        proxy's lifetime."""
         made = held.events
-        stamps, hosts, ids, links = self.stamps, self.hosts, held.ids, held.links
+        hosts, ids, moments, links = self.hosts, held.ids, held.moments, held.links
         append = out.append
         for i in positions:
             event = made.get(i)
             if event is None:
-                code = held.stamps[i]
-                moment = stamps[code]
-                if type(moment) is str:
-                    moment = stamps[code] = parse_rfc3339(moment)
-                event = made[i] = Event(ids[i], hosts[held.hosts[i]], moment, links.get(i, ()))
+                event = made[i] = Event(ids[i], hosts[held.hosts[i]], moments[i], links.get(i, ()))
             append(event)
 
 
 class _Class:
     """The events of one entity class in one :class:`_Part`, as columns
-    in log order: ``ids`` their event ids; ``stamps`` codes into the
-    part's list of timestamps; ``hosts`` codes into its list of hosts;
+    in log order: ``ids`` their event ids; ``moments`` their moments, an
+    ``array('q')`` of eight bytes per event, which a split read's child
+    pickles as raw bytes; ``hosts`` codes into the part's list of hosts;
     ``links`` the links of each event that has some, by position; and
     ``fields`` each field's ``(texts, codes)``, where event ``i`` holds
     ``texts[codes[i]]`` (a value that is not a string as its JSON text)
-    and code 0 means it lacks the field.  ``stamps``, ``hosts`` and each
-    field's ``codes`` are ``array('I')``, four bytes per event.
-    ``events`` holds the :class:`Event` of each position built so far."""
+    and code 0 means it lacks the field.  ``hosts`` and each field's
+    ``codes`` are ``array('I')``, four bytes per event.  ``events`` holds
+    the :class:`Event` of each position built so far."""
 
-    __slots__ = ("ids", "stamps", "hosts", "links", "fields", "events")
+    __slots__ = ("ids", "moments", "hosts", "links", "fields", "events")
 
     def __init__(self):
         self.ids: list[str] = []
-        self.stamps = array("I")
+        self.moments = array("q")
         self.hosts = array("I")
         self.links: dict[int, tuple] = {}
         self.fields: dict[str, tuple] = {}
@@ -582,28 +585,28 @@ class _Class:
 
 def _keep_columns(part: _Part, hosts: dict[str, int]) -> Callable[[tuple], None]:
     """Appends each row to the columns of its class in ``part``, with its
-    timestamp coded into the part's list of the distinct timestamp
-    texts, and its host into ``hosts``, a map of each host to
-    its code.  While the read runs, a field's ``texts`` is a map of each
-    text to its code, counted from 1; :meth:`NdjsonProxy._read_part`
-    turns it and ``hosts`` into lists when the range ends."""
-    classes, stamps = part.classes, part.stamps
-    stamp_codes: dict[str, int] = {}
+    moment in microseconds, converted once for each run of rows that
+    share one parsed moment (see :func:`_checked`), and its host coded
+    into ``hosts``, a map of each host to its code.  While the read runs,
+    a field's ``texts`` is a map of each text to its code, counted from
+    1; :meth:`NdjsonProxy._read_part` turns it and ``hosts`` into lists
+    when the range ends."""
+    classes = part.classes
     dumps = json.dumps
+    last, micros = None, 0  # the previous row's parsed moment, in microseconds
 
     def keep(row: tuple) -> None:
-        event_id, timestamp, host, entity_class, fields, links, _ = row
+        nonlocal last, micros
+        event_id, _, host, entity_class, fields, links, moment = row
         held = classes.get(entity_class)
         if held is None:
             held = classes[entity_class] = _Class()
         ids = held.ids
         at = len(ids)
         ids.append(event_id)
-        code = stamp_codes.get(timestamp)
-        if code is None:
-            code = stamp_codes[timestamp] = len(stamps)
-            stamps.append(timestamp)
-        held.stamps.append(code)
+        if moment is not last:
+            last, micros = moment, (moment - _EPOCH) // _MICROSECOND
+        held.moments.append(micros)
         code = hosts.get(host)
         if code is None:
             code = hosts[host] = len(hosts)

@@ -163,6 +163,22 @@ def _oracle_moment(value: str) -> datetime:
     return datetime(year, month, day, hour, minute, second, micro, tzinfo=timezone(offset))
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def oracle_micros(moment: datetime) -> int:
+    """A moment as the library keeps it: the whole microseconds from the
+    Unix epoch to the instant.  The oracles reckon with ``datetime`` and
+    ``timedelta``, and convert only where they meet library values."""
+    return (moment - _EPOCH) // _MICROSECOND
+
+
+def _oracle_gap(a: int, b: int) -> timedelta:
+    """The time between two library moments."""
+    return abs(a - b) * _MICROSECOND
+
+
 def _oracle_event(doc: dict) -> dict:
     """An event line's attributes, checked in the read's order."""
     fields = doc.get("fields", {})
@@ -532,7 +548,7 @@ def oracle_edge_pairs(source_events, target_events, verb, window_seconds) -> set
             same_window = (
                 source.event_id != target.event_id
                 and source.host == target.host
-                and abs((source.moment - target.moment).total_seconds()) <= window_seconds
+                and _oracle_gap(source.moment, target.moment).total_seconds() <= window_seconds
             )
             if explicit or same_window:
                 pairs.add((source.event_id, target.event_id))
@@ -556,7 +572,7 @@ def oracle_build_graph_edges(results, descriptors, window_seconds) -> list[tuple
                     elif (
                         source.event_id != target.event_id
                         and source.host == target.host
-                        and abs(source.moment - target.moment) <= window
+                        and _oracle_gap(source.moment, target.moment) <= window
                     ):
                         kind = "window"
                     else:

@@ -16,7 +16,15 @@ from pathlib import Path
 import pytest
 
 from conftest import MALFORMED_EVENT_LINES, PlantedAttack, build_store, log_ending_with, synth_log, write_ndjson
-from oracles import _oracle_passes, oracle_execute, oracle_glob_match, oracle_read_events, oracle_read_jsonl
+from oracles import (
+    _oracle_moment,
+    _oracle_passes,
+    oracle_execute,
+    oracle_glob_match,
+    oracle_micros,
+    oracle_read_events,
+    oracle_read_jsonl,
+)
 
 import wilee.hunt.proxy
 from wilee.dsl import ThreatDescription
@@ -1163,19 +1171,29 @@ def test_whole_proxy_retains_under_half_a_kilobyte_per_event(tmp_path):
 
 
 def test_a_repeated_timestamp_takes_the_previous_moment_unparsed(tmp_path, monkeypatch):
-    parsed = []
+    parsed, moments = [], []
     parse = wilee.hunt.proxy.parse_rfc3339
     monkeypatch.setattr(wilee.hunt.proxy, "parse_rfc3339", lambda text: parsed.append(text) or parse(text))
+    checked = wilee.hunt.proxy._checked
+
+    def recording(doc, previous):
+        row = checked(doc, previous)
+        moments.append(row[6])
+        return row
+
+    monkeypatch.setattr(wilee.hunt.proxy, "_checked", recording)
     base = {"host": "h", "entity_class": "Process", "fields": {}}
     good = [{"event_id": "e1", "timestamp": "2026-03-01T07:00:00Z", **base},
             {"event_id": "e2", "timestamp": "2026-03-01T07:00:00Z", **base}]
     path = write_ndjson(tmp_path / "events.ndjson", good)
     for proxy in (NdjsonProxy(path), NdjsonProxy(path, [("Process", ())])):
         first, second = proxy.scan("Process")
-        assert second.moment is first.moment == datetime(2026, 3, 1, 7, tzinfo=timezone.utc)
-    # Once per read while reading, and once more when the whole read first
-    # hands out an event that carries the text.
-    assert parsed == ["2026-03-01T07:00:00Z"] * 3
+        assert second.moment == first.moment == oracle_micros(datetime(2026, 3, 1, 7, tzinfo=timezone.utc))
+        assert type(first.moment) is type(second.moment) is int
+    # The second line of each read takes the first line's parsed moment.
+    assert moments[1] is moments[0] and moments[3] is moments[2]
+    # Once per read, while reading: no event parses its text again.
+    assert parsed == ["2026-03-01T07:00:00Z"] * 2
     write_ndjson(path, [*good, {"event_id": "e3", "timestamp": "yesterday", **base}])
     for read in (lambda: NdjsonProxy(path), lambda: NdjsonProxy(path, [("Process", ())])):
         parsed.clear()
@@ -1214,9 +1232,10 @@ def _attributes(events) -> list[dict]:
 
 
 def _lean(docs) -> list[dict]:
-    """The reference read's events as the members an :class:`Event` keeps;
-    the reference already grouped them by class and filtered their fields."""
-    return [{name: doc[name] for name in _ATTRIBUTES} for doc in docs]
+    """The reference read's events as the members an :class:`Event` keeps,
+    each moment in microseconds; the reference already grouped them by
+    class and filtered their fields."""
+    return [{name: oracle_micros(doc[name]) if name == "moment" else doc[name] for name in _ATTRIBUTES} for doc in docs]
 
 
 def _read_jsonl_outcome(path):
@@ -1322,15 +1341,92 @@ def test_parse_rfc3339_rejects_other_forms(stamp):
         parse_rfc3339(stamp)
 
 
+# Every form of an RFC 3339 text the read accepts, for the differential
+# below: the separators, the suffixes (none is UTC) and, at the ends of
+# the years the read accepts, the earliest and latest instants.
+_SEPARATORS = ("T", "t", " ")
+_SUFFIXES = ("Z", "z", "", "+00:00", "+05:45", "-12:00", "+14:00", "-05:30")
+_EDGE_STAMPS = (
+    "0001-01-01T00:00:00+14:00",
+    "0001-01-01T04:00:00+05:00",
+    "9999-12-31T23:59:59.999999999-12:00",
+    "1969-12-31T23:59:59.999999Z",
+    "1970-01-01 00:00:00",
+)
+
+
+def _random_stamp(rng) -> str:
+    """An RFC 3339 text of a day in years 0001-9999, often at one of their
+    ends or before 1970, with a fraction of 0 to 9 digits."""
+    year = rng.choice((1, 9999, 1969, 1970, rng.randrange(1, 1970), rng.randrange(1, 10000)))
+    month, day = rng.randrange(1, 13), rng.randrange(1, 29)
+    if rng.random() < 0.3:
+        month, day = (1, 1) if year < 5000 else (12, 31)
+    clock = f"{rng.randrange(24):02d}:{rng.randrange(60):02d}:{rng.randrange(60):02d}"
+    digits = rng.randrange(10)
+    fraction = "." + "".join(rng.choice("0123456789") for _ in range(digits)) if digits else ""
+    return f"{year:04d}-{month:02d}-{day:02d}{rng.choice(_SEPARATORS)}{clock}{fraction}{rng.choice(_SUFFIXES)}"
+
+
+def test_every_read_gives_a_moment_as_microseconds_since_the_epoch(tmp_path, monkeypatch):
+    """On seeded logs of texts in each accepted form, each event's moment
+    in the whole, the filtered and the split reads is the ``int``
+    ``(t - epoch) // 1 µs`` for the instant ``t`` the reference reads in
+    its text: years 0001 and 9999, instants before 1970 and runs of
+    lines that repeat a text among them."""
+    rng = random.Random(20261021)
+    classes = ("Process", "File")
+    keys = [(cls, ()) for cls in classes]
+    epoch_us = oracle_micros(datetime(1970, 1, 1, tzinfo=timezone.utc))
+    seen = Counter()
+    for trial in range(40):
+        stamps = [_random_stamp(rng)]
+        for _ in range(rng.randrange(0, 60)):
+            stamps.append(stamps[-1] if rng.random() < 0.2 else _random_stamp(rng))
+        for stamp in _EDGE_STAMPS:
+            stamps.insert(rng.randrange(len(stamps) + 1), stamp)
+        events = [
+            {"event_id": f"e{n}", "timestamp": stamp, "host": rng.choice(("h1", "h2")),
+             "entity_class": rng.choice(classes)}
+            for n, stamp in enumerate(stamps)
+        ]
+        path = write_ndjson(tmp_path / "events.ndjson", events)
+        expected = {doc["event_id"]: oracle_micros(_oracle_moment(doc["timestamp"])) for doc in events}
+        for split in (False, True):
+            with monkeypatch.context() as patch:
+                forks = _force_split(patch) if split else []
+                if not split:
+                    patch.setattr(wilee.hunt.proxy, "_cpus", lambda: 1)
+                for name, read in _READS.items():
+                    proxy = read(path, keys)
+                    got = {event.event_id: event.moment for cls in classes for event in proxy.scan(cls)}
+                    assert got == expected, (trial, name, split)
+                    assert {type(moment) for moment in got.values()} == {int}, (trial, name, split)
+                assert len(forks) == (2 if split else 0)
+        for stamp in stamps:
+            match = re.fullmatch(r"(\d{4})-\d\d-\d\d(.)[\d:]{8}(?:\.(\d+))?(.*)", stamp)
+            seen[f"separator {match[2]!r}"] += 1
+            seen[f"digits {len(match[3] or '')}"] += 1
+            seen[f"suffix {match[4]!r}"] += 1
+            seen[f"year {match[1]}"] += match[1] in ("0001", "9999")
+        seen["before 1970"] += min(expected.values()) < epoch_us
+        seen["repeated text"] += any(a == b for a, b in zip(stamps, stamps[1:]))
+    assert all(seen[f"separator {sep!r}"] for sep in _SEPARATORS), seen
+    assert all(seen[f"digits {n}"] for n in range(10)), seen
+    assert all(seen[f"suffix {suffix!r}"] for suffix in _SUFFIXES), seen
+    assert seen["year 0001"] and seen["year 9999"] and seen["before 1970"] and seen["repeated text"], seen
+    _assert_no_child_left()
+
+
 def test_event_is_immutable_compares_by_value_and_builds_by_keyword():
-    moment = datetime(2026, 3, 1, 7, tzinfo=timezone.utc)
+    moment = oracle_micros(datetime(2026, 3, 1, 7, tzinfo=timezone.utc))
     links = (("observed", "e0"),)
     by_position = Event("e1", "ws-002", moment, links)
     by_keyword = Event(links=links, moment=moment, host="ws-002", event_id="e1")
     assert by_position == by_keyword
     assert Event._fields == _ATTRIBUTES
     assert Event("e1", "h", moment).links == ()
-    assert by_position != Event("e1", "ws-002", moment.replace(second=1), links)
+    assert by_position != Event("e1", "ws-002", moment + 1_000_000, links)
     assert copy.copy(by_position) == by_position == copy.deepcopy(by_position)
     for name in (*_ATTRIBUTES, "extra"):
         with pytest.raises(AttributeError):
@@ -1639,7 +1735,7 @@ def _state(result):
     if isinstance(result, list):
         return result
     columns = {cls: [getattr(held, name) for name in held.__slots__] for cls, held in result.classes.items()}
-    return result.stamps, result.hosts, columns
+    return result.hosts, columns
 
 
 def test_split_read_child_replies_result_then_id_batches_then_empty_list(tmp_path, monkeypatch):
@@ -1973,12 +2069,18 @@ def _holds_datetime(data: bytes) -> bool:
     )
 
 
-def test_split_whole_read_child_sends_timestamp_texts(tmp_path, monkeypatch):
-    """The whole read's forked reader sends each distinct timestamp of its
-    range as its text: its reply holds no ``datetime``.  The split and
-    serial whole reads hand out equal events, and within a part each
-    distinct text becomes one moment object, parsed when an event that
-    carries it is first handed out."""
+def _holds_text(data: bytes, texts) -> bool:
+    """Whether the first pickle in ``data`` holds one of ``texts`` as a
+    string."""
+    return any(isinstance(arg, str) and arg in texts for op, arg, _ in pickletools.genops(data))
+
+
+def test_split_whole_read_child_sends_moments_as_integers(tmp_path, monkeypatch):
+    """The whole read's forked reader sends each moment of its range as
+    an integer, in one ``array('q')`` per class: its reply holds neither
+    a ``datetime`` nor a timestamp text, and its columns are those the
+    split read keeps.  The split and serial whole reads hand out equal
+    events, and within a part the events of one text have one moment."""
     _force_split(monkeypatch)
     forked = wilee.hunt.proxy._forked
     reads = []
@@ -1997,7 +2099,8 @@ def test_split_whole_read_child_sends_timestamp_texts(tmp_path, monkeypatch):
     (read,) = reads
     assert len(split._parts) == 2
     for part in split._parts:
-        assert sorted(part.stamps) == sorted(set(part.stamps)) and all(type(s) is str for s in part.stamps)
+        assert not hasattr(part, "stamps")
+        assert all(held.moments.typecode == "q" and len(held.moments) == len(held.ids) for held in part.classes.values())
     cut, size = wilee.hunt.proxy._cut(path)
     pid, pipe = forked(read, cut, size)
     with open(pipe, "rb") as source:
@@ -2005,23 +2108,31 @@ def test_split_whole_read_child_sends_timestamp_texts(tmp_path, monkeypatch):
     os.waitpid(pid, 0)
     assert _holds_datetime(pickle.dumps([datetime(2026, 3, 1, tzinfo=timezone.utc)], pickle.HIGHEST_PROTOCOL))
     assert not _holds_datetime(reply)
-    assert pickle.loads(reply).stamps == split._parts[1].stamps
+    assert _holds_text(pickle.dumps(texts, pickle.HIGHEST_PROTOCOL), texts)
+    assert not _holds_text(reply, texts)
+    sent = pickle.loads(reply)
+    assert {cls: held.moments for cls, held in sent.classes.items()} == {
+        cls: held.moments for cls, held in split._parts[1].classes.items()
+    }
 
     monkeypatch.setattr(wilee.hunt.proxy, "_cpus", lambda: 1)
     serial = NdjsonProxy(path)
     assert len(serial._parts) == 1
     for cls in classes:
         assert split.scan(cls) == serial.scan(cls) == [
-            Event(doc["event_id"], doc["host"], parse_rfc3339(doc["timestamp"]), ())
+            Event(doc["event_id"], doc["host"], oracle_micros(parse_rfc3339(doc["timestamp"])), ())
             for doc in events if doc["entity_class"] == cls
         ], cls
-    shared = 0
+    shared = distinct = 0
     for part in split._parts:
         moments = {}
         for held in part.classes.values():
             for event in held.events.values():
-                assert moments.setdefault(stamp_of[event.event_id], event.moment) is event.moment
+                assert type(event.moment) is int
+                assert moments.setdefault(stamp_of[event.event_id], event.moment) == event.moment
                 shared += 1
-        assert len(moments) == len(part.stamps) and all(type(s) is datetime for s in part.stamps)
-    assert shared > 2 * sum(len(part.stamps) for part in split._parts)
+        assert len(moments) == len(set(moments.values()))
+        assert len(moments) == len({stamp_of[i] for held in part.classes.values() for i in held.ids})
+        distinct += len(moments)
+    assert shared > 2 * distinct
     _assert_no_child_left()

@@ -3,6 +3,8 @@ import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import pytest
+
 from conftest import PlantedAttack, build_store, iso, write_ndjson
 from conftest import T1059_SRC, T1552_PUTTY_SRC
 from oracles import (
@@ -10,6 +12,7 @@ from oracles import (
     oracle_build_graph,
     oracle_build_graph_edges,
     oracle_edge_pairs,
+    oracle_micros,
     oracle_obligations_for,
     oracle_support_index,
 )
@@ -20,8 +23,10 @@ from wilee.hunt import (
     GraphEdge,
     NdjsonProxy,
     build_graph,
+    evaluate,
     execute_all,
     match,
+    memo_key,
     schedule,
 )
 from wilee.hunt.proxy import Event, parse_rfc3339
@@ -101,7 +106,7 @@ def test_one_relation_no_nodes_one_edge(model):
     assert edge.verb == "observed"
     assert edge.kind == "window"
     assert edge.qid in {q.qid for q in schedule(impl, model) if q.step_index == 0}
-    assert edge.timestamp.isoformat().startswith("2026-03-01T06:00:20")
+    assert edge.timestamp == oracle_micros(datetime(2026, 3, 1, 6, 0, 20, tzinfo=timezone.utc))
 
 
 def test_unrelated_object_one_node_per_hit(model):
@@ -220,7 +225,7 @@ def _random_join_case(rng):
         )
         if links and rng.random() < 0.3:
             links += (links[0],)
-        log.append(Event(event_id, rng.choice(("h1", "h2", "h3")), parse_rfc3339(stamp), links))
+        log.append(Event(event_id, rng.choice(("h1", "h2", "h3")), oracle_micros(parse_rfc3339(stamp)), links))
     qids = ["qa", "qb", "qc"][: rng.randrange(1, 4)]
     results = {
         qid: [e for e in log if rng.random() < 0.6] for qid in qids if rng.random() < 0.9
@@ -257,7 +262,7 @@ def test_build_graph_equals_pairwise_oracle():
         edges = build_graph(results, descriptors, window).edges
         expected = oracle_build_graph_edges(results, descriptors, window)
         assert [_edge_tuple(e) for e in edges] == expected, f"trial {trial}"
-        assert [e.timestamp.isoformat() for e in edges] == [e[8].isoformat() for e in expected]
+        assert all(type(e.timestamp) is int for e in edges)
         seen["empty_side"] += any(
             not results.get(rel.peer_qid) for q in descriptors for rel in q.relations
         )
@@ -271,7 +276,7 @@ def test_build_graph_equals_pairwise_oracle():
                 )
         moments = {e.event_id: e.moment for events in results.values() for e in events}
         for edge in edges:
-            delta = abs(moments[edge.source_event] - moments[edge.target_event])
+            delta = abs(moments[edge.source_event] - moments[edge.target_event]) * timedelta(microseconds=1)
             in_window = edge.source_host == edge.target_host and delta <= timedelta(seconds=window)
             seen[edge.kind] += 1
             seen["self_relation"] += edge.qid == edge.peer_qid
@@ -280,6 +285,57 @@ def test_build_graph_equals_pairwise_oracle():
             seen["link_in_window"] += edge.kind == "link" and in_window
             seen["link_outside_window"] += edge.kind == "link" and not in_window
     assert all(seen.values()), seen
+
+
+def test_equal_instants_under_any_offset_give_equal_moments_and_window_edges(tmp_path):
+    """A source event, a target at the same instant, targets 60 s either
+    side and targets 1 µs beyond those, all on one host and each written
+    at a random offset, have the moments of their instants through either
+    read, and a 60 s window joins the source to exactly the three targets
+    at most 60 s from it, whatever the offsets."""
+    rng = random.Random(20261022)
+    offsets = [timezone(timedelta(hours=h, minutes=m)) for h, m in ((0, 0), (5, 45), (-12, 0), (14, 0), (-5, -30))]
+    bases = [
+        datetime(1969, 12, 31, 23, 59, 30, tzinfo=timezone.utc),
+        datetime(2026, 3, 1, 6, 0, 0, 1, tzinfo=timezone.utc),
+        datetime(1, 1, 2, tzinfo=timezone.utc),
+        datetime(9999, 12, 30, 12, tzinfo=timezone.utc),
+    ]
+    minute, tick = timedelta(seconds=60), timedelta(microseconds=1)
+    gaps = {"at": timedelta(0), "m60": -minute, "p60": minute, "m60x": -minute - tick, "p60x": minute + tick}
+    descriptors = [
+        QueryDescriptor("qs", "Process", "process1", (), (RelationRef("observed", "qt", 0),), 0, "impl"),
+        QueryDescriptor("qt", "File", "file1", (), (), 0, "impl"),
+    ]
+    keys = [memo_key(q, IocDb()) for q in descriptors]
+    path = tmp_path / "events.ndjson"
+    offsets_seen = set()
+    for trial in range(40):
+        base = bases[trial % len(bases)]
+        instants = {"s": base, **{name: base + gap for name, gap in gaps.items()}}
+        order = rng.sample(sorted(instants), len(instants))
+        docs = []
+        for name in order:
+            offset = rng.choice(offsets)
+            offsets_seen.add((name, offset))
+            stamp = instants[name].astimezone(offset).isoformat()
+            if stamp.endswith("+00:00") and rng.random() < 0.5:
+                stamp = stamp[:-6] + "Z"
+            docs.append(event(name, stamp, "h1", "Process" if name == "s" else "File", {}))
+        write_ndjson(path, docs)
+        moments = {name: oracle_micros(instant) for name, instant in instants.items()}
+        assert moments["s"] == moments["at"]
+        expected = [
+            ("s", name, "window", max(moments["s"], moments[name]))
+            for name in order
+            if name in ("at", "m60", "p60")
+        ]
+        for proxy in (NdjsonProxy(path), NdjsonProxy(path, keys)):
+            results = execute_all(descriptors, proxy, IocDb())
+            assert {e.event_id: e.moment for hits in results.values() for e in hits} == moments, trial
+            edges = build_graph(results, descriptors, 60.0).edges
+            assert [(e.source_event, e.target_event, e.kind, e.timestamp) for e in edges] == expected, trial
+    assert len(offsets_seen) == len(offsets) * 6
 
 
 # Step bodies for the differential test below: relations only, one
@@ -340,7 +396,7 @@ def _random_hits(rng, descriptors):
             (rng.choice(("observed", "has")), rng.choice(ids))
             for _ in range(rng.choice((0, 0, 1, 2)))
         )
-        log.append(Event(event_id, rng.choice(hosts), moment, links))
+        log.append(Event(event_id, rng.choice(hosts), oracle_micros(moment), links))
     share = rng.choice((0.2, 0.5, 0.8))
     return {
         q.qid: [e for e in log if rng.random() < share]
@@ -574,7 +630,7 @@ def test_empty_graph_scores_zero(model):
 
 def _unasked_graph():
     """A graph with hosts whose hit and edge answer no obligation."""
-    moment = datetime(2026, 3, 1, 6, 0, 0, tzinfo=timezone.utc)
+    moment = oracle_micros(datetime(2026, 3, 1, 6, 0, 0, tzinfo=timezone.utc))
     hit = Event("ev1", "h1", moment)
     edge = GraphEdge("e00000", "q-none", "q-peer", "has", "ev1", "ev2", "h1", "h2", moment, "window")
     return EvidenceGraph({"q-none": [hit]}, (edge,))
@@ -629,6 +685,24 @@ def test_step_timestamp_ties_allowed(model):
     ]
     _, result = hunt(impl, simultaneous, model)
     assert result.confirmed is True
+
+
+@pytest.mark.parametrize(
+    "stamp", ["0001-01-01T04:00:00+05:00", "0001-01-01T00:00:00+23:59", "0001-01-01T06:00:00+05:00"]
+)
+def test_an_event_before_year_one_in_utc_is_witnessed(model, tmp_path, stamp):
+    """An event whose instant falls before 0001-01-01T00:00:00Z, as 04:00
+    on that day at +05:00 does, confirms a one-object hunt as 06:00 at
+    +05:00 does, through either read: no moment lies below the matcher's
+    first floor."""
+    impl = implementation_from_module(parse('def t1059():\n    process1 = Process()\n    process1.name = "evil.exe"\n'))
+    descriptors = schedule(impl, model)
+    path = write_ndjson(tmp_path / "events.ndjson", [event("e1", stamp, "h1", "Process", {"name": "evil.exe"})])
+    keys = [memo_key(q, IocDb()) for q in descriptors]
+    for proxy in (NdjsonProxy(path), NdjsonProxy(path, keys)):
+        result = evaluate(impl, descriptors, proxy, IocDb())
+        assert result.confirmed is True and result.score == 1.0, proxy
+        assert result.host == "h1" and len(result.witness) == 1
 
 
 def test_witness_must_share_one_host(model):
@@ -738,7 +812,7 @@ def _random_support_graph(rng, per_step):
     for n in ids:
         key = rng.choice(keys)
         host = rng.choice(hosts)
-        moment = base + timedelta(seconds=30 * rng.randrange(12))
+        moment = oracle_micros(base + timedelta(seconds=30 * rng.randrange(12)))
         if key[0] == "node":
             hits.setdefault(key[1], []).append(Event(f"ev{n:05d}", host, moment))
         else:
@@ -803,7 +877,7 @@ def test_support_ties_keep_edge_id_string_order(model):
     descriptors = schedule(impl, model)
     (q,) = [q for q in descriptors if q.relations]
     (rel,) = q.relations
-    moment = datetime(2026, 3, 1, 6, 0, 0, tzinfo=timezone.utc)
+    moment = oracle_micros(datetime(2026, 3, 1, 6, 0, 0, tzinfo=timezone.utc))
     edges = tuple(
         GraphEdge(edge_id, q.qid, rel.peer_qid, rel.verb, f"src-{edge_id}", f"dst-{edge_id}",
                   "ws-002", "ws-002", moment, "window")
