@@ -52,7 +52,7 @@ from .malmo import (
     mine_relation_priors,
     scores_to_json,
 )
-from .stores import FormatError, StorePaths, ValidationError, load_stores, parse_json, read_text, ttp_index_file
+from .stores import FormatError, StorePaths, ValidationError, load_stores, parse_json, read_text
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -77,13 +77,13 @@ def _sha256(data: bytes) -> str:
 
 
 def _write_manifest(
-    out: Path, command: str, args: dict, inputs: list, outputs: list[Path], partial: bool = False, digests=None
+    out: Path, command: str, args: dict, digests: dict, inputs: list, outputs: list[Path], partial: bool = False
 ) -> None:
-    """Inputs that are unset (``None``) or not files are left out.
-    ``digests`` maps an input already hashed while it was read (an event
-    log, see ``NdjsonProxy.sha256``) to its digest; the rest are read
-    here."""
-    digests = digests or {}
+    """``digests`` maps each input hashed while the command read it (the
+    store files, see :func:`_store_digests`, and an event log, see
+    ``NdjsonProxy.sha256``) to its digest, so the manifest names the
+    bytes the command used.  ``inputs`` are the other input files,
+    hashed here; those unset (``None``) or not files are left out."""
     manifest = {
         "command": command,
         "args": {
@@ -93,7 +93,8 @@ def _write_manifest(
         },
         "partial": partial,
         "inputs": {
-            str(p): digests.get(p) or _sha256(Path(p).read_bytes()) for p in inputs if p and Path(p).is_file()
+            **{str(p): digest for p, digest in digests.items()},
+            **{str(p): _sha256(Path(p).read_bytes()) for p in inputs if p and Path(p).is_file()},
         },
         "outputs": {p.name: _sha256(p.read_bytes()) for p in outputs},
     }
@@ -108,11 +109,16 @@ def _store_paths(args) -> StorePaths:
     )
 
 
-def _store_inputs(args, store) -> list:
-    """The store files a command reads, as its manifest lists them: a TTP
-    store given as a directory is its index file, followed by the
-    ``store.body_files`` it names."""
-    return [args.ttp_store and ttp_index_file(args.ttp_store), *store.body_files, args.ioc_db, args.data_model]
+def _store_digests(args, store, ioc_db, model) -> dict:
+    """The store files a command read, each with the SHA-256 of the bytes
+    its loader read: a TTP store's index file and the ``.wdsl`` bodies
+    it names, the IOC database and the data model."""
+    digests = dict(store.files)
+    if args.ioc_db:
+        digests[args.ioc_db] = ioc_db.sha256
+    if args.data_model:
+        digests[args.data_model] = model.sha256
+    return digests
 
 
 @contextlib.contextmanager
@@ -187,9 +193,8 @@ def cmd_hunt(args) -> int:
     report = render_report(results, fmt, title=desc.name, partial=partial)
     report_path = out / ("report.md" if fmt == "markdown" else "report.json")
     report_path.write_text(report, "utf-8")
-    inputs = [*_store_inputs(args, store), args.events, args.desc]
-    digests = {args.events: proxy.sha256}
-    _write_manifest(out, "hunt", vars(args), inputs, [report_path], partial=partial, digests=digests)
+    digests = {**_store_digests(args, store, ioc_db, model), args.events: proxy.sha256}
+    _write_manifest(out, "hunt", vars(args), digests, [args.desc], [report_path], partial=partial)
     confirmed = sum(1 for r in results if r.confirmed)
     print(f"{len(results)} implementation(s) evaluated, {confirmed} confirmed; report at {report_path}")
     return 130 if partial else EXIT_OK
@@ -236,8 +241,8 @@ def cmd_malmo(args) -> int:
     dsl_path.write_text(pretty_print_node(fn), "utf-8")
     scores_path = out / "scores.json"
     scores_path.write_text(json.dumps(scores_to_json(scores), indent=2) + "\n", "utf-8")
-    inputs = [*_store_inputs(args, store), args.technique]
-    _write_manifest(out, "malmo", vars(args), inputs, [dsl_path, scores_path])
+    digests = _store_digests(args, store, ioc_db, model)
+    _write_manifest(out, "malmo", vars(args), digests, [args.technique], [dsl_path, scores_path])
     print(f"wrote {dsl_path} and {scores_path}")
     return EXIT_OK
 
@@ -261,7 +266,7 @@ def cmd_perturb(args) -> int:
         return EXIT_DIAGNOSTICS
 
     fitness_fn = None
-    digests = {}
+    digests = _store_digests(args, store, ioc_db, model)
     if args.events:
         proxy = NdjsonProxy(args.events)
         digests[args.events] = proxy.sha256
@@ -289,8 +294,7 @@ def cmd_perturb(args) -> int:
         + "\n",
         "utf-8",
     )
-    inputs = [*_store_inputs(args, store), args.impl, args.config, args.events]
-    _write_manifest(out, "perturb", vars(args), inputs, written + [summary_path], digests=digests)
+    _write_manifest(out, "perturb", vars(args), digests, [args.impl, args.config], written + [summary_path])
     print(f"archived {len(result.archive)} candidate(s) under {archive_dir}")
     return EXIT_OK
 

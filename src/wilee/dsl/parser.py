@@ -1,4 +1,5 @@
-"""Lexer and recursive-descent parser for the DSL.
+"""Parser for the DSL: a line pass, then a lexer and recursive-descent
+parser for every source the line pass does not take.
 
 ``parse`` takes the text :func:`wilee.stores.read_text` gives, which
 reads a file's ``\\r\\n`` and lone ``\\r`` as ``\\n`` and fails on bytes
@@ -13,6 +14,26 @@ spaces); the identifier and string-literal rules come from
 :mod:`.vocab`, which the printer and the validator share.  Token
 columns count characters from 1; token and node spans are byte ranges
 into the UTF-8 encoding of the source.
+
+``parse`` reads a source in two passes, the second only when the first
+declines it:
+
+1. The line pass (``_parse_lines``) splits the source at ``\n`` and
+   matches each non-blank line, whole, against one compiled pattern per
+   statement form: ``def name():``, ``x = Class()``,
+   ``x.attr = "literal"``, ``x.attr = bind(...)`` with its arguments in
+   printed order, ``x.verb(y)``, ``step()`` and ``pass``.  The patterns
+   are built from the same :mod:`.vocab` rules as the lexer's, so a
+   line matches a form exactly when it lexes to that form's tokens.
+   Every ``def`` sits at column 1 and every other line at its
+   function's one body level.  Nodes and their byte spans are built
+   from the match groups.  Printer output always takes this pass.
+2. Any other source (a comment, a tab, a ``\r``, bind arguments out of
+   order, a deeper indent, anything malformed) goes whole to
+   ``_Parser(tokenize(source))``, which returns the same tree or raises
+   the one :class:`DslSyntaxError` for it.  That pass alone defines
+   every error, so both passes accept the same sources and give the
+   same trees, spans included.
 """
 
 from __future__ import annotations
@@ -297,12 +318,177 @@ class _Parser:
         )
 
 
-def parse(source: str) -> AstNode:
-    """Parse DSL source text into a Module AST; raises
-    :class:`DslSyntaxError` on any malformed input, never anything else."""
+# ---------------------------------------------------------------------------
+# The line pass: each line one statement form, matched whole
+# ---------------------------------------------------------------------------
+
+# A name token: an identifier that is not a keyword.  In a whole-line
+# match a name is always followed by a space, a mark or the line's end.
+_NAME = rf"(?!(?:{'|'.join(sorted(KEYWORDS))})\b){IDENTIFIER_RE.pattern}"
+
+
+def _tokens(*tokens: str) -> str:
+    """``tokens`` in order, any run of spaces between two."""
+    return " *".join(tokens)
+
+
+def _form(*tokens: str) -> re.Pattern:
+    return re.compile(_tokens(*tokens), re.ASCII)
+
+
+_DEF = _form(f"def +(?P<name>{_NAME})", r"\(", r"\)", ":")
+
+_ASSIGN_TO = (f"(?P<subject>{_NAME})", r"\.", f"(?P<attribute>{_NAME})", "=")
+_IOC_TYPE = BIND_KEYS[0]
+# ``bind(...)`` with its arguments in printed order, ``ioc_type`` a name
+# or a literal.
+_BIND = _tokens(
+    "(?P<bind>bind",
+    r"\(",
+    _IOC_TYPE,
+    "=",
+    f"(?:(?P<{_IOC_TYPE}>{_NAME})|(?P<quoted>{STRING_LITERAL}))",
+    *(f"(?:{_tokens(',', key, '=', f'(?P<{key}>{STRING_LITERAL})')})?" for key in BIND_KEYS[1:]),
+    r"\))",
+)
+
+
+def _span(m: re.Match, base: int, group: str | int = 0) -> tuple[int, int]:
+    """The byte range of ``group`` (default: the whole statement) in a
+    statement that starts at byte ``base``."""
+    start, end = m.span(group)
+    if not m.string.isascii():
+        start, end = (len(m.string[:i].encode("utf-8")) for i in (start, end))
+    return (base + start, base + end)
+
+
+def _identifier(m: re.Match, base: int, group: str) -> AstNode:
+    return ast.identifier(m[group], span=_span(m, base, group))
+
+
+def _instantiation(m: re.Match, base: int) -> AstNode:
+    return ast.instantiation(m["var"], m["class_name"], span=_span(m, base))
+
+
+def _assignment(m: re.Match, base: int, value: AstNode) -> AstNode:
+    return AstNode(
+        ast.NodeKind.ATTRIBUTE_ASSIGN,
+        (_identifier(m, base, "subject"), value),
+        {"attribute": m["attribute"]},
+        _span(m, base),
+    )
+
+
+def _literal_assignment(m: re.Match, base: int) -> AstNode:
+    return _assignment(m, base, ast.literal(unquote_string(m["literal"]), span=_span(m, base, "literal")))
+
+
+def _bind_assignment(m: re.Match, base: int) -> AstNode:
+    ioc_type = m[_IOC_TYPE] if m[_IOC_TYPE] is not None else unquote_string(m["quoted"])
+    others = {key: unquote_string(m[key]) for key in BIND_KEYS[1:] if m[key] is not None}
+    return _assignment(m, base, ast.bind(ioc_type, **others, span=_span(m, base, "bind")))
+
+
+def _relation(m: re.Match, base: int) -> AstNode:
+    return AstNode(
+        ast.NodeKind.RELATION_STMT,
+        (_identifier(m, base, "subject"), _identifier(m, base, "object")),
+        {"verb": m["verb"]},
+        _span(m, base),
+    )
+
+
+def _call(m: re.Match, base: int) -> AstNode:
+    return ast.abstract_call(normalize_step(m["step"]), span=_span(m, base))
+
+
+# Each statement form, most common first, with the builder of its node
+# from the match and the byte offset where the statement starts; ``pass``
+# builds none.
+_STATEMENTS = (
+    (_form(f"(?P<var>{_NAME})", "=", f"(?P<class_name>{_NAME})", r"\(", r"\)"), _instantiation),
+    (_form(*_ASSIGN_TO, f"(?P<literal>{STRING_LITERAL})"), _literal_assignment),
+    (
+        _form(f"(?P<subject>{_NAME})", r"\.", f"(?P<verb>{'|'.join(RELATION_VERBS)})", r"\(", f"(?P<object>{_NAME})", r"\)"),
+        _relation,
+    ),
+    (_form(*_ASSIGN_TO, _BIND), _bind_assignment),
+    (_form(f"(?P<step>{_NAME})", r"\(", r"\)"), _call),
+    (_form("pass"), lambda m, base: None),
+)
+
+
+def _parse_lines(source: str) -> Optional[AstNode]:
+    """The tree of ``source`` when each of its lines is blank or one
+    whole statement form: a ``def`` line at column 1, every other line
+    at its function's one body level, and every function with a body.
+    ``None`` for any other source.  The tree and its spans are the ones
+    :func:`_parse_tokens` gives."""
+    if not source.isascii():
+        try:
+            source.encode("utf-8")
+        except UnicodeEncodeError:
+            return None  # a lone surrogate
+    functions: list[AstNode] = []
+    name = None  # the open function: its name, start, body level, end and statements
+    start = level = end = 0
+    body: list[AstNode] = []
+    next_line = 0  # byte offsets, as line starts
+    for line in source.split("\n"):
+        offset = next_line
+        next_line += 1 + (len(line) if line.isascii() else len(line.encode("utf-8")))
+        text = line.lstrip(" ")
+        indent = len(line) - len(text)
+        text = text.rstrip(" ")
+        if not text:
+            continue  # a blank line
+        if indent == 0:
+            m = _DEF.fullmatch(text)
+            if m is None or (name is not None and level == 0):
+                return None  # not a def, or the def before has no body
+            if name is not None:
+                functions.append(ast.function_def(name, tuple(body), span=(start, end)))
+            name, start, level, body = m["name"], offset, 0, []
+            continue
+        if name is None:
+            return None  # a body line before any def
+        if level == 0:  # the function's first body line sets its level
+            level, end = indent, offset + indent
+        elif indent != level:
+            return None
+        for pattern, build in _STATEMENTS:
+            m = pattern.fullmatch(text)
+            if m is not None:
+                break
+        else:
+            return None
+        node = build(m, offset + indent)
+        if node is not None:
+            body.append(node)
+            end = node.span[1]
+    if name is not None:
+        if level == 0:
+            return None
+        functions.append(ast.function_def(name, tuple(body), span=(start, end)))
+    return ast.module(tuple(functions), span=(0, next_line - 1))
+
+
+def _parse_tokens(source: str) -> AstNode:
+    """The tree :class:`_Parser` reads from the tokens of ``source``."""
     try:
         size = len(source.encode("utf-8"))
     except UnicodeEncodeError as exc:  # a lone surrogate
         line = source.count("\n", 0, exc.start) + 1
         raise DslSyntaxError("source is not valid UTF-8", line, 1) from None
     return _Parser(tokenize(source), size).parse_module()
+
+
+def parse(source: str) -> AstNode:
+    """Parse DSL source text into a Module AST; raises
+    :class:`DslSyntaxError` on any malformed input, never anything else.
+
+    The line pass reads a source whose every line is one statement form;
+    any other source, every malformed one included, goes whole to the
+    token parser, which alone defines each error."""
+    tree = _parse_lines(source)
+    return tree if tree is not None else _parse_tokens(source)

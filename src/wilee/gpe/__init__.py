@@ -1,6 +1,6 @@
 """Grammar-guided genetic perturbation of threat implementations."""
 
-from .behavior import Behavior, behavior_distance, behavior_of, mean_pairwise_distance
+from .behavior import Behavior, behavior_distance, behavior_of
 from .evolve import (
     ConfigError,
     GpeConfig,
@@ -24,7 +24,6 @@ __all__ = [
     "Behavior",
     "behavior_distance",
     "behavior_of",
-    "mean_pairwise_distance",
     "ConfigError",
     "GpeConfig",
     "GpeResult",

@@ -38,15 +38,3 @@ def behavior_distance(a: Behavior, b: Behavior) -> float:
     intersection = sum(min(count, db[sig]) for sig, count in da.items() if sig in db)
     union = sum(da.values()) + sum(db.values()) - intersection
     return 1.0 - intersection / union
-
-
-def mean_pairwise_distance(behaviors: list[Behavior]) -> float:
-    if len(behaviors) < 2:
-        return 0.0
-    total = 0.0
-    pairs = 0
-    for i in range(len(behaviors)):
-        for j in range(i + 1, len(behaviors)):
-            total += behavior_distance(behaviors[i], behaviors[j])
-            pairs += 1
-    return total / pairs

@@ -65,6 +65,34 @@ def word_frequency(model: DataModel) -> dict[str, int]:
     return counts
 
 
+def _phrase_stems(phrase: NounPhrase) -> tuple[str, ...]:
+    """The distinct stems of ``phrase``'s words, in order."""
+    return tuple(dict.fromkeys(stem(word) for word in phrase.words))
+
+
+def _identifier_words(identifier: str) -> tuple[int, dict[str, str]]:
+    """How many words ``identifier`` splits into, and each of their
+    stems mapped to the first word with that stem."""
+    words = split_identifier(identifier)
+    surface_by_stem: dict[str, str] = {}
+    for word in words:
+        surface_by_stem.setdefault(stem(word), word)
+    return len(words), surface_by_stem
+
+
+def _match_value(
+    phrase_stems: tuple[str, ...], word_count: int, surface_by_stem: dict[str, str], freq: dict[str, int]
+) -> float:
+    """:func:`word_match_value` of a phrase and a variable already split
+    and stemmed."""
+    matched = [surface_by_stem[s] for s in phrase_stems if s in surface_by_stem]
+    if not matched:
+        return 0.0
+    relative_importance = sum(1.0 / freq.get(word, 1) for word in matched) / len(matched)
+    percentage = len(matched) / word_count * 100.0
+    return relative_importance * percentage
+
+
 def word_match_value(
     phrase: NounPhrase, class_name: str, variable: str, freq: dict[str, int]
 ) -> float:
@@ -74,25 +102,27 @@ def word_match_value(
     over the matched model-side words, times the percentage of the
     variable's words that were matched.
     """
-    variable_words = split_identifier(variable)
-    if not variable_words:
-        return 0.0
-    surface_by_stem: dict[str, str] = {}
-    for word in variable_words:
-        surface_by_stem.setdefault(stem(word), word)
-    matched: list[str] = []
-    seen: set[str] = set()
-    for phrase_word in phrase.words:
-        s = stem(phrase_word)
-        if s in seen or s not in surface_by_stem:
-            continue
-        seen.add(s)
-        matched.append(surface_by_stem[s])
-    if not matched:
-        return 0.0
-    relative_importance = sum(1.0 / freq.get(word, 1) for word in matched) / len(matched)
-    percentage = len(matched) / len(variable_words) * 100.0
-    return relative_importance * percentage
+    return _match_value(_phrase_stems(phrase), *_identifier_words(variable), freq)
+
+
+def _inclusion(
+    class_name: str,
+    variables: tuple[str, ...],
+    phrase_stems: list[tuple[str, ...]],
+    freq: dict[str, int],
+) -> ClassScore:
+    per_variable: dict[str, float] = {}
+    total = 0.0
+    for variable in (class_name,) + tuple(variables):
+        word_count, surface_by_stem = _identifier_words(variable)
+        value = max(
+            (_match_value(stems, word_count, surface_by_stem, freq) for stems in phrase_stems),
+            default=0.0,
+        )
+        key = variable if variable not in per_variable else f"{variable} (variable)"
+        per_variable[key] = value
+        total += value
+    return ClassScore(class_name, total, per_variable)
 
 
 def class_inclusion(
@@ -103,23 +133,14 @@ def class_inclusion(
 ) -> ClassScore:
     """Sum over the class's variables (class name included as a
     pseudo-variable) of the best matching phrase's value."""
-    per_variable: dict[str, float] = {}
-    total = 0.0
-    for variable in (class_name,) + tuple(variables):
-        value = max(
-            (word_match_value(p, class_name, variable, freq) for p in phrases),
-            default=0.0,
-        )
-        key = variable if variable not in per_variable else f"{variable} (variable)"
-        per_variable[key] = value
-        total += value
-    return ClassScore(class_name, total, per_variable)
+    return _inclusion(class_name, variables, [_phrase_stems(p) for p in phrases], freq)
 
 
 def score_classes(model: DataModel, phrases: list[NounPhrase]) -> list[ClassScore]:
     freq = word_frequency(model)
+    phrase_stems = [_phrase_stems(p) for p in phrases]
     return [
-        class_inclusion(class_name, variables, phrases, freq)
+        _inclusion(class_name, variables, phrase_stems, freq)
         for class_name, variables in model.variables_by_class.items()
     ]
 

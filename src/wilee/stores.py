@@ -8,9 +8,10 @@ underlying file contents.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
@@ -74,12 +75,16 @@ def _decode(data: bytes, path, first_line: int) -> str:
         raise FormatError(str(path), line, f"not UTF-8: {exc.reason} at byte {column}") from None
 
 
-def read_text(path: Path) -> str:
+def read_text(path: Path, digest=None) -> str:
     """A whole text file (a ``.wdsl`` source, a JSON document, a
     technique description) decoded as UTF-8 with universal newlines, as
     ``Path.read_text`` reads it; a byte that is not UTF-8 raises
-    :class:`FormatError` at ``file:line``."""
-    text = _decode(Path(path).read_bytes(), path, 1)
+    :class:`FormatError` at ``file:line``.  ``digest``, a ``hashlib``
+    object, if given, is fed the bytes read."""
+    data = Path(path).read_bytes()
+    if digest is not None:
+        digest.update(data)
+    text = _decode(data, path, 1)
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -167,9 +172,11 @@ def _load_line(text: str, path, lineno: int) -> Optional[dict]:
 
 @dataclass(frozen=True)
 class DataModel:
-    """Observable-object classes and their variables."""
+    """Observable-object classes and their variables.  ``sha256`` is the
+    digest of the file it was loaded from, if any."""
 
     variables_by_class: dict[str, tuple[str, ...]]
+    sha256: Optional[str] = field(default=None, compare=False)
 
     # Built on first use and kept: the classes never change.
     @cached_property
@@ -201,7 +208,9 @@ class DataModel:
 
     @classmethod
     def load(cls, path: Path) -> "DataModel":
-        return cls.from_json(parse_json(read_text(path), path), str(path))
+        digest = hashlib.sha256()
+        model = cls.from_json(parse_json(read_text(path, digest), path), str(path))
+        return replace(model, sha256=digest.hexdigest())
 
     @classmethod
     def default(cls) -> "DataModel":
@@ -237,13 +246,18 @@ class IocRecord:
 
 @dataclass(frozen=True)
 class IocDb:
+    """Indicator records.  ``sha256`` is the digest of the file it was
+    loaded from, if any."""
+
     records: tuple[IocRecord, ...] = ()
+    sha256: Optional[str] = field(default=None, compare=False)
 
     @classmethod
     def load(cls, path: Path) -> "IocDb":
         records: list[IocRecord] = []
         seen: set[tuple[str, str]] = set()
-        for lineno, doc in read_jsonl(path):
+        digest = hashlib.sha256()
+        for lineno, doc in read_jsonl(path, digest):
             ioc_type = doc.get("ioc_type")
             value = doc.get("value")
             if ioc_type not in IOC_TYPES:
@@ -266,7 +280,7 @@ class IocDb:
                     source=doc.get("source", "manual"),
                 )
             )
-        return cls(tuple(records))
+        return cls(tuple(records), digest.hexdigest())
 
     def by_type(self, ioc_type: str) -> tuple[IocRecord, ...]:
         """The records of ``ioc_type``, in file order."""
@@ -337,11 +351,12 @@ class TtpRecord:
 @dataclass
 class TtpStore:
     """TTP implementations indexed by technique id and tactic tag,
-    admitted and deduplicated by :func:`load_stores`.  ``body_files``
-    are the ``.wdsl`` files it read them from, in index order."""
+    admitted and deduplicated by :func:`load_stores`.  ``files`` maps
+    each file it was read from (the ``.wdsl`` bodies in index order,
+    then the index) to the SHA-256 of the bytes read."""
 
     records: list[TtpRecord] = field(default_factory=list)
-    body_files: list[Path] = field(default_factory=list)
+    files: dict[Path, str] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -413,7 +428,8 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
     seen: set[str] = set()
     invalid: list[str] = []
     details: list[str] = []
-    for lineno, doc in read_jsonl(index_path):
+    index_digest = hashlib.sha256()
+    for lineno, doc in read_jsonl(index_path, index_digest):
         technique_id = doc.get("technique_id")
         rel = doc.get("path")
         if not isinstance(technique_id, str) or not is_technique_id(technique_id):
@@ -426,8 +442,9 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
         tags = doc.get("tactic_tags", [])
         if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
             raise FormatError(str(index_path), lineno, "tactic_tags must be a list of strings")
-        fn = _read_ttp_function(base / rel, technique_id, index_path, lineno)
-        store.body_files.append(base / rel)
+        digest = hashlib.sha256()
+        fn = _read_ttp_function(base / rel, technique_id, index_path, lineno, digest)
+        store.files[base / rel] = digest.hexdigest()
         record = TtpRecord(
             technique_id=technique_id,
             tactic_tags=tuple(tags),
@@ -446,12 +463,13 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
         store.records.append(record)
     if invalid:
         raise ValidationError(invalid, "; ".join(details))
+    store.files[index_path] = index_digest.hexdigest()
     return store
 
 
-def _read_ttp_function(path: Path, technique_id: str, index_path: Path, lineno: int) -> AstNode:
+def _read_ttp_function(path: Path, technique_id: str, index_path: Path, lineno: int, digest) -> AstNode:
     try:
-        text = read_text(path)
+        text = read_text(path, digest)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         reason = getattr(exc, "strerror", None) or exc
         raise FormatError(str(index_path), lineno, f"cannot read {path}: {reason}") from None

@@ -4,6 +4,7 @@ synthetic event-log builder with a plantable two-step attack."""
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -15,6 +16,10 @@ from wilee.dsl import function_def, module, parse, validate
 from wilee.stores import DataModel, IocDb, IocRecord, TtpRecord, TtpStore
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+#: Multiplies the seeded cases of the fuzz and differential tests:
+#: ``WILEE_FUZZ_SCALE=8`` runs eight times as many.
+FUZZ_SCALE = int(os.environ.get("WILEE_FUZZ_SCALE", "1"))
 
 T1552_PUTTY_SRC = '''def t1552_002():
     winregistrykey1 = WinRegistryKey()

@@ -616,6 +616,12 @@ def oracle_multiset_jaccard_distance(a, b) -> float:
     return 1.0 - inter / union
 
 
+def oracle_mean_pairwise_distance(behaviors) -> float:
+    """Mean distance over every pair of ``behaviors``; 0 for fewer than two."""
+    distances = [oracle_multiset_jaccard_distance(a, b) for a, b in itertools.combinations(behaviors, 2)]
+    return sum(distances) / len(distances) if distances else 0.0
+
+
 def oracle_novelty(candidate_behavior, other_behaviors, k) -> float:
     if not other_behaviors:
         return 0.0

@@ -21,6 +21,7 @@ from oracles import (
     oracle_class_inclusion,
     oracle_concretize_count,
     oracle_execute,
+    oracle_mean_pairwise_distance,
     oracle_select,
     oracle_word_frequency,
     oracle_word_match_value,
@@ -42,7 +43,6 @@ from wilee.gpe import (
     Lineage,
     crossover,
     export_archive,
-    mean_pairwise_distance,
     mutate,
     perturb_iocs,
     run_gpe,
@@ -427,8 +427,8 @@ def test_criterion_7_diversity_direction(model, putty_ioc_db):
     for seed in range(20):
         config = GpeConfig(population_size=20, generations=15, seed=seed)
         result = run_gpe(seed_tree, config, model=model, ioc_db=putty_ioc_db)
-        initial = mean_pairwise_distance([c.behavior for c in result.initial_population])
-        final = mean_pairwise_distance([c.behavior for c in result.archive])
+        initial = oracle_mean_pairwise_distance([c.behavior for c in result.initial_population])
+        final = oracle_mean_pairwise_distance([c.behavior for c in result.archive])
         wins += final > initial
     report(7, "diversity direction", wins >= 18, f"{wins}/20 runs enlarged the variant space")
 

@@ -209,6 +209,34 @@ def test_manifest_inputs_change_with_a_store_body(workspace, tmp_path):
     assert changed == {str(body)}
 
 
+@pytest.mark.parametrize("command", ["hunt", "malmo"])
+def test_manifest_lists_the_store_bytes_the_command_loaded(workspace, tmp_path, monkeypatch, command):
+    """Store files rewritten after the stores were loaded are listed with
+    the digests of the bytes that were loaded, not of the new ones."""
+    _, store_dir, ioc_db, _ = workspace
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(555), 100, PlantedAttack.build().events))
+    store_files = [store_dir / "index.jsonl", store_dir / "entry0.wdsl", ioc_db]
+    loaded = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in store_files}
+    load = wilee.cli.load_stores
+
+    def load_then_rewrite(paths):
+        stores = load(paths)
+        for path in store_files:
+            path.write_bytes(path.read_bytes() + b"\n")
+        return stores
+
+    monkeypatch.setattr(wilee.cli, "load_stores", load_then_rewrite)
+    out = tmp_path / command
+    store_args = ["--ttp-store", str(store_dir), "--ioc-db", str(ioc_db)]
+    argv = {
+        "hunt": hunt_args(workspace, log, out),
+        "malmo": ["malmo", str(FIXTURES / "technique_t1552_002.json"), *store_args, "--out", str(out)],
+    }[command]
+    assert main(argv) == 0
+    inputs = json.loads((out / "manifest.json").read_text("utf-8"))["inputs"]
+    assert {p: inputs[p] for p in loaded} == loaded
+
+
 def test_hunt_clean_log_zero_confirmations(workspace, tmp_path):
     rng = random.Random(556)
     log = write_ndjson(tmp_path / "events.ndjson", synth_log(rng, 400))

@@ -21,6 +21,9 @@ reference read (``tests/oracles.py``) finds a fault, with its
 Grammar level: generated modules are printed and token-spliced.
 ``parse`` raises nothing but :class:`DslSyntaxError`, ``validate``
 never raises, and a tree it passes prints as source that parses back.
+
+``WILEE_FUZZ_SCALE`` (see ``conftest.py``) multiplies the seeds of the
+byte and JSON levels and the splices of the grammar level.
 """
 
 import json
@@ -31,7 +34,7 @@ from importlib import resources
 
 import pytest
 
-from conftest import FIXTURES, PlantedAttack, T1059_SRC, T1552_PUTTY_SRC, random_module, synth_log, write_ndjson
+from conftest import FIXTURES, FUZZ_SCALE, PlantedAttack, T1059_SRC, T1552_PUTTY_SRC, random_module, synth_log, write_ndjson
 from oracles import oracle_read_events
 
 import wilee.hunt.proxy
@@ -41,7 +44,7 @@ from wilee.hunt import NdjsonProxy, ProxyUnavailable, memo_key, schedule
 from wilee.interpreter import concretize
 from wilee.stores import DataModel, StorePaths, load_stores, read_text
 
-SEEDS = range(8)
+SEEDS = range(8 * FUZZ_SCALE)
 
 
 def _flip_bits(rng, data):
@@ -300,8 +303,9 @@ def test_spliced_sources_parse_or_raise_syntax_error():
     rng = random.Random(2104)
     gen = AstGenerator(rng, model=model, max_statements=5)
     terminals = ["def", "pass", "bind", "(", ")", ":", "=", ".", ",", "\n", "    "]
+    cases = 400 * FUZZ_SCALE
     parsed = clean = 0
-    for _ in range(400):
+    for _ in range(cases):
         a = _tokens(pretty_print(random_module(gen, max_functions=3)))
         b = _tokens(pretty_print(random_module(gen, max_functions=3))) + terminals
         source = "".join(_splice(rng, a, b))
@@ -315,4 +319,4 @@ def test_spliced_sources_parse_or_raise_syntax_error():
             printed = pretty_print(tree)
             assert pretty_print(parse(printed)) == printed, source
     # The splices must reach both outcomes for the oracle to mean much.
-    assert 0 < clean <= parsed < 400
+    assert 0 < clean <= parsed < cases

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import T1552_PUTTY_SRC
-from oracles import oracle_multiset_jaccard_distance, oracle_novelty, oracle_schedule
+from oracles import oracle_mean_pairwise_distance, oracle_multiset_jaccard_distance, oracle_novelty, oracle_schedule
 
 from wilee.dsl import content_hash, parse, pretty_print, validate
 from wilee.gpe import (
@@ -16,7 +16,6 @@ from wilee.gpe import (
     auto_balance,
     behavior_distance,
     export_archive,
-    mean_pairwise_distance,
     novelty,
     run_gpe,
     select,
@@ -359,8 +358,8 @@ def test_diversity_direction_on_fixture_seed(model):
     for seed in range(8):
         config = GpeConfig(population_size=20, generations=15, seed=seed)
         result = run_gpe(seed_impl(), config, model=model, ioc_db=small_db())
-        initial = mean_pairwise_distance([c.behavior for c in result.initial_population])
-        final = mean_pairwise_distance([c.behavior for c in result.archive])
+        initial = oracle_mean_pairwise_distance([c.behavior for c in result.initial_population])
+        final = oracle_mean_pairwise_distance([c.behavior for c in result.archive])
         wins += final > initial
     assert wins >= 7
 

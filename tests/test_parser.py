@@ -1,12 +1,16 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, T1552_PUTTY_SRC, random_module
+from conftest import FIXTURES, FUZZ_SCALE, T1552_PUTTY_SRC, random_module
 from oracles import oracle_tokens
 
-from wilee.dsl import AstGenerator, DslSyntaxError, NodeKind, iter_nodes, parse, pretty_print
+from wilee.dsl import AstGenerator, DslSyntaxError, NodeKind, iter_nodes, parse, parser, pretty_print
 from wilee.dsl.parser import tokenize
+from wilee.dsl.vocab import BIND_KEYS, IDENTIFIER_RE
 from wilee.stores import DataModel, FormatError, read_text
 
 
@@ -325,3 +329,124 @@ def test_tokenize_matches_reference_lexer():
         errors += isinstance(got, tuple)
     # Both outcomes must be common for the comparison to mean much.
     assert len(inputs) // 5 < errors < len(inputs) * 4 // 5
+
+
+# ---------------------------------------------------------------------------
+# The line pass against the token parser
+# ---------------------------------------------------------------------------
+
+
+def _parsed(parse_fn, text):
+    """The tree and every node's span (``AstNode`` equality ignores
+    spans), or the error's message, line, column and expected set."""
+    try:
+        tree = parse_fn(text)
+    except DslSyntaxError as exc:
+        return (str(exc), exc.line, exc.col, exc.expected)
+    return tree, [node.span for _, node in iter_nodes(tree)]
+
+
+def _printed_sources(rng, count):
+    sources = []
+    for model in (None, DataModel.default()):
+        gen = AstGenerator(rng, model=model, max_statements=6)
+        sources += [pretty_print(random_module(gen)) for _ in range(count)]
+    return sources
+
+
+def _bind_line(rng):
+    """An assignment of ``bind`` with its arguments in any order, some
+    maybe missing or repeated."""
+    keys = rng.sample(BIND_KEYS, rng.randrange(len(BIND_KEYS) + 1))
+    if keys and rng.random() < 0.25:
+        keys.insert(rng.randrange(len(keys) + 1), rng.choice(keys))
+    values = ("process_name", '"file_path"', '"T1059.001"', '"Get-*"', '"é\\\\x"', "def", "")
+    args = [f"{key}{rng.choice(('=', ' = '))}{rng.choice(values)}" for key in keys]
+    return "    p.name = bind(" + rng.choice((", ", ",", " , ")).join(args) + ")"
+
+
+def _rename(rng, line):
+    """One identifier of ``line`` renamed to a keyword, ``bind``, a verb
+    or an unknown verb."""
+    names = list(IDENTIFIER_RE.finditer(line))
+    if not names:
+        return line
+    m = rng.choice(names)
+    return line[: m.start()] + rng.choice(("def", "pass", "bind", "has", "hass", "observed")) + line[m.end() :]
+
+
+def _edit_lines(rng, text, donor):
+    """One edit of one line of ``text``, or a splice from ``donor``."""
+    lines = text.split("\n")
+    i = rng.randrange(len(lines))
+    line = lines[i]
+    j = rng.randrange(len(line) + 1)
+    kind = rng.randrange(9)
+    if kind == 0:
+        lines[i] = line[:j] + " " * rng.randrange(1, 4) + line[j:]
+    elif kind == 1:
+        lines[i] = line + rng.choice(("  # note", "#", " # é"))
+    elif kind == 2:
+        lines.insert(i, rng.choice(("", "   ", "# comment", "    # indented")))
+    elif kind == 3:
+        lines[i] = line[:j] + rng.choice(("\t", "\r", "é", "漢", "\x0c", "\x85")) + line[j:]
+    elif kind == 4:
+        lines[i] = _bind_line(rng)
+    elif kind == 5:
+        lines[i] = _rename(rng, line)
+    elif kind == 6:
+        lines[i] = " " * rng.choice((1, 2, 4, 8)) + line
+    elif kind == 7:
+        del lines[i]
+    else:
+        return _mutate(rng, text, donor)
+    return "\n".join(lines)
+
+
+def test_line_pass_matches_token_parser():
+    """``parse`` and the token parser agree on every input: the same tree
+    with the same spans, or the same error."""
+    rng = random.Random(3207)
+    sources = _printed_sources(rng, 100 * FUZZ_SCALE)
+    inputs = list(sources)
+    for _ in range(3000 * FUZZ_SCALE):
+        text = rng.choice(sources)
+        for _ in range(rng.randrange(1, 3)):
+            text = _edit_lines(rng, text, rng.choice(sources))
+        inputs.append(text)
+    taken = trees = 0
+    for text in inputs:
+        got = _parsed(parse, text)
+        assert got == _parsed(parser._parse_tokens, text), text
+        trees += len(got) == 2
+        taken += parser._parse_lines(text) is not None
+    # Both passes must give trees, and errors must be common, for the
+    # comparison to mean much.
+    assert len(sources) < taken < trees < len(inputs) * 4 // 5
+
+
+def _benchmark_sources(tmp_path, monkeypatch):
+    """Every ``.wdsl`` file of the benchmark's seed-1 inputs, all
+    workloads: the TTP store bodies, the description and the seed
+    implementation."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look themselves up there
+    spec.loader.exec_module(inputs)
+    monkeypatch.setattr(inputs, "write_events", lambda *args: None)  # no event log is parsed
+    for workload in inputs.SHAPES:
+        inputs.write_inputs(inputs.make_spec(workload, 1), tmp_path / workload)
+    return [read_text(file) for file in sorted(tmp_path.rglob("*.wdsl"))]
+
+
+def test_printer_output_and_benchmark_sources_never_reach_the_token_parser(tmp_path, monkeypatch):
+    benchmark = _benchmark_sources(tmp_path, monkeypatch)
+    assert len(benchmark) > 200  # four stores, each workload's description and seed implementation
+    sources = _printed_sources(random.Random(4), 300) + benchmark
+    fallbacks = []
+    token_parse = parser._parse_tokens
+    monkeypatch.setattr(parser, "_parse_tokens", lambda text: fallbacks.append(text) or token_parse(text))
+    for text in sources:
+        parse(text)
+    assert fallbacks == []

@@ -13,6 +13,7 @@ from oracles import (
 from wilee.malmo import (
     ClassScore,
     class_inclusion,
+    score_classes,
     select_classes,
     split_identifier,
     stem,
@@ -244,3 +245,17 @@ def test_formulas_match_oracle_on_random_instances():
                 class_name, variables, [list(p.words) for p in phrases], freq
             )
             assert mine == pytest.approx(theirs, abs=1e-9)
+
+
+def test_score_classes_matches_oracle_on_random_models():
+    # Each identifier and phrase word is split and stemmed once per call;
+    # the sums must come out bit for bit as the oracle's plain loops add
+    # them, so that ``scores.json`` keeps its bytes.
+    rng = random.Random(16180)
+    for _ in range(300):
+        classes, phrases = random_instance(rng)
+        model = DataModel(classes)
+        freq = oracle_word_frequency(classes)
+        words = [list(p.words) for p in phrases]
+        got = {s.class_name: s.inclusion_value for s in score_classes(model, phrases)}
+        assert got == {name: oracle_class_inclusion(name, variables, words, freq) for name, variables in classes.items()}
