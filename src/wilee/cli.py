@@ -51,6 +51,7 @@ from .malmo import (
     generate_dsl,
     mine_relation_priors,
     scores_to_json,
+    untagged_token,
 )
 from .stores import FormatError, StorePaths, ValidationError, load_stores, parse_json, read_text
 
@@ -72,18 +73,13 @@ def _setup_logging() -> None:
     )
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _write_manifest(
-    out: Path, command: str, args: dict, digests: dict, inputs: list, outputs: list[Path], partial: bool = False
+    out: Path, command: str, args: dict, digests: dict[str, str], outputs: list[Path], partial: bool = False
 ) -> None:
-    """``digests`` maps each input hashed while the command read it (the
-    store files, see :func:`_store_digests`, and an event log, see
-    ``NdjsonProxy.sha256``) to its digest, so the manifest names the
-    bytes the command used.  ``inputs`` are the other input files,
-    hashed here; those unset (``None``) or not files are left out."""
+    """``digests`` is the command's one map of the inputs it read, each
+    path to the SHA-256 of the bytes its reader parsed (see
+    ``stores.read_text`` and ``NdjsonProxy.sha256``), so the manifest
+    names the bytes the command used; only the outputs are read here."""
     manifest = {
         "command": command,
         "args": {
@@ -92,11 +88,8 @@ def _write_manifest(
             if not callable(v)
         },
         "partial": partial,
-        "inputs": {
-            **{str(p): digest for p, digest in digests.items()},
-            **{str(p): _sha256(Path(p).read_bytes()) for p in inputs if p and Path(p).is_file()},
-        },
-        "outputs": {p.name: _sha256(p.read_bytes()) for p in outputs},
+        "inputs": digests,
+        "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
 
@@ -107,18 +100,6 @@ def _store_paths(args) -> StorePaths:
         ioc_db=getattr(args, "ioc_db", None),
         data_model=getattr(args, "data_model", None),
     )
-
-
-def _store_digests(args, store, ioc_db, model) -> dict:
-    """The store files a command read, each with the SHA-256 of the bytes
-    its loader read: a TTP store's index file and the ``.wdsl`` bodies
-    it names, the IOC database and the data model."""
-    digests = dict(store.files)
-    if args.ioc_db:
-        digests[args.ioc_db] = ioc_db.sha256
-    if args.data_model:
-        digests[args.data_model] = model.sha256
-    return digests
 
 
 @contextlib.contextmanager
@@ -160,11 +141,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_hunt(args) -> int:
-    store, ioc_db, model = load_stores(_store_paths(args))
+    digests: dict[str, str] = {}
+    store, ioc_db, model = load_stores(_store_paths(args), digests)
     desc = None
     if args.desc:
         with _in_file(args.desc):
-            desc = ThreatDescription.from_module(parse(read_text(args.desc)))
+            desc = ThreatDescription.from_module(parse(read_text(args.desc, digests)))
     if desc is None or not desc.steps:
         # No description (or an empty one): hunt the full kill-chain.
         desc = default_killchain(store)
@@ -179,6 +161,7 @@ def cmd_hunt(args) -> int:
     # keeps only the events some query asks for.
     scheduled = [(impl, schedule(impl, model)) for impl in result.implementations]
     proxy = NdjsonProxy(args.events, {memo_key(q, ioc_db) for _, descriptors in scheduled for q in descriptors})
+    digests[str(args.events)] = proxy.sha256
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = []
@@ -193,8 +176,7 @@ def cmd_hunt(args) -> int:
     report = render_report(results, fmt, title=desc.name, partial=partial)
     report_path = out / ("report.md" if fmt == "markdown" else "report.json")
     report_path.write_text(report, "utf-8")
-    digests = {**_store_digests(args, store, ioc_db, model), args.events: proxy.sha256}
-    _write_manifest(out, "hunt", vars(args), digests, [args.desc], [report_path], partial=partial)
+    _write_manifest(out, "hunt", vars(args), digests, [report_path], partial=partial)
     confirmed = sum(1 for r in results if r.confirmed)
     print(f"{len(results)} implementation(s) evaluated, {confirmed} confirmed; report at {report_path}")
     return 130 if partial else EXIT_OK
@@ -205,31 +187,34 @@ def cmd_hunt(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_technique(path: Path) -> tuple[str, str, bool]:
-    """Returns (technique_id, description, pretagged)."""
-    text = read_text(path)
+def _read_technique(path: Path, digests: dict[str, str]) -> tuple[str, str, bool]:
+    """Returns (technique_id, description, pretagged).  A JSON
+    description is pretagged when its ``pretagged`` is ``true``, and
+    then every token must be ``word/TAG``; a plain-text one when every
+    token is."""
+    text = read_text(path, digests)
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         doc = parse_json(text, path)
         if not isinstance(doc, dict):
             raise FormatError(str(path), 1, "technique file must hold a JSON object")
         if not isinstance(doc.get("id"), str) or not isinstance(doc.get("description"), str):
             raise FormatError(str(path), 1, "technique needs string 'id' and 'description'")
-        technique, text, pretagged = doc["id"], doc["description"], bool(doc.get("pretagged", False))
+        technique, text, pretagged = doc["id"], doc["description"], doc.get("pretagged", False)
+        if not isinstance(pretagged, bool):
+            raise FormatError(str(path), 1, "'pretagged' must be true or false")
+        if pretagged and (token := untagged_token(text)) is not None:
+            raise FormatError(str(path), 1, f"not a word/TAG token: {token!r}")
     else:
-        technique, pretagged = normalize_step(path.stem), _looks_pretagged(text)
+        technique, pretagged = normalize_step(path.stem), untagged_token(text) is None
     if not is_identifier(step_identifier(technique)):
         raise FormatError(str(path), 1, f"technique id {technique!r} cannot name a DSL function")
     return technique, text, pretagged
 
 
-def _looks_pretagged(text: str) -> bool:
-    tokens = text.split()
-    return bool(tokens) and all("/" in t and t.rsplit("/", 1)[1].isupper() for t in tokens)
-
-
 def cmd_malmo(args) -> int:
-    store, ioc_db, model = load_stores(_store_paths(args))
-    technique_id, description, pretagged = _read_technique(Path(args.technique))
+    digests: dict[str, str] = {}
+    store, ioc_db, model = load_stores(_store_paths(args), digests)
+    technique_id, description, pretagged = _read_technique(Path(args.technique), digests)
     priors = mine_relation_priors(store)
     fn, scores = generate_dsl(
         technique_id, description, model, ioc_db, priors, n=args.top_n, pretagged=pretagged
@@ -241,8 +226,7 @@ def cmd_malmo(args) -> int:
     dsl_path.write_text(pretty_print_node(fn), "utf-8")
     scores_path = out / "scores.json"
     scores_path.write_text(json.dumps(scores_to_json(scores), indent=2) + "\n", "utf-8")
-    digests = _store_digests(args, store, ioc_db, model)
-    _write_manifest(out, "malmo", vars(args), digests, [args.technique], [dsl_path, scores_path])
+    _write_manifest(out, "malmo", vars(args), digests, [dsl_path, scores_path])
     print(f"wrote {dsl_path} and {scores_path}")
     return EXIT_OK
 
@@ -253,12 +237,13 @@ def cmd_malmo(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    config = GpeConfig.from_json(args.config) if args.config else GpeConfig()
+    digests: dict[str, str] = {}
+    config = GpeConfig.from_json(args.config, digests) if args.config else GpeConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    store, ioc_db, model = load_stores(_store_paths(args))
+    store, ioc_db, model = load_stores(_store_paths(args), digests)
     with _in_file(args.impl):
-        tree = parse(read_text(args.impl))
+        tree = parse(read_text(args.impl, digests))
     diagnostics = validate(tree, model)
     if diagnostics:
         for diag in diagnostics:
@@ -266,10 +251,9 @@ def cmd_perturb(args) -> int:
         return EXIT_DIAGNOSTICS
 
     fitness_fn = None
-    digests = _store_digests(args, store, ioc_db, model)
     if args.events:
         proxy = NdjsonProxy(args.events)
-        digests[args.events] = proxy.sha256
+        digests[str(args.events)] = proxy.sha256
 
         def fitness_fn(candidate_tree, impl, descriptors):
             return evaluate(impl, descriptors, proxy, ioc_db).score
@@ -294,7 +278,7 @@ def cmd_perturb(args) -> int:
         + "\n",
         "utf-8",
     )
-    _write_manifest(out, "perturb", vars(args), digests, [args.impl, args.config], written + [summary_path])
+    _write_manifest(out, "perturb", vars(args), digests, written + [summary_path])
     print(f"archived {len(result.archive)} candidate(s) under {archive_dir}")
     return EXIT_OK
 

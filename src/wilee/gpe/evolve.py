@@ -66,9 +66,9 @@ class GpeConfig:
             raise ConfigError("archive_capacity must be >= 0")
 
     @classmethod
-    def from_json(cls, path: Path) -> "GpeConfig":
+    def from_json(cls, path: Path, digests: Optional[dict[str, str]] = None) -> "GpeConfig":
         try:
-            doc = json.loads(read_text(path))
+            doc = json.loads(read_text(path, digests))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: {exc.msg}") from None
         if not isinstance(doc, dict):

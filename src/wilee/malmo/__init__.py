@@ -19,7 +19,7 @@ from .scoring import (
     word_frequency,
     word_match_value,
 )
-from .tagger import TaggedToken, parse_pretagged, tag_text, tag_word, tokenize
+from .tagger import TaggedToken, parse_pretagged, tag_text, tag_word, tokenize, untagged_token
 
 __all__ = [
     "DEFAULT_TOP_N",
@@ -44,4 +44,5 @@ __all__ = [
     "tag_text",
     "tag_word",
     "tokenize",
+    "untagged_token",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Optional
 
 ADJ_TAGS = frozenset({"JJ", "JJR", "JJS"})
 NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
@@ -76,6 +77,8 @@ _ING_NOUNS = {"string", "strings", "thing", "things", "setting", "settings", "ph
 _NOUN_OVERRIDES = {"variable", "variables", "table", "tables", "executable", "executables"}
 
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z'-]*[A-Za-z]|[A-Za-z]|[0-9][0-9.,:]*|[^\sA-Za-z0-9]")
+# Pre-tagged text is whitespace-separated tokens, each ``word/TAG``.
+_TAGGED_TOKEN_RE = re.compile(r"\S+")
 _PRETAGGED_RE = re.compile(r"^(?P<word>.+)/(?P<tag>[A-Z$]+)$")
 
 
@@ -131,11 +134,20 @@ def tag_text(text: str) -> list[TaggedToken]:
     return [TaggedToken(tok, tag_word(tok), span) for tok, span in tokenize(text)]
 
 
+def untagged_token(text: str) -> Optional[str]:
+    """The first token of ``text`` that :func:`parse_pretagged` cannot
+    read as ``word/TAG``, or ``None`` when it reads them all."""
+    for m in _TAGGED_TOKEN_RE.finditer(text):
+        if not _PRETAGGED_RE.match(m.group(0)):
+            return m.group(0)
+    return None
+
+
 def parse_pretagged(text: str) -> list[TaggedToken]:
     """Read whitespace-separated ``word/TAG`` tokens; spans cover the
     word part so phrase spans stay meaningful."""
     out = []
-    for m in re.finditer(r"\S+", text):
+    for m in _TAGGED_TOKEN_RE.finditer(text):
         matched = _PRETAGGED_RE.match(m.group(0))
         if not matched:
             raise ValueError(f"not a word/TAG token: {m.group(0)!r}")

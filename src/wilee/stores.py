@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
@@ -75,15 +75,17 @@ def _decode(data: bytes, path, first_line: int) -> str:
         raise FormatError(str(path), line, f"not UTF-8: {exc.reason} at byte {column}") from None
 
 
-def read_text(path: Path, digest=None) -> str:
+def read_text(path: Path, digests: Optional[dict[str, str]] = None) -> str:
     """A whole text file (a ``.wdsl`` source, a JSON document, a
     technique description) decoded as UTF-8 with universal newlines, as
     ``Path.read_text`` reads it; a byte that is not UTF-8 raises
-    :class:`FormatError` at ``file:line``.  ``digest``, a ``hashlib``
-    object, if given, is fed the bytes read."""
+    :class:`FormatError` at ``file:line``.  ``digests``, a command's map
+    of the inputs it read (see :func:`wilee.cli._write_manifest`), if
+    given, gets ``str(path)`` -> the SHA-256 of the bytes read, so it
+    names the bytes the text came from."""
     data = Path(path).read_bytes()
-    if digest is not None:
-        digest.update(data)
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(data).hexdigest()
     text = _decode(data, path, 1)
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
@@ -172,11 +174,9 @@ def _load_line(text: str, path, lineno: int) -> Optional[dict]:
 
 @dataclass(frozen=True)
 class DataModel:
-    """Observable-object classes and their variables.  ``sha256`` is the
-    digest of the file it was loaded from, if any."""
+    """Observable-object classes and their variables."""
 
     variables_by_class: dict[str, tuple[str, ...]]
-    sha256: Optional[str] = field(default=None, compare=False)
 
     # Built on first use and kept: the classes never change.
     @cached_property
@@ -207,10 +207,8 @@ class DataModel:
         return cls(out)
 
     @classmethod
-    def load(cls, path: Path) -> "DataModel":
-        digest = hashlib.sha256()
-        model = cls.from_json(parse_json(read_text(path, digest), path), str(path))
-        return replace(model, sha256=digest.hexdigest())
+    def load(cls, path: Path, digests: Optional[dict[str, str]] = None) -> "DataModel":
+        return cls.from_json(parse_json(read_text(path, digests), path), str(path))
 
     @classmethod
     def default(cls) -> "DataModel":
@@ -246,14 +244,12 @@ class IocRecord:
 
 @dataclass(frozen=True)
 class IocDb:
-    """Indicator records.  ``sha256`` is the digest of the file it was
-    loaded from, if any."""
+    """Indicator records."""
 
     records: tuple[IocRecord, ...] = ()
-    sha256: Optional[str] = field(default=None, compare=False)
 
     @classmethod
-    def load(cls, path: Path) -> "IocDb":
+    def load(cls, path: Path, digests: Optional[dict[str, str]] = None) -> "IocDb":
         records: list[IocRecord] = []
         seen: set[tuple[str, str]] = set()
         digest = hashlib.sha256()
@@ -280,7 +276,9 @@ class IocDb:
                     source=doc.get("source", "manual"),
                 )
             )
-        return cls(tuple(records), digest.hexdigest())
+        if digests is not None:
+            digests[str(path)] = digest.hexdigest()
+        return cls(tuple(records))
 
     def by_type(self, ioc_type: str) -> tuple[IocRecord, ...]:
         """The records of ``ioc_type``, in file order."""
@@ -351,12 +349,9 @@ class TtpRecord:
 @dataclass
 class TtpStore:
     """TTP implementations indexed by technique id and tactic tag,
-    admitted and deduplicated by :func:`load_stores`.  ``files`` maps
-    each file it was read from (the ``.wdsl`` bodies in index order,
-    then the index) to the SHA-256 of the bytes read."""
+    admitted and deduplicated by :func:`load_stores`."""
 
     records: list[TtpRecord] = field(default_factory=list)
-    files: dict[Path, str] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -421,7 +416,7 @@ def ttp_index_file(path: Path) -> Path:
     return path / "index.jsonl" if path.is_dir() else path
 
 
-def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
+def _load_ttp_store(index_path: Path, model: DataModel, digests: Optional[dict[str, str]]) -> TtpStore:
     index_path = ttp_index_file(index_path)
     base = index_path.parent
     store = TtpStore()
@@ -442,9 +437,7 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
         tags = doc.get("tactic_tags", [])
         if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
             raise FormatError(str(index_path), lineno, "tactic_tags must be a list of strings")
-        digest = hashlib.sha256()
-        fn = _read_ttp_function(base / rel, technique_id, index_path, lineno, digest)
-        store.files[base / rel] = digest.hexdigest()
+        fn = _read_ttp_function(base / rel, technique_id, index_path, lineno, digests)
         record = TtpRecord(
             technique_id=technique_id,
             tactic_tags=tuple(tags),
@@ -463,13 +456,14 @@ def _load_ttp_store(index_path: Path, model: DataModel) -> TtpStore:
         store.records.append(record)
     if invalid:
         raise ValidationError(invalid, "; ".join(details))
-    store.files[index_path] = index_digest.hexdigest()
+    if digests is not None:
+        digests[str(index_path)] = index_digest.hexdigest()
     return store
 
 
-def _read_ttp_function(path: Path, technique_id: str, index_path: Path, lineno: int, digest) -> AstNode:
+def _read_ttp_function(path: Path, technique_id: str, index_path: Path, lineno: int, digests) -> AstNode:
     try:
-        text = read_text(path, digest)
+        text = read_text(path, digests)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         reason = getattr(exc, "strerror", None) or exc
         raise FormatError(str(index_path), lineno, f"cannot read {path}: {reason}") from None
@@ -491,10 +485,13 @@ def _read_ttp_function(path: Path, technique_id: str, index_path: Path, lineno: 
     return wanted[0]
 
 
-def load_stores(paths: StorePaths) -> tuple[TtpStore, IocDb, DataModel]:
+def load_stores(paths: StorePaths, digests: Optional[dict[str, str]] = None) -> tuple[TtpStore, IocDb, DataModel]:
     """Load all three stores.  Missing paths yield an empty TTP store,
-    an empty IOC database, and the shipped default data model."""
-    model = DataModel.load(paths.data_model) if paths.data_model else DataModel.default()
-    ioc_db = IocDb.load(paths.ioc_db) if paths.ioc_db else IocDb()
-    store = _load_ttp_store(paths.ttp_index, model) if paths.ttp_index else TtpStore()
+    an empty IOC database, and the shipped default data model.
+    ``digests``, if given, gets the SHA-256 of each file as it is read
+    (see :func:`read_text`): the data model, the IOC database, a TTP
+    store's index and every ``.wdsl`` body it names."""
+    model = DataModel.load(paths.data_model, digests) if paths.data_model else DataModel.default()
+    ioc_db = IocDb.load(paths.ioc_db, digests) if paths.ioc_db else IocDb()
+    store = _load_ttp_store(paths.ttp_index, model, digests) if paths.ttp_index else TtpStore()
     return store, ioc_db, model

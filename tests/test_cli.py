@@ -23,6 +23,7 @@ from conftest import (
 )
 
 import wilee.cli
+import wilee.gpe.evolve
 import wilee.hunt.engine
 import wilee.hunt.proxy
 import wilee.hunt.query
@@ -32,7 +33,7 @@ from wilee.dsl import NodeKind, ThreatDescription, parse
 from wilee.gpe import Candidate
 from wilee.hunt import BindSpec, schedule
 from wilee.interpreter import concretize
-from wilee.stores import StorePaths, load_stores
+from wilee.stores import StorePaths, load_stores, read_text
 
 SME_PRIORS_SRC = '''def t1003_001():
     system1 = System()
@@ -219,8 +220,8 @@ def test_manifest_lists_the_store_bytes_the_command_loaded(workspace, tmp_path, 
     loaded = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in store_files}
     load = wilee.cli.load_stores
 
-    def load_then_rewrite(paths):
-        stores = load(paths)
+    def load_then_rewrite(paths, digests=None):
+        stores = load(paths, digests)
         for path in store_files:
             path.write_bytes(path.read_bytes() + b"\n")
         return stores
@@ -235,6 +236,43 @@ def test_manifest_lists_the_store_bytes_the_command_loaded(workspace, tmp_path, 
     assert main(argv) == 0
     inputs = json.loads((out / "manifest.json").read_text("utf-8"))["inputs"]
     assert {p: inputs[p] for p in loaded} == loaded
+
+
+@pytest.mark.parametrize("command", ["hunt", "malmo", "perturb"])
+def test_manifest_lists_the_bytes_each_input_was_parsed_from(workspace, tmp_path, monkeypatch, command):
+    """``--desc``, the technique file, the implementation and ``--config``,
+    each rewritten right after the command read it, are listed with the
+    digests of the bytes the command parsed, not of the new ones."""
+    _, store_dir, ioc_db, desc = workspace
+    log = write_ndjson(tmp_path / "events.ndjson", synth_log(random.Random(555), 100, PlantedAttack.build().events))
+    technique = tmp_path / "technique_t1552_002.json"
+    shutil.copy(FIXTURES / "technique_t1552_002.json", technique)
+    impl = tmp_path / "impl.wdsl"
+    impl.write_text(T1552_PUTTY_SRC, "utf-8")
+    config = tmp_path / "gpe.json"
+    config.write_text(json.dumps({"population_size": 4, "generations": 1}), "utf-8")
+    own = {"hunt": [desc], "malmo": [technique], "perturb": [impl, config]}[command]
+    parsed = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in own}
+
+    def read_then_rewrite(path, *args, **kwargs):
+        text = read_text(path, *args, **kwargs)
+        if str(path) in parsed:
+            Path(path).write_bytes(Path(path).read_bytes() + b"\n")
+        return text
+
+    for module in (wilee.cli, wilee.gpe.evolve):
+        monkeypatch.setattr(module, "read_text", read_then_rewrite)
+    out = tmp_path / command
+    store_args = ["--ttp-store", str(store_dir), "--ioc-db", str(ioc_db)]
+    argv = {
+        "hunt": hunt_args(workspace, log, out),
+        "malmo": ["malmo", str(technique), *store_args, "--out", str(out)],
+        "perturb": ["perturb", str(impl), *store_args, "--config", str(config), "--out", str(out)],
+    }[command]
+    assert main(argv) == 0
+    assert all(hashlib.sha256(p.read_bytes()).hexdigest() != parsed[str(p)] for p in own)
+    inputs = json.loads((out / "manifest.json").read_text("utf-8"))["inputs"]
+    assert {p: inputs[p] for p in parsed} == parsed
 
 
 def test_hunt_clean_log_zero_confirmations(workspace, tmp_path):
@@ -719,6 +757,50 @@ def test_malmo_plain_text_input(tmp_path):
     out = tmp_path / "out"
     assert main(["malmo", str(technique), "--out", str(out)]) == 0
     assert (out / "t1552_002.wdsl").exists()
+
+
+TAGGED_DESCRIPTION = "Adversaries/NNS search/VBP window/NN registry/NN keys/NNS for/IN passwords/NNS"
+
+
+@pytest.mark.parametrize(
+    "text, pretagged",
+    [
+        (TAGGED_DESCRIPTION, True),
+        # A tag of capitals and digits is no tag: the text is read as plain words.
+        ("registry/NN1 keys/NNS", False),
+        ("registry/NN /NNS", False),
+    ],
+)
+def test_malmo_plain_text_is_pretagged_when_every_token_is_word_tag(tmp_path, text, pretagged):
+    """A plain-text technique is read as tagged exactly when the tagger
+    reads every token as ``word/TAG``, so it draws what the JSON form
+    with that ``pretagged`` draws."""
+    plain = tmp_path / "t1552_002.txt"
+    plain.write_text(text, "utf-8")
+    as_json = tmp_path / "t1552_002.json"
+    as_json.write_text(json.dumps({"id": "T1552.002", "description": text, "pretagged": pretagged}), "utf-8")
+    for technique in (plain, as_json):
+        assert main(["malmo", str(technique), "--out", str(tmp_path / technique.suffix)]) == 0
+    for name in ("t1552_002.wdsl", "scores.json"):
+        assert (tmp_path / ".txt" / name).read_bytes() == (tmp_path / ".json" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"pretagged": "false", "description": TAGGED_DESCRIPTION}, "'pretagged' must be true or false"),
+        ({"pretagged": 1, "description": TAGGED_DESCRIPTION}, "'pretagged' must be true or false"),
+        ({"pretagged": True, "description": "just plain words"}, "not a word/TAG token: 'just'"),
+        ({"pretagged": True, "description": "registry/NN keys/NN1"}, "not a word/TAG token: 'keys/NN1'"),
+    ],
+)
+def test_malmo_bad_pretagged_technique_exits_two(tmp_path, capsys, doc, message):
+    technique = tmp_path / "t1552_002.json"
+    technique.write_text(json.dumps({"id": "T1552.002", **doc}), "utf-8")
+    out = tmp_path / "out"
+    assert main(["malmo", str(technique), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {technique}:1: {message}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,12 @@ def _workspace(root):
     (root / "desc.wdsl").write_text("def putty_hunt():\n    t1552_002()\n    t1059_001()\n", "utf-8")
     shutil.copy(FIXTURES / "technique_t1552_002.json", root / "technique.json")
     (root / "t1552_002.txt").write_text("Adversaries search window registry keys for passwords.", "utf-8")
+    tagged = "Adversaries/NNS search/VBP window/NN registry/NN keys/NNS for/IN passwords/NNS"
+    (root / "tagged.json").write_text(
+        json.dumps({"id": "T1552.002", "description": tagged, "pretagged": True}), "utf-8"
+    )
+    (root / "tagged").mkdir()
+    (root / "tagged" / "t1552_002.txt").write_text(tagged, "utf-8")
     (root / "gpe.json").write_text(json.dumps({"population_size": 4, "generations": 1, "seed": 3}), "utf-8")
     (root / "impl.wdsl").write_text(T1552_PUTTY_SRC, "utf-8")
 
@@ -127,6 +133,8 @@ INPUTS = {
     "data-model": ("model.json", "hunt"),
     "technique-json": ("technique.json", "technique.json"),
     "technique-text": ("t1552_002.txt", "t1552_002.txt"),
+    "technique-tagged-json": ("tagged.json", "tagged.json"),
+    "technique-tagged-text": ("tagged/t1552_002.txt", "tagged/t1552_002.txt"),
     "config": ("gpe.json", "perturb"),
     "impl": ("impl.wdsl", "perturb"),
 }
@@ -256,7 +264,7 @@ def _json_mutator(edit, lines):
 
 
 JSON_MUTATORS = {"retype": _retype, "drop": _drop, "nest": _nest}
-JSON_INPUTS = ("ttp-index", "ioc-db", "event-log", "data-model", "technique-json", "config")
+JSON_INPUTS = ("ttp-index", "ioc-db", "event-log", "data-model", "technique-json", "technique-tagged-json", "config")
 
 
 @pytest.mark.parametrize("kind", JSON_INPUTS)
