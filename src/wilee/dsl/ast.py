@@ -12,9 +12,10 @@ parsed tree compares equal to a synthesized one with the same shape.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
+
+from ..frozen import Frozen
 
 
 class NodeKind(Enum):
@@ -48,23 +49,47 @@ VALUE_KINDS = frozenset({NodeKind.LITERAL, NodeKind.BIND_EXPR})
 NodePath = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AstNode:
+class AstNode(Frozen):
     """One node of the parse tree.
 
     ``attrs`` holds the scalar payload (names, verbs, literal text);
     ``children`` holds sub-nodes in source order.  ``span`` is the
     half-open byte range in the original source and is ``None`` for
-    synthesized nodes; it never participates in equality.
+    synthesized nodes; it never participates in equality.  Nodes are
+    immutable and, as ``attrs`` is a dict, unhashable.
     """
 
+    __slots__ = ("kind", "children", "attrs", "span")
+
     kind: NodeKind
-    children: tuple["AstNode", ...] = ()
-    attrs: dict[str, str] = field(default_factory=dict)
-    span: Optional[tuple[int, int]] = field(default=None, compare=False)
+    children: tuple["AstNode", ...]
+    attrs: dict[str, str]
+    span: Optional[tuple[int, int]]
+
+    def __init__(
+        self,
+        kind: NodeKind,
+        children: tuple["AstNode", ...] = (),
+        attrs: Optional[dict[str, str]] = None,
+        span: Optional[tuple[int, int]] = None,
+    ):
+        _set_kind(self, kind)
+        _set_children(self, children)
+        _set_attrs(self, {} if attrs is None else attrs)
+        _set_span(self, span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind is other.kind and self.children == other.children and self.attrs == other.attrs
+
+    __hash__ = None
 
     def with_children(self, children: tuple["AstNode", ...]) -> "AstNode":
         return AstNode(self.kind, children, dict(self.attrs), self.span)
+
+
+_set_kind, _set_children, _set_attrs, _set_span = (getattr(AstNode, name).__set__ for name in AstNode.__slots__)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,14 @@ declines it:
    matches each non-blank line, whole, against one compiled pattern per
    statement form: ``def name():``, ``x = Class()``,
    ``x.attr = "literal"``, ``x.attr = bind(...)`` with its arguments in
-   printed order, ``x.verb(y)``, ``step()`` and ``pass``.  The patterns
-   are built from the same :mod:`.vocab` rules as the lexer's, so a
-   line matches a form exactly when it lexes to that form's tokens.
-   Every ``def`` sits at column 1 and every other line at its
-   function's one body level.  Nodes and their byte spans are built
-   from the match groups.  Printer output always takes this pass.
+   printed order and its ``ioc_type`` a name, bare or quoted,
+   ``x.verb(y)``, ``step()`` and ``pass``.  The patterns are built from
+   the same :mod:`.vocab` rules as the lexer's, so a line matches a form
+   exactly when it lexes to that form's tokens.  Every ``def`` sits at
+   column 1 and every other line at its function's one body level.
+   Nodes, their byte spans and each function's canonical text (through
+   the printer's text of each form) are built from the match groups.
+   Printer output always takes this pass.
 2. Any other source (a comment, a tab, a ``\r``, bind arguments out of
    order, a deeper indent, anything malformed) goes whole to
    ``_Parser(tokenize(source))``, which returns the same tree or raises
@@ -44,7 +46,17 @@ from typing import NamedTuple, Optional
 
 from . import ast
 from .ast import AstNode, RELATION_VERBS
-from .vocab import BIND_KEYS, IDENTIFIER_RE, KEYWORDS, STRING_LITERAL, normalize_step, unquote_string
+from .printer import assignment_text, bind_text, call_text, function_text, instantiation_text, relation_text
+from .vocab import (
+    BIND_KEYS,
+    IDENTIFIER_RE,
+    KEYWORDS,
+    STRING_LITERAL,
+    normalize_step,
+    quote_string,
+    step_identifier,
+    unquote_string,
+)
 
 
 class DslSyntaxError(Exception):
@@ -340,14 +352,14 @@ _DEF = _form(f"def +(?P<name>{_NAME})", r"\(", r"\)", ":")
 
 _ASSIGN_TO = (f"(?P<subject>{_NAME})", r"\.", f"(?P<attribute>{_NAME})", "=")
 _IOC_TYPE = BIND_KEYS[0]
-# ``bind(...)`` with its arguments in printed order, ``ioc_type`` a name
-# or a literal.
+# ``bind(...)`` with its arguments in printed order, ``ioc_type`` a name,
+# bare or quoted (a quoted name holds no escape, so the name is its value).
 _BIND = _tokens(
     "(?P<bind>bind",
     r"\(",
     _IOC_TYPE,
     "=",
-    f"(?:(?P<{_IOC_TYPE}>{_NAME})|(?P<quoted>{STRING_LITERAL}))",
+    f'(?:(?P<{_IOC_TYPE}>{_NAME})|"(?P<quoted>{_NAME})")',
     *(f"(?:{_tokens(',', key, '=', f'(?P<{key}>{STRING_LITERAL})')})?" for key in BIND_KEYS[1:]),
     r"\))",
 )
@@ -366,45 +378,54 @@ def _identifier(m: re.Match, base: int, group: str) -> AstNode:
     return ast.identifier(m[group], span=_span(m, base, group))
 
 
-def _instantiation(m: re.Match, base: int) -> AstNode:
-    return ast.instantiation(m["var"], m["class_name"], span=_span(m, base))
+# Each builder gives a statement's node and its canonical text from the
+# match and the byte offset where the statement starts.
 
 
-def _assignment(m: re.Match, base: int, value: AstNode) -> AstNode:
-    return AstNode(
+def _instantiation(m: re.Match, base: int) -> tuple[AstNode, str]:
+    var, class_name = m["var"], m["class_name"]
+    return ast.instantiation(var, class_name, span=_span(m, base)), instantiation_text(var, class_name)
+
+
+def _assignment(m: re.Match, base: int, value: AstNode, value_text: str) -> tuple[AstNode, str]:
+    node = AstNode(
         ast.NodeKind.ATTRIBUTE_ASSIGN,
         (_identifier(m, base, "subject"), value),
         {"attribute": m["attribute"]},
         _span(m, base),
     )
+    return node, assignment_text(m["subject"], m["attribute"], value_text)
 
 
-def _literal_assignment(m: re.Match, base: int) -> AstNode:
-    return _assignment(m, base, ast.literal(unquote_string(m["literal"]), span=_span(m, base, "literal")))
+def _literal_assignment(m: re.Match, base: int) -> tuple[AstNode, str]:
+    value = unquote_string(m["literal"])
+    return _assignment(m, base, ast.literal(value, span=_span(m, base, "literal")), quote_string(value))
 
 
-def _bind_assignment(m: re.Match, base: int) -> AstNode:
-    ioc_type = m[_IOC_TYPE] if m[_IOC_TYPE] is not None else unquote_string(m["quoted"])
+def _bind_assignment(m: re.Match, base: int) -> tuple[AstNode, str]:
+    ioc_type = m[_IOC_TYPE] or m["quoted"]
     others = {key: unquote_string(m[key]) for key in BIND_KEYS[1:] if m[key] is not None}
-    return _assignment(m, base, ast.bind(ioc_type, **others, span=_span(m, base, "bind")))
+    value = ast.bind(ioc_type, **others, span=_span(m, base, "bind"))
+    return _assignment(m, base, value, bind_text(ioc_type, others))
 
 
-def _relation(m: re.Match, base: int) -> AstNode:
-    return AstNode(
+def _relation(m: re.Match, base: int) -> tuple[AstNode, str]:
+    node = AstNode(
         ast.NodeKind.RELATION_STMT,
         (_identifier(m, base, "subject"), _identifier(m, base, "object")),
         {"verb": m["verb"]},
         _span(m, base),
     )
+    return node, relation_text(m["subject"], m["verb"], m["object"])
 
 
-def _call(m: re.Match, base: int) -> AstNode:
-    return ast.abstract_call(normalize_step(m["step"]), span=_span(m, base))
+def _call(m: re.Match, base: int) -> tuple[AstNode, str]:
+    step = normalize_step(m["step"])
+    return ast.abstract_call(step, span=_span(m, base)), call_text(step_identifier(step))
 
 
-# Each statement form, most common first, with the builder of its node
-# from the match and the byte offset where the statement starts; ``pass``
-# builds none.
+# Each statement form, most common first, with its builder; ``pass``
+# builds nothing.
 _STATEMENTS = (
     (_form(f"(?P<var>{_NAME})", "=", f"(?P<class_name>{_NAME})", r"\(", r"\)"), _instantiation),
     (_form(*_ASSIGN_TO, f"(?P<literal>{STRING_LITERAL})"), _literal_assignment),
@@ -418,21 +439,24 @@ _STATEMENTS = (
 )
 
 
-def _parse_lines(source: str) -> Optional[AstNode]:
-    """The tree of ``source`` when each of its lines is blank or one
-    whole statement form: a ``def`` line at column 1, every other line
-    at its function's one body level, and every function with a body.
-    ``None`` for any other source.  The tree and its spans are the ones
-    :func:`_parse_tokens` gives."""
+def _parse_lines(source: str) -> Optional[tuple[AstNode, list[str]]]:
+    """The tree of ``source`` and each function's canonical text when
+    each of its lines is blank or one whole statement form: a ``def``
+    line at column 1, every other line at its function's one body level,
+    and every function with a body.  ``None`` for any other source.  The
+    tree and its spans are the ones :func:`_parse_tokens` gives, and each
+    text is the one :func:`~.printer.pretty_print_node` gives."""
     if not source.isascii():
         try:
             source.encode("utf-8")
         except UnicodeEncodeError:
             return None  # a lone surrogate
     functions: list[AstNode] = []
-    name = None  # the open function: its name, start, body level, end and statements
+    texts: list[str] = []
+    name = None  # the open function: its name, start, body level, end, statements and their texts
     start = level = end = 0
     body: list[AstNode] = []
+    lines: list[str] = []
     next_line = 0  # byte offsets, as line starts
     for line in source.split("\n"):
         offset = next_line
@@ -448,7 +472,8 @@ def _parse_lines(source: str) -> Optional[AstNode]:
                 return None  # not a def, or the def before has no body
             if name is not None:
                 functions.append(ast.function_def(name, tuple(body), span=(start, end)))
-            name, start, level, body = m["name"], offset, 0, []
+                texts.append(function_text(name, lines))
+            name, start, level, body, lines = m["name"], offset, 0, [], []
             continue
         if name is None:
             return None  # a body line before any def
@@ -462,15 +487,18 @@ def _parse_lines(source: str) -> Optional[AstNode]:
                 break
         else:
             return None
-        node = build(m, offset + indent)
-        if node is not None:
+        built = build(m, offset + indent)
+        if built is not None:
+            node, stmt_text = built
             body.append(node)
+            lines.append(stmt_text)
             end = node.span[1]
     if name is not None:
         if level == 0:
             return None
         functions.append(ast.function_def(name, tuple(body), span=(start, end)))
-    return ast.module(tuple(functions), span=(0, next_line - 1))
+        texts.append(function_text(name, lines))
+    return ast.module(tuple(functions), span=(0, next_line - 1)), texts
 
 
 def _parse_tokens(source: str) -> AstNode:
@@ -483,12 +511,20 @@ def _parse_tokens(source: str) -> AstNode:
     return _Parser(tokenize(source), size).parse_module()
 
 
-def parse(source: str) -> AstNode:
+def parse(source: str, texts: Optional[list[str]] = None) -> AstNode:
     """Parse DSL source text into a Module AST; raises
     :class:`DslSyntaxError` on any malformed input, never anything else.
 
     The line pass reads a source whose every line is one statement form;
     any other source, every malformed one included, goes whole to the
-    token parser, which alone defines each error."""
-    tree = _parse_lines(source)
-    return tree if tree is not None else _parse_tokens(source)
+    token parser, which alone defines each error.  ``texts``, if given,
+    gets each function's canonical text (its ``pretty_print_node``) when
+    the line pass reads the source, from the lines it matched; it gets
+    none when the token parser reads it."""
+    read = _parse_lines(source)
+    if read is None:
+        return _parse_tokens(source)
+    tree, function_texts = read
+    if texts is not None:
+        texts.extend(function_texts)
+    return tree

@@ -14,6 +14,7 @@ import logging
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -29,6 +30,7 @@ from .dsl import (
     validate,
 )
 from .dsl.vocab import IOC_TYPES, TACTIC_ORDER
+from .frozen import Frozen
 from .globmatch import glob_match
 
 logger = logging.getLogger(__name__)
@@ -83,7 +85,8 @@ def read_text(path: Path, digests: Optional[dict[str, str]] = None) -> str:
     of the inputs it read (see :func:`wilee.cli._write_manifest`), if
     given, gets ``str(path)`` -> the SHA-256 of the bytes read, so it
     names the bytes the text came from."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as handle:
+        data = handle.read()
     if digests is not None:
         digests[str(path)] = hashlib.sha256(data).hexdigest()
     text = _decode(data, path, 1)
@@ -234,12 +237,37 @@ def ioc_type_for_variable(variable: str) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IocRecord:
+class IocRecord(Frozen):
+    """One indicator; immutable, and equal to another by its fields."""
+
+    __slots__ = ("ioc_type", "value", "technique_id", "source")
+
     ioc_type: str
     value: str
-    technique_id: Optional[str] = None
-    source: str = "manual"
+    technique_id: Optional[str]
+    source: str
+
+    def __init__(self, ioc_type: str, value: str, technique_id: Optional[str] = None, source: str = "manual"):
+        _set_ioc_type(self, ioc_type)
+        _set_value(self, value)
+        _set_technique_id(self, technique_id)
+        _set_source(self, source)
+
+    def _fields(self) -> tuple:
+        return (self.ioc_type, self.value, self.technique_id, self.source)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+_set_ioc_type, _set_value, _set_technique_id, _set_source = (
+    getattr(IocRecord, name).__set__ for name in IocRecord.__slots__
+)
 
 
 @dataclass(frozen=True)
@@ -263,19 +291,15 @@ class IocDb:
             technique_id = doc.get("technique_id")
             if technique_id is not None and not isinstance(technique_id, str):
                 raise FormatError(str(path), lineno, "technique_id must be a string")
+            source = doc.get("source", "manual")
+            if not isinstance(source, str):
+                raise FormatError(str(path), lineno, "source must be a string")
             key = (ioc_type, value)
             if key in seen:
                 logger.warning("%s:%d: duplicate IOC %r dropped (keeping earliest)", path, lineno, key)
                 continue
             seen.add(key)
-            records.append(
-                IocRecord(
-                    ioc_type=ioc_type,
-                    value=value,
-                    technique_id=technique_id,
-                    source=doc.get("source", "manual"),
-                )
-            )
+            records.append(IocRecord(ioc_type, value, technique_id, source))
         if digests is not None:
             digests[str(path)] = digest.hexdigest()
         return cls(tuple(records))
@@ -329,14 +353,16 @@ class TtpRecord:
     tactic_tags: tuple[str, ...]
     source: str
     ast: AstNode  # FunctionDef
+    #: The function's canonical text, its ``pretty_print_node``; printed
+    #: from ``ast`` when not given.  A module's ``pretty_print`` is its
+    #: functions' texts joined by ``"\n"``.
+    text: Optional[str] = field(default=None, compare=False, repr=False)
 
-    # Computed on first access and kept: the tree never changes.
-    @cached_property
-    def text(self) -> str:
-        """The function's canonical text; a module's ``pretty_print`` is
-        its functions' texts joined by ``"\\n"``."""
-        return pretty_print_node(self.ast)
+    def __post_init__(self):
+        if self.text is None:
+            object.__setattr__(self, "text", pretty_print_node(self.ast))
 
+    # Computed on first access and kept: the text never changes.
     @cached_property
     def ast_hash(self) -> str:
         return text_hash(self.text)
@@ -423,6 +449,7 @@ def _load_ttp_store(index_path: Path, model: DataModel, digests: Optional[dict[s
     seen: set[str] = set()
     invalid: list[str] = []
     details: list[str] = []
+    modules: dict[Path, dict[str, tuple[AstNode, Optional[str]]]] = {}
     index_digest = hashlib.sha256()
     for lineno, doc in read_jsonl(index_path, index_digest):
         technique_id = doc.get("technique_id")
@@ -437,18 +464,24 @@ def _load_ttp_store(index_path: Path, model: DataModel, digests: Optional[dict[s
         tags = doc.get("tactic_tags", [])
         if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
             raise FormatError(str(index_path), lineno, "tactic_tags must be a list of strings")
-        fn = _read_ttp_function(base / rel, technique_id, index_path, lineno, digests)
-        record = TtpRecord(
-            technique_id=technique_id,
-            tactic_tags=tuple(tags),
-            source=source,
-            ast=fn,
-        )
+        path = base / rel
+        functions = modules.get(path)
+        if functions is None:
+            functions = modules[path] = _read_ttp_module(path, index_path, lineno, digests)
+        found = functions.get(technique_id)
+        if found is None:
+            raise FormatError(
+                str(index_path),
+                lineno,
+                f"{path} defines no function for technique {technique_id}",
+            )
+        fn, text = found
         problems = _admission_problems(fn, model)
         if problems:
             invalid.append(technique_id)
             details.extend(f"{technique_id}: {problem}" for problem in problems)
             continue
+        record = TtpRecord(technique_id, tuple(tags), source, fn, text)
         if record.record_id in seen:
             logger.warning("%s:%d: duplicate TTP record %s ignored", index_path, lineno, record.record_id)
             continue
@@ -461,28 +494,27 @@ def _load_ttp_store(index_path: Path, model: DataModel, digests: Optional[dict[s
     return store
 
 
-def _read_ttp_function(path: Path, technique_id: str, index_path: Path, lineno: int, digests) -> AstNode:
+def _read_ttp_module(
+    path: Path, index_path: Path, lineno: int, digests
+) -> dict[str, tuple[AstNode, Optional[str]]]:
+    """Each technique's first function in the body file ``path`` and its
+    canonical text (``None`` when the token parser read the file), read
+    and parsed once per load, for the index line ``lineno``, the first
+    that names the file."""
     try:
         text = read_text(path, digests)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         reason = getattr(exc, "strerror", None) or exc
         raise FormatError(str(index_path), lineno, f"cannot read {path}: {reason}") from None
+    texts: list[str] = []
     try:
-        tree = parse(text)
+        tree = parse(text, texts)
     except DslSyntaxError as exc:
         raise FormatError(str(path), exc.line, f"syntax error at {exc}") from None
-    wanted = [
-        fn
-        for fn in tree.children
-        if normalize_step(fn.attrs.get("name", "")) == technique_id
-    ]
-    if not wanted:
-        raise FormatError(
-            str(index_path),
-            lineno,
-            f"{path} defines no function for technique {technique_id}",
-        )
-    return wanted[0]
+    functions: dict[str, tuple[AstNode, Optional[str]]] = {}
+    for fn, fn_text in zip(tree.children, texts or repeat(None)):
+        functions.setdefault(normalize_step(fn.attrs["name"]), (fn, fn_text))
+    return functions
 
 
 def load_stores(paths: StorePaths, digests: Optional[dict[str, str]] = None) -> tuple[TtpStore, IocDb, DataModel]:

@@ -565,6 +565,25 @@ def _ioc_db_bytes(data):
     return build
 
 
+def _ioc_source(source, command):
+    """An IOC database whose one record's ``source`` is ``source``, read
+    by ``command``."""
+
+    def build(workspace, tmp_path):
+        _, _, ioc_db, _ = workspace
+        ioc_db.write_text(json.dumps({"ioc_type": "process_name", "value": "evil.exe", "source": source}) + "\n", "utf-8")
+        out = tmp_path / "out"
+        if command == "hunt":
+            argv = hunt_args(workspace, write_ndjson(tmp_path / "events.ndjson", []), out)
+        elif command == "malmo":
+            argv = ["malmo", str(FIXTURES / "technique_t1552_002.json"), "--ioc-db", str(ioc_db), "--out", str(out)]
+        else:
+            argv = perturb_args(workspace, A_CLEAN_WDSL, out, generations=0)
+        return argv, "ioc_db.jsonl:1: source must be a string"
+
+    return build
+
+
 def _validate_with_data_model(text):
     def build(workspace, tmp_path):
         impl = tmp_path / "ok.wdsl"
@@ -624,6 +643,9 @@ A_CLEAN_WDSL = FIXTURES / "corpus" / "04_putty_registry.wdsl"
         ),
         _ioc_db_bytes(b'{"ioc_type": "process_name", "value": "\xe9vil.exe"}\n'),
         _ioc_db_bytes(b'{"ioc_type": "process_name", "value": "evil.exe", "technique_id": 5}\n'),
+        _ioc_source(5, "hunt"),
+        _ioc_source(["x"], "malmo"),
+        _ioc_source({}, "perturb"),
         _written("bad.wdsl", NOT_UTF8_WDSL, "bad.wdsl:2:", lambda ws, p: ["validate", str(p)]),
         _written(
             "model.json", b'{"classes": []}\n\xff', "model.json:2:",
@@ -681,6 +703,9 @@ A_CLEAN_WDSL = FIXTURES / "corpus" / "04_putty_registry.wdsl"
         "event-log-not-utf8",
         "ioc-db-not-utf8",
         "ioc-technique-id-number",
+        "ioc-source-number-hunt",
+        "ioc-source-list-malmo",
+        "ioc-source-object-perturb",
         "validate-file-not-utf8",
         "data-model-not-utf8",
         "ttp-wdsl-not-utf8",

@@ -1,6 +1,10 @@
+import copy
 import importlib.util
+import pickle
 import random
+import re
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -8,9 +12,19 @@ import pytest
 from conftest import FIXTURES, FUZZ_SCALE, T1552_PUTTY_SRC, random_module
 from oracles import oracle_tokens
 
-from wilee.dsl import AstGenerator, DslSyntaxError, NodeKind, iter_nodes, parse, parser, pretty_print
+from wilee.dsl import (
+    AstGenerator,
+    AstNode,
+    DslSyntaxError,
+    NodeKind,
+    iter_nodes,
+    parse,
+    parser,
+    pretty_print,
+    pretty_print_node,
+)
 from wilee.dsl.parser import tokenize
-from wilee.dsl.vocab import BIND_KEYS, IDENTIFIER_RE
+from wilee.dsl.vocab import BIND_KEYS, IDENTIFIER_RE, unquote_string
 from wilee.stores import DataModel, FormatError, read_text
 
 
@@ -450,3 +464,125 @@ def test_printer_output_and_benchmark_sources_never_reach_the_token_parser(tmp_p
     for text in sources:
         parse(text)
     assert fallbacks == []
+
+
+# ---------------------------------------------------------------------------
+# The line pass's canonical texts against the printer
+# ---------------------------------------------------------------------------
+
+
+def _escape_all(value):
+    """A literal that reads back as ``value``, every backslash and double
+    quote escaped (the printer escapes a backslash only where it must)."""
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _restyle_line(rng, line):
+    """``line`` (one printed statement or ``def``) as other source of the
+    same statement: each literal quoted one way or the other, a bare
+    ``ioc_type`` maybe quoted, a technique step's call maybe spelled with
+    a capital ``T``, and a run of spaces between two tokens."""
+    tokens = [m.group() for m in parser._TOKEN.finditer(line) if m.lastgroup != "space"]
+    for i, token in enumerate(tokens):
+        if token.startswith('"'):
+            tokens[i] = rng.choice((token, _escape_all(unquote_string(token))))
+        elif i >= 2 and tokens[i - 2] == "ioc_type" and tokens[i - 1] == "=" and rng.random() < 0.5:
+            tokens[i] = f'"{token}"'
+    if len(tokens) == 3 and re.fullmatch(r"t\d{4}", tokens[0]) and rng.random() < 0.5:
+        tokens[0] = "T" + tokens[0][1:]  # the same step: t1059() and T1059() both call T1059
+    out = tokens[0]
+    for before, token in zip(tokens, tokens[1:]):
+        names = IDENTIFIER_RE.fullmatch(before) and IDENTIFIER_RE.fullmatch(token)
+        out += " " * rng.randrange(1 if names else 0, 4) + token
+    return out
+
+
+def _restyle(rng, text):
+    """A printed module as other source the line pass reads: restyled
+    lines, each function's body at its own indent, blank lines, trailing
+    spaces and ``pass`` lines."""
+    lines = []
+    indent = "    "
+    for line in text.split("\n"):
+        if not line:
+            lines.append(rng.choice(("", "", " ", "   ")))
+            continue
+        statement = line.lstrip(" ")
+        if statement is line:  # a def
+            indent = " " * rng.choice((1, 2, 3, 4, 8))
+        elif rng.random() < 0.1:
+            lines.append(indent + "pass")
+        if rng.random() < 0.1:
+            lines.append(" " * rng.randrange(4))
+        prefix = "" if statement is line else indent
+        lines.append(prefix + _restyle_line(rng, statement) + " " * rng.choice((0, 0, 0, 1, 3)))
+    return "\n".join(lines)
+
+
+def test_line_pass_texts_equal_the_printers(tmp_path, monkeypatch):
+    """For every function the line pass reads, the canonical text it gives
+    is ``pretty_print_node`` of the function: on restyled printed modules
+    (space runs, indents, blank lines, trailing spaces, escaped and
+    unescaped ``\\`` and ``"``, quoted and bare ``ioc_type``, ``pass``
+    lines, non-ASCII, CRLF files through ``read_text``), on the corpus
+    and on every ``.wdsl`` of the four benchmark input sets."""
+    rng = random.Random(5113)
+    file = tmp_path / "f.wdsl"
+    cases = []
+    for text in _printed_sources(rng, 150 * FUZZ_SCALE):
+        source = _restyle(rng, text)
+        if rng.random() < 0.3:
+            file.write_bytes(source.replace("\n", "\r\n").encode("utf-8"))
+            source = read_text(file)
+        cases.append((source, parse(text)))
+    for source, tree in cases:
+        texts = []
+        got = parse(source, texts)
+        assert got == tree, source
+        assert texts == [pretty_print_node(fn) for fn in got.children], source
+    assert any("\\" in source and '"' in source and not source.isascii() for source, _ in cases)
+
+    taken = 0
+    fixed = [read_text(path) for path in sorted((FIXTURES / "corpus").glob("*.wdsl"))]
+    for source in fixed + _benchmark_sources(tmp_path / "bench", monkeypatch):
+        texts = []
+        try:
+            tree = parse(source, texts)
+        except DslSyntaxError:
+            continue
+        if texts:  # the line pass read it
+            taken += 1
+            assert texts == [pretty_print_node(fn) for fn in tree.children], source
+    assert taken > 200
+
+
+def test_line_pass_declines_a_quoted_ioc_type_that_is_no_name():
+    """The printer takes only a name as a bind's ``ioc_type``; the token
+    parser reads any literal there, and the line pass leaves it to it."""
+    source = 'def t1059():\n    p = Process()\n    p.name = bind(ioc_type="file path")\n'
+    texts = []
+    tree = parse(source, texts)
+    assert texts == []
+    assert tree.children[0].children[1].children[1].attrs == {"ioc_type": "file path"}
+    parse(source.replace('"file path"', '"file_path"'), texts)
+    assert texts == ['def t1059():\n    p = Process()\n    p.name = bind(ioc_type=file_path)\n']
+
+
+def test_nodes_are_immutable_and_equal_without_spans():
+    tree = parse(T1552_PUTTY_SRC)
+    fn = tree.children[0]
+    with pytest.raises(FrozenInstanceError):
+        fn.kind = NodeKind.MODULE
+    with pytest.raises(FrozenInstanceError):
+        del fn.span
+    with pytest.raises(TypeError):
+        hash(fn)
+    bare = AstNode(fn.kind, fn.children, dict(fn.attrs))
+    assert bare == fn and bare.span is None and fn.span is not None
+    assert bare != AstNode(fn.kind, fn.children, {"name": "other"}) and fn != fn.attrs
+    assert repr(AstNode(NodeKind.IDENTIFIER, (), {"name": "x"}, (0, 1))) == (
+        "AstNode(kind=<NodeKind.IDENTIFIER: 'Identifier'>, children=(), attrs={'name': 'x'}, span=(0, 1))"
+    )
+    for copied in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert copied == tree
+        assert [node.span for _, node in iter_nodes(copied)] == [node.span for _, node in iter_nodes(tree)]

@@ -1,13 +1,17 @@
+import copy
+import hashlib
 import json
 import logging
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 from conftest import T1059_SRC, T1552_PUTTY_SRC, T1552_RUNKEY_SRC, function_from, random_ttp_function
 from oracles import oracle_resolve_bind
 
-from wilee.dsl import AstGenerator, content_hash, pretty_print_node, random_technique_id
+from wilee.dsl import AstGenerator, content_hash, parse, pretty_print_node, random_technique_id
 from wilee.stores import (
     DataModel,
     FormatError,
@@ -101,6 +105,28 @@ def test_ioc_value_may_hold_a_raw_line_separator(tmp_path):
     assert [(r.value, r.technique_id) for r in ioc_db.records] == [(value, None), ("evil.example", None)]
 
 
+def test_ioc_records_are_immutable_and_equal_by_their_fields():
+    record = IocRecord("domain", "evil.example")
+    same = IocRecord(ioc_type="domain", value="evil.example", technique_id=None, source="manual")
+    assert record == same and hash(record) == hash(same) and len({record, same}) == 1
+    assert record != IocRecord("domain", "evil.example", source="feed") and record != ("domain", "evil.example")
+    with pytest.raises(FrozenInstanceError):
+        record.value = "other.example"
+    assert repr(record) == "IocRecord(ioc_type='domain', value='evil.example', technique_id=None, source='manual')"
+    assert copy.copy(record) == record and pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize("source", [5, ["x"], {}, None])
+def test_ioc_source_that_is_not_a_string_is_rejected_at_its_line(tmp_path, source):
+    path = tmp_path / "ioc_db.jsonl"
+    lines = [{"ioc_type": "domain", "value": "a.example"}, {"ioc_type": "domain", "value": "b.example", "source": source}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), "utf-8")
+    with pytest.raises(FormatError) as err:
+        IocDb.load(path)
+    assert (err.value.file, err.value.line) == (str(path), 2)
+    assert str(err.value).endswith(":2: source must be a string")
+
+
 def test_duplicate_iocs_keep_earliest_with_warning(tmp_path, caplog):
     paths = write_stores(
         tmp_path,
@@ -132,8 +158,85 @@ def test_duplicate_ttp_records_keep_one_with_warning(tmp_path, caplog, monkeypat
     assert [r.technique_id for r in store.records] == ["T1552.002", "T1059.001"]
     (warning,) = [r.getMessage() for r in caplog.records]
     assert warning.endswith(f":3: duplicate TTP record {store.records[0].record_id} ignored")
-    assert len(printed) == 3  # each record's tree is printed once, for its hash
+    assert printed == []  # the line pass gives each record's text with its tree
     assert store.records[0].ast_hash == content_hash(store.records[0].ast)
+
+
+def write_module_store(tmp_path, module_src, technique_ids):
+    """A TTP store whose index names the one body file ``mod.wdsl`` once
+    per technique id, in order, each line a MALMO record."""
+    store_dir = tmp_path / "ttp_store"
+    store_dir.mkdir()
+    (store_dir / "mod.wdsl").write_text(module_src, "utf-8")
+    lines = [json.dumps({"technique_id": t, "source": "MALMO", "path": "mod.wdsl"}) for t in technique_ids]
+    (store_dir / "index.jsonl").write_text("".join(line + "\n" for line in lines), "utf-8")
+    return store_dir
+
+
+def count_reads(monkeypatch):
+    """The paths ``load_stores`` reads body text from, and the number of
+    sources it parses, as it loads."""
+    import wilee.stores
+
+    reads, parses = [], []
+    read_text, parse = wilee.stores.read_text, wilee.stores.parse
+    monkeypatch.setattr(wilee.stores, "read_text", lambda path, digests=None: reads.append(path) or read_text(path, digests))
+    monkeypatch.setattr(wilee.stores, "parse", lambda text, texts=None: parses.append(text) or parse(text, texts))
+    return reads, parses
+
+
+SHARED_MODULE_SRC = T1059_SRC + "\n" + T1552_PUTTY_SRC + "\n" + T1059_SRC.replace("Get-Process", "Get-Item") + "\n" + T1552_RUNKEY_SRC
+
+
+@pytest.mark.parametrize("comment", ["", "# read by the token parser\n"], ids=["line-pass", "token-parser"])
+def test_module_named_by_many_index_lines_is_read_and_parsed_once(tmp_path, monkeypatch, comment):
+    source = comment + SHARED_MODULE_SRC
+    store_dir = write_module_store(tmp_path, source, ["T1059.001", "T1552.002", "T1059.001", "T1552.002"])
+    reads, parses = count_reads(monkeypatch)
+    digests = {}
+    store, _, _ = load_stores(StorePaths(ttp_index=store_dir), digests)
+    assert reads == [store_dir / "mod.wdsl"] and len(parses) == 1
+    assert digests == {
+        str(store_dir / "mod.wdsl"): hashlib.sha256(source.encode("utf-8")).hexdigest(),
+        str(store_dir / "index.jsonl"): hashlib.sha256((store_dir / "index.jsonl").read_bytes()).hexdigest(),
+    }
+    # Each line takes the first function of its technique; the repeats are duplicates.
+    first_t1059, first_t1552, _, _ = parse(source).children
+    assert [r.ast for r in store.records] == [first_t1059, first_t1552]
+    assert [r.text for r in store.records] == [T1059_SRC, T1552_PUTTY_SRC]
+    assert [r.ast_hash for r in store.records] == [content_hash(first_t1059), content_hash(first_t1552)]
+
+
+def test_technique_missing_from_a_shared_module_fails_at_its_index_line(tmp_path, monkeypatch):
+    store_dir = write_module_store(tmp_path, SHARED_MODULE_SRC, ["T1059.001", "T1552.002", "T1082", "T1059.001"])
+    reads, parses = count_reads(monkeypatch)
+    with pytest.raises(FormatError) as err:
+        load_stores(StorePaths(ttp_index=store_dir))
+    assert (err.value.file, err.value.line) == (str(store_dir / "index.jsonl"), 3)
+    assert str(err.value).endswith(f"{store_dir / 'mod.wdsl'} defines no function for technique T1082")
+    assert len(reads) == len(parses) == 1
+
+
+def test_module_of_400_functions_each_indexed_is_parsed_once(tmp_path, monkeypatch):
+    ids = [f"T{1000 + i}" for i in range(400)]
+    source = "\n".join(
+        f'def t{1000 + i}():\n    process1 = Process()\n    process1.name = "p{i}.exe"\n' for i in range(400)
+    )
+    store_dir = write_module_store(tmp_path, source, ids)
+    reads, parses = count_reads(monkeypatch)
+    store, _, _ = load_stores(StorePaths(ttp_index=store_dir))
+    assert [r.technique_id for r in store.records] == ids
+    assert len(reads) == len(parses) == 1
+
+
+def test_body_with_a_quoted_ioc_type_that_is_no_name_fails_admission(tmp_path):
+    """The token parser reads it; validation rejects it before anything
+    prints it."""
+    body = 'def t1059_001():\n    process1 = Process()\n    process1.name = bind(ioc_type="no type")\n'
+    paths = write_stores(tmp_path, [], [("T1059.001", ["execution"], "SME", body)])
+    with pytest.raises(ValidationError) as err:
+        load_stores(paths)
+    assert err.value.technique_ids == ["T1059.001"]
 
 
 def test_ttp_store_loads_and_validates(tmp_path):
